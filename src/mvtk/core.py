@@ -43,7 +43,6 @@ __all__ = [
     "leq",
     "join",
     "meet",
-    "eval_op",
     "forced_elements",
     "random_element",
     "sample_tuples",
@@ -53,12 +52,9 @@ __all__ = [
     "check_derived_identities",
     "check_lattice_identities",
     "is_terminal_object",
-    "is_initial_object",
-    "is_trivial_object",
     "canonical_blocks",
     "are_isomorphic",
     "hom_tables",
-    "iso_table",
     "AXIOM_NAMES",
 ]
 
@@ -432,40 +428,6 @@ def meet(algebra: Algebra, x, y):
     return otimes(algebra, x, algebra.plus(algebra.neg(x), y))
 
 
-_OPS = {
-    "plus": (2, oplus),
-    "neg": (1, neg),
-    "times": (2, otimes),
-    "arrow": (2, arrow),
-    "minus": (2, ominus),
-    "dist": (2, dist),
-    "join": (2, join),
-    "meet": (2, meet),
-}
-
-
-def eval_op(algebra: Algebra, name: str, args):
-    """Evaluate a named primitive or derived operation on elements."""
-    if name == "zero":
-        if args:
-            raise ValueError("zero takes no arguments")
-        return algebra.zero
-    if name == "one":
-        if args:
-            raise ValueError("one takes no arguments")
-        return algebra.one
-    if name == "leq":
-        x, y = args
-        return leq(algebra, x, y)
-    try:
-        arity, fn = _OPS[name]
-    except KeyError:
-        raise ValueError(f"unknown operation {name!r}") from None
-    if len(args) != arity:
-        raise ValueError(f"{name} takes {arity} arguments, got {len(args)}")
-    return fn(algebra, *args)
-
-
 # ---------------------------------------------------------------------------
 # element sampling
 
@@ -721,15 +683,6 @@ def is_terminal_object(algebra: Algebra) -> bool:
     return carrier_size(algebra) == 1
 
 
-def is_initial_object(algebra: Algebra) -> bool:
-    return carrier_size(algebra) == 2
-
-
-def is_trivial_object(algebra: Algebra) -> bool:
-    """Carrier {0} or {0, 1}: the objects every trivial map factors through."""
-    return carrier_size(algebra) in (1, 2)
-
-
 def canonical_blocks(algebra: SymbolicAlgebra) -> tuple:
     """Block multiset in a normal form independent of construction order."""
     def key(b: Block):
@@ -751,7 +704,7 @@ def are_isomorphic(a: Algebra, b: Algebra) -> bool:
         return False
     if na != nb:
         return False
-    return iso_table(to_finite(a), to_finite(b)) is not None
+    return bool(hom_tables(to_finite(a), to_finite(b), bijective=True, limit=1))
 
 
 # ---------------------------------------------------------------------------
@@ -829,8 +782,3 @@ def hom_tables(A: FiniteAlgebra, B: FiniteAlgebra, bijective: bool = False,
     rec()
     _undo(table, used, seed)
     return out
-
-
-def iso_table(A: FiniteAlgebra, B: FiniteAlgebra) -> tuple[int, ...] | None:
-    found = hom_tables(A, B, bijective=True, limit=1)
-    return found[0] if found else None

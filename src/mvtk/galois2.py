@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .core import (
     Algebra,
-    Chain,
     FiniteAlgebra,
     Komori,
     SymbolicAlgebra,
@@ -38,6 +37,7 @@ from .morphisms import (
     SubalgebraResult,
     compose,
     factor_through_quotient,
+    identity,
     ideal_subalgebra,
     image_ideal,
     mediator_to_pullback,
@@ -150,18 +150,13 @@ def central_reflection(f: Morphism) -> CentralReflection:
     q = quotient(A, theta, label="central_reflection")
     reflected = factor_through_quotient(q.projection, f, "reflected")
     sq = ExtensionSquare(top=f, left=q.projection,
-                         right=_identity_of(f.cod), bottom=reflected)
+                         right=identity(f.cod), bottom=reflected)
     rp = is_regular_pushout(sq)
     B = reflected.dom
     theta2 = ideal_meet(B, reflected.kernel(), radical(B))
     central = is_zero_ideal(B, theta2)
     return CentralReflection(sq, reflected, theta, rp.ok, central,
                              idempotent=central)
-
-
-def _identity_of(algebra: Algebra) -> Morphism:
-    from .morphisms import identity
-    return identity(algebra)
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,6 @@ __all__ = [
     "riesz_split",
     "radical_conegation_disjoint",
     "marker_quotient_data",
-    "apply_quotient_actions",
-    "section_for_actions",
-    "preimage_markers",
-    "image_markers",
     "finite_quotient_data",
 ]
 
@@ -489,126 +485,21 @@ def radical_conegation_disjoint(algebra: Algebra, ideal: Ideal) -> bool:
 # quotient data
 
 
-def marker_quotient_data(algebra: SymbolicAlgebra, ideal: MarkerIdeal):
-    """Block structure of A/I plus one action per source block.
-
-    Actions: ``("keep",)`` chain survives, ``("drop",)`` block is killed,
-    ``("collapse",)`` Komori block flattens to its chain, and
-    ``("sub", kept)`` drops the marked coordinates of a Komori block.
-    """
+def marker_quotient_data(algebra: SymbolicAlgebra, ideal: MarkerIdeal) -> SymbolicAlgebra:
+    """Block structure of A/I: a full marker kills its block, a chain
+    block survives, and a Komori block keeps its unmarked coordinates (a
+    chain of the same height when none is left)."""
     ideal = validate_ideal(algebra, ideal)
     blocks_out = []
-    actions = []
     for b, m in zip(algebra.blocks, ideal.markers):
         if m == "full":
-            actions.append(("drop",))
             continue
         if isinstance(b, Chain):
             blocks_out.append(b)
-            actions.append(("keep",))
             continue
-        kept = tuple(i for i in range(b.r) if i not in m[1])
-        if kept:
-            blocks_out.append(Komori(b.m, len(kept)))
-            actions.append(("sub", kept))
-        else:
-            blocks_out.append(Chain(b.m))
-            actions.append(("collapse",))
-    return SymbolicAlgebra(blocks_out), tuple(actions)
-
-
-def apply_quotient_actions(actions, x) -> tuple:
-    out = []
-    for act, v in zip(actions, x):
-        if act[0] == "drop":
-            continue
-        if act[0] == "keep":
-            out.append(v)
-        elif act[0] == "collapse":
-            out.append(v[0])
-        else:
-            a, bv = v
-            out.append((a, tuple(bv[i] for i in act[1])))
-    return tuple(out)
-
-
-def section_for_actions(blocks, actions, q) -> tuple:
-    """Right inverse of the quotient on elements, filling dropped data
-    with zeros."""
-    out = []
-    cursor = 0
-    for b, act in zip(blocks, actions):
-        if act[0] == "drop":
-            out.append(0 if isinstance(b, Chain) else (0, (0,) * b.r))
-            continue
-        v = q[cursor]
-        cursor += 1
-        if act[0] == "keep":
-            out.append(v)
-        elif act[0] == "collapse":
-            out.append((v, (0,) * b.r))
-        else:
-            kept = act[1]
-            a, sub = v
-            bv = [0] * b.r
-            for pos, coord in enumerate(kept):
-                bv[coord] = sub[pos]
-            out.append((a, tuple(bv)))
-    return tuple(out)
-
-
-def preimage_markers(algebra: SymbolicAlgebra, actions, target: SymbolicAlgebra,
-                     ideal: MarkerIdeal) -> MarkerIdeal:
-    """Pull an ideal of the quotient back along the projection."""
-    ideal = validate_ideal(target, ideal)
-    markers = []
-    cursor = 0
-    for b, act in zip(algebra.blocks, actions):
-        if act[0] == "drop":
-            markers.append("full")
-            continue
-        m = ideal.markers[cursor]
-        cursor += 1
-        if act[0] == "keep":
-            markers.append(m)
-        elif act[0] == "collapse":
-            if m == "full":
-                markers.append("full")
-            else:
-                markers.append(("sub", frozenset(range(b.r))))
-        else:
-            kept = act[1]
-            if m == "full":
-                markers.append("full")
-            else:
-                dropped = frozenset(range(b.r)) - frozenset(kept)
-                lifted = frozenset(kept[t] for t in m[1])
-                markers.append(("sub", dropped | lifted))
-    return MarkerIdeal(tuple(markers))
-
-
-def image_markers(algebra: SymbolicAlgebra, actions, target: SymbolicAlgebra,
-                  ideal: MarkerIdeal) -> MarkerIdeal:
-    """Push an ideal of the source forward along the projection (the image
-    is an ideal because the projection is surjective)."""
-    ideal = validate_ideal(algebra, ideal)
-    markers = []
-    for b, act, m in zip(algebra.blocks, actions, ideal.markers):
-        if act[0] == "drop":
-            continue
-        if act[0] == "keep":
-            markers.append(m)
-        elif act[0] == "collapse":
-            markers.append("full" if m == "full" else "zero")
-        else:
-            kept = act[1]
-            if m == "full":
-                markers.append("full")
-            else:
-                inside = frozenset(kept.index(i) for i in m[1] if i in kept)
-                markers.append(("sub", inside))
-    out = MarkerIdeal(tuple(markers))
-    return validate_ideal(target, out)
+        kept = b.r - len(m[1])
+        blocks_out.append(Komori(b.m, kept) if kept else Chain(b.m))
+    return SymbolicAlgebra(blocks_out)
 
 
 def finite_quotient_data(algebra: FiniteAlgebra, ideal: FiniteIdeal):

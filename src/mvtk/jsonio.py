@@ -26,6 +26,7 @@ from .morphisms import (
     compose,
     from_initial,
     identity,
+    is_morphism,
     quotient,
     to_terminal,
 )
@@ -190,9 +191,16 @@ def parse_morphism(obj) -> Morphism:
             return to_terminal(algebra)
         if kind == "from_initial":
             return from_initial(algebra)
-        kept = tuple(i - 1 for i in obj["kept"])
         if not isinstance(algebra, SymbolicAlgebra):
             raise ValueError("block projections need a block algebra")
+        n = len(algebra.blocks)
+        kept = obj["kept"]
+        if not (isinstance(kept, list)
+                and all(type(i) is int and 1 <= i <= n for i in kept)
+                and len(set(kept)) == len(kept)):
+            raise ValueError(f"'kept' must list distinct block numbers "
+                             f"between 1 and {n}")
+        kept = tuple(i - 1 for i in kept)
         cod = SymbolicAlgebra([algebra.blocks[i] for i in kept])
         return Morphism(algebra, cod, BlockProjectionBody(kept),
                         "block_projection")
@@ -201,7 +209,18 @@ def parse_morphism(obj) -> Morphism:
         cod = parse_algebra(obj["cod"])
         if not isinstance(dom, FiniteAlgebra) or not isinstance(cod, FiniteAlgebra):
             raise ValueError("pointwise tables need finite carriers")
-        return Morphism(dom, cod, FiniteMapBody(tuple(obj["table"])), "table")
+        table = obj["table"]
+        if not isinstance(table, list) or len(table) != dom.size:
+            raise ValueError(f"table needs one value per domain element "
+                             f"({dom.size})")
+        if not all(type(v) is int and 0 <= v < cod.size for v in table):
+            raise ValueError(f"table values must lie in 0..{cod.size - 1}")
+        m = Morphism(dom, cod, FiniteMapBody(tuple(table)), "table")
+        broken = is_morphism(m, mode="exhaustive").counterexample()
+        if broken is not None:
+            raise ValueError(f"table is not a homomorphism: {broken[0]} "
+                             f"fails at {list(broken[1])}")
+        return m
     if kind == "compose":
         parts = [parse_morphism(p) for p in obj["parts"]]
         out = parts[0]

@@ -1,12 +1,40 @@
 """Morphisms with computable kernels, preimages and surjectivity.
 
-A morphism pairs a domain, a codomain and a body.  Bodies on finite
-carriers are explicit tables.  Bodies on symbolic algebras come from a
-closed vocabulary (marker quotients, ideal-subalgebra inclusions, block
-projections, maps to or from the trivial objects, coordinate placements,
-and composites of these); each vocabulary entry knows its kernel and the
-preimage of any marker ideal, which is what the classification and
-factorization layers consume.
+A morphism pairs a domain, a codomain and a body.  There are two bodies.
+A map whose domain or codomain is a table algebra is a
+:class:`FiniteMapBody`, its value table.  A map between two block
+products is a :class:`CoordMap`, which stores, per codomain block, the
+domain block it reads, the integer height scale, and where each
+infinitesimal coordinate comes from.
+
+Why every homomorphism h: A_1 x ... x A_n -> B_1 x ... x B_k of block
+products is a CoordMap.  A map into a product is a tuple of maps into its
+blocks.  Every block B_j is nontrivial and its only Boolean elements are 0
+and 1.  The tops e_i of the domain blocks (the top of block i, zero
+elsewhere) are Boolean, pairwise disjoint and join to 1, so block j of h
+sends exactly one e_i to 1 and every other to 0: it factors through the
+projection onto A_i.  By Mundici's Gamma equivalence, a homomorphism
+A_i -> B_j is the restriction of a unital l-group homomorphism
+phi: Z x_lex Z^s -> Z x_lex Z^r (s = 0 for a chain, r = 0 into a chain)
+with phi(m_i, 0) = (m_j, 0).  phi sends infinitesimals to infinitesimals,
+so phi(a, b) = (a * m_j / m_i, W b) for a nonnegative integer matrix W,
+and phi keeps (0, e_c) meet (0, e_d) = 0 for c != d only if no row of W
+has two nonzero entries.  Block j of h(x) is therefore
+
+    (a * scale, (k_1 * b[c_1], ..., k_r * b[c_r]))
+
+with scale = m_j / m_i, and each codomain coordinate t is either 0 (None)
+or k_t >= 1 times one source coordinate c_t.  Conversely every such
+formula is a homomorphism.  The source block, the scale and the
+placements are determined by h, so two CoordMaps with the same domain and
+codomain are equal exactly when they are the same map.  Composition,
+kernels, preimages, images, surjectivity, corestriction and factoring
+through quotients are closed formulas on this data.
+
+A FiniteMapBody lists the value of ``elements(dom)[i]`` at position i.
+Given between two block products it is decoded into its CoordMap, and so
+are the construction specs :class:`ElemTableBody`,
+:class:`BlockProjectionBody` and :class:`TuplingBody`.
 """
 
 from __future__ import annotations
@@ -35,39 +63,23 @@ from .ideals import (
     FiniteIdeal,
     Ideal,
     MarkerIdeal,
-    apply_quotient_actions,
     finite_quotient_data,
-    full_ideal,
     ideal_contains,
     ideal_elements,
     ideal_leq,
-    ideal_meet,
-    image_markers,
     markers_from_elements,
     marker_quotient_data,
-    preimage_markers,
-    section_for_actions,
     validate_ideal,
     zero_ideal,
 )
 
 __all__ = [
     "Morphism",
+    "CoordMap",
     "FiniteMapBody",
     "ElemTableBody",
-    "IdentityBody",
-    "QuotientBody",
-    "IdealSubInclBody",
-    "FromInitialBody",
-    "ToTerminalBody",
     "BlockProjectionBody",
-    "CoordPermuteBody",
     "TuplingBody",
-    "CompositeBody",
-    "FactorThroughBody",
-    "PerfectCoordMapBody",
-    "ZCollapseBody",
-    "CorestrictBody",
     "identity",
     "to_terminal",
     "from_initial",
@@ -80,7 +92,6 @@ __all__ = [
     "factor_through_quotient",
     "image_ideal",
     "SubalgebraResult",
-    "subalgebra_layout",
     "ideal_subalgebra",
     "subalgebra_decode",
     "corestrict",
@@ -100,9 +111,160 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteMapBody:
-    """Index table between two table algebras."""
+    """Value table of a map out of a finite carrier: entry i is the value
+    at ``elements(dom)[i]`` (at i itself for a table algebra)."""
 
     table: tuple
+
+
+@dataclass(frozen=True)
+class CoordMap:
+    """Normal form of a homomorphism between block products.
+
+    ``rows`` has one ``(src, scale, coords)`` per codomain block: the block
+    reads domain block ``src`` with its height multiplied by ``scale``.
+    ``coords`` is ``()`` for a chain codomain block and, for a Komori
+    block, one entry per infinitesimal coordinate: None (always 0) or
+    ``(c, k)``, k >= 1 times source coordinate c.
+    """
+
+    rows: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(
+            (src, scale, tuple(None if c is None else (c[0], c[1])
+                               for c in coords))
+            for src, scale, coords in self.rows))
+
+    def __call__(self, x):
+        out = []
+        for src, scale, coords in self.rows:
+            v = x[src]
+            if not coords:
+                out.append((v if isinstance(v, int) else v[0]) * scale)
+            elif isinstance(v, int):
+                out.append((v * scale, (0,) * len(coords)))
+            else:
+                a, b = v
+                out.append((a * scale, tuple(
+                    0 if c is None else b[c[0]] * c[1] for c in coords)))
+        return tuple(out)
+
+    def then(self, other: "CoordMap") -> "CoordMap":
+        """Substitution: self followed by other."""
+        rows = []
+        for src, scale, coords in other.rows:
+            s0, k0, c0 = self.rows[src]
+            rows.append((s0, k0 * scale, tuple(
+                None if c is None or c0[c[0]] is None
+                else (c0[c[0]][0], c0[c[0]][1] * c[1]) for c in coords)))
+        return CoordMap(tuple(rows))
+
+    def preimage(self, dom: SymbolicAlgebra, markers) -> MarkerIdeal:
+        """Markers of the preimage of a (validated) codomain ideal."""
+        out = ["full"] * len(dom.blocks)
+        for (src, _, coords), mk in zip(self.rows, markers):
+            if mk == "full":
+                continue
+            block = dom.blocks[src]
+            if isinstance(block, Chain):
+                out[src] = "zero"
+                continue
+            allowed = frozenset(range(block.r)) if out[src] == "full" else out[src][1]
+            kept = mk[1] if coords else ()
+            out[src] = ("sub", allowed - {c[0] for t, c in enumerate(coords)
+                                          if c is not None and t not in kept})
+        return MarkerIdeal(tuple(out))
+
+    def image(self, markers) -> MarkerIdeal:
+        """Markers of the ideal generated by the image of a (validated)
+        domain ideal; it is the image itself when the map is onto."""
+        out = []
+        for src, _, coords in self.rows:
+            mk = markers[src]
+            if mk == "full":
+                out.append("full")
+            elif not coords:
+                out.append("zero")
+            else:
+                out.append(("sub", frozenset(
+                    t for t, c in enumerate(coords)
+                    if c is not None and c[0] in mk[1])))
+        return MarkerIdeal(tuple(out))
+
+    def is_onto(self) -> bool:
+        """Distinct source blocks, unit scales, and every codomain
+        coordinate a distinct source coordinate with multiplier 1."""
+        srcs = [src for src, _, _ in self.rows]
+        return len(set(srcs)) == len(srcs) and all(
+            scale == 1 and _is_plain(coords) for _, scale, coords in self.rows)
+
+    def covers_radical(self) -> bool:
+        """Whether the radical of the domain maps onto the radical of the
+        codomain: every codomain coordinate must read a source coordinate
+        with multiplier 1, and no source coordinate twice."""
+        read = [(src, c) for src, _, coords in self.rows for c in coords]
+        return all(c is not None and c[1] == 1 for _, c in read) \
+            and len({(src, c[0]) for src, c in read}) == len(read)
+
+    def solve(self, dom: SymbolicAlgebra, y):
+        """An x with self(x) == y, read off the first row (and coordinate)
+        that sees each part of x; None when y is not in the image."""
+        heights = {}
+        vecs = {i: [0] * b.r for i, b in enumerate(dom.blocks)
+                if isinstance(b, Komori)}
+        fixed = set()
+        for (src, scale, coords), v in zip(self.rows, y):
+            a, b = v if coords else (v, ())
+            if src not in heights:
+                if a % scale:
+                    return None
+                heights[src] = a // scale
+            for c, w in zip(coords, b):
+                if c is None or (src, c[0]) in fixed:
+                    continue
+                if w % c[1]:
+                    return None
+                vecs[src][c[0]] = w // c[1]
+                fixed.add((src, c[0]))
+        x = tuple(heights.get(i, 0) if isinstance(b, Chain)
+                  else (heights.get(i, 0), tuple(vecs[i]))
+                  for i, b in enumerate(dom.blocks))
+        return x if dom.contains(x) and self(x) == y else None
+
+
+def _is_plain(coords) -> bool:
+    hit = [c[0] for c in coords if c is not None and c[1] == 1]
+    return len(hit) == len(coords) == len(set(hit))
+
+
+def _plain(block) -> tuple:
+    return tuple((c, 1) for c in range(block.r)) if isinstance(block, Komori) else ()
+
+
+def _copies(dom: SymbolicAlgebra, kept) -> CoordMap:
+    return CoordMap(tuple((i, 1, _plain(dom.blocks[i])) for i in kept))
+
+
+def _check_coords(dom: SymbolicAlgebra, cod: SymbolicAlgebra, body: CoordMap) -> None:
+    if len(body.rows) != len(cod.blocks):
+        raise ValueError("a coordinate map needs one row per codomain block")
+    for (src, scale, coords), blk in zip(body.rows, cod.blocks):
+        if not (isinstance(src, int) and 0 <= src < len(dom.blocks)):
+            raise ValueError(f"source block {src!r} out of range")
+        source = dom.blocks[src]
+        if scale * source.m != blk.m:
+            raise ValueError(f"scale {scale} does not carry {source!r} onto {blk!r}")
+        if len(coords) != (blk.r if isinstance(blk, Komori) else 0):
+            raise ValueError(f"{blk!r} needs one placement per coordinate")
+        width = source.r if isinstance(source, Komori) else 0
+        for c in coords:
+            if c is not None and not (0 <= c[0] < width and c[1] >= 1):
+                raise ValueError(f"bad coordinate placement {c!r} from {source!r}")
+
+
+# Construction specs: each is lowered to a CoordMap or a FiniteMapBody as
+# soon as a Morphism is built from it.
 
 
 @dataclass(frozen=True)
@@ -116,54 +278,6 @@ class ElemTableBody:
 
 
 @dataclass(frozen=True)
-class IdentityBody:
-    pass
-
-
-@dataclass(frozen=True)
-class QuotientBody:
-    """Projection onto the quotient by a marker ideal."""
-
-    ideal: MarkerIdeal
-    actions: tuple
-
-
-@dataclass(frozen=True)
-class SubalgebraLayout:
-    """How the carrier I u neg(I) sits inside its ambient algebra.
-
-    ``entries`` has one tag per ambient block: ``("full",)`` the block is
-    wholly inside, ``("chain",)`` only 0 and the top survive, or
-    ``("sub", coords, offset)`` for a Komori block whose marked
-    infinitesimal coordinates land at ``offset`` in the joint block.
-    ``total`` is the joint block's rank; ``all_full`` means the subalgebra
-    is the whole algebra.
-    """
-
-    entries: tuple
-    total: int
-    all_full: bool
-
-
-@dataclass(frozen=True)
-class IdealSubInclBody:
-    """Inclusion of the subalgebra I u neg(I) into its ambient algebra."""
-
-    ideal: MarkerIdeal
-    layout: SubalgebraLayout
-
-
-@dataclass(frozen=True)
-class FromInitialBody:
-    """The unique map out of the two-element algebra."""
-
-
-@dataclass(frozen=True)
-class ToTerminalBody:
-    pass
-
-
-@dataclass(frozen=True)
 class BlockProjectionBody:
     """Projection of a block product onto some of its blocks."""
 
@@ -171,67 +285,60 @@ class BlockProjectionBody:
 
 
 @dataclass(frozen=True)
-class CoordPermuteBody:
-    """Blockwise permutation of Komori coordinates; an isomorphism.
-
-    ``perms`` holds, per block, None for a chain or a tuple p with output
-    coordinate j reading input coordinate p[j].
-    """
-
-    perms: tuple
-
-
-@dataclass(frozen=True)
 class TuplingBody:
     """Pairing into a block product.  ``placement`` lists, per codomain
-    block, which part and which of its blocks supplies the value; every
-    block of every part must be used exactly once."""
+    block, which part and which of its blocks supplies the value."""
 
     parts: tuple
     placement: tuple
 
 
-@dataclass(frozen=True)
-class CompositeBody:
-    parts: tuple
+def _lower(dom: Algebra, cod: Algebra, body):
+    if isinstance(body, ElemTableBody):
+        body = FiniteMapBody(tuple(body.mapping[x] for x in elements(dom)))
+    elif isinstance(body, BlockProjectionBody):
+        body = _copies(dom, body.kept)
+    elif isinstance(body, TuplingBody):
+        body = CoordMap(tuple(body.parts[p].body.rows[b] for p, b in body.placement))
+    if isinstance(body, FiniteMapBody):
+        if isinstance(dom, SymbolicAlgebra) and isinstance(cod, SymbolicAlgebra):
+            return _decode_table(dom, cod, body.table)
+        return body
+    if isinstance(body, CoordMap):
+        if not (isinstance(dom, SymbolicAlgebra) and isinstance(cod, SymbolicAlgebra)):
+            raise TypeError("coordinate maps run between block products")
+        _check_coords(dom, cod, body)
+        return body
+    raise TypeError(f"unknown body {body!r}")
 
 
-@dataclass(frozen=True)
-class FactorThroughBody:
-    """The unique map with body o q = f, for a surjective quotient q whose
-    kernel sits inside ker f.  Evaluation lifts through a section of q."""
-
-    q: "Morphism"
-    f: "Morphism"
-
-
-@dataclass(frozen=True)
-class PerfectCoordMapBody:
-    """Map between canonical perfect parts, written as an injective
-    placement of joint infinitesimal coordinates (None drops one)."""
-
-    dst: tuple
-
-    def __post_init__(self):
-        hit = [d for d in self.dst if d is not None]
-        if len(hit) != len(set(hit)):
-            raise ValueError("coordinate placement must be injective")
-
-
-@dataclass(frozen=True)
-class ZCollapseBody:
-    """Left factor of a trivial map through the two-element algebra:
-    sends x to 1 exactly when f(x) = 1.  Requires im(f) within {0, 1}."""
-
-    f: "Morphism"
+def _decode_table(dom: SymbolicAlgebra, cod: SymbolicAlgebra, values) -> CoordMap:
+    """The CoordMap sending elements(dom)[i] to values[i]; codomain block j
+    reads the one domain block whose top goes to the top of block j."""
+    elems = elements(dom)
+    if len(values) != len(elems):
+        raise ValueError("value table does not cover the domain")
+    tops = [values[_index(dom, dom.zero[:i] + (b.m,) + dom.zero[i + 1:])]
+            for i, b in enumerate(dom.blocks)]
+    rows = []
+    for j, blk in enumerate(cod.blocks):
+        srcs = [i for i, top in enumerate(tops) if top[j] == cod.one[j]]
+        if len(srcs) != 1 or blk.m % dom.blocks[srcs[0]].m:
+            raise ValueError("values do not form a homomorphism of block products")
+        i = srcs[0]
+        rows.append((i, blk.m // dom.blocks[i].m, (None,) * len(_plain(blk))))
+    body = CoordMap(tuple(rows))
+    if any(body(x) != v for x, v in zip(elems, values)):
+        raise ValueError("values do not form a homomorphism of block products")
+    return body
 
 
-@dataclass(frozen=True)
-class CorestrictBody:
-    """Corestriction of e through an injective map with decodable image."""
-
-    e: "Morphism"
-    through: "Morphism"
+def _index(dom: SymbolicAlgebra, x) -> int:
+    """Position of x in elements(dom) for a product of chains."""
+    k = 0
+    for b, v in zip(dom.blocks, x):
+        k = k * (b.m + 1) + v
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +350,23 @@ _TERMINAL = terminal_algebra()
 
 
 class Morphism:
-    __slots__ = ("dom", "cod", "body", "label")
+    __slots__ = ("dom", "cod", "body", "label", "_eval")
 
     def __init__(self, dom: Algebra, cod: Algebra, body, label: str = ""):
+        body = _lower(dom, cod, body)
+        if isinstance(body, CoordMap):
+            ev = body
+        elif isinstance(dom, FiniteAlgebra):
+            ev = body.table.__getitem__
+        else:
+            table = body.table
+            def ev(x):
+                return table[_index(dom, x)]
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_eval", ev)
 
     def __setattr__(self, name, value):
         raise AttributeError("Morphism is immutable")
@@ -259,447 +376,71 @@ class Morphism:
         return f"Morphism({type(self.body).__name__}{tag})"
 
     def __call__(self, x):
-        return _apply(self, x)
+        return self._eval(x)
 
     def then(self, g: "Morphism") -> "Morphism":
         return compose(self, g)
 
     def kernel(self) -> Ideal:
-        return _kernel(self)
+        return _preimage(self, zero_ideal(self.cod))
 
     def preimage_ideal(self, ideal: Ideal) -> Ideal:
         return _preimage(self, validate_ideal(self.cod, ideal))
 
     def is_surjective(self) -> bool:
-        return _surjective(self)
+        if isinstance(self.body, CoordMap):
+            return self.body.is_onto()
+        size = carrier_size(self.cod)
+        return size is not None and len(set(self.body.table)) == size
 
     def is_injective(self) -> bool:
         return self.kernel() == zero_ideal(self.dom)
 
 
+def _preimage(m: Morphism, ideal: Ideal) -> Ideal:
+    if isinstance(m.body, CoordMap):
+        return m.body.preimage(m.dom, ideal.markers)
+    if isinstance(ideal, FiniteIdeal):
+        hit = ideal.elements.__contains__
+    else:
+        def hit(v):
+            return ideal_contains(m.cod, ideal, v)
+    pre = [x for x, v in zip(elements(m.dom), m.body.table) if hit(v)]
+    if isinstance(m.dom, FiniteAlgebra):
+        return FiniteIdeal(frozenset(pre))
+    return markers_from_elements(m.dom, pre)
+
+
 def identity(algebra: Algebra) -> Morphism:
-    return Morphism(algebra, algebra, IdentityBody(), "identity")
+    if isinstance(algebra, FiniteAlgebra):
+        body = FiniteMapBody(tuple(range(algebra.size)))
+    else:
+        body = _copies(algebra, range(len(algebra.blocks)))
+    return Morphism(algebra, algebra, body, "identity")
 
 
 def to_terminal(algebra: Algebra) -> Morphism:
-    cod = _TERMINAL if isinstance(algebra, SymbolicAlgebra) else to_finite(_TERMINAL)
-    return Morphism(algebra, cod, ToTerminalBody(), "to_terminal")
+    if isinstance(algebra, SymbolicAlgebra):
+        return Morphism(algebra, _TERMINAL, CoordMap(()), "to_terminal")
+    return Morphism(algebra, to_finite(_TERMINAL),
+                    FiniteMapBody((0,) * algebra.size), "to_terminal")
 
 
 def from_initial(algebra: Algebra) -> Morphism:
     dom = _INITIAL if isinstance(algebra, SymbolicAlgebra) else to_finite(_INITIAL)
-    return Morphism(dom, algebra, FromInitialBody(), "from_initial")
+    return Morphism(dom, algebra, FiniteMapBody((algebra.zero, algebra.one)),
+                    "from_initial")
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """f then g."""
     if f.cod != g.dom:
         raise ValueError("composite needs f.cod == g.dom")
-    parts = []
-    for m in (f, g):
-        if isinstance(m.body, CompositeBody):
-            parts.extend(m.body.parts)
-        elif not isinstance(m.body, IdentityBody):
-            parts.append(m)
-    if not parts:
-        return identity(f.dom)
-    if len(parts) == 1:
-        return parts[0]
-    return Morphism(f.dom, g.cod, CompositeBody(tuple(parts)))
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def _apply(m: Morphism, x):
-    body = m.body
-    if isinstance(body, FiniteMapBody):
-        return body.table[x]
-    if isinstance(body, ElemTableBody):
-        return body.mapping[x]
-    if isinstance(body, IdentityBody):
-        return x
-    if isinstance(body, QuotientBody):
-        return apply_quotient_actions(body.actions, x)
-    if isinstance(body, IdealSubInclBody):
-        return _sub_embed(m.cod, body.layout, x)
-    if isinstance(body, FromInitialBody):
-        return m.cod.one if x == m.dom.one else m.cod.zero
-    if isinstance(body, ToTerminalBody):
-        return m.cod.zero
-    if isinstance(body, BlockProjectionBody):
-        return tuple(x[i] for i in body.kept)
-    if isinstance(body, CoordPermuteBody):
-        out = []
-        for v, p in zip(x, body.perms):
-            if p is None:
-                out.append(v)
-            else:
-                a, bv = v
-                out.append((a, tuple(bv[j] for j in p)))
-        return tuple(out)
-    if isinstance(body, TuplingBody):
-        vals = [body.parts[pi](x) for pi in range(len(body.parts))]
-        return tuple(vals[pi][bi] for pi, bi in body.placement)
-    if isinstance(body, CompositeBody):
-        for part in body.parts:
-            x = part(x)
-        return x
-    if isinstance(body, FactorThroughBody):
-        return body.f(_section(body.q, x))
-    if isinstance(body, PerfectCoordMapBody):
-        return _perfect_apply(m, x)
-    if isinstance(body, ZCollapseBody):
-        v = body.f(x)
-        if v == body.f.cod.one:
-            return m.cod.one
-        if v == body.f.cod.zero:
-            return m.cod.zero
-        raise ValueError("collapse applied to a map with image outside {0, 1}")
-    if isinstance(body, CorestrictBody):
-        y = body.e(x)
-        out = _decode_through(body.through, y)
-        if out is None:
-            raise ValueError("corestriction target misses a value")
-        return out
-    raise TypeError(f"unknown body {body!r}")
-
-
-def _section(q: Morphism, y):
-    body = q.body
-    if isinstance(body, QuotientBody):
-        return section_for_actions(q.dom.blocks, body.actions, y)
-    if isinstance(body, FiniteMapBody):
-        return body.table.index(y)
-    if isinstance(body, IdentityBody):
-        return y
-    if isinstance(body, ElemTableBody):
-        for k, v in body.mapping.items():
-            if v == y:
-                return k
-        raise ValueError("section: value not reached")
-    raise TypeError(f"no section rule for {body!r}")
-
-
-def _sub_embed(ambient: SymbolicAlgebra, layout: SubalgebraLayout, x):
-    if layout.all_full:
-        return x
-    joint = x[-1]
-    if layout.total == 0:
-        z, bvec = joint, ()
+    if isinstance(f.body, CoordMap) and isinstance(g.body, CoordMap):
+        body = f.body.then(g.body)
     else:
-        z, bvec = joint
-    out = []
-    cursor = 0
-    for block, entry in zip(ambient.blocks, layout.entries):
-        if entry[0] == "full":
-            out.append(x[cursor])
-            cursor += 1
-        elif entry[0] == "chain":
-            out.append(block.m if z else 0)
-        else:
-            coords, offset = entry[1], entry[2]
-            bv = [0] * block.r
-            for pos, c in enumerate(coords):
-                bv[c] = bvec[offset + pos]
-            out.append((block.m, tuple(bv)) if z else (0, tuple(bv)))
-    return tuple(out)
-
-
-def subalgebra_decode(incl: Morphism, a):
-    """Inverse of an ideal-subalgebra inclusion on its image, None off it."""
-    body = incl.body
-    if not isinstance(body, IdealSubInclBody):
-        raise TypeError("subalgebra_decode needs an inclusion")
-    layout = body.layout
-    if layout.all_full:
-        return a
-    z = None
-    for block, entry, v in zip(incl.cod.blocks, layout.entries, a):
-        if entry[0] == "full":
-            continue
-        if entry[0] == "chain":
-            if v == 0:
-                zv = 0
-            elif v == block.m:
-                zv = 1
-            else:
-                return None
-        else:
-            coords = entry[1]
-            av, bv = v
-            if any(t != 0 for i, t in enumerate(bv) if i not in coords):
-                return None
-            if av == 0:
-                zv = 0
-            elif av == block.m:
-                zv = 1
-            else:
-                return None
-        if z is None:
-            z = zv
-        elif z != zv:
-            return None
-    if z is None:
-        z = 0
-    prefix = [v for entry, v in zip(layout.entries, a) if entry[0] == "full"]
-    if layout.total == 0:
-        return tuple(prefix) + (z,)
-    bvec = [0] * layout.total
-    for block, entry, v in zip(incl.cod.blocks, layout.entries, a):
-        if entry[0] == "sub":
-            coords, offset = entry[1], entry[2]
-            for pos, c in enumerate(coords):
-                bvec[offset + pos] = v[1][c]
-    if z == 0 and any(t < 0 for t in bvec):
-        return None
-    if z == 1 and any(t > 0 for t in bvec):
-        return None
-    return tuple(prefix) + ((z, tuple(bvec)),)
-
-
-def _perfect_apply(m: Morphism, x):
-    body = m.body
-    dom_blocks = m.dom.blocks
-    cod_blocks = m.cod.blocks
-    if not dom_blocks:
-        z, b = 0, ()
-    elif isinstance(dom_blocks[0], Chain):
-        z, b = x[0], ()
-    else:
-        z, b = x[0]
-    if not cod_blocks:
-        return ()
-    if isinstance(cod_blocks[0], Chain):
-        return (z,)
-    out = [0] * cod_blocks[0].r
-    for j, d in enumerate(body.dst):
-        if d is not None:
-            out[d] = b[j]
-    return ((z, tuple(out)),)
-
-
-# ---------------------------------------------------------------------------
-# kernels and preimages
-
-
-def _kernel(m: Morphism) -> Ideal:
-    body = m.body
-    if isinstance(body, FiniteMapBody):
-        return FiniteIdeal(frozenset(
-            x for x, v in enumerate(body.table) if v == m.cod.zero))
-    if isinstance(body, ElemTableBody):
-        ker = {x for x, v in body.mapping.items() if v == m.cod.zero}
-        if isinstance(m.dom, FiniteAlgebra):
-            return FiniteIdeal(frozenset(ker))
-        return markers_from_elements(m.dom, ker)
-    if isinstance(body, IdentityBody):
-        return zero_ideal(m.dom)
-    if isinstance(body, QuotientBody):
-        return body.ideal
-    if isinstance(body, (IdealSubInclBody, FromInitialBody, CoordPermuteBody)):
-        return zero_ideal(m.dom)
-    if isinstance(body, ToTerminalBody):
-        return full_ideal(m.dom)
-    if isinstance(body, BlockProjectionBody):
-        markers = []
-        kept = set(body.kept)
-        for i, b in enumerate(m.dom.blocks):
-            if i in kept:
-                markers.append("zero" if isinstance(b, Chain) else ("sub", frozenset()))
-            else:
-                markers.append("full")
-        return MarkerIdeal(tuple(markers))
-    if isinstance(body, TuplingBody):
-        acc = full_ideal(m.dom)
-        for part in body.parts:
-            acc = ideal_meet(m.dom, acc, part.kernel())
-        return acc
-    if isinstance(body, CompositeBody):
-        ker = body.parts[-1].kernel()
-        for part in reversed(body.parts[:-1]):
-            ker = part.preimage_ideal(ker)
-        return ker
-    if isinstance(body, FactorThroughBody):
-        return image_ideal(body.q, body.f.kernel())
-    if isinstance(body, PerfectCoordMapBody):
-        if not m.cod.blocks:
-            return full_ideal(m.dom)
-        if not m.dom.blocks:
-            return zero_ideal(m.dom)
-        if isinstance(m.dom.blocks[0], Chain):
-            return zero_ideal(m.dom)
-        dropped = frozenset(j for j, d in enumerate(body.dst) if d is None)
-        return MarkerIdeal((("sub", dropped),))
-    if isinstance(body, ZCollapseBody):
-        return body.f.kernel()
-    if isinstance(body, CorestrictBody):
-        return body.e.kernel()
-    raise TypeError(f"unknown body {body!r}")
-
-
-def _preimage(m: Morphism, ideal: Ideal) -> Ideal:
-    body = m.body
-    if isinstance(body, FiniteMapBody):
-        return FiniteIdeal(frozenset(
-            x for x, v in enumerate(body.table) if v in ideal.elements))
-    if isinstance(body, ElemTableBody):
-        if isinstance(ideal, FiniteIdeal):
-            pre = {x for x, v in body.mapping.items() if v in ideal.elements}
-        else:
-            pre = {x for x, v in body.mapping.items()
-                   if ideal_contains(m.cod, ideal, v)}
-        if isinstance(m.dom, FiniteAlgebra):
-            return FiniteIdeal(frozenset(pre))
-        return markers_from_elements(m.dom, pre)
-    if isinstance(body, IdentityBody):
-        return ideal
-    if isinstance(body, QuotientBody):
-        return preimage_markers(m.dom, body.actions, m.cod, ideal)
-    if isinstance(body, IdealSubInclBody):
-        return _sub_preimage(m, ideal)
-    if isinstance(body, FromInitialBody):
-        one_in = (ideal_contains(m.cod, ideal, m.cod.one)
-                  if isinstance(ideal, MarkerIdeal) else m.cod.one in ideal.elements)
-        return full_ideal(m.dom) if one_in else zero_ideal(m.dom)
-    if isinstance(body, ToTerminalBody):
-        return full_ideal(m.dom)
-    if isinstance(body, BlockProjectionBody):
-        markers = ["full"] * len(m.dom.blocks)
-        for pos, i in enumerate(body.kept):
-            markers[i] = ideal.markers[pos]
-        return MarkerIdeal(tuple(markers))
-    if isinstance(body, CoordPermuteBody):
-        markers = []
-        for p, mk in zip(body.perms, ideal.markers):
-            if p is None or mk == "full":
-                markers.append(mk)
-            else:
-                markers.append(("sub", frozenset(p[j] for j in mk[1])))
-        return MarkerIdeal(tuple(markers))
-    if isinstance(body, TuplingBody):
-        acc = full_ideal(m.dom)
-        for pi, part in enumerate(body.parts):
-            sub = tuple(mk for mk, (qi, _) in zip(ideal.markers, body.placement)
-                        if qi == pi)
-            # placement lists codomain blocks in order; re-order to the
-            # part's own block order
-            order = [bi for qi, bi in body.placement if qi == pi]
-            arranged = [None] * len(sub)
-            for mk, bi in zip(sub, order):
-                arranged[bi] = mk
-            acc = ideal_meet(m.dom, acc,
-                             part.preimage_ideal(MarkerIdeal(tuple(arranged))))
-        return acc
-    if isinstance(body, CompositeBody):
-        for part in reversed(body.parts):
-            ideal = part.preimage_ideal(ideal)
-        return ideal
-    if isinstance(body, FactorThroughBody):
-        return image_ideal(body.q, body.f.preimage_ideal(ideal))
-    if isinstance(body, PerfectCoordMapBody):
-        return _perfect_preimage(m, ideal)
-    if isinstance(body, ZCollapseBody):
-        one_in = (ideal_contains(m.cod, ideal, m.cod.one)
-                  if isinstance(ideal, MarkerIdeal) else m.cod.one in ideal.elements)
-        return full_ideal(m.dom) if one_in else body.f.kernel()
-    raise TypeError(f"no preimage rule for {body!r}")
-
-
-def _sub_preimage(m: Morphism, ideal: Ideal) -> Ideal:
-    layout = m.body.layout
-    if layout.all_full:
-        return ideal
-    markers = []
-    nonfull = []
-    for entry, blk, mk in zip(layout.entries, m.cod.blocks, ideal.markers):
-        if entry[0] == "full":
-            markers.append(mk)
-        else:
-            nonfull.append((entry, blk, mk))
-    if all(mk == "full" for _, _, mk in nonfull):
-        joint_marker = "full"
-    elif layout.total == 0:
-        joint_marker = "zero"
-    else:
-        allowed = set()
-        for entry, blk, mk in nonfull:
-            if entry[0] != "sub":
-                continue
-            coords, offset = entry[1], entry[2]
-            if mk == "full":
-                allowed.update(range(offset, offset + len(coords)))
-            else:
-                for pos, c in enumerate(coords):
-                    if c in mk[1]:
-                        allowed.add(offset + pos)
-        joint_marker = ("sub", frozenset(allowed))
-    return validate_ideal(m.dom, MarkerIdeal(tuple(markers) + (joint_marker,)))
-
-
-def _perfect_preimage(m: Morphism, ideal: Ideal) -> Ideal:
-    body = m.body
-    if not m.cod.blocks:
-        return full_ideal(m.dom)
-    def lift(marker):
-        if marker == "full":
-            return full_ideal(m.dom)
-        if not m.dom.blocks:
-            return full_ideal(m.dom)
-        if isinstance(m.dom.blocks[0], Chain):
-            return zero_ideal(m.dom)
-        if isinstance(m.cod.blocks[0], Chain):
-            # z-collapse: everything with z = 0 maps into a zero marker
-            return MarkerIdeal((("sub", frozenset(range(m.dom.blocks[0].r))),))
-        keep = frozenset(
-            j for j, d in enumerate(body.dst) if d is None or d in marker[1])
-        return MarkerIdeal((("sub", keep),))
-    return lift(ideal.markers[0])
-
-
-# ---------------------------------------------------------------------------
-# surjectivity
-
-
-def _surjective(m: Morphism) -> bool:
-    body = m.body
-    if isinstance(body, FiniteMapBody):
-        return len(set(body.table)) == m.cod.size
-    if isinstance(body, (IdentityBody, QuotientBody, ToTerminalBody,
-                         BlockProjectionBody, CoordPermuteBody, ZCollapseBody)):
-        return True
-    if isinstance(body, FromInitialBody):
-        return carrier_size(m.cod) in (1, 2)
-    if isinstance(body, IdealSubInclBody):
-        if body.layout.all_full:
-            return True
-        for entry, blk in zip(body.layout.entries, m.cod.blocks):
-            if entry[0] == "chain":
-                if blk.m != 1:
-                    return False
-            elif entry[0] == "sub":
-                if blk.m != 1 or len(entry[1]) != blk.r:
-                    return False
-        return True
-    if isinstance(body, FactorThroughBody):
-        return body.f.is_surjective()
-    if isinstance(body, PerfectCoordMapBody):
-        if not m.cod.blocks:
-            return True
-        if isinstance(m.cod.blocks[0], Chain):
-            return len(m.dom.blocks) > 0
-        hit = {d for d in body.dst if d is not None}
-        return hit == set(range(m.cod.blocks[0].r))
-    if isinstance(body, CompositeBody) and all(
-            p.is_surjective() for p in body.parts):
-        return True
-    if carrier_size(m.dom) is not None:
-        target = carrier_size(m.cod)
-        if target is None:
-            return False
-        return len({m(x) for x in elements(m.dom)}) == target
-    raise NotImplementedError(f"no surjectivity rule for {body!r}")
+        body = FiniteMapBody(tuple(g(f(x)) for x in elements(f.dom)))
+    return Morphism(f.dom, g.cod, body)
 
 
 # ---------------------------------------------------------------------------
@@ -740,16 +481,11 @@ def is_morphism(m: Morphism, mode: str = "auto", count: int = 400,
 
 def same_morphism(f: Morphism, g: Morphism, mode: str = "auto",
                   count: int = 400, seed: int = 0, bound: int = 8) -> bool:
-    """Pointwise equality, exhaustive on finite carriers else sampled."""
-    if f.dom != g.dom or f.cod != g.cod:
-        return False
-    if mode == "auto":
-        mode = "exhaustive" if carrier_size(f.dom) is not None else "sample"
-    if mode == "exhaustive":
-        return all(f(x) == g(x) for x in elements(f.dom))
-    rng = random.Random(f"{seed}:same")
-    return all(f(x) == g(x)
-               for (x,) in sample_tuples(f.dom, 1, count, rng, bound))
+    """Equality of maps, decided exactly: bodies are normal forms, so two
+    maps with the same domain and codomain agree everywhere exactly when
+    their bodies are equal.  ``mode``, ``count``, ``seed`` and ``bound``
+    are accepted for compatibility and ignored."""
+    return f.dom == g.dom and f.cod == g.cod and f.body == g.body
 
 
 def image_set(m: Morphism) -> set:
@@ -776,40 +512,80 @@ def quotient(algebra: Algebra, ideal: Ideal, label: str = "quotient") -> Quotien
         q, class_of, reps = finite_quotient_data(algebra, ideal)
         proj = Morphism(algebra, q, FiniteMapBody(class_of), label)
         return QuotientResult(q, proj, ideal, reps)
-    q, actions = marker_quotient_data(algebra, ideal)
-    proj = Morphism(algebra, q, QuotientBody(ideal, actions), label)
+    rows = []
+    for i, (b, mk) in enumerate(zip(algebra.blocks, ideal.markers)):
+        if mk == "full":
+            continue
+        kept = tuple((c, 1) for c in range(b.r) if c not in mk[1]) \
+            if isinstance(b, Komori) else ()
+        rows.append((i, 1, kept))
+    q = marker_quotient_data(algebra, ideal)
+    proj = Morphism(algebra, q, CoordMap(tuple(rows)), label)
     return QuotientResult(q, proj, ideal, None)
 
 
 def factor_through_quotient(q: Morphism, f: Morphism, label: str = "") -> Morphism:
-    """The unique g with g o q = f; needs ker q within ker f."""
+    """The unique g with g o q = f; needs ker q within ker f and q onto."""
     if q.dom != f.dom:
         raise ValueError("factorization needs a shared domain")
     if not ideal_leq(q.dom, q.kernel(), f.kernel()):
         raise ValueError("kernel of the quotient must sit inside ker f")
-    if isinstance(q.body, FiniteMapBody) and isinstance(f.body, FiniteMapBody):
-        table = [None] * q.cod.size
-        for x, c in enumerate(q.body.table):
-            table[c] = f.body.table[x]
-        return Morphism(q.cod, f.cod, FiniteMapBody(tuple(table)), label)
-    return Morphism(q.cod, f.cod, FactorThroughBody(q, f), label)
+    if isinstance(q.body, CoordMap) and isinstance(f.body, CoordMap):
+        body = _factor_coords(q.body, f.body)
+    else:
+        lifted = {}
+        for x in elements(q.dom):
+            lifted.setdefault(q(x), f(x))
+        try:
+            body = FiniteMapBody(tuple(lifted[y] for y in elements(q.cod)))
+        except KeyError:
+            raise ValueError("the quotient misses part of its codomain") from None
+    return Morphism(q.cod, f.cod, body, label)
+
+
+def _factor_coords(q: CoordMap, f: CoordMap) -> CoordMap:
+    """g with q.then(g) == f: each row of f is re-read from the row of q
+    that carries the same source block."""
+    first = {}
+    for j, (src, _, _) in enumerate(q.rows):
+        first.setdefault(src, j)
+    rows = []
+    for src, scale, coords in f.rows:
+        if src not in first:
+            raise ValueError("f reads a block the quotient kills")
+        j = first[src]
+        _, qscale, qcoords = q.rows[j]
+        where = {}
+        for p, c in enumerate(qcoords):
+            if c is not None:
+                where.setdefault(c[0], (p, c[1]))
+        placed = []
+        for c in coords:
+            if c is None:
+                placed.append(None)
+                continue
+            if c[0] not in where or c[1] % where[c[0]][1]:
+                raise ValueError("f reads a coordinate the quotient kills")
+            p, k = where[c[0]]
+            placed.append((p, c[1] // k))
+        if scale % qscale:
+            raise ValueError("f does not factor through the quotient")
+        rows.append((j, scale // qscale, tuple(placed)))
+    g = CoordMap(tuple(rows))
+    if q.then(g) != f:
+        raise ValueError("f does not factor through the quotient")
+    return g
 
 
 def image_ideal(q: Morphism, ideal: Ideal) -> Ideal:
-    """Forward image of an ideal along a surjective quotient-style map."""
+    """Forward image of an ideal along a surjective map."""
     ideal = validate_ideal(q.dom, ideal)
-    if isinstance(q.body, QuotientBody):
-        return image_markers(q.dom, q.body.actions, q.cod, ideal)
-    if isinstance(q.body, FiniteMapBody):
-        return FiniteIdeal(frozenset(q.body.table[x] for x in ideal.elements))
-    if isinstance(q.body, IdentityBody):
-        return ideal
-    if isinstance(q.body, ElemTableBody):
-        img = {q.body.mapping[x] for x in ideal_elements(q.dom, ideal)}
-        if isinstance(q.cod, FiniteAlgebra):
-            return FiniteIdeal(frozenset(img))
-        return markers_from_elements(q.cod, img)
-    raise TypeError(f"no image rule for {q.body!r}")
+    if isinstance(q.body, CoordMap):
+        return q.body.image(ideal.markers)
+    img = {q(x) for x in ideal_elements(q.dom, ideal)}
+    if isinstance(q.cod, FiniteAlgebra):
+        return FiniteIdeal(frozenset(img))
+    return markers_from_elements(q.cod, img)
 
 
 # ---------------------------------------------------------------------------
@@ -823,26 +599,15 @@ class SubalgebraResult:
     ideal: Ideal
 
 
-def subalgebra_layout(algebra: SymbolicAlgebra, ideal: MarkerIdeal) -> SubalgebraLayout:
-    ideal = validate_ideal(algebra, ideal)
-    entries = []
-    offset = 0
-    for b, mk in zip(algebra.blocks, ideal.markers):
-        if mk == "full":
-            entries.append(("full",))
-        elif isinstance(b, Chain):
-            entries.append(("chain",))
-        else:
-            coords = tuple(sorted(mk[1]))
-            entries.append(("sub", coords, offset))
-            offset += len(coords)
-    all_full = all(e[0] == "full" for e in entries)
-    return SubalgebraLayout(tuple(entries), offset, all_full)
-
-
 def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
                      label: str = "subalgebra_inclusion") -> SubalgebraResult:
-    """The subalgebra on I u neg(I), with its inclusion."""
+    """The subalgebra on I u neg(I), with its inclusion.
+
+    On a block product the blocks where I is full survive; the others
+    meet I u neg(I) in elements of height 0 or top, which form one joint
+    block: a Komori block of height 1 over the marked coordinates (or a
+    two-element chain when none is marked) read by each of them.
+    """
     ideal = validate_ideal(algebra, ideal)
     if isinstance(algebra, FiniteAlgebra):
         members = sorted(ideal.elements | {algebra.neg(x) for x in ideal.elements})
@@ -852,59 +617,82 @@ def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
         sub = FiniteAlgebra(neg_row, plus_rows, index[algebra.zero])
         incl = Morphism(sub, algebra, FiniteMapBody(tuple(members)), label)
         return SubalgebraResult(sub, incl, ideal)
-    layout = subalgebra_layout(algebra, ideal)
-    if layout.all_full:
-        return SubalgebraResult(algebra, identity(algebra), ideal)
-    blocks = [b for b, e in zip(algebra.blocks, layout.entries) if e[0] == "full"]
-    if layout.total:
-        blocks.append(Komori(1, layout.total))
-    else:
-        blocks.append(Chain(1))
+    pairs = list(zip(algebra.blocks, ideal.markers))
+    full = [i for i, (_, mk) in enumerate(pairs) if mk == "full"]
+    joint = [(i, c) for i, (b, mk) in enumerate(pairs)
+             if mk != "full" and isinstance(b, Komori) for c in sorted(mk[1])]
+    blocks = [algebra.blocks[i] for i in full]
+    if len(full) < len(pairs):
+        blocks.append(Komori(1, len(joint)) if joint else Chain(1))
+    rows = []
+    for i, (b, mk) in enumerate(pairs):
+        if mk == "full":
+            rows.append((full.index(i), 1, _plain(b)))
+        else:
+            rows.append((len(full), b.m, tuple(
+                (joint.index((i, c)), 1) if (i, c) in joint else None
+                for c in range(len(_plain(b))))))
     sub = SymbolicAlgebra(blocks)
-    incl = Morphism(sub, algebra, IdealSubInclBody(ideal, layout), label)
-    return SubalgebraResult(sub, incl, ideal)
+    return SubalgebraResult(sub, Morphism(sub, algebra, CoordMap(tuple(rows)), label),
+                            ideal)
+
+
+def _point_decoder(through: Morphism):
+    """y -> an x with through(x) == y, or None off the image."""
+    if isinstance(through.body, CoordMap):
+        return lambda y: through.body.solve(through.dom, y)
+    inverse = {}
+    for x, v in zip(elements(through.dom), through.body.table):
+        inverse.setdefault(v, x)
+    return inverse.get
+
+
+def subalgebra_decode(incl: Morphism, a):
+    """Inverse of an injective map (such as a subalgebra inclusion) on its
+    image, None off it."""
+    return _point_decoder(incl)(a)
 
 
 def corestrict(e: Morphism, through: Morphism, label: str = "") -> Morphism:
     """phi with through o phi = e, for injective ``through`` whose image
-    contains im(e).  Finite domains get an explicit table."""
+    contains im(e)."""
     if e.cod != through.cod:
         raise ValueError("corestriction needs matching codomains")
-    if carrier_size(e.dom) is not None:
-        mapping = {}
-        for x in elements(e.dom):
-            v = _decode_through(through, e(x))
-            if v is None:
+    if isinstance(e.body, CoordMap) and isinstance(through.body, CoordMap):
+        body = _corestrict_coords(e.body, through.body, through.dom)
+    else:
+        decode = _point_decoder(through)
+        values = tuple(decode(e(x)) for x in elements(e.dom))
+        if None in values:
+            raise ValueError("image of e escapes the subobject")
+        body = FiniteMapBody(values)
+    return Morphism(e.dom, through.dom, body, label)
+
+
+def _corestrict_coords(e: CoordMap, through: CoordMap, sub: SymbolicAlgebra) -> CoordMap:
+    """phi with phi.then(through) == e: each block and coordinate of the
+    subobject is read off the first row of ``through`` that sees it."""
+    heads = {}
+    placed = {}
+    for (s, k, tcoords), (src, scale, ecoords) in zip(through.rows, e.rows):
+        if s not in heads:
+            if scale % k:
                 raise ValueError("image of e escapes the subobject")
-            mapping[x] = v
-        if isinstance(e.dom, FiniteAlgebra) and isinstance(through.dom, FiniteAlgebra):
-            return Morphism(e.dom, through.dom,
-                            FiniteMapBody(tuple(mapping[x] for x in range(e.dom.size))),
-                            label)
-        return Morphism(e.dom, through.dom, ElemTableBody(mapping), label)
-    return Morphism(e.dom, through.dom, CorestrictBody(e, through), label)
-
-
-def _decode_through(through: Morphism, y):
-    body = through.body
-    if isinstance(body, IdealSubInclBody):
-        return subalgebra_decode(through, y)
-    if isinstance(body, IdentityBody):
-        return y
-    if isinstance(body, FromInitialBody):
-        if y == through.cod.zero:
-            return through.dom.zero
-        if y == through.cod.one:
-            return through.dom.one
-        return None
-    if isinstance(body, (FiniteMapBody, ElemTableBody)):
-        pairs = (enumerate(body.table) if isinstance(body, FiniteMapBody)
-                 else body.mapping.items())
-        for k, v in pairs:
-            if v == y:
-                return k
-        return None
-    raise TypeError(f"no decode rule for {body!r}")
+            heads[s] = (src, scale // k)
+        for tc, ec in zip(tcoords, ecoords):
+            if tc is None or (s, tc[0]) in placed:
+                continue
+            if ec is not None and ec[1] % tc[1]:
+                raise ValueError("image of e escapes the subobject")
+            placed[(s, tc[0])] = None if ec is None else (ec[0], ec[1] // tc[1])
+    if len(heads) != len(sub.blocks):
+        raise ValueError("corestriction needs an injective map")
+    phi = CoordMap(tuple(
+        heads[s] + (tuple(placed.get((s, c)) for c in range(len(_plain(b)))),)
+        for s, b in enumerate(sub.blocks)))
+    if phi.then(through) != e:
+        raise ValueError("image of e escapes the subobject")
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -916,33 +704,19 @@ def enumerate_homs(dom: Algebra, cod: Algebra) -> list[Morphism]:
     ordered."""
     if carrier_size(dom) is None or carrier_size(cod) is None:
         raise ValueError("hom enumeration needs finite carriers")
-    fd, fc = to_finite(dom), to_finite(cod)
-    tables = hom_tables(fd, fc)
-    out = []
-    if isinstance(dom, FiniteAlgebra) and isinstance(cod, FiniteAlgebra):
-        for t in tables:
-            out.append(Morphism(dom, cod, FiniteMapBody(t)))
-        return out
-    de, ce = elements(dom), elements(cod)
-    for t in tables:
-        mapping = {de[i]: ce[v] for i, v in enumerate(t)}
-        out.append(Morphism(dom, cod, ElemTableBody(mapping)))
-    return out
+    ce = elements(cod)
+    return [Morphism(dom, cod, FiniteMapBody(tuple(ce[v] for v in t)))
+            for t in hom_tables(to_finite(dom), to_finite(cod))]
 
 
 def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:
     if carrier_size(dom) is None or carrier_size(cod) is None:
         raise ValueError("isomorphism search needs finite carriers")
-    fd, fc = to_finite(dom), to_finite(cod)
-    found = hom_tables(fd, fc, bijective=True, limit=1)
+    found = hom_tables(to_finite(dom), to_finite(cod), bijective=True, limit=1)
     if not found:
         return None
-    t = found[0]
-    if isinstance(dom, FiniteAlgebra) and isinstance(cod, FiniteAlgebra):
-        return Morphism(dom, cod, FiniteMapBody(t), "isomorphism")
-    de, ce = elements(dom), elements(cod)
-    return Morphism(dom, cod,
-                    ElemTableBody({de[i]: ce[v] for i, v in enumerate(t)}),
+    ce = elements(cod)
+    return Morphism(dom, cod, FiniteMapBody(tuple(ce[v] for v in found[0])),
                     "isomorphism")
 
 
@@ -974,11 +748,7 @@ def pullback(f: Morphism, g: Morphism) -> PullbackResult:
     plus_rows = [[index[op2(p, q)] for q in pairs] for p in pairs]
     pb = FiniteAlgebra(neg_row, plus_rows, index[(f.dom.zero, g.dom.zero)])
     def leg(side, cod):
-        if isinstance(cod, FiniteAlgebra):
-            return Morphism(pb, cod,
-                            FiniteMapBody(tuple(p[side] for p in pairs)))
-        return Morphism(pb, cod,
-                        ElemTableBody({i: p[side] for i, p in enumerate(pairs)}))
+        return Morphism(pb, cod, FiniteMapBody(tuple(p[side] for p in pairs)))
     return PullbackResult(pb, tuple(pairs), leg(0, f.dom), leg(1, g.dom))
 
 
@@ -989,72 +759,50 @@ def mediator_to_pullback(pb: PullbackResult, u: Morphism, v: Morphism) -> Morphi
     if carrier_size(u.dom) is None:
         raise ValueError("mediator needs a finite carrier")
     index = {p: i for i, p in enumerate(pb.pairs)}
-    mapping = {}
+    values = []
     for x in elements(u.dom):
         key = (u(x), v(x))
         if key not in index:
             raise ValueError("square does not commute into the pullback")
-        mapping[x] = index[key]
-    if isinstance(u.dom, FiniteAlgebra):
-        return Morphism(u.dom, pb.algebra,
-                        FiniteMapBody(tuple(mapping[x] for x in range(u.dom.size))))
-    return Morphism(u.dom, pb.algebra, ElemTableBody(mapping))
+        values.append(index[key])
+    return Morphism(u.dom, pb.algebra, FiniteMapBody(tuple(values)))
 
 
 def kernel_pair(e: Morphism):
-    """Kernel pair of a surjection: the pullback of e against itself, with
-    both projections.  Marker quotients get a symbolic presentation; other
-    finite-carrier maps fall back to the literal pullback.
+    """Kernel pair of e: the pullback of e against itself, with both
+    projections.  Maps between block products get a symbolic
+    presentation built from the kernel; other maps fall back to the
+    literal pullback.
 
     For a Komori block with marked coordinates S the pair algebra keeps one
-    copy of the full vector plus a primed copy of the S entries; dropping
-    the primed tail gives the first projection, dropping the unprimed S
-    entries (then permuting the survivors home) gives the second.
+    copy of the full vector plus a primed copy of the S entries; the first
+    projection drops the primed tail, the second reads the primed entries
+    in place of the unprimed S entries.
     """
-    if isinstance(e.body, QuotientBody):
-        A = e.dom
-        blocks = []
-        p1_markers = []
-        p2_markers = []
-        perms = []
-        needs_perm = False
-        for b, mk in zip(A.blocks, e.body.ideal.markers):
-            if mk == "full":
-                blocks.extend([b, b])
-                zero_mk = "zero" if isinstance(b, Chain) else ("sub", frozenset())
-                p1_markers.extend([zero_mk, "full"])
-                p2_markers.extend(["full", zero_mk])
-                perms.append(None)
-                continue
-            if isinstance(b, Chain):
-                blocks.append(b)
-                p1_markers.append("zero")
-                p2_markers.append("zero")
-                perms.append(None)
-                continue
-            s = tuple(sorted(mk[1]))
+    if not isinstance(e.body, CoordMap):
+        pb = pullback(e, e)
+        return pb.algebra, pb.left, pb.right
+    A = e.dom
+    blocks, first, second = [], [], []
+    for b, mk in zip(A.blocks, e.kernel().markers):
+        pos = len(blocks)
+        if mk == "full":
+            blocks.extend([b, b])
+            first.append((pos, 1, _plain(b)))
+            second.append((pos + 1, 1, _plain(b)))
+        elif isinstance(b, Chain):
+            blocks.append(b)
+            first.append((pos, 1, ()))
+            second.append((pos, 1, ()))
+        else:
+            s = sorted(mk[1])
             blocks.append(Komori(b.m, b.r + len(s)))
-            p1_markers.append(("sub", frozenset(range(b.r, b.r + len(s)))))
-            p2_markers.append(("sub", frozenset(s)))
-            # the survivors of dropping unprimed S coordinates carry labels
-            # off-S-in-order then S-in-order; send label j back to slot j
-            labels = [i for i in range(b.r) if i not in mk[1]] + list(s)
-            perm = tuple(labels.index(j) for j in range(b.r))
-            if perm == tuple(range(b.r)):
-                perms.append(None)
-            else:
-                perms.append(perm)
-                needs_perm = True
-        kp = SymbolicAlgebra(blocks)
-        q1 = quotient(kp, MarkerIdeal(tuple(p1_markers))).projection
-        q2 = quotient(kp, MarkerIdeal(tuple(p2_markers))).projection
-        if q1.cod != A or q2.cod != A:
-            raise AssertionError("kernel pair projection shape mismatch")
-        if needs_perm:
-            q2 = compose(q2, Morphism(A, A, CoordPermuteBody(tuple(perms))))
-        return kp, q1, q2
-    pb = pullback(e, e)
-    return pb.algebra, pb.left, pb.right
+            first.append((pos, 1, _plain(b)))
+            second.append((pos, 1, tuple((b.r + s.index(c) if c in mk[1] else c, 1)
+                                         for c in range(b.r))))
+    kp = SymbolicAlgebra(blocks)
+    return (kp, Morphism(kp, A, CoordMap(tuple(first))),
+            Morphism(kp, A, CoordMap(tuple(second))))
 
 
 def product_with_projections(algebras):
@@ -1067,20 +815,12 @@ def product_with_projections(algebras):
             offsets.append(len(blocks))
             blocks.extend(a.blocks)
         prod = SymbolicAlgebra(blocks)
-        projs = []
-        for a, off in zip(algebras, offsets):
-            kept = tuple(range(off, off + len(a.blocks)))
-            projs.append(Morphism(prod, a, BlockProjectionBody(kept)))
+        projs = [Morphism(prod, a, _copies(prod, range(off, off + len(a.blocks))))
+                 for a, off in zip(algebras, offsets)]
         return prod, projs
     from .core import product as _product
     prod = _product(algebras)
-    carriers = [elements(a) for a in algebras]
-    elems = list(itertools.product(*carriers))
-    projs = []
-    for k, a in enumerate(algebras):
-        if isinstance(a, FiniteAlgebra):
-            body = FiniteMapBody(tuple(e[k] for e in elems))
-        else:
-            body = ElemTableBody({i: e[k] for i, e in enumerate(elems)})
-        projs.append(Morphism(prod, a, body))
+    elems = list(itertools.product(*(elements(a) for a in algebras)))
+    projs = [Morphism(prod, a, FiniteMapBody(tuple(e[k] for e in elems)))
+             for k, a in enumerate(algebras)]
     return prod, projs

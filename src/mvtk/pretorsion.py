@@ -10,7 +10,6 @@ checks for prekernels, precokernels and protoadditivity.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .catalog import chain_product_catalog
@@ -18,54 +17,34 @@ from .core import (
     Algebra,
     Chain,
     FiniteAlgebra,
-    Komori,
     SymbolicAlgebra,
     carrier_size,
     elements,
     forced_elements,
-    initial_algebra,
-    is_trivial_object,
-    sample_tuples,
     to_finite,
 )
 from .ideals import (
-    MarkerIdeal,
     all_ideals,
     ideal_leq,
     is_zero_ideal,
     radical,
-    validate_ideal,
-    zero_ideal,
 )
 from .morphisms import (
-    BlockProjectionBody,
-    CompositeBody,
-    CoordPermuteBody,
-    ElemTableBody,
-    FactorThroughBody,
+    CoordMap,
     FiniteMapBody,
-    FromInitialBody,
-    IdealSubInclBody,
-    IdentityBody,
     Morphism,
-    PerfectCoordMapBody,
-    QuotientBody,
     QuotientResult,
     SubalgebraResult,
-    ToTerminalBody,
-    TuplingBody,
-    ZCollapseBody,
-    _section,
     compose,
     corestrict,
     enumerate_homs,
     factor_through_quotient,
     identity,
     ideal_subalgebra,
-    image_ideal,
     image_set,
     from_initial,
     mediator_to_pullback,
+    product_with_projections,
     pullback,
     quotient,
     same_morphism,
@@ -139,122 +118,16 @@ def perfect_inclusion(algebra: Algebra) -> Morphism:
 
 
 def semisimple_map(f: Morphism, label: str = "semisimple_map") -> Morphism:
-    """Induced map between semisimple quotients: lift along a section of
-    the domain's projection, push down through the codomain's."""
-    qa = semisimple_quotient(f.dom)
-    qb = semisimple_quotient(f.cod)
-    mapping = {}
-    for s in elements(qa.algebra):
-        mapping[s] = qb.projection(f(_section(qa.projection, s)))
-    if isinstance(qa.algebra, FiniteAlgebra) and isinstance(qb.algebra, FiniteAlgebra):
-        table = tuple(mapping[x] for x in range(qa.algebra.size))
-        return Morphism(qa.algebra, qb.algebra, FiniteMapBody(table), label)
-    return Morphism(qa.algebra, qb.algebra, ElemTableBody(mapping), label)
-
-
-def _komori_offsets(algebra: SymbolicAlgebra):
-    offs = {}
-    total = 0
-    for i, b in enumerate(algebra.blocks):
-        if isinstance(b, Komori):
-            offs[i] = total
-            total += b.r
-    return offs, total
-
-
-def _perfect_dst(f: Morphism) -> tuple:
-    """Destination of each radical coordinate of the domain under f, as an
-    index into the codomain's radical coordinates (None when killed)."""
-    body = f.body
-    if isinstance(body, IdentityBody):
-        _, t = _komori_offsets(f.dom)
-        return tuple(range(t))
-    if isinstance(body, (ToTerminalBody, ZCollapseBody)):
-        _, t = _komori_offsets(f.dom)
-        return (None,) * t
-    if isinstance(body, FromInitialBody):
-        return ()
-    if isinstance(body, PerfectCoordMapBody):
-        return body.dst
-    if isinstance(body, QuotientBody):
-        dst = []
-        cod_off = 0
-        for b, act in zip(f.dom.blocks, body.actions):
-            if isinstance(b, Chain):
-                continue
-            if act[0] in ("drop", "collapse"):
-                dst.extend([None] * b.r)
-            else:
-                kept = act[1]
-                for j in range(b.r):
-                    dst.append(cod_off + kept.index(j) if j in kept else None)
-                cod_off += len(kept)
-        return tuple(dst)
-    if isinstance(body, IdealSubInclBody):
-        amb_offs, _ = _komori_offsets(f.cod)
-        dst = []
-        for i, (entry, b) in enumerate(zip(body.layout.entries, f.cod.blocks)):
-            if entry[0] == "full" and isinstance(b, Komori):
-                dst.extend(amb_offs[i] + j for j in range(b.r))
-        for i, entry in enumerate(body.layout.entries):
-            if entry[0] == "sub":
-                dst.extend(amb_offs[i] + c for c in entry[1])
-        return tuple(dst)
-    if isinstance(body, BlockProjectionBody):
-        dom_offs, t = _komori_offsets(f.dom)
-        cod_off = 0
-        start = {}
-        for i in body.kept:
-            b = f.dom.blocks[i]
-            if isinstance(b, Komori):
-                start[i] = cod_off
-                cod_off += b.r
-        dst = [None] * t
-        for i, off in dom_offs.items():
-            if i in start:
-                for j in range(f.dom.blocks[i].r):
-                    dst[off + j] = start[i] + j
-        return tuple(dst)
-    if isinstance(body, CoordPermuteBody):
-        offs, t = _komori_offsets(f.dom)
-        dst = list(range(t))
-        for i, p in enumerate(body.perms):
-            if p is not None and i in offs:
-                off = offs[i]
-                for j, pj in enumerate(p):
-                    dst[off + pj] = off + j
-        return tuple(dst)
-    if isinstance(body, CompositeBody):
-        dst = _perfect_dst(body.parts[0])
-        for part in body.parts[1:]:
-            nxt = _perfect_dst(part)
-            dst = tuple(nxt[d] if d is not None else None for d in dst)
-        return dst
-    if isinstance(body, FactorThroughBody):
-        dq = _perfect_dst(body.q)
-        df = _perfect_dst(body.f)
-        _, tq = _komori_offsets(body.q.cod)
-        out: list = [None] * tq
-        for j, c in enumerate(dq):
-            if c is None:
-                continue
-            if out[c] is None:
-                out[c] = df[j]
-            elif out[c] != df[j]:
-                raise ValueError("factorization moves a radical coordinate "
-                                 "two different ways")
-        return tuple(out)
-    raise NotImplementedError(f"no radical coordinate rule for {body!r}")
+    """Induced map between semisimple quotients: f followed by the
+    codomain's projection, factored through the domain's."""
+    return factor_through_quotient(radical_projection(f.dom),
+                                   compose(f, radical_projection(f.cod)), label)
 
 
 def perfect_map(f: Morphism, label: str = "perfect_map") -> Morphism:
     """Induced map between perfect parts (the restriction of f)."""
-    pa = perfect_part(f.dom)
-    pb = perfect_part(f.cod)
-    if carrier_size(pa.algebra) is not None:
-        return corestrict(compose(pa.inclusion, f), pb.inclusion, label)
-    dst = _perfect_dst(f)
-    return Morphism(pa.algebra, pb.algebra, PerfectCoordMapBody(dst), label)
+    return corestrict(compose(perfect_inclusion(f.dom), f),
+                      perfect_inclusion(f.cod), label)
 
 
 def radical_indicator(algebra: Algebra) -> Morphism:
@@ -284,127 +157,72 @@ class TrivialWitness:
     reason: str
 
 
-def _normalize_class(cls, cod):
-    if cls == "all" and is_trivial_object(cod):
-        return "z"
-    if isinstance(cls, tuple) and cls[0] == "subalg" and is_zero_ideal(cod, cls[1]):
-        return "z"
-    return cls
+def _collapsed_block(f: Morphism):
+    """For a map between block products: the domain block of height 1
+    that every codomain block reads without infinitesimal coordinates,
+    the one shape whose image lies in {0, 1}; None otherwise."""
+    srcs = {src for src, _, _ in f.body.rows}
+    if len(srcs) != 1:
+        return None
+    (src,) = srcs
+    if f.dom.blocks[src].m != 1 or any(
+            c is not None for _, _, coords in f.body.rows for c in coords):
+        return None
+    return src
 
 
-def _body_class(f: Morphism):
-    body = f.body
-    if isinstance(body, (IdentityBody, QuotientBody, BlockProjectionBody,
-                         CoordPermuteBody, ToTerminalBody, ZCollapseBody)):
-        return "all"
-    if isinstance(body, FromInitialBody):
-        return "z"
-    if isinstance(body, IdealSubInclBody):
-        return ("subalg", body.ideal)
-    if isinstance(body, PerfectCoordMapBody):
-        if all(d is None for d in body.dst):
-            return "z"
-        if not f.cod.blocks or isinstance(f.cod.blocks[0], Chain):
-            return "all"
-        hit = frozenset(d for d in body.dst if d is not None)
-        return ("subalg", MarkerIdeal((("sub", hit),)))
-    if isinstance(body, FactorThroughBody):
-        return _image_class(body.f)
-    if isinstance(body, CompositeBody):
-        cls = None
-        for part in body.parts:
-            cls = _fold_class(cls, part)
-        return cls
-    return "unknown"
-
-
-def _fold_class(cls, part: Morphism):
-    if cls is None or cls == "all":
-        nxt = _image_class(part)
-    elif cls in ("z", "unknown"):
-        nxt = cls
-    elif isinstance(cls, (set, frozenset)):
-        nxt = {part(v) for v in cls}
-    else:
-        ideal = cls[1]
-        if ideal_leq(part.dom, ideal, part.kernel()):
-            nxt = "z"
-        else:
-            try:
-                nxt = ("subalg", image_ideal(part, ideal))
-            except TypeError:
-                nxt = "unknown"
-    return _normalize_class(nxt, part.cod)
-
-
-def _image_class(f: Morphism):
-    """"z" (image within {0, 1}), "all" (surjective), a concrete image
-    set, ("subalg", I) for an image of the form I u neg(I), or
-    "unknown"."""
-    if is_trivial_object(f.dom):
-        return "z"
-    if carrier_size(f.dom) is not None:
-        return _normalize_class(image_set(f), f.cod)
-    return _normalize_class(_body_class(f), f.cod)
-
-
-def _search_nontrivial_value(f: Morphism, count: int = 64, seed: int = 0):
-    zo = {f.cod.zero, f.cod.one}
+def _outside_witness(f: Morphism):
+    """A domain element whose value is neither 0 nor 1, for a map between
+    block products with no collapsed block: the first forced element that
+    works, else one built from the rows."""
+    zero_one = (f.cod.zero, f.cod.one)
     for x in forced_elements(f.dom):
-        if f(x) not in zo:
+        if f(x) not in zero_one:
             return x
-    rng = random.Random(f"{seed}:witness")
-    for (x,) in sample_tuples(f.dom, 1, count, rng):
-        if f(x) not in zo:
-            return x
-    return None
+    rows = f.body.rows
+    src = rows[0][0]
+    block = f.dom.blocks[src]
+    x = list(f.dom.zero)
+    if any(s != src for s, _, _ in rows):
+        x[src] = f.dom.one[src]             # 1 in one codomain block, 0 in another
+    elif block.m > 1:
+        x[src] = 1 if isinstance(block, Chain) else (1, (0,) * block.r)
+    else:
+        c = next(c for _, _, coords in rows for c in coords if c is not None)
+        x[src] = (0, tuple(int(i == c[0]) for i in range(block.r)))
+    return tuple(x)
 
 
-def is_trivial_morphism(f: Morphism, seed: int = 0) -> TrivialWitness:
+def is_trivial_morphism(f: Morphism) -> TrivialWitness:
     """Decide whether f factors through a one- or two-element algebra and
-    produce the factorization."""
+    produce the factorization.  A negative verdict carries a witness: the
+    first value outside {0, 1} on a finite carrier, a domain element
+    sent outside {0, 1} otherwise."""
     if carrier_size(f.cod) == 1:
         left = to_terminal(f.dom)
-        right = Morphism(left.cod, f.cod, ToTerminalBody(), "from_terminal")
+        right = Morphism(left.cod, f.cod, FiniteMapBody((f.cod.zero,)),
+                         "from_terminal")
         return TrivialWitness(True, "terminal", left, right, None,
                               "codomain is terminal")
-    cls = _image_class(f)
-    if isinstance(cls, (set, frozenset)):
-        trivial = cls <= {f.cod.zero, f.cod.one}
-        cls = "z" if trivial else cls
-    if cls == "z":
-        right = from_initial(f.cod)
-        if carrier_size(f.dom) is not None:
-            mapping = {x: (right.dom.one if f(x) == f.cod.one else right.dom.zero)
-                       for x in elements(f.dom)}
-            if isinstance(f.dom, FiniteAlgebra) and isinstance(right.dom, FiniteAlgebra):
-                left = Morphism(f.dom, right.dom,
-                                FiniteMapBody(tuple(mapping[x]
-                                                    for x in range(f.dom.size))))
-            else:
-                left = Morphism(f.dom, right.dom, ElemTableBody(mapping))
-        else:
-            left = Morphism(f.dom, right.dom, ZCollapseBody(f), "initial_collapse")
-        return TrivialWitness(True, "initial", left, right, None,
-                              "image lies in {0, 1}")
-    if isinstance(cls, (set, frozenset)):
-        w = next(iter(v for v in sorted(cls, key=repr)
-                      if v not in (f.cod.zero, f.cod.one)))
-        return TrivialWitness(False, None, None, None, w,
-                              "image contains a value other than 0 and 1")
-    if cls == "all":
-        w = _search_nontrivial_value(f, seed=seed)
-        return TrivialWitness(False, None, None, None, w,
-                              "map is onto a nontrivial codomain")
-    if isinstance(cls, tuple) and cls[0] == "subalg":
-        w = _search_nontrivial_value(f, seed=seed)
-        return TrivialWitness(False, None, None, None, w,
-                              "image is a nontrivial ideal subalgebra")
-    w = _search_nontrivial_value(f, seed=seed)
-    if w is not None:
-        return TrivialWitness(False, None, None, None, w,
-                              "sampling found a value outside {0, 1}")
-    raise RuntimeError("cannot classify the image of this morphism")
+    right = from_initial(f.cod)
+    reason = "image contains a value other than 0 and 1"
+    if carrier_size(f.dom) is not None:
+        zero_one = (f.cod.zero, f.cod.one)
+        outside = sorted((v for v in image_set(f) if v not in zero_one), key=repr)
+        if outside:
+            return TrivialWitness(False, None, None, None, outside[0], reason)
+        body = FiniteMapBody(tuple(
+            right.dom.one if f(x) == f.cod.one else right.dom.zero
+            for x in elements(f.dom)))
+    else:
+        src = _collapsed_block(f)
+        if src is None:
+            return TrivialWitness(False, None, None, None, _outside_witness(f),
+                                  reason)
+        body = CoordMap(((src, 1, ()),))
+    left = Morphism(f.dom, right.dom, body, "initial_collapse")
+    return TrivialWitness(True, "initial", left, right, None,
+                          "image lies in {0, 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -593,29 +411,22 @@ def _pullback_with_projections(p: Morphism, g: Morphism):
     if carrier_size(p.dom) is not None and carrier_size(g.dom) is not None:
         pb = pullback(p, g)
         return pb.algebra, pb.left, pb.right
-    if isinstance(p.body, IdentityBody):
-        return g.dom, g, identity(g.dom)
-    if isinstance(g.body, IdentityBody):
+    if same_morphism(g, identity(g.dom)):
         return p.dom, identity(p.dom), p
-    if isinstance(p.body, BlockProjectionBody):
-        kept = p.body.kept
-        A, C = p.dom, g.dom
-        others = tuple(i for i in range(len(A.blocks)) if i not in kept)
-        blocks = list(C.blocks) + [A.blocks[i] for i in others]
-        pb = SymbolicAlgebra(blocks)
-        pi_c = Morphism(pb, C, BlockProjectionBody(tuple(range(len(C.blocks)))))
-        rest = SymbolicAlgebra([A.blocks[i] for i in others])
-        pi_e = Morphism(pb, rest, BlockProjectionBody(
-            tuple(range(len(C.blocks), len(blocks)))))
-        lifted = compose(pi_c, g)
-        placement = []
-        for i in range(len(A.blocks)):
-            if i in kept:
-                placement.append((0, kept.index(i)))
-            else:
-                placement.append((1, others.index(i)))
-        pi_a = Morphism(pb, A, TuplingBody((lifted, pi_e), tuple(placement)))
-        return pb, pi_a, pi_c
+    A, C = p.dom, g.dom
+    if isinstance(A, SymbolicAlgebra):
+        kept = tuple(src for src, _, _ in p.body.rows)
+        copies = identity(A).body.rows
+        if len(set(kept)) == len(kept) \
+                and p.body.rows == tuple(copies[i] for i in kept):
+            others = [i for i in range(len(A.blocks)) if i not in kept]
+            rest = SymbolicAlgebra([A.blocks[i] for i in others])
+            pb, (pi_c, pi_e) = product_with_projections([C, rest])
+            lifted = compose(pi_c, g).body.rows
+            rows = tuple(lifted[kept.index(i)] if i in kept
+                         else pi_e.body.rows[others.index(i)]
+                         for i in range(len(A.blocks)))
+            return pb, Morphism(pb, A, CoordMap(rows)), pi_c
     raise NotImplementedError(
         "symbolic pullbacks are available along identities and block "
         "projections only")

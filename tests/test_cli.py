@@ -197,3 +197,54 @@ class TestCatalogAndPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["count"] == 3
+
+
+CHAIN2_TABLE = {"finite": {"size": 3, "zero": 0, "neg": [2, 1, 0],
+                           "plus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]]}}
+CHAIN1_TABLE = {"finite": {"size": 2, "zero": 0, "neg": [1, 0],
+                           "plus": [[0, 1], [1, 1]]}}
+
+
+def classify_spec(tmp_path, capsys, spec):
+    p = tmp_path / "map.json"
+    p.write_text(json.dumps(spec))
+    code = main(["classify", str(p)])
+    return code, capsys.readouterr()
+
+
+class TestMorphismInputChecks:
+    def projection(self, kept):
+        return {"kind": "block_projection", "kept": kept,
+                "algebra": {"blocks": [{"chain": 1}, {"chain": 2}]}}
+
+    def test_projection_block_past_the_end_is_refused(self, tmp_path, capsys):
+        code, out = classify_spec(tmp_path, capsys, self.projection([5]))
+        assert code == 2 and out.err.startswith("error:") and not out.out
+
+    def test_projection_block_zero_is_refused(self, tmp_path, capsys):
+        code, out = classify_spec(tmp_path, capsys, self.projection([0]))
+        assert code == 2 and out.err.startswith("error:") and not out.out
+
+    def test_valid_projection_is_classified(self, tmp_path, capsys):
+        code, out = classify_spec(tmp_path, capsys, self.projection([2]))
+        assert code == 0
+        assert json.loads(out.out)["kernel"] == {"markers": ["full", "zero"]}
+
+    def test_table_value_out_of_range_is_refused(self, tmp_path, capsys):
+        spec = {"kind": "table", "dom": CHAIN2_TABLE, "cod": CHAIN1_TABLE,
+                "table": [0, 7]}
+        code, out = classify_spec(tmp_path, capsys, spec)
+        assert code == 2 and out.err.startswith("error:")
+
+    def test_table_that_is_not_a_homomorphism_is_refused(self, tmp_path,
+                                                          capsys):
+        spec = {"kind": "table", "dom": CHAIN2_TABLE, "cod": CHAIN2_TABLE,
+                "table": [0, 2, 1]}
+        code, out = classify_spec(tmp_path, capsys, spec)
+        assert code == 2 and "not a homomorphism" in out.err
+
+    def test_identity_table_is_classified(self, tmp_path, capsys):
+        spec = {"kind": "table", "dom": CHAIN2_TABLE, "cod": CHAIN2_TABLE,
+                "table": [0, 1, 2]}
+        code, out = classify_spec(tmp_path, capsys, spec)
+        assert code == 0 and json.loads(out.out)["surjective"]
