@@ -174,10 +174,8 @@ def cmd_factorize(args):
 def cmd_pretorsion(args):
     algebra = parse_algebra(_load(args.file))
     seq = pre_exact(algebra)
-    pk = is_prekernel(seq.inclusion, seq.projection, count=args.count,
-                      seed=args.seed)
-    pc = is_precokernel(seq.projection, seq.inclusion, count=args.count,
-                        seed=args.seed)
+    pk = is_prekernel(seq.inclusion, seq.projection)
+    pc = is_precokernel(seq.projection, seq.inclusion)
     payload = {
         "algebra": describe(algebra),
         "perfect_part": describe(seq.perfect.algebra),
@@ -190,12 +188,12 @@ def cmd_pretorsion(args):
 
 def cmd_square_classify(args):
     sq = parse_square(_load(args.file))
-    rp = is_regular_pushout(sq, seed=args.seed)
+    rp = is_regular_pushout(sq)
     payload = {"regular_pushout": rp.ok,
                "comparison_surjective": rp.comparison_surjective}
     ok = rp.ok
     if rp.ok:
-        dc = classify_double(sq, seed=args.seed)
+        dc = classify_double(sq)
         payload["central"] = dc.central
         payload["kernel_meet"] = jsonable(dc.meet)
         if args.expect:
@@ -215,7 +213,7 @@ def cmd_commutator(args):
     algebra = parse_algebra(spec["algebra"])
     i = parse_ideal(algebra, spec["ideal_i"])
     j = parse_ideal(algebra, spec["ideal_j"])
-    rep = commutator_pair(algebra, i, j, seed=args.seed)
+    rep = commutator_pair(algebra, i, j)
     payload = {
         "algebra": describe(algebra),
         "commutator": ideal_to_json(algebra, rep.ideal),

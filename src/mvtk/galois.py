@@ -196,8 +196,7 @@ def em_factorize(f: Morphism) -> EMFactorization:
     return EMFactorization(q.projection, i, theta, q.algebra)
 
 
-def fill_diagonal(e: Morphism, m: Morphism, g: Morphism, h: Morphism,
-                  count: int = 200, seed: int = 0) -> Morphism:
+def fill_diagonal(e: Morphism, m: Morphism, g: Morphism, h: Morphism) -> Morphism:
     """Unique diagonal for a commuting square m o g = h o e with e a
     radical-kernel surjection and m radical-disjoint."""
     if not e_member(e):
@@ -206,10 +205,10 @@ def fill_diagonal(e: Morphism, m: Morphism, g: Morphism, h: Morphism,
         raise ValueError("right leg must have radical-disjoint kernel")
     if e.dom != g.dom or e.cod != h.dom or g.cod != m.dom or m.cod != h.cod:
         raise ValueError("square shape mismatch")
-    if not same_morphism(compose(g, m), compose(e, h), count=count, seed=seed):
+    if not same_morphism(compose(g, m), compose(e, h)):
         raise ValueError("square does not commute")
     d = factor_through_quotient(e, g, "diagonal")
-    if not same_morphism(compose(d, m), h, count=count, seed=seed):
+    if not same_morphism(compose(d, m), h):
         raise AssertionError("diagonal fails the lower triangle")
     return d
 
@@ -221,8 +220,7 @@ class StabilityReport:
     kernel: Ideal
 
 
-def stability_check(e: Morphism, g: Morphism, count: int = 200,
-                    seed: int = 0) -> StabilityReport:
+def stability_check(e: Morphism, g: Morphism) -> StabilityReport:
     """Pull a radical-kernel surjection e back along g and test whether
     the projection over g's domain stays in the class.  Finite carriers
     use the literal pullback; symbolically the supported cases are g an

@@ -73,13 +73,11 @@ class ExtensionSquare:
     bottom: Morphism
 
 
-def validate_square(sq: ExtensionSquare, count: int = 200, seed: int = 0,
-                    surjective: bool = True) -> None:
+def validate_square(sq: ExtensionSquare, surjective: bool = True) -> None:
     if sq.top.dom != sq.left.dom or sq.top.cod != sq.right.dom \
             or sq.left.cod != sq.bottom.dom or sq.right.cod != sq.bottom.cod:
         raise ValueError("square corners do not line up")
-    if not same_morphism(compose(sq.top, sq.right), compose(sq.left, sq.bottom),
-                         count=count, seed=seed):
+    if not same_morphism(compose(sq.top, sq.right), compose(sq.left, sq.bottom)):
         raise ValueError("square does not commute")
     if surjective:
         for name in ("top", "left", "right", "bottom"):
@@ -95,11 +93,10 @@ class RegularPushoutReport:
     comparison_surjective: bool | None
 
 
-def is_regular_pushout(sq: ExtensionSquare, count: int = 200,
-                       seed: int = 0) -> RegularPushoutReport:
+def is_regular_pushout(sq: ExtensionSquare) -> RegularPushoutReport:
     """Kernel criterion: left(ker top) = ker bottom.  On finite carriers
     the comparison into the pullback is also checked literally."""
-    validate_square(sq, count=count, seed=seed)
+    validate_square(sq)
     img = image_ideal(sq.left, sq.top.kernel())
     ker = sq.bottom.kernel()
     C = sq.bottom.dom
@@ -166,12 +163,11 @@ class DoubleClassification:
     meet: Ideal
 
 
-def classify_double(sq: ExtensionSquare, count: int = 200,
-                    seed: int = 0) -> DoubleClassification:
+def classify_double(sq: ExtensionSquare) -> DoubleClassification:
     """A regular pushout of surjections is doubly central when the two
     kernels at the initial corner meet the radical trivially.  Squares
     that are not regular pushouts are refused."""
-    rp = is_regular_pushout(sq, count=count, seed=seed)
+    rp = is_regular_pushout(sq)
     if not rp.ok:
         raise ValueError("not a regular pushout: no double classification")
     A = sq.top.dom
@@ -219,8 +215,7 @@ class CommutatorReport:
     radical_compatible: bool
 
 
-def commutator_pair(algebra: Algebra, i: Ideal, j: Ideal,
-                    count: int = 200, seed: int = 0) -> CommutatorReport:
+def commutator_pair(algebra: Algebra, i: Ideal, j: Ideal) -> CommutatorReport:
     """The commutator of two ideals: the subalgebra on radical-meet-i-
     meet-j.  It vanishes exactly when the canonical witnessing square is
     doubly central: the quotient square on the whole algebra when the
@@ -265,7 +260,7 @@ def commutator_pair(algebra: Algebra, i: Ideal, j: Ideal,
             raise AssertionError("proper-join square corner is not the "
                                  "two-element algebra")
         style = "proper_join"
-    double = classify_double(sq, count=count, seed=seed)
+    double = classify_double(sq)
     if double.central != in_center:
         raise AssertionError("witnessing square disagrees with the "
                              "commutator")

@@ -299,7 +299,7 @@ def _lower(dom: Algebra, cod: Algebra, body):
     elif isinstance(body, BlockProjectionBody):
         body = _copies(dom, body.kept)
     elif isinstance(body, TuplingBody):
-        body = CoordMap(tuple(body.parts[p].body.rows[b] for p, b in body.placement))
+        body = _tupled(dom, body)
     if isinstance(body, FiniteMapBody):
         if isinstance(dom, SymbolicAlgebra) and isinstance(cod, SymbolicAlgebra):
             return _decode_table(dom, cod, body.table)
@@ -310,6 +310,21 @@ def _lower(dom: Algebra, cod: Algebra, body):
         _check_coords(dom, cod, body)
         return body
     raise TypeError(f"unknown body {body!r}")
+
+
+def _tupled(dom: Algebra, body: TuplingBody) -> CoordMap:
+    """The rows of a tupling, each read off the part that supplies it."""
+    for part in body.parts:
+        if part.dom != dom:
+            raise ValueError("every part of a tupling must start at its domain")
+        if not isinstance(part.body, CoordMap):
+            raise TypeError("tupling parts must be maps between block products")
+    rows = []
+    for p, b in body.placement:
+        if not (0 <= p < len(body.parts) and 0 <= b < len(body.parts[p].body.rows)):
+            raise ValueError(f"tupling placement {(p, b)!r} out of range")
+        rows.append(body.parts[p].body.rows[b])
+    return CoordMap(tuple(rows))
 
 
 def _decode_table(dom: SymbolicAlgebra, cod: SymbolicAlgebra, values) -> CoordMap:
@@ -433,14 +448,24 @@ def from_initial(algebra: Algebra) -> Morphism:
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
-    """f then g."""
+    """f then g.  Two coordinate maps compose by substitution; any other
+    composite is tabulated on the elements of f's domain, so a block
+    product with an infinite carrier cannot be composed into a table
+    algebra (ValueError)."""
     if f.cod != g.dom:
         raise ValueError("composite needs f.cod == g.dom")
     if isinstance(f.body, CoordMap) and isinstance(g.body, CoordMap):
         body = f.body.then(g.body)
     else:
-        body = FiniteMapBody(tuple(g(f(x)) for x in elements(f.dom)))
+        body = _tabulate(f.dom, lambda x: g(f(x)))
     return Morphism(f.dom, g.cod, body)
+
+
+def _tabulate(dom: Algebra, fn) -> FiniteMapBody:
+    if carrier_size(dom) is None:
+        raise ValueError("a map out of an infinite block product into a "
+                         "table algebra has no representation")
+    return FiniteMapBody(tuple(fn(x) for x in elements(dom)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +504,12 @@ def is_morphism(m: Morphism, mode: str = "auto", count: int = 400,
     return CheckReport("morphism", mode, tuple(results))
 
 
-def same_morphism(f: Morphism, g: Morphism, mode: str = "auto",
-                  count: int = 400, seed: int = 0, bound: int = 8) -> bool:
+def same_morphism(f: Morphism, g: Morphism, *, mode: str = "auto",
+                  count: int = 400) -> bool:
     """Equality of maps, decided exactly: bodies are normal forms, so two
     maps with the same domain and codomain agree everywhere exactly when
-    their bodies are equal.  ``mode``, ``count``, ``seed`` and ``bound``
-    are accepted for compatibility and ignored."""
+    their bodies are equal.  Nothing is sampled; the keyword-only ``mode``
+    and ``count`` have no effect and remain only for existing callers."""
     return f.dom == g.dom and f.cod == g.cod and f.body == g.body
 
 
@@ -662,10 +687,9 @@ def corestrict(e: Morphism, through: Morphism, label: str = "") -> Morphism:
         body = _corestrict_coords(e.body, through.body, through.dom)
     else:
         decode = _point_decoder(through)
-        values = tuple(decode(e(x)) for x in elements(e.dom))
-        if None in values:
+        body = _tabulate(e.dom, lambda x: decode(e(x)))
+        if None in body.table:
             raise ValueError("image of e escapes the subobject")
-        body = FiniteMapBody(values)
     return Morphism(e.dom, through.dom, body, label)
 
 
@@ -704,9 +728,11 @@ def enumerate_homs(dom: Algebra, cod: Algebra) -> list[Morphism]:
     ordered."""
     if carrier_size(dom) is None or carrier_size(cod) is None:
         raise ValueError("hom enumeration needs finite carriers")
-    ce = elements(cod)
-    return [Morphism(dom, cod, FiniteMapBody(tuple(ce[v] for v in t)))
-            for t in hom_tables(to_finite(dom), to_finite(cod))]
+    tables = hom_tables(to_finite(dom), to_finite(cod))
+    if isinstance(cod, SymbolicAlgebra):
+        ce = elements(cod)
+        tables = [tuple(ce[v] for v in t) for t in tables]
+    return [Morphism(dom, cod, FiniteMapBody(t)) for t in tables]
 
 
 def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:

@@ -287,8 +287,7 @@ class ProbeReport:
     reason: str = ""
 
 
-def is_prekernel(k: Morphism, g: Morphism, probes=None, count: int = 200,
-                 seed: int = 0) -> ProbeReport:
+def is_prekernel(k: Morphism, g: Morphism, probes=None) -> ProbeReport:
     """Probe the universal property of k as the prekernel of g: the
     composite is trivial, and every probe with trivial composite factors
     through k exactly once."""
@@ -313,7 +312,7 @@ def is_prekernel(k: Morphism, g: Morphism, probes=None, count: int = 200,
         except (ValueError, TypeError) as exc:
             failures.append((idx, f"no factorization: {exc}"))
             continue
-        if not same_morphism(compose(phi, k), e, count=count, seed=seed):
+        if not same_morphism(compose(phi, k), e):
             failures.append((idx, "factorization does not recover the probe"))
             continue
         if not injective:
@@ -327,8 +326,7 @@ def is_prekernel(k: Morphism, g: Morphism, probes=None, count: int = 200,
     return ProbeReport(not failures, checked, skipped, tuple(failures))
 
 
-def is_precokernel(g: Morphism, k: Morphism, probes=None, count: int = 200,
-                   seed: int = 0) -> ProbeReport:
+def is_precokernel(g: Morphism, k: Morphism, probes=None) -> ProbeReport:
     """Probe the universal property of g as the precokernel of k."""
     if k.cod != g.dom:
         raise ValueError("precokernel check needs k.cod == g.dom")
@@ -354,7 +352,7 @@ def is_precokernel(g: Morphism, k: Morphism, probes=None, count: int = 200,
         except (ValueError, TypeError) as exc:
             failures.append((idx, f"no mediator: {exc}"))
             continue
-        if not same_morphism(compose(g, psi), t, count=count, seed=seed):
+        if not same_morphism(compose(g, psi), t):
             failures.append((idx, "mediator does not recover the probe"))
             continue
         if not surjective:
@@ -432,16 +430,15 @@ def _pullback_with_projections(p: Morphism, g: Morphism):
         "projections only")
 
 
-def protoadditivity_check(p: Morphism, s: Morphism, g: Morphism,
-                          count: int = 300, seed: int = 0) -> ProtoadditivityReport:
+def protoadditivity_check(p: Morphism, s: Morphism,
+                          g: Morphism) -> ProtoadditivityReport:
     """Check that the semisimple reflection preserves the pullback of the
     split surjection p along g: the comparison from S(pullback) to the
     pullback of the reflected maps must be an isomorphism."""
     if p.cod != g.cod or s.dom != p.cod or s.cod != p.dom:
         raise ValueError("need a split surjection p with section s and a "
                          "map g into its codomain")
-    section_valid = same_morphism(compose(s, p), identity(p.cod),
-                                  count=count, seed=seed)
+    section_valid = same_morphism(compose(s, p), identity(p.cod))
     pb, pi_a, pi_c = _pullback_with_projections(p, g)
     reflected = pullback(semisimple_map(p), semisimple_map(g))
     psi = mediator_to_pullback(reflected, semisimple_map(pi_a),

@@ -24,6 +24,7 @@ from mvtk import (
     MarkerIdeal,
     Morphism,
     SymbolicAlgebra,
+    TuplingBody,
     all_ideals,
     chain_product_catalog,
     compose,
@@ -244,3 +245,29 @@ class TestTrivialWitnesses:
         w = is_trivial_morphism(f)
         assert w.trivial and w.via == "initial"
         assert compose(w.left, w.right).body == f.body
+
+
+class TestUnsupportedShapes:
+    K = make_komori(1, 1)
+
+    def test_infinite_domain_into_a_table_algebra(self):
+        eta = radical_projection(self.K)
+        h = enumerate_homs(eta.cod, to_finite(eta.cod))[0]
+        with pytest.raises(ValueError, match="infinite block product"):
+            compose(eta, h)
+
+    def test_tupling_part_from_another_domain(self):
+        other = product([make_komori(1, 1), make_chain(1)])
+        part = identity(other)
+        with pytest.raises(ValueError, match="domain"):
+            Morphism(self.K, self.K, TuplingBody((part,), ((0, 0),)))
+
+    def test_tupling_part_that_is_a_table(self):
+        c = make_chain(1)
+        part = Morphism(c, to_finite(c), ElemTableBody({(0,): 0, (1,): 1}))
+        with pytest.raises(TypeError):
+            Morphism(c, c, TuplingBody((part,), ((0, 0),)))
+
+    def test_tupling_placement_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Morphism(self.K, self.K, TuplingBody((identity(self.K),), ((0, 1),)))
