@@ -66,13 +66,10 @@ def _probe_report(rep):
 
 def cmd_check_axioms(args):
     algebra = parse_algebra(_load(args.file))
-    mode = args.mode
-    if mode == "auto":
-        mode = "exhaustive" if carrier_size(algebra) is not None else "sample"
     reports = {
-        "axioms": check_axioms(algebra, mode=mode, count=args.count,
+        "axioms": check_axioms(algebra, mode=args.mode, count=args.count,
                                bound=args.bound, seed=args.seed),
-        "derived": check_derived_identities(algebra, mode=mode,
+        "derived": check_derived_identities(algebra, mode=args.mode,
                                             count=args.count,
                                             bound=args.bound, seed=args.seed),
         "lattice": check_lattice_identities(algebra, mode="sample",

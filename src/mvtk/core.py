@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -484,11 +485,24 @@ def sample_tuples(algebra: Algebra, arity: int, count: int, rng: random.Random,
 
 
 # ---------------------------------------------------------------------------
-# identity checking
+# identity checking: each identity is written once, as (name, arity,
+# predicate) over an algebra's plus, neg and zero
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Outcome of one identity.
+
+    ``checked`` counts the tuples decided: every tuple when the identity
+    holds, otherwise the tuples up to and including ``witness``, in
+    lexicographic order when exhaustive and in stream order when sampled.
+    An exhaustive identity that does not read one of its variables is
+    decided once per tuple of the variables it reads, and that tuple is
+    its witness and counts for every value of the others.  So the Pixley
+    identities r(x, x, z) = z, r(x, y, y) = x and r(x, y, x) = x, stated
+    over triples, count n**3 triples on n elements and fail at a pair.
+    """
+
     name: str
     ok: bool
     witness: tuple | None
@@ -513,6 +527,71 @@ class CheckReport:
             if not r.ok:
                 return (r.name, r.witness)
         return None
+
+
+def resolve_mode(algebra: Algebra, mode: str) -> str:
+    """The mode a check runs in: ``"auto"`` is exhaustive on a finite
+    carrier and sampling otherwise."""
+    if mode == "auto":
+        mode = "exhaustive" if carrier_size(algebra) is not None else "sample"
+    if mode not in ("exhaustive", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exhaustive" and carrier_size(algebra) is None:
+        raise ValueError("exhaustive mode requires a finite carrier")
+    return mode
+
+
+def run_checks(checks, tuples, subject: str, mode: str) -> CheckReport:
+    """Feed each (name, arity, predicate) of ``checks`` the stream
+    ``tuples(name, arity)`` until the predicate fails."""
+    results = []
+    for name, arity, pred in checks:
+        witness = None
+        checked = 0
+        for args in tuples(name, arity):
+            checked += 1
+            if not pred(*args):
+                witness = args
+                break
+        results.append(CheckResult(name, witness is None, witness, checked))
+    return CheckReport(subject, mode, tuple(results))
+
+
+def seeded_samples(algebra: Algebra, count: int, bound: int, seed):
+    """Streams for :func:`run_checks` that draw ``count`` tuples per check
+    from a generator seeded ``"{seed}:{name}"``."""
+    return lambda name, arity: sample_tuples(
+        algebra, arity, count, random.Random(f"{seed}:{name}"), bound)
+
+
+def grid_checks(algebra: Algebra, checks, subject: str) -> CheckReport:
+    """Decide each identity of ``checks(view)`` on every tuple at once.
+
+    ``view`` is ``to_finite(algebra)`` with ``plus`` and ``neg`` gathering
+    along numpy index arrays, so each predicate is called once, with one
+    broadcast index grid per variable; memory is O(n**arity).  The first
+    False in C order is the lexicographically first failing tuple;
+    witnesses are elements of ``algebra``.
+    """
+    table = to_finite(algebra)
+    n = table.size
+    elems = elements(algebra)
+    neg_t, plus_t = table.tables()
+    view = SimpleNamespace(zero=table.zero, neg=lambda x: neg_t[x],
+                           plus=lambda x, y: plus_t[x, y])
+    results = []
+    for name, arity, pred in checks(view):
+        held = np.asarray(pred(*np.ix_(*[np.arange(n)] * arity)))
+        first = int(held.argmin())
+        if held.flat[first]:
+            results.append(CheckResult(name, True, None, n ** arity))
+            continue
+        at = np.unravel_index(first, held.shape)
+        read = [k for k in range(arity) if held.shape[k] > 1]
+        witness = tuple(elems[at[k]] for k in read)
+        settles = n ** (arity - len(read))
+        results.append(CheckResult(name, False, witness, (first + 1) * settles))
+    return CheckReport(subject, "exhaustive", tuple(results))
 
 
 AXIOM_NAMES = (
@@ -574,87 +653,24 @@ def _lattice_checks(A: Algebra):
     ]
 
 
-def _run_identity_checks(A, checks, subject, mode, count, bound, seed):
-    if mode not in ("exhaustive", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exhaustive" and carrier_size(A) is None:
-        raise ValueError("exhaustive mode requires a finite carrier")
-    results = []
-    for name, arity, pred in checks:
-        rng = random.Random(f"{seed}:{name}")
-        if mode == "exhaustive":
-            pool = elements(A)
-            stream = itertools.product(pool, repeat=arity)
-        else:
-            stream = sample_tuples(A, arity, count, rng, bound)
-        witness = None
-        checked = 0
-        for args in stream:
-            checked += 1
-            if not pred(*args):
-                witness = args
-                break
-        results.append(CheckResult(name, witness is None, witness, checked))
-    return CheckReport(subject, mode, tuple(results))
-
-
-def _axioms_finite_fast(A: FiniteAlgebra) -> CheckReport:
-    negt, plust = A.tables()
-    n = A.size
-    idx = np.arange(n)
-    one = int(negt[A.zero])
-    results = []
-
-    ab = plust[plust]                    # (x+y)+z at [x, y, z]
-    bc = plust[:, plust]                 # x+(y+z) at [x, y, z]
-    bad = np.argwhere(ab != bc)
-    results.append(CheckResult(
-        "add_assoc", bad.size == 0,
-        tuple(int(v) for v in bad[0]) if bad.size else None, n ** 3))
-
-    bad = np.argwhere(plust != plust.T)
-    results.append(CheckResult(
-        "add_comm", bad.size == 0,
-        tuple(int(v) for v in bad[0]) if bad.size else None, n ** 2))
-
-    bad = np.argwhere(plust[:, A.zero] != idx)
-    results.append(CheckResult(
-        "zero_unit", bad.size == 0,
-        (int(bad[0][0]),) if bad.size else None, n))
-
-    bad = np.argwhere(negt[negt] != idx)
-    results.append(CheckResult(
-        "neg_involution", bad.size == 0,
-        (int(bad[0][0]),) if bad.size else None, n))
-
-    bad = np.argwhere(plust[:, one] != one)
-    results.append(CheckResult(
-        "one_absorbing", bad.size == 0,
-        (int(bad[0][0]),) if bad.size else None, n))
-
-    # neg(neg x + y) + y, as a table over [x, y]
-    lhs = plust[negt[plust[negt[:, None], idx]], idx]
-    bad = np.argwhere(lhs != lhs.T)
-    results.append(CheckResult(
-        "lukasiewicz", bad.size == 0,
-        tuple(int(v) for v in bad[0]) if bad.size else None, n ** 2))
-
-    return CheckReport("axioms", "exhaustive", tuple(results))
+def _check_identities(algebra, checks, subject, mode, count, bound, seed):
+    if resolve_mode(algebra, mode) == "exhaustive":
+        return grid_checks(algebra, checks, subject)
+    return run_checks(checks(algebra), seeded_samples(algebra, count, bound, seed),
+                      subject, "sample")
 
 
 def check_axioms(algebra: Algebra, mode: str = "exhaustive", count: int = 2000,
                  bound: int = _SAMPLE_BOUND, seed: int = 0) -> CheckReport:
     """Verify the six defining identities.
 
-    Exhaustive mode needs a finite carrier and uses vectorized table
-    arithmetic when given a table algebra.  Sample mode draws ``count``
+    Exhaustive mode needs a finite carrier.  Sample mode draws ``count``
     tuples per identity, always including 0, 1 and per-block
-    infinitesimals, with coefficients bounded by ``bound``.
+    infinitesimals, with coefficients bounded by ``bound``.  ``"auto"``
+    picks by :func:`resolve_mode`.
     """
-    if mode == "exhaustive" and isinstance(algebra, FiniteAlgebra):
-        return _axioms_finite_fast(algebra)
-    return _run_identity_checks(
-        algebra, _axiom_checks(algebra), "axioms", mode, count, bound, seed)
+    return _check_identities(algebra, _axiom_checks, "axioms", mode, count,
+                             bound, seed)
 
 
 def check_derived_identities(algebra: Algebra, mode: str = "exhaustive",
@@ -662,8 +678,8 @@ def check_derived_identities(algebra: Algebra, mode: str = "exhaustive",
                              seed: int = 0) -> CheckReport:
     """Consequences of the axioms: de Morgan form of (+), ceiling at one,
     symmetry of truncated differences, separation by the distance term."""
-    return _run_identity_checks(
-        algebra, _derived_checks(algebra), "derived", mode, count, bound, seed)
+    return _check_identities(algebra, _derived_checks, "derived", mode, count,
+                             bound, seed)
 
 
 def check_lattice_identities(algebra: Algebra, mode: str = "sample",
@@ -671,8 +687,8 @@ def check_lattice_identities(algebra: Algebra, mode: str = "sample",
                              seed: int = 0) -> CheckReport:
     """Distributivity of (*) and (+) over the derived join and meet, plus
     the absorption laws."""
-    return _run_identity_checks(
-        algebra, _lattice_checks(algebra), "lattice", mode, count, bound, seed)
+    return _check_identities(algebra, _lattice_checks, "lattice", mode, count,
+                             bound, seed)
 
 
 # ---------------------------------------------------------------------------

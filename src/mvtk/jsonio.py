@@ -1,4 +1,4 @@
-"""JSON forms for algebras, elements, ideals, morphisms and groups.
+"""JSON forms for algebras, ideals, morphisms and groups.
 
 Block algebras are lists of {"chain": m} / {"komori": {"m": ..., "r": ...}}
 entries; finite tables carry explicit neg and plus tables.  Infinitesimal
@@ -41,8 +41,6 @@ __all__ = [
     "jsonable",
     "parse_algebra",
     "algebra_to_json",
-    "parse_element",
-    "element_to_json",
     "parse_ideal",
     "ideal_to_json",
     "parse_morphism",
@@ -68,16 +66,23 @@ def jsonable(x):
     return repr(x)
 
 
+def _int(value, what: str) -> int:
+    """An integer from the wire; bools and floats are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_algebra(obj) -> Algebra:
     if not isinstance(obj, dict):
         raise ValueError("algebra must be an object")
     if "finite" in obj:
         spec = obj["finite"]
-        neg = tuple(spec["neg"])
-        plus = tuple(tuple(row) for row in spec["plus"])
-        zero = spec.get("zero", 0)
-        alg = make_finite(neg, plus, zero)
-        if "size" in spec and spec["size"] != alg.size:
+        neg = tuple(_int(v, "neg entry") for v in spec["neg"])
+        plus = tuple(tuple(_int(v, "plus entry") for v in row)
+                     for row in spec["plus"])
+        alg = make_finite(neg, plus, _int(spec.get("zero", 0), "zero"))
+        if "size" in spec and _int(spec["size"], "size") != alg.size:
             raise ValueError("declared size does not match the tables")
         return alg
     if "blocks" not in obj:
@@ -85,10 +90,11 @@ def parse_algebra(obj) -> Algebra:
     blocks = []
     for entry in obj["blocks"]:
         if "chain" in entry:
-            blocks.append(Chain(entry["chain"]))
+            blocks.append(Chain(_int(entry["chain"], "chain bound")))
         elif "komori" in entry:
             spec = entry["komori"]
-            blocks.append(Komori(spec["m"], spec["r"]))
+            blocks.append(Komori(_int(spec["m"], "komori bound"),
+                                 _int(spec["r"], "komori rank")))
         else:
             raise ValueError(f"unknown block {entry!r}")
     return SymbolicAlgebra(blocks)
@@ -108,42 +114,11 @@ def algebra_to_json(algebra: Algebra):
     return {"blocks": out}
 
 
-def parse_element(algebra: Algebra, obj):
-    if isinstance(algebra, FiniteAlgebra):
-        if not isinstance(obj, int) or not 0 <= obj < algebra.size:
-            raise ValueError(f"element {obj!r} is not a carrier index")
-        return obj
-    if not isinstance(obj, list) or len(obj) != len(algebra.blocks):
-        raise ValueError("element must list one entry per block")
-    out = []
-    for b, entry in zip(algebra.blocks, obj):
-        if isinstance(b, Chain):
-            out.append(entry)
-        else:
-            a, tail = entry
-            out.append((a, tuple(tail)))
-    x = tuple(out)
-    if not algebra.contains(x):
-        raise ValueError(f"element {obj!r} is outside the carrier")
-    return x
-
-
-def element_to_json(algebra: Algebra, x):
-    if isinstance(algebra, FiniteAlgebra):
-        return x
-    out = []
-    for b, entry in zip(algebra.blocks, x):
-        if isinstance(b, Chain):
-            out.append(entry)
-        else:
-            out.append([entry[0], list(entry[1])])
-    return out
-
-
 def parse_ideal(algebra: Algebra, obj) -> Ideal:
     if "elements" in obj:
         if isinstance(algebra, FiniteAlgebra):
-            return validate_ideal(algebra, FiniteIdeal(frozenset(obj["elements"])))
+            return validate_ideal(algebra, FiniteIdeal(frozenset(
+                _int(e, "ideal element") for e in obj["elements"])))
         raise ValueError("element lists describe ideals of finite tables only")
     if "markers" not in obj:
         raise ValueError("ideal needs 'elements' or 'markers'")
@@ -152,7 +127,8 @@ def parse_ideal(algebra: Algebra, obj) -> Ideal:
         if mk in ("zero", "full"):
             markers.append(mk)
         elif isinstance(mk, dict) and "sub" in mk:
-            markers.append(("sub", frozenset(c - 1 for c in mk["sub"])))
+            markers.append(("sub", frozenset(_int(c, "coordinate") - 1
+                                             for c in mk["sub"])))
         else:
             raise ValueError(f"unknown marker {mk!r}")
     return validate_ideal(algebra, MarkerIdeal(tuple(markers)))
@@ -245,7 +221,9 @@ def parse_square(obj):
 
 
 def parse_group(obj) -> LexGroup:
-    return make_group((b["rank"], tuple(b["unit"])) for b in obj["blocks"])
+    return make_group((_int(b["rank"], "group rank"),
+                       tuple(_int(u, "unit entry") for u in b["unit"]))
+                      for b in obj["blocks"])
 
 
 def group_to_json(group: LexGroup):

@@ -40,14 +40,11 @@ are the construction specs :class:`ElemTableBody`,
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .core import (
     Algebra,
     Chain,
-    CheckReport,
-    CheckResult,
     FiniteAlgebra,
     Komori,
     SymbolicAlgebra,
@@ -55,7 +52,9 @@ from .core import (
     elements,
     hom_tables,
     initial_algebra,
-    sample_tuples,
+    resolve_mode,
+    run_checks,
+    seeded_samples,
     terminal_algebra,
     to_finite,
 )
@@ -476,9 +475,8 @@ def is_morphism(m: Morphism, mode: str = "auto", count: int = 400,
                 seed: int = 0, bound: int = 8):
     """Verify preservation of zero, addition and negation pointwise, and
     that values land in the codomain.  Returns a CheckReport."""
-    if mode == "auto":
-        mode = "exhaustive" if carrier_size(m.dom) is not None else "sample"
     A, B = m.dom, m.cod
+    mode = resolve_mode(A, mode)
     checks = [
         ("preserves_zero", 0, lambda: m(A.zero) == B.zero),
         ("lands_in_codomain", 1, lambda x: B.contains(m(x))),
@@ -486,30 +484,18 @@ def is_morphism(m: Morphism, mode: str = "auto", count: int = 400,
          lambda x, y: m(A.plus(x, y)) == B.plus(m(x), m(y))),
         ("preserves_neg", 1, lambda x: m(A.neg(x)) == B.neg(m(x))),
     ]
-    results = []
-    for name, arity, pred in checks:
-        rng = random.Random(f"{seed}:{name}")
-        if mode == "exhaustive":
-            stream = itertools.product(elements(A), repeat=arity)
-        else:
-            stream = sample_tuples(A, arity, count, rng, bound)
-        witness = None
-        checked = 0
-        for args in stream:
-            checked += 1
-            if not pred(*args):
-                witness = args
-                break
-        results.append(CheckResult(name, witness is None, witness, checked))
-    return CheckReport("morphism", mode, tuple(results))
+    if mode == "exhaustive":
+        def tuples(name, arity):
+            return itertools.product(elements(A), repeat=arity)
+    else:
+        tuples = seeded_samples(A, count, bound, seed)
+    return run_checks(checks, tuples, "morphism", mode)
 
 
-def same_morphism(f: Morphism, g: Morphism, *, mode: str = "auto",
-                  count: int = 400) -> bool:
+def same_morphism(f: Morphism, g: Morphism) -> bool:
     """Equality of maps, decided exactly: bodies are normal forms, so two
     maps with the same domain and codomain agree everywhere exactly when
-    their bodies are equal.  Nothing is sampled; the keyword-only ``mode``
-    and ``count`` have no effect and remain only for existing callers."""
+    their bodies are equal."""
     return f.dom == g.dom and f.cod == g.cod and f.body == g.body
 
 

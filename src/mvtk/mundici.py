@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from .core import (
     Chain,
     CheckReport,
-    CheckResult,
     Komori,
     SymbolicAlgebra,
+    join as alg_join,
+    leq as alg_leq,
+    run_checks,
 )
 
 __all__ = [
@@ -149,41 +151,32 @@ def group_laws_check(group: LexGroup, count: int = 400, bound: int = 8,
     rng = random.Random(f"{seed}:group_laws")
     zero = group_zero(group)
     laws = (
-        ("add_assoc", lambda x, y, z: group_add(group, group_add(group, x, y), z)
+        ("add_assoc", 3, lambda x, y, z: group_add(group, group_add(group, x, y), z)
          == group_add(group, x, group_add(group, y, z))),
-        ("add_comm", lambda x, y, z: group_add(group, x, y)
+        ("add_comm", 3, lambda x, y, z: group_add(group, x, y)
          == group_add(group, y, x)),
-        ("add_zero", lambda x, y, z: group_add(group, x, zero) == x),
-        ("add_neg", lambda x, y, z: group_add(group, x, group_neg(group, x))
+        ("add_zero", 3, lambda x, y, z: group_add(group, x, zero) == x),
+        ("add_neg", 3, lambda x, y, z: group_add(group, x, group_neg(group, x))
          == zero),
-        ("join_comm", lambda x, y, z: group_join(group, x, y)
+        ("join_comm", 3, lambda x, y, z: group_join(group, x, y)
          == group_join(group, y, x)),
-        ("join_assoc", lambda x, y, z: group_join(
+        ("join_assoc", 3, lambda x, y, z: group_join(
             group, group_join(group, x, y), z)
          == group_join(group, x, group_join(group, y, z))),
-        ("absorption", lambda x, y, z: group_meet(
+        ("absorption", 3, lambda x, y, z: group_meet(
             group, x, group_join(group, x, y)) == x),
-        ("join_is_bound", lambda x, y, z: group_leq(
+        ("join_is_bound", 3, lambda x, y, z: group_leq(
             group, x, group_join(group, x, y))
          and group_leq(group, y, group_join(group, x, y))),
-        ("translation", lambda x, y, z: group_add(
+        ("translation", 3, lambda x, y, z: group_add(
             group, z, group_join(group, x, y))
          == group_join(group, group_add(group, z, x), group_add(group, z, y))),
-        ("abs_positive", lambda x, y, z: group_leq(
+        ("abs_positive", 3, lambda x, y, z: group_leq(
             group, zero, group_abs(group, x))),
     )
     samples = [tuple(random_group_element(group, rng, bound) for _ in range(3))
                for _ in range(count)]
-    results = []
-    for name, law in laws:
-        witness = None
-        for triple in samples:
-            if not law(*triple):
-                witness = triple
-                break
-        results.append(CheckResult(name, witness is None, witness,
-                                   len(samples)))
-    return CheckReport(repr(group), "sample", tuple(results))
+    return run_checks(laws, lambda name, arity: samples, repr(group), "sample")
 
 
 @dataclass(frozen=True)
@@ -194,11 +187,12 @@ class OrderUnitReport:
 
 
 def order_unit_check(group: LexGroup, unit=None) -> OrderUnitReport:
-    """Is the unit an order unit: positive, with every element dominated
-    by some multiple?  Decided blockwise: the leading coordinate must be
-    strictly positive (rank one allows the zero group as the degenerate
-    exception witnessed only by the zero unit on a zero... rank-one zero
-    unit fails too, since 1 is never below any multiple)."""
+    """Is the unit an order unit: positive, with every element below some
+    multiple of it?  In the lexicographic order that holds exactly when
+    the unit's leading coordinate is strictly positive in every block.
+    A block whose unit leads with 0, a rank-one zero unit included, fails
+    with the witness that is 1 in that block's leading coordinate and 0
+    elsewhere: it exceeds every multiple of the unit."""
     if unit is None:
         unit = group_unit(group)
     _check_shape(group, unit)
@@ -330,34 +324,24 @@ def gamma_ops_agree(group: LexGroup, count: int = 400, bound: int = 6,
     samples = [( _random_interval_element(group, unit, rng, bound),
                  _random_interval_element(group, unit, rng, bound))
                for _ in range(count)]
-    from .core import join as alg_join, leq as alg_leq
-
     checks = (
-        ("truncated_sum", lambda x, y:
+        ("truncated_sum", 2, lambda x, y:
          to_algebra_element(group, interval_sum(group, x, y))
          == algebra.plus(to_algebra_element(group, x),
                          to_algebra_element(group, y))),
-        ("reflection", lambda x, y:
+        ("reflection", 2, lambda x, y:
          to_algebra_element(group, interval_neg(group, x))
          == algebra.neg(to_algebra_element(group, x))),
-        ("order", lambda x, y:
+        ("order", 2, lambda x, y:
          group_leq(group, x, y)
          == alg_leq(algebra, to_algebra_element(group, x),
                     to_algebra_element(group, y))),
-        ("join", lambda x, y:
+        ("join", 2, lambda x, y:
          to_algebra_element(group, group_join(group, x, y))
          == alg_join(algebra, to_algebra_element(group, x),
                      to_algebra_element(group, y))),
-        ("roundtrip", lambda x, y:
+        ("roundtrip", 2, lambda x, y:
          from_algebra_element(group, to_algebra_element(group, x)) == x),
     )
-    results = []
-    for name, law in checks:
-        witness = None
-        for x, y in samples:
-            if not law(x, y):
-                witness = (x, y)
-                break
-        results.append(CheckResult(name, witness is None, witness,
-                                   len(samples)))
-    return CheckReport(repr(group), "sample", tuple(results))
+    return run_checks(checks, lambda name, arity: samples, repr(group),
+                      "sample")

@@ -2,10 +2,12 @@
 
 Two families of witnesses: a binary-operation recovery identity that
 exhibits protomodularity, and a Pixley-style ternary term giving the
-arithmetical (Mal'tsev plus distributive) behaviour.  Both are verified
-exhaustively on finite tables via vectorized evaluation and by sampling
-on block algebras.  The kernel-restriction harness then checks, square by
-square, that comparison maps into pullbacks are injective, surjective or
+arithmetical (Mal'tsev plus distributive) behaviour.  Each identity is
+written once over the algebra operations and runs on the core check
+engine: exhaustively on the table form of a finite carrier by the grid
+evaluator (its reports name the table), and by sampling on block
+algebras.  The kernel-restriction harness then checks, square by square,
+that comparison maps into pullbacks are injective, surjective or
 bijective exactly when the induced restriction between kernels is.
 """
 
@@ -14,24 +16,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .catalog import chain_product_catalog
 from .core import (
     Algebra,
     CheckReport,
-    CheckResult,
-    FiniteAlgebra,
     arrow,
-    carrier_size,
     describe,
-    elements,
+    grid_checks,
     join,
     meet,
     neg,
     ominus,
     oplus,
     otimes,
+    resolve_mode,
+    run_checks,
     sample_tuples,
     to_finite,
 )
@@ -54,34 +53,14 @@ __all__ = [
 ]
 
 
-def _derived_tables(algebra: FiniteAlgebra):
-    negt, plust = algebra.tables()
-    times = negt[plust[negt[:, None], negt[None, :]]]
-    arrowt = plust[negt[:, None], np.arange(algebra.size)[None, :]]
-    joint = plust[times[:, negt], np.arange(algebra.size)[None, :]]
-    meett = times[np.arange(algebra.size)[:, None], arrowt]
-    return negt, plust, times, arrowt, joint, meett
-
-
-def _protomodularity_finite(algebra: FiniteAlgebra) -> CheckReport:
-    negt, plust, times, _, _, _ = _derived_tables(algebra)
-    n = algebra.size
-    x = np.arange(n)[:, None]
-    y = np.arange(n)[None, :]
-    t1 = times[x, negt[y]]
-    t2 = plust[x, negt[y]]
-    recovered = plust[t1, times[t2, y]]
-    bad = np.argwhere(recovered != x)
-    res = CheckResult("recovery_identity", bad.size == 0,
-                      tuple(int(v) for v in bad[0]) if bad.size else None,
-                      n * n)
-    return CheckReport(describe(algebra), "exhaustive", (res,))
-
-
 def _recover(algebra: Algebra, x, y):
     t1 = ominus(algebra, x, y)
     t2 = oplus(algebra, x, neg(algebra, y))
     return oplus(algebra, t1, otimes(algebra, t2, y))
+
+
+def _recovery_checks(algebra: Algebra):
+    return [("recovery_identity", 2, lambda x, y: _recover(algebra, x, y) == x)]
 
 
 def verify_protomodularity(algebra: Algebra, mode: str = "auto",
@@ -89,49 +68,13 @@ def verify_protomodularity(algebra: Algebra, mode: str = "auto",
                            seed: int = 0) -> CheckReport:
     """The identity (x - y) + ((x + not y) . y) = x, which rebuilds the
     first argument from two binary terms and the second argument."""
-    if mode == "auto":
-        mode = "exhaustive" if carrier_size(algebra) is not None else "sample"
-    if mode == "exhaustive":
-        if isinstance(algebra, FiniteAlgebra):
-            return _protomodularity_finite(algebra)
-        return _protomodularity_finite(to_finite(algebra))
+    if resolve_mode(algebra, mode) == "exhaustive":
+        table = to_finite(algebra)
+        return grid_checks(table, _recovery_checks, describe(table))
     rng = random.Random(f"{seed}:protomodularity")
-    witness = None
-    checked = 0
-    for x, y in sample_tuples(algebra, 2, count, rng, bound=bound):
-        checked += 1
-        if _recover(algebra, x, y) != x:
-            witness = (x, y)
-            break
-    res = CheckResult("recovery_identity", witness is None, witness, checked)
-    return CheckReport(describe(algebra), "sample", (res,))
-
-
-def _pixley_finite(algebra: FiniteAlgebra) -> CheckReport:
-    negt, plust, times, arrowt, joint, meett = _derived_tables(algebra)
-    n = algebra.size
-    x = np.arange(n)[:, None, None]
-    y = np.arange(n)[None, :, None]
-    z = np.arange(n)[None, None, :]
-    p = meett[arrowt[arrowt[x, y], z], arrowt[arrowt[z, y], x]]
-    t = meett[arrowt[y, meett[x, z]], joint[x, z]]
-    r = meett[p, t]
-    results = []
-    idx = np.arange(n)
-    checks = (
-        ("pixley_xxz", r[idx[:, None], idx[:, None], idx[None, :]],
-         idx[None, :]),
-        ("pixley_xyy", r[idx[:, None], idx[None, :], idx[None, :]],
-         idx[:, None]),
-        ("pixley_xyx", r[idx[:, None], idx[None, :], idx[:, None]],
-         idx[:, None]),
-    )
-    for name, got, want in checks:
-        bad = np.argwhere(got != np.broadcast_to(want, got.shape))
-        results.append(CheckResult(
-            name, bad.size == 0,
-            tuple(int(v) for v in bad[0]) if bad.size else None, n ** 3))
-    return CheckReport(describe(algebra), "exhaustive", tuple(results))
+    samples = sample_tuples(algebra, 2, count, rng, bound=bound)
+    return run_checks(_recovery_checks(algebra), lambda name, arity: samples,
+                      describe(algebra), "sample")
 
 
 def _pixley(algebra: Algebra, x, y, z):
@@ -144,33 +87,27 @@ def _pixley(algebra: Algebra, x, y, z):
     return meet(algebra, p, t)
 
 
+def _pixley_checks(algebra: Algebra):
+    # each identity leaves one variable of the triple unread
+    return [
+        ("pixley_xxz", 3, lambda x, y, z: _pixley(algebra, x, x, z) == z),
+        ("pixley_xyy", 3, lambda x, y, z: _pixley(algebra, x, y, y) == x),
+        ("pixley_xyx", 3, lambda x, y, z: _pixley(algebra, x, y, x) == x),
+    ]
+
+
 def verify_pixley(algebra: Algebra, mode: str = "auto", count: int = 2000,
                   bound: int = 8, seed: int = 0) -> CheckReport:
     """A Pixley term from arrow, meet and join: r(x, x, z) = z,
-    r(x, y, y) = x and r(x, y, x) = x."""
-    if mode == "auto":
-        mode = "exhaustive" if carrier_size(algebra) is not None else "sample"
-    if mode == "exhaustive":
-        fin = algebra if isinstance(algebra, FiniteAlgebra) else to_finite(algebra)
-        return _pixley_finite(fin)
+    r(x, y, y) = x and r(x, y, x) = x.  Sampling draws one stream of
+    triples shared by the three identities."""
+    if resolve_mode(algebra, mode) == "exhaustive":
+        table = to_finite(algebra)
+        return grid_checks(table, _pixley_checks, describe(table))
     rng = random.Random(f"{seed}:pixley")
-    results = []
-    specs = (
-        ("pixley_xxz", lambda x, y, z: (x, x, z), lambda x, y, z: z),
-        ("pixley_xyy", lambda x, y, z: (x, y, y), lambda x, y, z: x),
-        ("pixley_xyx", lambda x, y, z: (x, y, x), lambda x, y, z: x),
-    )
     samples = list(sample_tuples(algebra, 3, count, rng, bound=bound))
-    for name, args, want in specs:
-        witness = None
-        for x, y, z in samples:
-            a, b, c = args(x, y, z)
-            if _pixley(algebra, a, b, c) != want(x, y, z):
-                witness = (x, y, z)
-                break
-        results.append(CheckResult(name, witness is None, witness,
-                                   len(samples)))
-    return CheckReport(describe(algebra), "sample", tuple(results))
+    return run_checks(_pixley_checks(algebra), lambda name, arity: samples,
+                      describe(algebra), "sample")
 
 
 @dataclass(frozen=True)

@@ -248,3 +248,47 @@ class TestMorphismInputChecks:
                 "table": [0, 1, 2]}
         code, out = classify_spec(tmp_path, capsys, spec)
         assert code == 0 and json.loads(out.out)["surjective"]
+
+
+def refused(tmp_path, capsys, command, doc):
+    """Run ``command`` on ``doc``; True when it exits 2 with an error."""
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(doc))
+    code = main([command, str(p)])
+    out = capsys.readouterr()
+    return code == 2 and out.err.startswith("error:") and not out.out
+
+
+class TestStrictIntegers:
+    def test_boolean_chain_bound_is_refused(self, tmp_path, capsys):
+        assert refused(tmp_path, capsys, "radical",
+                       {"blocks": [{"chain": True}]})
+
+    def test_fractional_chain_bound_is_refused(self, tmp_path, capsys):
+        assert refused(tmp_path, capsys, "radical",
+                       {"blocks": [{"chain": 2.5}]})
+
+    def test_boolean_komori_bound_is_refused(self, tmp_path, capsys):
+        assert refused(tmp_path, capsys, "radical",
+                       {"blocks": [{"komori": {"m": True, "r": 1}}]})
+
+    def test_boolean_table_entry_is_refused(self, tmp_path, capsys):
+        table = {"finite": {"size": 2, "zero": 0, "neg": [1, False],
+                            "plus": [[0, 1], [1, 1]]}}
+        assert refused(tmp_path, capsys, "radical", table)
+
+    def test_boolean_ideal_element_is_refused(self, tmp_path, capsys):
+        spec = {"kind": "quotient", "algebra": CHAIN2_TABLE,
+                "ideal": {"elements": [False]}}
+        assert refused(tmp_path, capsys, "classify", spec)
+
+    def test_boolean_marker_coordinate_is_refused(self, tmp_path, capsys):
+        chang = {"komori": {"m": 1, "r": 1}}
+        spec = {"algebra": {"blocks": [chang, chang]},
+                "ideal_i": {"markers": [{"sub": [True]}, "zero"]},
+                "ideal_j": {"markers": ["zero", {"sub": [1]}]}}
+        assert refused(tmp_path, capsys, "commutator", spec)
+
+    def test_boolean_group_rank_is_refused(self, tmp_path, capsys):
+        assert refused(tmp_path, capsys, "gamma",
+                       {"blocks": [{"rank": True, "unit": [1]}]})

@@ -53,8 +53,7 @@ class TestRegularPushouts:
         sq = square_from_ideals(A, RAD_FIRST, DROP_CHAIN)
         validate_square(sq)
         assert same_morphism(compose(sq.top, sq.right),
-                             compose(sq.left, sq.bottom), mode="sample",
-                             count=150)
+                             compose(sq.left, sq.bottom))
         rep = is_regular_pushout(sq)
         assert rep.ok
         assert rep.kernel_image == rep.bottom_kernel

@@ -211,8 +211,7 @@ class TestPullbacks:
         assert p1(x) == ((0, (5, 7, 9)),)
         assert p2(x) == ((0, (5, 11, 9)),)
         assert same_morphism(compose(p1, q.projection),
-                             compose(p2, q.projection), mode="sample",
-                             count=200)
+                             compose(p2, q.projection))
 
     def test_kernel_pair_of_injection_is_diagonal(self):
         c2 = to_finite(make_chain(2))

@@ -136,8 +136,7 @@ class TestFunctoriality:
         sf = semisimple_map(f)
         eta_a = radical_projection(MIXED)
         eta_b = radical_projection(f.cod)
-        assert same_morphism(compose(eta_a, sf), compose(f, eta_b),
-                             mode="sample", count=200)
+        assert same_morphism(compose(eta_a, sf), compose(f, eta_b))
         assert is_morphism(sf, mode="exhaustive").ok
 
     def test_perfect_map_commutes_with_counits(self):
@@ -145,8 +144,7 @@ class TestFunctoriality:
         pf = perfect_map(f)
         eps_a = perfect_inclusion(MIXED)
         eps_b = perfect_inclusion(f.cod)
-        assert same_morphism(compose(pf, eps_b), compose(eps_a, f),
-                             mode="sample", count=200)
+        assert same_morphism(compose(pf, eps_b), compose(eps_a, f))
 
     def test_functors_preserve_identities(self):
         assert same_morphism(semisimple_map(identity(CHANG)),
@@ -161,11 +159,9 @@ class TestFunctoriality:
         g = radical_projection(f.cod)
         gf = compose(f, g)
         assert same_morphism(semisimple_map(gf),
-                             compose(semisimple_map(f), semisimple_map(g)),
-                             mode="sample", count=150)
+                             compose(semisimple_map(f), semisimple_map(g)))
         assert same_morphism(perfect_map(gf),
-                             compose(perfect_map(f), perfect_map(g)),
-                             mode="sample", count=150)
+                             compose(perfect_map(f), perfect_map(g)))
 
 
 class TestRadicalIndicator:
@@ -262,7 +258,7 @@ class TestFactorizations:
         assert u.exists and u.unique
         assert same_morphism(
             compose(radical_projection(MIXED), u.mediator),
-            radical_projection(MIXED), mode="sample", count=150)
+            radical_projection(MIXED))
 
     def test_unit_factorization_needs_semisimple_codomain(self):
         with pytest.raises(ValueError):
@@ -273,7 +269,7 @@ class TestFactorizations:
         c = counit_factorization(h)
         assert c.exists and c.unique
         assert same_morphism(compose(c.mediator, perfect_inclusion(MIXED)),
-                             h, mode="sample", count=150)
+                             h)
 
     def test_counit_factorization_needs_perfect_domain(self):
         with pytest.raises(ValueError):
@@ -290,8 +286,7 @@ class TestProtoadditivity:
         s = Morphism(CHANG, prod,
                      TuplingBody((identity(CHANG), compose(eta, double)),
                                  ((0, 0), (1, 0))), "section")
-        assert same_morphism(compose(s, p), identity(CHANG), mode="sample",
-                             count=100)
+        assert same_morphism(compose(s, p), identity(CHANG))
         for g in [from_initial(CHANG), identity(CHANG)]:
             report = protoadditivity_check(p, s, g)
             assert report.ok, report
