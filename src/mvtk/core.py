@@ -45,7 +45,7 @@ __all__ = [
     "join",
     "meet",
     "forced_elements",
-    "random_element",
+    "sample_columns",
     "sample_tuples",
     "CheckResult",
     "CheckReport",
@@ -430,9 +430,15 @@ def meet(algebra: Algebra, x, y):
 
 
 # ---------------------------------------------------------------------------
-# element sampling
+# element sampling: a stream of ``count`` tuples is held as one column per
+# variable, in chunks of at most ``_CHUNK`` rows.  A column of a table
+# algebra is an int64 index array; a column of a block product is a
+# :class:`_Rows` matrix with one row per element.
 
 _SAMPLE_BOUND = 8
+# rows per chunk: bounds the memory of a sampled check for any count
+_CHUNK = 4096
+_WORD = 1 << 32
 
 
 def forced_elements(algebra: Algebra):
@@ -451,37 +457,204 @@ def forced_elements(algebra: Algebra):
     return list(dict.fromkeys(out))
 
 
-def random_element(algebra: Algebra, rng: random.Random, bound: int = _SAMPLE_BOUND):
-    if isinstance(algebra, FiniteAlgebra):
-        return rng.randrange(algebra.size)
-    out = []
-    for b in algebra.blocks:
-        if isinstance(b, Chain):
-            out.append(rng.randint(0, b.m))
-        else:
-            a = rng.randint(0, b.m)
-            if a == 0:
-                bv = tuple(rng.randint(0, bound) for _ in range(b.r))
-            elif a == b.m:
-                bv = tuple(rng.randint(-bound, 0) for _ in range(b.r))
+class _Rows:
+    """Elements of a block product as the rows of an int64 matrix, block
+    by block: the height of a chain block, the height and then the r
+    coefficients of a Komori block.  ``==`` compares whole rows."""
+
+    __slots__ = ("a",)
+    __hash__ = None
+
+    def __init__(self, a):
+        self.a = a
+
+    def __eq__(self, other):
+        return (self.a == other.a).all(axis=-1)
+
+    def __getitem__(self, rows):
+        return _Rows(self.a[rows])
+
+
+def _words(rng: random.Random, n: int):
+    return np.frombuffer(rng.randbytes(4 * n), "<u4").astype(np.int64)
+
+
+def _uniform(rng: random.Random, widths):
+    """One uniform draw from ``range(w)`` for each entry w (1 <= w <= 2**32)
+    of ``widths``: exact rejection sampling on 32-bit words of
+    ``rng.randbytes``, redrawing the rejected entries in order."""
+    widths = np.asarray(widths, np.int64)
+    words = _words(rng, widths.size).reshape(widths.shape)
+    limit = _WORD - _WORD % widths
+    rejected = words >= limit
+    while rejected.any():
+        words[rejected] = _words(rng, int(rejected.sum()))
+        rejected = words >= limit
+    return words % widths
+
+
+class _TableColumns:
+    """Columns of a table algebra: int64 arrays of element indices."""
+
+    def __init__(self, table: FiniteAlgebra):
+        self.table = table
+        self.forced = np.array(forced_elements(table), np.int64)
+
+    def view(self):
+        return table_view(self.table)
+
+    def column(self, raw):
+        return raw
+
+    def draw(self, n: int, rng: random.Random, bound: int):
+        return _uniform(rng, np.full(n, self.table.size))
+
+    def decode(self, column):
+        """The elements of ``column``, as Python ints."""
+        return column.tolist()
+
+
+class _BlockColumns:
+    """Columns of a block product: :class:`_Rows`.  Per matrix column it
+    keeps the bound m of its block (``cap``) and the column of that
+    block's height (``head``)."""
+
+    def __init__(self, algebra: SymbolicAlgebra):
+        self.blocks = algebra.blocks
+        cap, head, is_height = [], [], []
+        for b in self.blocks:
+            width = 1 if isinstance(b, Chain) else 1 + b.r
+            cap += [b.m] * width
+            head += [len(head)] * width
+            is_height += [True] + [False] * (width - 1)
+        self.cap = np.array(cap, np.int64)
+        self.head = np.array(head, np.intp)
+        self.is_height = np.array(is_height, bool)
+        self.heights = np.flatnonzero(self.is_height)
+        self.coefs = np.flatnonzero(~self.is_height)
+        self.forced = self.encode(forced_elements(algebra))
+
+    def view(self):
+        """``plus`` and ``neg`` of every block at once, truncating like
+        :func:`_block_plus` column by column."""
+        cap, head, is_height = self.cap, self.head, self.is_height
+        top = np.where(is_height, cap, 0)
+
+        def plus(x, y):
+            s = x.a + y.a
+            a = s[:, head]
+            low = np.where(is_height, cap, np.minimum(s, 0) * (a == cap))
+            return _Rows(np.where(a < cap, s, low))
+
+        def neg(x):
+            return _Rows(top - x.a)
+
+        zero = _Rows(self.forced[:1])
+        return SimpleNamespace(zero=zero, one=neg(zero), plus=plus, neg=neg)
+
+    def column(self, raw):
+        return _Rows(raw)
+
+    def draw(self, n: int, rng: random.Random, bound: int):
+        """All heights first, each uniform in [0, m], then all
+        coefficients, each uniform in [0, bound] at height 0, in
+        [-bound, 0] at height m and in [-bound, bound] in between."""
+        out = np.empty((n, self.cap.size), np.int64)
+        out[:, self.heights] = _uniform(rng, np.broadcast_to(
+            self.cap[self.heights] + 1, (n, self.heights.size)))
+        if self.coefs.size:
+            a = out[:, self.head[self.coefs]]
+            m = self.cap[self.coefs]
+            width = np.where((a > 0) & (a < m), 2 * bound + 1, bound + 1)
+            out[:, self.coefs] = (_uniform(rng, width)
+                                  + np.where(a == 0, 0, -bound))
+        return out
+
+    def encode(self, elems):
+        rows = [[v for b, x in zip(self.blocks, e)
+                 for v in ((x,) if isinstance(b, Chain) else (x[0], *x[1]))]
+                for e in elems]
+        return np.array(rows, np.int64).reshape(len(elems), self.cap.size)
+
+    def decode(self, column):
+        """The elements of ``column``, as tuples of Python ints."""
+        parts, at = [], 0
+        for b in self.blocks:
+            if isinstance(b, Chain):
+                parts.append((at, None))
+                at += 1
             else:
-                bv = tuple(rng.randint(-bound, bound) for _ in range(b.r))
-            out.append((a, bv))
-    return tuple(out)
+                parts.append((at, at + 1 + b.r))
+                at += 1 + b.r
+        return [tuple(row[i] if end is None else (row[i], tuple(row[i + 1:end]))
+                      for i, end in parts)
+                for row in column.a.tolist()]
+
+
+def _columns_of(algebra: Algebra, count: int, bound: int):
+    """The column form of ``algebra``, once ``count`` and ``bound`` are
+    known to give a stream."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    if isinstance(algebra, FiniteAlgebra):
+        return _TableColumns(algebra)
+    if any(b.m + 1 > _WORD or isinstance(b, Komori) and 2 * bound + 1 > _WORD
+           for b in algebra.blocks):
+        raise ValueError("sampling draws from at most 2**32 values per "
+                         "coordinate")
+    return _BlockColumns(algebra)
+
+
+def _chunks(form, arity: int, count: int, rng: random.Random, bound: int):
+    forced, f = form.forced, len(form.forced)
+    prefix = min(f ** arity, count)
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
+        cut = max(lo, min(hi, prefix))
+        combos = np.arange(lo, cut)
+        columns = [forced[combos // f ** (arity - 1 - k) % f]
+                   for k in range(arity)]
+        drawn = hi - cut
+        if drawn:
+            # the draws of every variable at once, variable after variable
+            fresh = form.draw(drawn * arity, rng, bound)
+            columns = [np.concatenate([c, fresh[k * drawn:(k + 1) * drawn]])
+                       for k, c in enumerate(columns)]
+        yield hi - lo, [form.column(c) for c in columns]
+
+
+def sample_columns(algebra: Algebra, arity: int, count: int, rng: random.Random,
+                   bound: int = _SAMPLE_BOUND):
+    """The sample stream of ``count`` tuples of ``algebra``, as chunks
+    ``(rows, columns)`` of at most ``_CHUNK`` rows with one column per
+    variable: an int64 index array for a table algebra, :class:`_Rows`
+    for a block product.
+
+    The first rows are the combinations of :func:`forced_elements` in
+    ``itertools.product`` order, at most ``count`` of them.  The other
+    rows of a chunk are uniform draws, all variables' at once, variable
+    after variable: each height uniform in [0, m], each Komori
+    coefficient uniform in [0, bound] at height 0, [-bound, 0] at height
+    m and [-bound, bound] in between, by exact rejection sampling on
+    32-bit words of ``rng.randbytes``.  A negative ``count`` or ``bound``
+    is a ValueError.
+    """
+    return _chunks(_columns_of(algebra, count, bound), arity, count, rng,
+                   bound)
 
 
 def sample_tuples(algebra: Algebra, arity: int, count: int, rng: random.Random,
                   bound: int = _SAMPLE_BOUND):
-    """Deterministic stream of element tuples: all combinations of forced
-    elements first (capped), then random draws up to ``count``."""
-    seen = 0
-    forced = forced_elements(algebra)
-    for combo in itertools.islice(itertools.product(forced, repeat=arity), count):
-        yield combo
-        seen += 1
-    while seen < count:
-        yield tuple(random_element(algebra, rng, bound) for _ in range(arity))
-        seen += 1
+    """The stream of :func:`sample_columns` decoded row by row into
+    element tuples: all combinations of forced elements first (capped),
+    then uniform draws up to ``count``."""
+    form = _columns_of(algebra, count, bound)
+    for rows, columns in _chunks(form, arity, count, rng, bound):
+        decoded = [form.decode(c) for c in columns]
+        for i in range(rows):
+            yield tuple(d[i] for d in decoded)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +668,11 @@ class CheckResult:
 
     ``checked`` counts the tuples decided: every tuple when the identity
     holds, otherwise the tuples up to and including ``witness``, in
-    lexicographic order when exhaustive and in stream order when sampled.
-    An exhaustive identity that does not read one of its variables is
+    lexicographic order when exhaustive and in the order of the
+    :func:`sample_columns` stream when sampled, where the witness is the
+    first failing row, decoded to elements.  A sampled identity that
+    reads no variable (arity 0) holds on all ``count`` rows or fails at
+    the first, with witness ``()``.  An exhaustive identity that does not read one of its variables is
     decided once per tuple of the variables it reads, and that tuple is
     its witness and counts for every value of the others.  So the Pixley
     identities r(x, x, z) = z, r(x, y, y) = x and r(x, y, x) = x, stated
@@ -557,30 +733,30 @@ def run_checks(checks, tuples, subject: str, mode: str) -> CheckReport:
     return CheckReport(subject, mode, tuple(results))
 
 
-def seeded_samples(algebra: Algebra, count: int, bound: int, seed):
-    """Streams for :func:`run_checks` that draw ``count`` tuples per check
-    from a generator seeded ``"{seed}:{name}"``."""
-    return lambda name, arity: sample_tuples(
-        algebra, arity, count, random.Random(f"{seed}:{name}"), bound)
+def table_view(table: FiniteAlgebra) -> SimpleNamespace:
+    """``table`` with ``plus`` and ``neg`` gathering along numpy index
+    arrays, so an identity or derived operation written over an algebra
+    evaluates on whole index arrays at once."""
+    neg_t, plus_t = table.tables()
+    return SimpleNamespace(zero=table.zero, one=int(neg_t[table.zero]),
+                           neg=lambda x: neg_t[x],
+                           plus=lambda x, y: plus_t[x, y])
 
 
 def grid_checks(algebra: Algebra, checks, subject: str) -> CheckReport:
     """Decide each identity of ``checks(view)`` on every tuple at once.
 
-    ``view`` is ``to_finite(algebra)`` with ``plus`` and ``neg`` gathering
-    along numpy index arrays, so each predicate is called once, with one
-    broadcast index grid per variable; memory is O(n**arity).  The first
-    False in C order is the lexicographically first failing tuple;
-    witnesses are elements of ``algebra``.
+    ``view`` is :func:`table_view` of ``to_finite(algebra)``, so each
+    predicate is called once, with one broadcast index grid per variable;
+    memory is O(n**arity).  The first False in C order is the
+    lexicographically first failing tuple; witnesses are elements of
+    ``algebra``.
     """
     table = to_finite(algebra)
     n = table.size
     elems = elements(algebra)
-    neg_t, plus_t = table.tables()
-    view = SimpleNamespace(zero=table.zero, neg=lambda x: neg_t[x],
-                           plus=lambda x, y: plus_t[x, y])
     results = []
-    for name, arity, pred in checks(view):
+    for name, arity, pred in checks(table_view(table)):
         held = np.asarray(pred(*np.ix_(*[np.arange(n)] * arity)))
         first = int(held.argmin())
         if held.flat[first]:
@@ -592,6 +768,36 @@ def grid_checks(algebra: Algebra, checks, subject: str) -> CheckReport:
         settles = n ** (arity - len(read))
         results.append(CheckResult(name, False, witness, (first + 1) * settles))
     return CheckReport(subject, "exhaustive", tuple(results))
+
+
+def sample_checks(algebra: Algebra, checks, subject: str, count: int,
+                  bound: int, stream_seed) -> CheckReport:
+    """Decide each identity of ``checks(view)`` on the :func:`sample_columns`
+    stream of ``count`` tuples seeded ``stream_seed(name)``.
+
+    ``view`` is :func:`table_view` of a table algebra and acts on whole
+    columns of a block product otherwise, so each predicate is called
+    once per chunk of the stream.  The first False in stream order is the
+    witness, decoded to elements of ``algebra``, and ``checked`` is its
+    position.  Identities that share a seed share their stream.
+    """
+    form = _columns_of(algebra, count, bound)
+    results = []
+    for name, arity, pred in checks(form.view()):
+        witness, checked = None, 0
+        rng = random.Random(stream_seed(name))
+        for rows, columns in _chunks(form, arity, count, rng, bound):
+            # an identity that reads no variable holds or fails at once
+            held = np.asarray(pred(*columns)).ravel()
+            first = int(held.argmin())
+            if not held[first]:
+                witness = tuple(form.decode(c[first:first + 1])[0]
+                                for c in columns)
+                checked += first + 1
+                break
+            checked += rows
+        results.append(CheckResult(name, witness is None, witness, checked))
+    return CheckReport(subject, "sample", tuple(results))
 
 
 AXIOM_NAMES = (
@@ -656,16 +862,17 @@ def _lattice_checks(A: Algebra):
 def _check_identities(algebra, checks, subject, mode, count, bound, seed):
     if resolve_mode(algebra, mode) == "exhaustive":
         return grid_checks(algebra, checks, subject)
-    return run_checks(checks(algebra), seeded_samples(algebra, count, bound, seed),
-                      subject, "sample")
+    return sample_checks(algebra, checks, subject, count, bound,
+                         lambda name: f"{seed}:{name}")
 
 
 def check_axioms(algebra: Algebra, mode: str = "exhaustive", count: int = 2000,
                  bound: int = _SAMPLE_BOUND, seed: int = 0) -> CheckReport:
     """Verify the six defining identities.
 
-    Exhaustive mode needs a finite carrier.  Sample mode draws ``count``
-    tuples per identity, always including 0, 1 and per-block
+    Exhaustive mode needs a finite carrier.  Sample mode checks each
+    identity on the :func:`sample_columns` stream of ``count`` tuples
+    seeded ``"{seed}:{name}"``, always including 0, 1 and per-block
     infinitesimals, with coefficients bounded by ``bound``.  ``"auto"``
     picks by :func:`resolve_mode`.
     """

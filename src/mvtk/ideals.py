@@ -31,6 +31,7 @@ from .core import (
     ominus,
     oplus,
     otimes,
+    table_view,
 )
 
 __all__ = [
@@ -213,9 +214,9 @@ def generated_ideal(algebra: Algebra, generators) -> Ideal:
         if not algebra.contains(g):
             raise ValueError(f"not an element: {g!r}")
     if isinstance(algebra, FiniteAlgebra):
-        negt, plust = algebra.tables()
-        # z <= x iff neg(neg z + x) == 0
-        below = negt[plust[negt[:, None], np.arange(algebra.size)[None, :]]] == 0
+        _, plust = algebra.tables()
+        grid = np.arange(algebra.size)
+        below = leq(table_view(algebra), grid[:, None], grid[None, :])
         member = np.zeros(algebra.size, dtype=bool)
         member[algebra.zero] = True
         for g in generators:

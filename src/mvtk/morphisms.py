@@ -40,6 +40,7 @@ are the construction specs :class:`ElemTableBody`,
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 from .core import (
@@ -54,7 +55,7 @@ from .core import (
     initial_algebra,
     resolve_mode,
     run_checks,
-    seeded_samples,
+    sample_tuples,
     terminal_algebra,
     to_finite,
 )
@@ -488,7 +489,9 @@ def is_morphism(m: Morphism, mode: str = "auto", count: int = 400,
         def tuples(name, arity):
             return itertools.product(elements(A), repeat=arity)
     else:
-        tuples = seeded_samples(A, count, bound, seed)
+        def tuples(name, arity):
+            return sample_tuples(A, arity, count,
+                                 random.Random(f"{seed}:{name}"), bound)
     return run_checks(checks, tuples, "morphism", mode)
 
 

@@ -13,7 +13,6 @@ bijective exactly when the induced restriction between kernels is.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .catalog import chain_product_catalog
@@ -30,8 +29,7 @@ from .core import (
     oplus,
     otimes,
     resolve_mode,
-    run_checks,
-    sample_tuples,
+    sample_checks,
     to_finite,
 )
 from .ideals import all_ideals, ideal_elements, ideal_leq
@@ -71,10 +69,8 @@ def verify_protomodularity(algebra: Algebra, mode: str = "auto",
     if resolve_mode(algebra, mode) == "exhaustive":
         table = to_finite(algebra)
         return grid_checks(table, _recovery_checks, describe(table))
-    rng = random.Random(f"{seed}:protomodularity")
-    samples = sample_tuples(algebra, 2, count, rng, bound=bound)
-    return run_checks(_recovery_checks(algebra), lambda name, arity: samples,
-                      describe(algebra), "sample")
+    return sample_checks(algebra, _recovery_checks, describe(algebra), count,
+                         bound, lambda name: f"{seed}:protomodularity")
 
 
 def _pixley(algebra: Algebra, x, y, z):
@@ -104,10 +100,8 @@ def verify_pixley(algebra: Algebra, mode: str = "auto", count: int = 2000,
     if resolve_mode(algebra, mode) == "exhaustive":
         table = to_finite(algebra)
         return grid_checks(table, _pixley_checks, describe(table))
-    rng = random.Random(f"{seed}:pixley")
-    samples = list(sample_tuples(algebra, 3, count, rng, bound=bound))
-    return run_checks(_pixley_checks(algebra), lambda name, arity: samples,
-                      describe(algebra), "sample")
+    return sample_checks(algebra, _pixley_checks, describe(algebra), count,
+                         bound, lambda name: f"{seed}:pixley")
 
 
 @dataclass(frozen=True)

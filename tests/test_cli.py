@@ -292,3 +292,21 @@ class TestStrictIntegers:
     def test_boolean_group_rank_is_refused(self, tmp_path, capsys):
         assert refused(tmp_path, capsys, "gamma",
                        {"blocks": [{"rank": True, "unit": [1]}]})
+
+
+class TestSamplingArguments:
+    """A negative sample count or coefficient bound is refused with one
+    line naming the argument."""
+
+    @pytest.mark.parametrize("args, message", [
+        (("check-axioms", "--bound", "-1"), "error: bound must be >= 0, got -1"),
+        (("check-axioms", "--count", "-5"), "error: count must be >= 0, got -5"),
+        (("terms", "--bound", "-2"), "error: bound must be >= 0, got -2"),
+    ], ids=["check-axioms-bound", "check-axioms-count", "terms-bound"])
+    def test_negative_value_is_refused(self, capsys, args, message):
+        command, *options = args
+        code = main([command, fx("chang.json"), *options])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.err == message + "\n"
+        assert not out.out

@@ -1,6 +1,8 @@
-"""Element arithmetic, axiom checking, and hom enumeration."""
+"""Element arithmetic, sampling, axiom checking, and hom enumeration."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,7 @@ from mvtk import (
     to_finite,
     to_terminal,
 )
+from mvtk.core import _CHUNK, _uniform, sample_columns, sample_tuples
 
 import random
 
@@ -252,3 +255,86 @@ class TestPropertyLaws:
     def test_order_antisymmetric(self, x, y):
         if leq(CHANG, x, y) and leq(CHANG, y, x):
             assert x == y
+
+
+class TestSampler:
+    ALGEBRAS = [product([make_komori(1, 1), make_chain(2), make_komori(2, 2)]),
+                make_komori(3, 3), make_chain(4), to_finite(make_chain(5)),
+                terminal_algebra()]
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS, ids=describe)
+    def test_every_draw_is_an_element(self, algebra):
+        for arity in (1, 3):
+            for row in sample_tuples(algebra, arity, 300, random.Random(1),
+                                     bound=3):
+                assert len(row) == arity
+                assert all(algebra.contains(x) for x in row)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS, ids=describe)
+    def test_forced_combinations_come_first(self, algebra):
+        forced = forced_elements(algebra)
+        for arity, count in ((2, 100), (3, 20)):
+            rows = list(sample_tuples(algebra, arity, count, random.Random(2)))
+            combos = list(itertools.islice(
+                itertools.product(forced, repeat=arity), count))
+            assert len(rows) == count
+            assert rows[:len(combos)] == combos
+
+    def test_same_seed_same_columns(self):
+        algebra = self.ALGEBRAS[0]
+        first, second = (list(sample_columns(algebra, 3, 2 * _CHUNK + 7,
+                                             random.Random("s:x")))
+                         for _ in range(2))
+        assert [rows for rows, _ in first] == [_CHUNK, _CHUNK, 7]
+        for (_, left), (_, right) in zip(first, second):
+            assert all((a.a == b.a).all() for a, b in zip(left, right))
+        other = list(sample_columns(algebra, 3, 2 * _CHUNK + 7,
+                                    random.Random("s:y")))
+        assert any((a.a != b.a).any() for a, b in zip(first[0][1], other[0][1]))
+
+    def test_every_value_of_a_small_range_is_hit(self):
+        algebra = product([make_komori(2, 1), make_chain(3)])
+        seen = {}
+        for ((a, (t,)), c), in sample_tuples(algebra, 1, 3000,
+                                             random.Random(3), bound=2):
+            seen.setdefault(a, set()).add(t)
+            seen.setdefault("chain", set()).add(c)
+        assert seen == {0: {0, 1, 2}, 1: {-2, -1, 0, 1, 2}, 2: {-2, -1, 0},
+                        "chain": {0, 1, 2, 3}}
+        table = to_finite(make_chain(6))
+        drawn = {x for (x,) in sample_tuples(table, 1, 500, random.Random(4))}
+        assert drawn == set(range(7))
+
+    def test_rejected_words_are_drawn_again(self):
+        class Words:
+            def __init__(self, words):
+                self.words = list(words)
+
+            def randbytes(self, n):
+                out, self.words = self.words[:n // 4], self.words[n // 4:]
+                return b"".join(w.to_bytes(4, "little") for w in out)
+
+        # 2**32 % 3 == 1, so the top word would favour 0: it is redrawn
+        rng = Words([2 ** 32 - 1, 7, 2 ** 32 - 2])
+        assert _uniform(rng, [3, 3]).tolist() == [(2 ** 32 - 2) % 3, 7 % 3]
+        assert rng.words == []
+
+    def test_refused_arguments(self):
+        for count, bound, algebra in ((-1, 8, CHANG), (10, -1, CHANG),
+                                      (10, 2 ** 31, CHANG),
+                                      (10, 8, make_chain(2 ** 32))):
+            with pytest.raises(ValueError):
+                sample_columns(algebra, 2, count, random.Random(0), bound)
+
+    def test_sampled_checks_never_import_numpy_random(self):
+        code = ("import sys\n"
+                "from mvtk import check_axioms, make_chain, make_komori, "
+                "product, verify_pixley\n"
+                "a = product([make_komori(2, 2), make_chain(3)])\n"
+                "assert check_axioms(a, mode='sample', count=500).ok\n"
+                "assert verify_pixley(a, mode='sample', count=500).ok\n"
+                "print('numpy.random' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

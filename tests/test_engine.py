@@ -1,19 +1,25 @@
-"""The grid evaluator against the tuple-streaming runner.
+"""The array evaluators against the tuple-streaming runner.
 
 Exhaustive identity checks evaluate each identity once on index grids of
-the table.  The runner feeds the same identity definitions one element
-tuple at a time, in the lexicographic order of ``elements``, and is the
-reference: both must report the same ``ok``, ``witness`` and ``checked``
-on every catalog table, on corrupted copies of it, and on a block algebra
-whose addition is broken.
+the table, and sampled checks once per chunk of sample columns.  The
+runner feeds the same identity definitions one element tuple at a time,
+in the lexicographic order of ``elements`` or in the order of the decoded
+sample stream, and is the reference: both must report the same ``ok``,
+``witness`` and ``checked`` on catalog tables, on corrupted copies of
+them, on random block algebras, and on a block algebra whose addition is
+broken.  Batched block addition and negation are held to the scalar
+block operations.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvtk import (
+    Chain,
+    Komori,
     SymbolicAlgebra,
     chain_product_catalog,
     check_axioms,
@@ -24,17 +30,24 @@ from mvtk import (
     make_chain,
     make_finite,
     product,
+    random_block_algebra,
+    sample_tuples,
     to_finite,
     verify_pixley,
     verify_protomodularity,
 )
+from mvtk import core
 from mvtk.core import (
     _axiom_checks,
+    _BlockColumns,
+    _block_neg,
+    _block_plus,
     _derived_checks,
     _lattice_checks,
+    _Rows,
     run_checks,
 )
-from mvtk.terms import _recovery_checks
+from mvtk.terms import _pixley_checks, _recovery_checks
 
 CATALOG = chain_product_catalog(30)
 
@@ -123,3 +136,128 @@ def test_pixley_fails_at_a_pair_and_counts_triples():
     assert first.checked == 3 * 4
     assert [r.checked for r in report.results if r.ok] \
         == [64] * (len(report.results) - len(report.failures()))
+
+
+# ---------------------------------------------------------------------------
+# batched block operations against the scalar ones
+
+BLOCKS = st.one_of(
+    st.integers(1, 6).map(Chain),
+    st.tuples(st.integers(1, 4), st.integers(1, 3)).map(lambda p: Komori(*p)))
+
+
+@st.composite
+def block_value(draw, block):
+    if isinstance(block, Chain):
+        return draw(st.integers(0, block.m))
+    a = draw(st.integers(0, block.m))
+    low = 0 if a == 0 else -9
+    high = 0 if a == block.m else 9
+    coefs = draw(st.lists(st.integers(low, high), min_size=block.r,
+                          max_size=block.r))
+    return (a, tuple(coefs))
+
+
+@st.composite
+def algebra_and_elements(draw):
+    algebra = SymbolicAlgebra(draw(st.lists(BLOCKS, min_size=1, max_size=3)))
+    value = st.tuples(*[block_value(b) for b in algebra.blocks])
+    elems = draw(st.lists(value, min_size=1, max_size=6))
+    # sums with the top reach the bound m (from zero) or pass it
+    return algebra, elems + [algebra.zero, algebra.one]
+
+
+@given(algebra_and_elements())
+@settings(max_examples=150, deadline=None)
+def test_batched_block_operations_match_scalar_ones(case):
+    algebra, elems = case
+    form = _BlockColumns(algebra)
+    view = form.view()
+    pairs = list(itertools.product(elems, repeat=2))
+    xs = _Rows(form.encode([x for x, _ in pairs]))
+    ys = _Rows(form.encode([y for _, y in pairs]))
+    sums, negs = view.plus(xs, ys), view.neg(xs)
+    assert form.decode(sums) == [
+        tuple(_block_plus(b, u, v) for b, u, v in zip(algebra.blocks, x, y))
+        for x, y in pairs]
+    assert form.decode(negs) == [
+        tuple(_block_neg(b, u) for b, u in zip(algebra.blocks, x))
+        for x, _ in pairs]
+    assert (xs == ys).tolist() == [x == y for x, y in pairs]
+
+
+# ---------------------------------------------------------------------------
+# the sampled evaluator against the runner over decoded samples
+
+
+def sampled_runner_report(algebra, checks, count, bound, stream_seed):
+    def tuples(name, arity):
+        return sample_tuples(algebra, arity, count,
+                             random.Random(stream_seed(name)), bound)
+    return run_checks(checks(algebra), tuples, "reference", "sample")
+
+
+def assert_sampled_agree(algebra, count, seed, bound=3):
+    """Every sampled bank against the runner; Pixley's three identities
+    share one stream."""
+    options = dict(mode="sample", count=count, bound=bound, seed=seed)
+    banks = [(check_axioms(algebra, **options), _axiom_checks,
+              lambda name: f"{seed}:{name}"),
+             (check_derived_identities(algebra, **options), _derived_checks,
+              lambda name: f"{seed}:{name}"),
+             (check_lattice_identities(algebra, **options), _lattice_checks,
+              lambda name: f"{seed}:{name}"),
+             (verify_protomodularity(algebra, **options), _recovery_checks,
+              lambda name: f"{seed}:protomodularity"),
+             (verify_pixley(algebra, **options), _pixley_checks,
+              lambda name: f"{seed}:pixley")]
+    failures = 0
+    for batched, checks, stream_seed in banks:
+        assert batched.mode == "sample"
+        reference = sampled_runner_report(algebra, checks, count, bound,
+                                          stream_seed)
+        assert fields(batched) == fields(reference)
+        failures += len(batched.failures())
+    return failures
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 16 rows, so streams and witnesses cross chunk borders."""
+    monkeypatch.setattr(core, "_CHUNK", 16)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampled_block_algebras(seed):
+    algebra = random_block_algebra(random.Random(seed))
+    assert assert_sampled_agree(algebra, 120, seed) == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampled_block_algebras_in_small_chunks(seed, small_chunks):
+    algebra = random_block_algebra(random.Random(seed))
+    assert assert_sampled_agree(algebra, 120, seed) == 0
+
+
+def test_sampled_tables_and_corruptions(small_chunks):
+    failures = 0
+    for algebra in CATALOG:
+        table = to_finite(algebra)
+        if not 2 <= table.size <= 8:
+            continue
+        assert assert_sampled_agree(table, 60, 1) == 0
+        for bad in corruptions(table, f"sampled:{describe(algebra)}"):
+            failures += assert_sampled_agree(bad, 60, 2)
+    # corrupted tables are where witnesses appear
+    assert failures >= 100
+
+
+def test_sampled_identity_without_variables():
+    table = to_finite(make_chain(3))
+    neg = list(table.neg_row)
+    neg[table.one] = 1
+    bad = make_finite(neg, table.plus_rows, table.zero)
+    first = check_derived_identities(bad, mode="sample", count=30).results[0]
+    assert (first.name, first.ok, first.witness, first.checked) \
+        == ("neg_one_is_zero", False, (), 1)
+    assert assert_sampled_agree(bad, 30, 0) > 0

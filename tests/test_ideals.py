@@ -215,3 +215,16 @@ class TestRieszSplit:
         b, c = riesz_split(CHANG, xe, ye, ze)
         assert leq(CHANG, b, ye) and leq(CHANG, c, ze)
         assert oplus(CHANG, b, c) == xe
+
+
+@pytest.mark.parametrize("algebra", chain_product_catalog(30), ids=describe)
+def test_generated_ideals_of_the_table_match_the_markers(algebra):
+    """The table's order relation and the block markers give the same
+    principal ideals."""
+    table = to_finite(algebra)
+    elems = elements(algebra)
+    index = {x: i for i, x in enumerate(elems)}
+    for i, x in enumerate(elems):
+        symbolic = generated_ideal(algebra, [x])
+        assert generated_ideal(table, [i]).elements \
+            == {index[y] for y in ideal_elements(algebra, symbolic)}
