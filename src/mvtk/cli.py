@@ -3,12 +3,16 @@
 Every subcommand reads a JSON description, prints a JSON report (sorted
 keys, so byte-identical under a fixed seed), and exits 0 on success, 1
 when a check or an ``--expect`` assertion fails, 2 on malformed input.
+A reader that closes stdout before the report is written, such as
+``mvtk gamma group.json | head -1``, ends the command with exit 1 and no
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -343,7 +347,16 @@ def main(argv=None) -> int:
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the interpreter flushes stdout again at exit; devnull takes
+            # what is left so that flush cannot fail as well
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
     return 0 if ok else 1
 
 

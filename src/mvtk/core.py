@@ -9,6 +9,10 @@ through markers or sampling rather than enumeration.
 Elements of a symbolic algebra are tuples with one entry per block: an int
 for a chain block, an ``(a, bvec)`` pair for a Komori block.  The terminal
 algebra is the empty product; its only element is ``()``.
+
+numpy is imported inside the functions that build a table's arrays, an
+exhaustive grid or a sampled stream, so work on symbolic algebras never
+loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from types import SimpleNamespace
-
-import numpy as np
 
 __all__ = [
     "Chain",
@@ -277,6 +279,8 @@ class FiniteAlgebra:
     def tables(self):
         """(neg, plus) as numpy arrays, cached."""
         if self._np is None:
+            import numpy as np
+
             object.__setattr__(
                 self,
                 "_np",
@@ -476,6 +480,8 @@ class _Rows:
 
 
 def _words(rng: random.Random, n: int):
+    import numpy as np
+
     return np.frombuffer(rng.randbytes(4 * n), "<u4").astype(np.int64)
 
 
@@ -483,6 +489,8 @@ def _uniform(rng: random.Random, widths):
     """One uniform draw from ``range(w)`` for each entry w (1 <= w <= 2**32)
     of ``widths``: exact rejection sampling on 32-bit words of
     ``rng.randbytes``, redrawing the rejected entries in order."""
+    import numpy as np
+
     widths = np.asarray(widths, np.int64)
     words = _words(rng, widths.size).reshape(widths.shape)
     limit = _WORD - _WORD % widths
@@ -497,6 +505,8 @@ class _TableColumns:
     """Columns of a table algebra: int64 arrays of element indices."""
 
     def __init__(self, table: FiniteAlgebra):
+        import numpy as np
+
         self.table = table
         self.forced = np.array(forced_elements(table), np.int64)
 
@@ -507,6 +517,8 @@ class _TableColumns:
         return raw
 
     def draw(self, n: int, rng: random.Random, bound: int):
+        import numpy as np
+
         return _uniform(rng, np.full(n, self.table.size))
 
     def decode(self, column):
@@ -520,6 +532,8 @@ class _BlockColumns:
     block's height (``head``)."""
 
     def __init__(self, algebra: SymbolicAlgebra):
+        import numpy as np
+
         self.blocks = algebra.blocks
         cap, head, is_height = [], [], []
         for b in self.blocks:
@@ -537,6 +551,8 @@ class _BlockColumns:
     def view(self):
         """``plus`` and ``neg`` of every block at once, truncating like
         :func:`_block_plus` column by column."""
+        import numpy as np
+
         cap, head, is_height = self.cap, self.head, self.is_height
         top = np.where(is_height, cap, 0)
 
@@ -559,6 +575,8 @@ class _BlockColumns:
         """All heights first, each uniform in [0, m], then all
         coefficients, each uniform in [0, bound] at height 0, in
         [-bound, 0] at height m and in [-bound, bound] in between."""
+        import numpy as np
+
         out = np.empty((n, self.cap.size), np.int64)
         out[:, self.heights] = _uniform(rng, np.broadcast_to(
             self.cap[self.heights] + 1, (n, self.heights.size)))
@@ -571,6 +589,8 @@ class _BlockColumns:
         return out
 
     def encode(self, elems):
+        import numpy as np
+
         rows = [[v for b, x in zip(self.blocks, e)
                  for v in ((x,) if isinstance(b, Chain) else (x[0], *x[1]))]
                 for e in elems]
@@ -591,13 +611,19 @@ class _BlockColumns:
                 for row in column.a.tolist()]
 
 
-def _columns_of(algebra: Algebra, count: int, bound: int):
-    """The column form of ``algebra``, once ``count`` and ``bound`` are
-    known to give a stream."""
+def check_sample_args(count: int, bound: int) -> None:
+    """Refuse a negative sample ``count`` or coefficient ``bound`` with a
+    ValueError naming it."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
+
+
+def _columns_of(algebra: Algebra, count: int, bound: int):
+    """The column form of ``algebra``, once ``count`` and ``bound`` are
+    known to give a stream."""
+    check_sample_args(count, bound)
     if isinstance(algebra, FiniteAlgebra):
         return _TableColumns(algebra)
     if any(b.m + 1 > _WORD or isinstance(b, Komori) and 2 * bound + 1 > _WORD
@@ -608,6 +634,8 @@ def _columns_of(algebra: Algebra, count: int, bound: int):
 
 
 def _chunks(form, arity: int, count: int, rng: random.Random, bound: int):
+    import numpy as np
+
     forced, f = form.forced, len(form.forced)
     prefix = min(f ** arity, count)
     for lo in range(0, count, _CHUNK):
@@ -752,6 +780,8 @@ def grid_checks(algebra: Algebra, checks, subject: str) -> CheckReport:
     lexicographically first failing tuple; witnesses are elements of
     ``algebra``.
     """
+    import numpy as np
+
     table = to_finite(algebra)
     n = table.size
     elems = elements(algebra)
@@ -781,6 +811,8 @@ def sample_checks(algebra: Algebra, checks, subject: str, count: int,
     witness, decoded to elements of ``algebra``, and ``checked`` is its
     position.  Identities that share a seed share their stream.
     """
+    import numpy as np
+
     form = _columns_of(algebra, count, bound)
     results = []
     for name, arity, pred in checks(form.view()):

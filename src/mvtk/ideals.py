@@ -15,8 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     Algebra,
     Chain,
@@ -214,6 +212,8 @@ def generated_ideal(algebra: Algebra, generators) -> Ideal:
         if not algebra.contains(g):
             raise ValueError(f"not an element: {g!r}")
     if isinstance(algebra, FiniteAlgebra):
+        import numpy as np
+
         _, plust = algebra.tables()
         grid = np.arange(algebra.size)
         below = leq(table_view(algebra), grid[:, None], grid[None, :])

@@ -17,6 +17,7 @@ from .core import (
     CheckReport,
     Komori,
     SymbolicAlgebra,
+    check_sample_args,
     join as alg_join,
     leq as alg_leq,
     run_checks,
@@ -147,7 +148,9 @@ def random_group_element(group: LexGroup, rng: random.Random,
 def group_laws_check(group: LexGroup, count: int = 400, bound: int = 8,
                      seed: int = 0) -> CheckReport:
     """Sampled abelian-group and lattice laws, plus their compatibility
-    (translation invariance) and positivity of absolute values."""
+    (translation invariance) and positivity of absolute values.  A
+    negative ``count`` or ``bound`` is a ValueError."""
+    check_sample_args(count, bound)
     rng = random.Random(f"{seed}:group_laws")
     zero = group_zero(group)
     laws = (
@@ -317,7 +320,9 @@ def _random_interval_element(group: LexGroup, unit, rng: random.Random,
 def gamma_ops_agree(group: LexGroup, count: int = 400, bound: int = 6,
                     seed: int = 0) -> CheckReport:
     """Sampled agreement between interval arithmetic in the group and the
-    block-algebra operations: truncated sum, reflection, order, join."""
+    block-algebra operations: truncated sum, reflection, order, join.
+    A negative ``count`` or ``bound`` is a ValueError."""
+    check_sample_args(count, bound)
     unit = group_unit(group)
     algebra = interval_algebra(group)
     rng = random.Random(f"{seed}:gamma")

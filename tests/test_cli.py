@@ -198,6 +198,16 @@ class TestCatalogAndPlumbing:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["count"] == 3
 
+    def test_closed_stdout_exits_without_traceback(self):
+        # the reader is gone before the interpreter has even imported mvtk
+        proc = subprocess.Popen([sys.executable, "-m", "mvtk.cli", "catalog"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) != 0
+        assert b"Traceback" not in err
+
 
 CHAIN2_TABLE = {"finite": {"size": 3, "zero": 0, "neg": [2, 1, 0],
                            "plus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]]}}
@@ -306,6 +316,17 @@ class TestSamplingArguments:
     def test_negative_value_is_refused(self, capsys, args, message):
         command, *options = args
         code = main([command, fx("chang.json"), *options])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.err == message + "\n"
+        assert not out.out
+
+    @pytest.mark.parametrize("args, message", [
+        (("--count", "-3"), "error: count must be >= 0, got -3"),
+        (("--bound", "-1"), "error: bound must be >= 0, got -1"),
+    ], ids=["gamma-count", "gamma-bound"])
+    def test_negative_value_is_refused_by_gamma(self, capsys, args, message):
+        code = main(["gamma", fx("group.json"), *args])
         out = capsys.readouterr()
         assert code == 2
         assert out.err == message + "\n"

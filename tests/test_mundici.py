@@ -211,3 +211,23 @@ class TestGroupProperties:
     @settings(max_examples=100, deadline=None)
     def test_abs_is_positive(self, x):
         assert group_leq(RANK2, group_zero(RANK2), group_abs(RANK2, x))
+
+
+class TestSamplingArguments:
+    """A negative sample count or bound is refused before anything is
+    drawn, with the message of the identity engine's sampler."""
+
+    @pytest.mark.parametrize("check", [group_laws_check, gamma_ops_agree])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"count": -3}, "count must be >= 0, got -3"),
+        ({"bound": -1}, "bound must be >= 0, got -1"),
+    ], ids=["count", "bound"])
+    def test_negative_value_is_refused(self, check, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            check(MIXED, **kwargs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("check", [group_laws_check, gamma_ops_agree])
+    def test_zero_count_and_bound_are_accepted(self, check):
+        assert check(MIXED, count=0).ok
+        assert check(MIXED, count=20, bound=0).ok
