@@ -61,7 +61,7 @@ def random_block_algebra(rng: random.Random, max_blocks: int = 3,
             blocks.append(Chain(rng.randint(1, max_m)))
         else:
             blocks.append(Komori(rng.randint(1, max_m), rng.randint(1, max_r)))
-    if require_komori and not any(isinstance(b, Komori) for b in blocks):
+    if require_komori and not any(b.r for b in blocks):
         blocks[rng.randrange(len(blocks))] = Komori(
             rng.randint(1, max_m), rng.randint(1, max_r))
     return SymbolicAlgebra(blocks)

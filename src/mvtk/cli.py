@@ -27,7 +27,7 @@ from .core import (
 )
 from .galois import classify_extension, em_factorize
 from .galois2 import classify_double, commutator_pair, is_regular_pushout
-from .ideals import all_ideals, is_zero_ideal, radical
+from .ideals import all_ideals, radical
 from .jsonio import (
     algebra_to_json,
     ideal_to_json,
@@ -300,18 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("file", help="input JSON file")
         p.add_argument("-o", "--output", help="write the report here "
                                               "instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--count", type=int, default=400)
-        p.add_argument("--bound", type=int, default=6)
-        p.add_argument("--mode", choices=("auto", "exhaustive", "sample"),
-                       default="auto")
         if expect:
             p.add_argument("--expect", help="fail unless this property holds")
         p.set_defaults(func=handler)
         return p
 
-    add("check-axioms", "axioms, derived and lattice identities",
-        cmd_check_axioms)
+    def sampling(p, mode=True):
+        """The options of a subcommand that checks identities on samples."""
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--count", type=int, default=400)
+        p.add_argument("--bound", type=int, default=6)
+        if mode:
+            p.add_argument("--mode", choices=("auto", "exhaustive", "sample"),
+                           default="auto")
+
+    sampling(add("check-axioms", "axioms, derived and lattice identities",
+                 cmd_check_axioms))
     add("radical", "radical by three methods, semisimplicity, perfection",
         cmd_radical, expect=True)
     add("ideals", "enumerate all ideals", cmd_ideals)
@@ -326,9 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_square_classify, expect=True)
     add("commutator", "commutator of two ideals with witnessing square",
         cmd_commutator, expect=True)
-    add("terms", "protomodularity and Pixley term identities", cmd_terms)
-    add("gamma", "order unit, group laws, unit interval agreement",
-        cmd_gamma)
+    sampling(add("terms", "protomodularity and Pixley term identities",
+                 cmd_terms))
+    sampling(add("gamma", "order unit, group laws, unit interval agreement",
+                 cmd_gamma), mode=False)
     p = add("catalog", "finite algebras up to isomorphism", cmd_catalog,
             file_arg=False)
     p.add_argument("--max-size", type=int, default=8)

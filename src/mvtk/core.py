@@ -68,9 +68,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Chain:
-    """Chain block: the interval {0, ..., m} with truncated addition."""
+    """Chain block: the interval {0, ..., m} with truncated addition.
+
+    In Mundici's Gamma picture a chain is Gamma(Z, m) and a Komori block is
+    Gamma(Z x_lex Z^r, (m, 0)), so a chain is the case with no
+    infinitesimal coordinates: ``r`` is the class constant 0.  It is not a
+    dataclass field, so repr, equality, hashing and JSON are those of the
+    height alone.  Its elements are plain ints, not ``(a, ())`` pairs.
+    """
 
     m: int
+    r = 0
 
     def __post_init__(self) -> None:
         if self.m < 0:
@@ -164,11 +172,11 @@ class SymbolicAlgebra:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        blocks = tuple(b for b in blocks if not (isinstance(b, Chain) and b.m == 0))
+        blocks = tuple(blocks)
         for b in blocks:
             if not isinstance(b, (Chain, Komori)):
                 raise TypeError(f"not a block: {b!r}")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(b for b in blocks if b.m))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolicAlgebra is immutable")
@@ -211,7 +219,7 @@ class SymbolicAlgebra:
         """Number of elements, or None when some block is a Komori block."""
         n = 1
         for b in self.blocks:
-            if isinstance(b, Komori):
+            if b.r:
                 return None
             n *= b.m + 1
         return n
@@ -333,17 +341,12 @@ def product(algebras) -> Algebra:
         for a in algebras:
             blocks.extend(a.blocks)
         return SymbolicAlgebra(blocks)
-    finite = [a if isinstance(a, FiniteAlgebra) else to_finite(a) for a in algebras]
-    carriers = [range(a.size) for a in finite]
-    elems = list(itertools.product(*carriers))
-    index = {e: i for i, e in enumerate(elems)}
-    neg_row = [index[tuple(a.neg(v) for a, v in zip(finite, e))] for e in elems]
-    plus_rows = [
-        [index[tuple(a.plus(u, v) for a, u, v in zip(finite, e, f))] for f in elems]
-        for e in elems
-    ]
-    zero = index[tuple(a.zero for a in finite)]
-    return FiniteAlgebra(neg_row, plus_rows, zero)
+    finite = [to_finite(a) for a in algebras]
+    return table_on(
+        list(itertools.product(*(range(a.size) for a in finite))),
+        lambda e, f: tuple(a.plus(u, v) for a, u, v in zip(finite, e, f)),
+        lambda e: tuple(a.neg(v) for a, v in zip(finite, e)),
+        tuple(a.zero for a in finite))
 
 
 def carrier_size(algebra: Algebra) -> int | None:
@@ -358,7 +361,7 @@ def elements(algebra: Algebra):
         return list(range(algebra.size))
     per_block = []
     for b in algebra.blocks:
-        if isinstance(b, Komori):
+        if b.r:
             raise ValueError(f"cannot enumerate infinite carrier of {b!r}")
         per_block.append(range(b.m + 1))
     return [tuple(e) for e in itertools.product(*per_block)]
@@ -369,11 +372,16 @@ def to_finite(algebra: Algebra) -> FiniteAlgebra:
     ``elements(algebra)[i]``."""
     if isinstance(algebra, FiniteAlgebra):
         return algebra
-    elems = elements(algebra)
+    return table_on(elements(algebra), algebra.plus, algebra.neg, algebra.zero)
+
+
+def table_on(elems, plus, neg, zero) -> FiniteAlgebra:
+    """The table algebra whose element i is ``elems[i]``, under ``plus``
+    and ``neg``, which must map ``elems`` into itself."""
     index = {e: i for i, e in enumerate(elems)}
-    neg_row = [index[algebra.neg(e)] for e in elems]
-    plus_rows = [[index[algebra.plus(e, f)] for f in elems] for e in elems]
-    return FiniteAlgebra(neg_row, plus_rows, index[algebra.zero])
+    return FiniteAlgebra([index[neg(e)] for e in elems],
+                         [[index[plus(e, f)] for f in elems] for e in elems],
+                         index[zero])
 
 
 def describe(algebra: Algebra) -> str:
@@ -381,13 +389,7 @@ def describe(algebra: Algebra) -> str:
         return f"finite[{algebra.size}]"
     if algebra.is_terminal:
         return "terminal"
-    parts = []
-    for b in algebra.blocks:
-        if isinstance(b, Chain):
-            parts.append(f"Chain({b.m})")
-        else:
-            parts.append(f"Komori({b.m},{b.r})")
-    return " x ".join(parts)
+    return " x ".join(map(repr, algebra.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +455,7 @@ def forced_elements(algebra: Algebra):
         return list(dict.fromkeys(out))
     out = [algebra.zero, algebra.one]
     for i, b in enumerate(algebra.blocks):
-        if isinstance(b, Komori):
+        if b.r:
             eps = list(algebra.zero)
             eps[i] = (0, (1,) + (0,) * (b.r - 1))
             out.append(tuple(eps))
@@ -537,7 +539,7 @@ class _BlockColumns:
         self.blocks = algebra.blocks
         cap, head, is_height = [], [], []
         for b in self.blocks:
-            width = 1 if isinstance(b, Chain) else 1 + b.r
+            width = 1 + b.r
             cap += [b.m] * width
             head += [len(head)] * width
             is_height += [True] + [False] * (width - 1)
@@ -600,12 +602,9 @@ class _BlockColumns:
         """The elements of ``column``, as tuples of Python ints."""
         parts, at = [], 0
         for b in self.blocks:
-            if isinstance(b, Chain):
-                parts.append((at, None))
-                at += 1
-            else:
-                parts.append((at, at + 1 + b.r))
-                at += 1 + b.r
+            # a chain height decodes to an int, a Komori row to a pair
+            parts.append((at, at + 1 + b.r if b.r else None))
+            at += 1 + b.r
         return [tuple(row[i] if end is None else (row[i], tuple(row[i + 1:end]))
                       for i, end in parts)
                 for row in column.a.tolist()]
@@ -626,7 +625,7 @@ def _columns_of(algebra: Algebra, count: int, bound: int):
     check_sample_args(count, bound)
     if isinstance(algebra, FiniteAlgebra):
         return _TableColumns(algebra)
-    if any(b.m + 1 > _WORD or isinstance(b, Komori) and 2 * bound + 1 > _WORD
+    if any(b.m + 1 > _WORD or b.r and 2 * bound + 1 > _WORD
            for b in algebra.blocks):
         raise ValueError("sampling draws from at most 2**32 values per "
                          "coordinate")
@@ -940,11 +939,7 @@ def is_terminal_object(algebra: Algebra) -> bool:
 
 def canonical_blocks(algebra: SymbolicAlgebra) -> tuple:
     """Block multiset in a normal form independent of construction order."""
-    def key(b: Block):
-        if isinstance(b, Chain):
-            return (0, b.m, 0)
-        return (1, b.m, b.r)
-    return tuple(sorted(algebra.blocks, key=key))
+    return tuple(sorted(algebra.blocks, key=lambda b: (b.r > 0, b.m, b.r)))
 
 
 def are_isomorphic(a: Algebra, b: Algebra) -> bool:

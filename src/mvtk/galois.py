@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 from .core import (
     Algebra,
-    Komori,
     carrier_size,
     initial_algebra,
 )
 from .ideals import (
     Ideal,
-    MarkerIdeal,
     ideal_elements,
     ideal_leq,
     ideal_meet,
@@ -242,12 +240,9 @@ def stability_check(e: Morphism, g: Morphism) -> StabilityReport:
         return StabilityReport(e_member(q1) and e_member(q2), q2, q2.kernel())
     if g.dom == initial_algebra():
         sub = kernel_subalgebra(e)
-        blocks = sub.algebra.blocks
-        if len(blocks) != 1:
+        if len(sub.algebra.blocks) != 1:
             raise AssertionError("radical-bound kernels have no full blocks")
-        b = blocks[0]
-        marker = ("sub", frozenset(range(b.r))) if isinstance(b, Komori) else "zero"
-        proj = quotient(sub.algebra, MarkerIdeal((marker,)),
+        proj = quotient(sub.algebra, radical(sub.algebra),
                         label="side_indicator").projection
         if proj.cod != g.dom:
             raise AssertionError("side indicator misses the initial algebra")

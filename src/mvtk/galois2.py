@@ -14,16 +14,12 @@ from dataclasses import dataclass
 
 from .core import (
     Algebra,
-    FiniteAlgebra,
-    Komori,
     SymbolicAlgebra,
     carrier_size,
 )
 from .ideals import (
-    FiniteIdeal,
     Ideal,
     MarkerIdeal,
-    ideal_elements,
     ideal_join,
     ideal_leq,
     ideal_meet,
@@ -179,28 +175,14 @@ def classify_double(sq: ExtensionSquare) -> DoubleClassification:
 def restrict_to_ideal_subalgebra(algebra: SymbolicAlgebra, k: Ideal,
                                  w: Ideal) -> MarkerIdeal:
     """Markers of the ideal w restricted to the subalgebra on k (kernel
-    and negations).  w may not be full on any block where k is not."""
+    and negations): its preimage along the inclusion.  w may not be full
+    on any block where k is not."""
     k = validate_ideal(algebra, k)
     w = validate_ideal(algebra, w)
-    fulls = []
-    joint = []
-    offset = 0
-    for b, mk, mw in zip(algebra.blocks, k.markers, w.markers):
-        if mk == "full":
-            fulls.append(mw)
-            continue
-        if mw == "full":
-            raise ValueError("ideal is full outside the subalgebra blocks")
-        if isinstance(b, Komori):
-            coords = sorted(mk[1])
-            hit = mw[1] & mk[1]
-            joint.extend(offset + coords.index(c) for c in sorted(hit))
-            offset += len(coords)
-    if offset > 0:
-        tail = ("sub", frozenset(joint))
-    else:
-        tail = "zero"
-    return MarkerIdeal(tuple(fulls) + (tail,))
+    if any(mk != "full" and mw == "full"
+           for mk, mw in zip(k.markers, w.markers)):
+        raise ValueError("ideal is full outside the subalgebra blocks")
+    return ideal_subalgebra(algebra, k).inclusion.preimage_ideal(w)
 
 
 @dataclass(frozen=True)
@@ -237,25 +219,9 @@ def commutator_pair(algebra: Algebra, i: Ideal, j: Ideal) -> CommutatorReport:
     else:
         base_sub = ideal_subalgebra(algebra, k, label="join_span")
         base = base_sub.algebra
-        if isinstance(algebra, FiniteAlgebra):
-            amb = set(ideal_elements(algebra, radical(algebra)))
-            lifted = {x for x in range(base.size)
-                      if base_sub.inclusion(x) in amb}
-            rad_base = {x for x in ideal_elements(base, radical(base))}
-            radical_ok = lifted == rad_base
-            i_r = FiniteIdeal(frozenset(
-                x for x in range(base.size)
-                if base_sub.inclusion(x) in set(ideal_elements(algebra, i))))
-            j_r = FiniteIdeal(frozenset(
-                x for x in range(base.size)
-                if base_sub.inclusion(x) in set(ideal_elements(algebra, j))))
-        else:
-            i_r = restrict_to_ideal_subalgebra(algebra, k, i)
-            j_r = restrict_to_ideal_subalgebra(algebra, k, j)
-            rad_r = restrict_to_ideal_subalgebra(algebra, k, radical(algebra))
-            rb = radical(base)
-            radical_ok = ideal_leq(base, rad_r, rb) and ideal_leq(base, rb, rad_r)
-        sq = square_from_ideals(base, i_r, j_r)
+        restrict = base_sub.inclusion.preimage_ideal
+        radical_ok = restrict(radical(algebra)) == radical(base)
+        sq = square_from_ideals(base, restrict(i), restrict(j))
         if carrier_size(sq.bottom.cod) != 2:
             raise AssertionError("proper-join square corner is not the "
                                  "two-element algebra")

@@ -25,7 +25,6 @@ from .core import (
     elements,
     leq,
     meet,
-    neg,
     ominus,
     oplus,
     otimes,
@@ -175,7 +174,7 @@ def markers_from_elements(algebra: SymbolicAlgebra, subset) -> MarkerIdeal:
     subset = set(subset)
     markers = []
     for i, b in enumerate(algebra.blocks):
-        if isinstance(b, Komori):
+        if b.r:
             raise ValueError("cannot read markers off an infinite carrier")
         proj = {x[i] for x in subset}
         markers.append("zero" if proj == {0} else "full")
@@ -244,11 +243,14 @@ def generated_ideal(algebra: Algebra, generators) -> Ideal:
     return MarkerIdeal(tuple(markers))
 
 
-_ALL_IDEALS_RANK_CAP = 14
+# the ideals of one Komori(m, 14) block, 2**14 + 1, are still listed
+_ALL_IDEALS_CAP = 2 ** 14 + 1
 
 
 def all_ideals(algebra: Algebra) -> list[Ideal]:
-    """Every ideal, in a deterministic order."""
+    """Every ideal, in a deterministic order.  A block product with more
+    than ``_ALL_IDEALS_CAP`` ideals, prod(2**r + 1) over its blocks, is a
+    ValueError raised before any is built."""
     if isinstance(algebra, FiniteAlgebra):
         principals = {generated_ideal(algebra, [x]).elements
                       for x in range(algebra.size)}
@@ -265,13 +267,17 @@ def all_ideals(algebra: Algebra) -> list[Ideal]:
                         nxt.append(joined)
             frontier = nxt
         return [FiniteIdeal(s) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+    total = 1
+    for b in algebra.blocks:
+        # 2**bit_length exceeds the cap, so no larger power is formed
+        total *= 2 ** min(b.r, _ALL_IDEALS_CAP.bit_length()) + 1
+        if total > _ALL_IDEALS_CAP:
+            raise ValueError(f"more than {_ALL_IDEALS_CAP} ideals to list")
     per_block = []
     for b in algebra.blocks:
         if isinstance(b, Chain):
             per_block.append(["zero", "full"])
         else:
-            if b.r > _ALL_IDEALS_RANK_CAP:
-                raise ValueError(f"too many coordinate subsets for {b!r}")
             subs = [("sub", frozenset(s))
                     for k in range(b.r + 1)
                     for s in itertools.combinations(range(b.r), k)]
@@ -381,7 +387,7 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
         return acc
     acc = zero_ideal(algebra)
     for i, b in enumerate(algebra.blocks):
-        if isinstance(b, Komori):
+        if b.r:
             one_block = list(zero_ideal(algebra).markers)
             one_block[i] = ("sub", frozenset(range(b.r)))
             cand = MarkerIdeal(tuple(one_block))

@@ -56,6 +56,7 @@ from .core import (
     resolve_mode,
     run_checks,
     sample_tuples,
+    table_on,
     terminal_algebra,
     to_finite,
 )
@@ -211,8 +212,7 @@ class CoordMap:
         """An x with self(x) == y, read off the first row (and coordinate)
         that sees each part of x; None when y is not in the image."""
         heights = {}
-        vecs = {i: [0] * b.r for i, b in enumerate(dom.blocks)
-                if isinstance(b, Komori)}
+        vecs = [[0] * b.r for b in dom.blocks]
         fixed = set()
         for (src, scale, coords), v in zip(self.rows, y):
             a, b = v if coords else (v, ())
@@ -239,7 +239,7 @@ def _is_plain(coords) -> bool:
 
 
 def _plain(block) -> tuple:
-    return tuple((c, 1) for c in range(block.r)) if isinstance(block, Komori) else ()
+    return tuple((c, 1) for c in range(block.r))
 
 
 def _copies(dom: SymbolicAlgebra, kept) -> CoordMap:
@@ -255,11 +255,10 @@ def _check_coords(dom: SymbolicAlgebra, cod: SymbolicAlgebra, body: CoordMap) ->
         source = dom.blocks[src]
         if scale * source.m != blk.m:
             raise ValueError(f"scale {scale} does not carry {source!r} onto {blk!r}")
-        if len(coords) != (blk.r if isinstance(blk, Komori) else 0):
+        if len(coords) != blk.r:
             raise ValueError(f"{blk!r} needs one placement per coordinate")
-        width = source.r if isinstance(source, Komori) else 0
         for c in coords:
-            if c is not None and not (0 <= c[0] < width and c[1] >= 1):
+            if c is not None and not (0 <= c[0] < source.r and c[1] >= 1):
                 raise ValueError(f"bad coordinate placement {c!r} from {source!r}")
 
 
@@ -530,9 +529,7 @@ def quotient(algebra: Algebra, ideal: Ideal, label: str = "quotient") -> Quotien
     for i, (b, mk) in enumerate(zip(algebra.blocks, ideal.markers)):
         if mk == "full":
             continue
-        kept = tuple((c, 1) for c in range(b.r) if c not in mk[1]) \
-            if isinstance(b, Komori) else ()
-        rows.append((i, 1, kept))
+        rows.append((i, 1, tuple((c, 1) for c in range(b.r) if c not in mk[1])))
     q = marker_quotient_data(algebra, ideal)
     proj = Morphism(algebra, q, CoordMap(tuple(rows)), label)
     return QuotientResult(q, proj, ideal, None)
@@ -625,16 +622,13 @@ def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
     ideal = validate_ideal(algebra, ideal)
     if isinstance(algebra, FiniteAlgebra):
         members = sorted(ideal.elements | {algebra.neg(x) for x in ideal.elements})
-        index = {x: i for i, x in enumerate(members)}
-        neg_row = [index[algebra.neg(x)] for x in members]
-        plus_rows = [[index[algebra.plus(x, y)] for y in members] for x in members]
-        sub = FiniteAlgebra(neg_row, plus_rows, index[algebra.zero])
+        sub = table_on(members, algebra.plus, algebra.neg, algebra.zero)
         incl = Morphism(sub, algebra, FiniteMapBody(tuple(members)), label)
         return SubalgebraResult(sub, incl, ideal)
     pairs = list(zip(algebra.blocks, ideal.markers))
     full = [i for i, (_, mk) in enumerate(pairs) if mk == "full"]
     joint = [(i, c) for i, (b, mk) in enumerate(pairs)
-             if mk != "full" and isinstance(b, Komori) for c in sorted(mk[1])]
+             if mk != "full" for c in range(b.r) if c in mk[1]]
     blocks = [algebra.blocks[i] for i in full]
     if len(full) < len(pairs):
         blocks.append(Komori(1, len(joint)) if joint else Chain(1))
@@ -756,12 +750,10 @@ def pullback(f: Morphism, g: Morphism) -> PullbackResult:
         raise ValueError("literal pullback needs finite carriers")
     ea, ec = elements(f.dom), elements(g.dom)
     pairs = [(a, c) for a in ea for c in ec if f(a) == g(c)]
-    index = {p: i for i, p in enumerate(pairs)}
-    def op2(p, q):
-        return (f.dom.plus(p[0], q[0]), g.dom.plus(p[1], q[1]))
-    neg_row = [index[(f.dom.neg(a), g.dom.neg(c))] for a, c in pairs]
-    plus_rows = [[index[op2(p, q)] for q in pairs] for p in pairs]
-    pb = FiniteAlgebra(neg_row, plus_rows, index[(f.dom.zero, g.dom.zero)])
+    pb = table_on(pairs,
+                  lambda p, q: (f.dom.plus(p[0], q[0]), g.dom.plus(p[1], q[1])),
+                  lambda p: (f.dom.neg(p[0]), g.dom.neg(p[1])),
+                  (f.dom.zero, g.dom.zero))
     def leg(side, cod):
         return Morphism(pb, cod, FiniteMapBody(tuple(p[side] for p in pairs)))
     return PullbackResult(pb, tuple(pairs), leg(0, f.dom), leg(1, g.dom))

@@ -34,7 +34,6 @@ from .core import (
 )
 from .ideals import all_ideals, ideal_elements, ideal_leq
 from .morphisms import (
-    Morphism,
     compose,
     enumerate_homs,
     factor_through_quotient,

@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -331,3 +332,71 @@ class TestSamplingArguments:
         assert code == 2
         assert out.err == message + "\n"
         assert not out.out
+
+
+class TestOptionsBySubcommand:
+    """Only the subcommands that sample take sampling options:
+    check-axioms and terms take --seed, --count, --bound and --mode, gamma
+    takes the first three, and the other nine take none."""
+
+    @pytest.mark.parametrize("args", [
+        ("radical", fx("chang.json")),
+        ("ideals", fx("product.json")),
+        ("homs", fx("homs_pair.json")),
+        ("classify", fx("eta_chang.json")),
+        ("factorize", fx("quotient_map.json")),
+        ("pretorsion", fx("product.json")),
+        ("square-classify", fx("square.json")),
+        ("commutator", fx("commutator.json")),
+        ("catalog",),
+    ], ids=lambda args: args[0])
+    @pytest.mark.parametrize("option", ["--seed", "--count", "--bound", "--mode"])
+    def test_commands_that_do_not_sample_refuse_the_options(self, capsys, args,
+                                                            option):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, option, "3"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {option} 3" in out.err
+        assert not out.out
+
+    def test_gamma_refuses_mode(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma", fx("group.json"), "--mode", "sample"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode sample" in capsys.readouterr().err
+
+    def test_radical_with_seed_exits_2_from_the_shell(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvtk.cli", "radical", fx("chang.json"),
+             "--seed", "3"], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --seed 3" in proc.stderr
+        assert not proc.stdout
+
+    @pytest.mark.parametrize("args", [
+        ("check-axioms", fx("chang.json"), "--seed", "1", "--count", "30",
+         "--bound", "2", "--mode", "sample"),
+        ("terms", fx("chang.json"), "--seed", "1", "--count", "30",
+         "--bound", "2", "--mode", "sample"),
+        ("gamma", fx("group.json"), "--seed", "1", "--count", "30",
+         "--bound", "2"),
+    ], ids=lambda args: args[0])
+    def test_commands_that_sample_take_the_options(self, capsys, args):
+        code, doc = run(capsys, *args)
+        assert code == 0 and doc
+
+
+class TestIdealCountCap:
+    def test_too_many_ideals_exit_2_with_one_line_quickly(self, tmp_path, capsys):
+        path = tmp_path / "three_rank14.json"
+        block = {"komori": {"m": 1, "r": 14}}
+        path.write_text(json.dumps({"blocks": [block] * 3}))
+        start = time.perf_counter()
+        code = main(["ideals", str(path)])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.err == "error: more than 16385 ideals to list\n"
+        assert not out.out
+        assert elapsed < 1.0

@@ -1,6 +1,7 @@
 """Extension squares, regular pushouts, and the two-ideal commutator."""
 
 import itertools
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from mvtk import (
     ideal_join,
     ideal_leq,
     ideal_meet,
+    ideal_subalgebra,
     identity,
     is_regular_pushout,
     is_zero_ideal,
@@ -31,11 +33,14 @@ from mvtk import (
     product,
     quotient,
     radical,
+    random_block_algebra,
     restrict_to_ideal_subalgebra,
     same_morphism,
+    sample_tuples,
     square_from_ideals,
     to_finite,
     to_terminal,
+    validate_ideal,
     validate_square,
     zero_ideal,
 )
@@ -134,6 +139,32 @@ class TestRestriction:
     def test_rejects_ideals_that_escape(self):
         with pytest.raises(ValueError):
             restrict_to_ideal_subalgebra(A, RAD_FIRST, DROP_CHAIN)
+
+    def test_full_k_keeps_one_marker_per_block(self):
+        k = full_ideal(CHANG)
+        r = restrict_to_ideal_subalgebra(CHANG, k, radical(CHANG))
+        sub = ideal_subalgebra(CHANG, k).algebra
+        assert validate_ideal(sub, r) == radical(sub)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_restriction_validates(self, seed):
+        """For every pair w <= k on a random block product, the restriction
+        is an ideal of the subalgebra on k and holds exactly the points that
+        the inclusion sends into w."""
+        algebra = random_block_algebra(random.Random(seed), max_r=2)
+        ideals = all_ideals(algebra)
+        for k in ideals:
+            sub = ideal_subalgebra(algebra, k)
+            points = [x for (x,) in sample_tuples(
+                sub.algebra, 1, 12, random.Random(f"{seed}:{k}"), 3)]
+            for w in ideals:
+                if not ideal_leq(algebra, w, k):
+                    continue
+                r = restrict_to_ideal_subalgebra(algebra, k, w)
+                assert validate_ideal(sub.algebra, r) == r
+                for x in points:
+                    assert ideal_contains(sub.algebra, r, x) \
+                        == ideal_contains(algebra, w, sub.inclusion(x))
 
 
 class TestCommutatorPairs:

@@ -63,6 +63,23 @@ class TestMembershipAndLattice:
         assert markers == [("full", "full"), ("full", "zero"),
                            ("zero", "full"), ("zero", "zero")]
 
+    def test_one_rank_14_block_is_listed(self):
+        assert len(all_ideals(make_komori(1, 14))) == 2 ** 14 + 1
+
+    def test_total_ideal_count_is_capped(self):
+        # each block alone is listable; together they have 257**2 ideals
+        with pytest.raises(ValueError, match="more than 16385 ideals"):
+            all_ideals(product([make_komori(1, 8), make_komori(1, 8)]))
+
+    def test_huge_rank_is_refused_before_its_subsets_are_counted(self):
+        with pytest.raises(ValueError, match="more than 16385 ideals"):
+            all_ideals(make_komori(1, 10 ** 9))
+
+    def test_chains_count_two_ideals_each(self):
+        assert len(all_ideals(product([make_chain(1)] * 14))) == 2 ** 14
+        with pytest.raises(ValueError, match="more than 16385 ideals"):
+            all_ideals(product([make_chain(1)] * 15))
+
     def test_all_ideals_of_chang(self):
         found = all_ideals(CHANG)
         assert len(found) == 3
