@@ -8,7 +8,10 @@ through markers or sampling rather than enumeration.
 
 Elements of a symbolic algebra are tuples with one entry per block: an int
 for a chain block, an ``(a, bvec)`` pair for a Komori block.  The terminal
-algebra is the empty product; its only element is ``()``.
+algebra is the empty product; its only element is ``()``.  This module owns
+the element and block encodings: elsewhere a block is built with
+:func:`block`, an entry is read with :func:`parts` and written with
+:func:`element`, so only the block operations here test a block's type.
 
 numpy is imported inside the functions that build a table's arrays, an
 exhaustive grid or a sampled stream, so work on symbolic algebras never
@@ -27,6 +30,9 @@ __all__ = [
     "Komori",
     "SymbolicAlgebra",
     "FiniteAlgebra",
+    "block",
+    "parts",
+    "element",
     "make_chain",
     "make_komori",
     "make_finite",
@@ -113,16 +119,23 @@ class Komori:
 Block = Chain | Komori
 
 
-def _block_zero(b: Block):
-    if isinstance(b, Chain):
-        return 0
-    return (0, (0,) * b.r)
+def block(m: int, r: int = 0) -> Block:
+    """The block of height m with r infinitesimal coordinates: a chain
+    when r is 0."""
+    return Komori(m, r) if r else Chain(m)
 
 
-def _block_one(b: Block):
-    if isinstance(b, Chain):
-        return b.m
-    return (b.m, (0,) * b.r)
+def parts(x) -> tuple:
+    """A block entry as its height and its coefficients, ``()`` for a
+    chain entry."""
+    return (x, ()) if isinstance(x, int) else x
+
+
+def element(a: int, coefs=()):
+    """The block entry of height a with coefficients ``coefs``: a plain
+    int when there are none."""
+    coefs = tuple(coefs)
+    return (a, coefs) if coefs else a
 
 
 def _block_contains(b: Block, x) -> bool:
@@ -166,10 +179,11 @@ class SymbolicAlgebra:
     """Product of chain and Komori blocks, kept in construction order.
 
     ``Chain(0)`` factors are dropped on construction, so the terminal
-    algebra (empty block tuple) has exactly one representation.
+    algebra (empty block tuple) has exactly one representation.  ``zero``
+    and ``one`` are built on first use and kept.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "_zero", "_one")
 
     def __init__(self, blocks):
         blocks = tuple(blocks)
@@ -177,6 +191,8 @@ class SymbolicAlgebra:
             if not isinstance(b, (Chain, Komori)):
                 raise TypeError(f"not a block: {b!r}")
         object.__setattr__(self, "blocks", tuple(b for b in blocks if b.m))
+        object.__setattr__(self, "_zero", None)
+        object.__setattr__(self, "_one", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolicAlgebra is immutable")
@@ -194,11 +210,17 @@ class SymbolicAlgebra:
 
     @property
     def zero(self):
-        return tuple(_block_zero(b) for b in self.blocks)
+        if self._zero is None:
+            object.__setattr__(self, "_zero", tuple(
+                element(0, (0,) * b.r) for b in self.blocks))
+        return self._zero
 
     @property
     def one(self):
-        return tuple(_block_one(b) for b in self.blocks)
+        if self._one is None:
+            object.__setattr__(self, "_one", tuple(
+                element(b.m, (0,) * b.r) for b in self.blocks))
+        return self._one
 
     @property
     def is_terminal(self) -> bool:
@@ -593,8 +615,7 @@ class _BlockColumns:
     def encode(self, elems):
         import numpy as np
 
-        rows = [[v for b, x in zip(self.blocks, e)
-                 for v in ((x,) if isinstance(b, Chain) else (x[0], *x[1]))]
+        rows = [[v for x in e for a, coefs in (parts(x),) for v in (a, *coefs)]
                 for e in elems]
         return np.array(rows, np.int64).reshape(len(elems), self.cap.size)
 

@@ -12,14 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    Algebra,
-    SymbolicAlgebra,
-    carrier_size,
-)
+from .core import Algebra, carrier_size
 from .ideals import (
+    FiniteIdeal,
     Ideal,
-    MarkerIdeal,
     ideal_join,
     ideal_leq,
     ideal_meet,
@@ -172,15 +168,22 @@ def classify_double(sq: ExtensionSquare) -> DoubleClassification:
     return DoubleClassification(True, is_zero_ideal(A, meet), meet)
 
 
-def restrict_to_ideal_subalgebra(algebra: SymbolicAlgebra, k: Ideal,
-                                 w: Ideal) -> MarkerIdeal:
-    """Markers of the ideal w restricted to the subalgebra on k (kernel
-    and negations): its preimage along the inclusion.  w may not be full
-    on any block where k is not."""
+def restrict_to_ideal_subalgebra(algebra: Algebra, k: Ideal, w: Ideal) -> Ideal:
+    """The ideal w restricted to the subalgebra on k (kernel and
+    negations): its preimage along the inclusion.  Every Boolean element
+    of w (x (+) x = x) must lie in k.  On a block product a Boolean
+    element lies in an ideal iff the ideal is full on every block where
+    the element is 1, so there w may not be full on a block where k is
+    not."""
     k = validate_ideal(algebra, k)
     w = validate_ideal(algebra, w)
-    if any(mk != "full" and mw == "full"
-           for mk, mw in zip(k.markers, w.markers)):
+    if isinstance(w, FiniteIdeal):
+        escapes = any(algebra.plus(x, x) == x and x not in k.elements
+                      for x in w.elements)
+    else:
+        escapes = any(mk != "full" and mw == "full"
+                      for mk, mw in zip(k.markers, w.markers))
+    if escapes:
         raise ValueError("ideal is full outside the subalgebra blocks")
     return ideal_subalgebra(algebra, k).inclusion.preimage_ideal(w)
 

@@ -7,7 +7,10 @@ or ``("sub", S)`` with ``S`` a set of infinitesimal coordinates.  These
 markers exhaust the ideals of a block product, because an ideal of a
 finite direct product splits as a product of block ideals and the proper
 ideals of a Komori block consist of infinitesimals supported on a fixed
-coordinate set.
+coordinate set.  This module owns the marker encoding: a non-full marker
+is built with :func:`sub_marker` and read with :func:`marker_coords`, so a
+chain's ``"zero"`` is the rank-0 case of ``("sub", S)`` and no caller
+tests a block's type.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from dataclasses import dataclass
 
 from .core import (
     Algebra,
-    Chain,
     FiniteAlgebra,
-    Komori,
     SymbolicAlgebra,
+    block,
     dist,
     elements,
     leq,
@@ -28,6 +30,7 @@ from .core import (
     ominus,
     oplus,
     otimes,
+    parts,
     table_view,
 )
 
@@ -35,6 +38,8 @@ __all__ = [
     "FiniteIdeal",
     "MarkerIdeal",
     "Ideal",
+    "sub_marker",
+    "marker_coords",
     "validate_ideal",
     "zero_ideal",
     "full_ideal",
@@ -80,21 +85,30 @@ class MarkerIdeal:
 Ideal = FiniteIdeal | MarkerIdeal
 
 
-def _canon_marker(block, marker):
-    if isinstance(block, Chain):
-        if marker in ("zero", "full"):
-            return marker
-        raise ValueError(f"bad chain marker {marker!r}")
+def sub_marker(r: int, coords=()):
+    """The marker of the ideal of a rank-r block whose elements are the
+    infinitesimals supported on ``coords``: ``"zero"`` on a chain (r = 0),
+    ``("sub", S)`` otherwise."""
+    return ("sub", frozenset(coords)) if r else "zero"
+
+
+def marker_coords(marker) -> frozenset:
+    """The coordinates of a marker that is not ``"full"``: the S of
+    ``("sub", S)``, none for ``"zero"``."""
+    return frozenset() if marker == "zero" else marker[1]
+
+
+def _canon_marker(b, marker):
     if marker == "full":
         return "full"
     if marker == "zero":
-        return ("sub", frozenset())
-    if isinstance(marker, tuple) and len(marker) == 2 and marker[0] == "sub":
+        return sub_marker(b.r)
+    if b.r and isinstance(marker, tuple) and len(marker) == 2 and marker[0] == "sub":
         coords = frozenset(marker[1])
-        if not all(isinstance(i, int) and 0 <= i < block.r for i in coords):
-            raise ValueError(f"sub coordinates out of range for {block!r}")
-        return ("sub", coords)
-    raise ValueError(f"bad komori marker {marker!r}")
+        if not all(isinstance(i, int) and 0 <= i < b.r for i in coords):
+            raise ValueError(f"sub coordinates out of range for {b!r}")
+        return sub_marker(b.r, coords)
+    raise ValueError(f"bad {'komori' if b.r else 'chain'} marker {marker!r}")
 
 
 def validate_ideal(algebra: Algebra, ideal: Ideal) -> Ideal:
@@ -118,9 +132,7 @@ def validate_ideal(algebra: Algebra, ideal: Ideal) -> Ideal:
 def zero_ideal(algebra: Algebra) -> Ideal:
     if isinstance(algebra, FiniteAlgebra):
         return FiniteIdeal(frozenset({algebra.zero}))
-    return MarkerIdeal(tuple(
-        "zero" if isinstance(b, Chain) else ("sub", frozenset())
-        for b in algebra.blocks))
+    return MarkerIdeal(tuple(sub_marker(b.r) for b in algebra.blocks))
 
 
 def full_ideal(algebra: Algebra) -> Ideal:
@@ -145,18 +157,13 @@ def ideal_contains(algebra: Algebra, ideal: Ideal, x) -> bool:
     ideal = validate_ideal(algebra, ideal)
     if isinstance(ideal, FiniteIdeal):
         return x in ideal.elements
-    for b, m, v in zip(algebra.blocks, ideal.markers, x):
+    for m, v in zip(ideal.markers, x):
         if m == "full":
             continue
-        if isinstance(b, Chain):
-            if v != 0:
-                return False
-        else:
-            a, bv = v
-            if a != 0:
-                return False
-            if any(t != 0 for i, t in enumerate(bv) if i not in m[1]):
-                return False
+        a, coefs = parts(v)
+        coords = marker_coords(m)
+        if a != 0 or any(t != 0 for i, t in enumerate(coefs) if i not in coords):
+            return False
     return True
 
 
@@ -231,15 +238,12 @@ def generated_ideal(algebra: Algebra, generators) -> Ideal:
             member = nxt
     markers = []
     for i, b in enumerate(algebra.blocks):
-        if isinstance(b, Chain):
-            markers.append("full" if any(g[i] != 0 for g in generators) else "zero")
+        entries = [parts(g[i]) for g in generators]
+        if any(a != 0 for a, _ in entries):
+            markers.append("full")
         else:
-            if any(g[i][0] != 0 for g in generators):
-                markers.append("full")
-            else:
-                supp = frozenset(
-                    j for g in generators for j, t in enumerate(g[i][1]) if t != 0)
-                markers.append(("sub", supp))
+            markers.append(sub_marker(b.r, (
+                j for _, coefs in entries for j, t in enumerate(coefs) if t != 0)))
     return MarkerIdeal(tuple(markers))
 
 
@@ -273,34 +277,24 @@ def all_ideals(algebra: Algebra) -> list[Ideal]:
         total *= 2 ** min(b.r, _ALL_IDEALS_CAP.bit_length()) + 1
         if total > _ALL_IDEALS_CAP:
             raise ValueError(f"more than {_ALL_IDEALS_CAP} ideals to list")
-    per_block = []
-    for b in algebra.blocks:
-        if isinstance(b, Chain):
-            per_block.append(["zero", "full"])
-        else:
-            subs = [("sub", frozenset(s))
-                    for k in range(b.r + 1)
-                    for s in itertools.combinations(range(b.r), k)]
-            per_block.append(subs + ["full"])
+    per_block = [[sub_marker(b.r, s) for k in range(b.r + 1)
+                  for s in itertools.combinations(range(b.r), k)] + ["full"]
+                 for b in algebra.blocks]
     return [MarkerIdeal(m) for m in itertools.product(*per_block)]
 
 
-def _marker_meet(block, m1, m2):
+def _marker_meet(b, m1, m2):
     if m1 == "full":
         return m2
     if m2 == "full":
         return m1
-    if isinstance(block, Chain):
-        return "zero"
-    return ("sub", m1[1] & m2[1])
+    return sub_marker(b.r, marker_coords(m1) & marker_coords(m2))
 
 
-def _marker_join(block, m1, m2):
+def _marker_join(b, m1, m2):
     if m1 == "full" or m2 == "full":
         return "full"
-    if isinstance(block, Chain):
-        return "zero" if m1 == m2 == "zero" else "full"
-    return ("sub", m1[1] | m2[1])
+    return sub_marker(b.r, marker_coords(m1) | marker_coords(m2))
 
 
 def ideal_meet(algebra: Algebra, i: Ideal, j: Ideal) -> Ideal:
@@ -377,9 +371,8 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
     if method == "inf":
         # chain blocks have no nonzero infinitesimal; a Komori block's
         # infinitesimals are exactly its height-zero part
-        return MarkerIdeal(tuple(
-            "zero" if isinstance(b, Chain) else ("sub", frozenset(range(b.r)))
-            for b in algebra.blocks))
+        return MarkerIdeal(tuple(sub_marker(b.r, range(b.r))
+                                 for b in algebra.blocks))
     if method == "maximal":
         acc = full_ideal(algebra)
         for m in maximal_ideals(algebra):
@@ -389,7 +382,7 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
     for i, b in enumerate(algebra.blocks):
         if b.r:
             one_block = list(zero_ideal(algebra).markers)
-            one_block[i] = ("sub", frozenset(range(b.r)))
+            one_block[i] = sub_marker(b.r, range(b.r))
             cand = MarkerIdeal(tuple(one_block))
             if is_nilpotent_ideal(algebra, cand):
                 acc = ideal_join(algebra, acc, cand)
@@ -413,10 +406,7 @@ def maximal_ideals(algebra: Algebra) -> list[Ideal]:
     out = []
     for i, b in enumerate(algebra.blocks):
         markers = ["full"] * len(algebra.blocks)
-        if isinstance(b, Chain):
-            markers[i] = "zero"
-        else:
-            markers[i] = ("sub", frozenset(range(b.r)))
+        markers[i] = sub_marker(b.r, range(b.r))
         out.append(MarkerIdeal(tuple(markers)))
     return out
 
@@ -452,14 +442,12 @@ def polar(algebra: Algebra, subset) -> Ideal:
         return FiniteIdeal(out)
     markers = []
     for b, m in zip(algebra.blocks, ideal.markers):
-        if isinstance(b, Chain):
-            markers.append("full" if m == "zero" else "zero")
-        elif m == "full":
-            markers.append(("sub", frozenset()))
-        elif not m[1]:
-            markers.append("full")
+        if m == "full":
+            markers.append(sub_marker(b.r))
+        elif marker_coords(m):
+            markers.append(sub_marker(b.r, frozenset(range(b.r)) - marker_coords(m)))
         else:
-            markers.append(("sub", frozenset(range(b.r)) - m[1]))
+            markers.append("full")
     return MarkerIdeal(tuple(markers))
 
 
@@ -493,20 +481,13 @@ def radical_conegation_disjoint(algebra: Algebra, ideal: Ideal) -> bool:
 
 
 def marker_quotient_data(algebra: SymbolicAlgebra, ideal: MarkerIdeal) -> SymbolicAlgebra:
-    """Block structure of A/I: a full marker kills its block, a chain
-    block survives, and a Komori block keeps its unmarked coordinates (a
-    chain of the same height when none is left)."""
+    """Block structure of A/I: a full marker kills its block, and any
+    other keeps the block's height and its unmarked coordinates (a chain
+    when none is left)."""
     ideal = validate_ideal(algebra, ideal)
-    blocks_out = []
-    for b, m in zip(algebra.blocks, ideal.markers):
-        if m == "full":
-            continue
-        if isinstance(b, Chain):
-            blocks_out.append(b)
-            continue
-        kept = b.r - len(m[1])
-        blocks_out.append(Komori(b.m, kept) if kept else Chain(b.m))
-    return SymbolicAlgebra(blocks_out)
+    return SymbolicAlgebra(block(b.m, b.r - len(marker_coords(m)))
+                           for b, m in zip(algebra.blocks, ideal.markers)
+                           if m != "full")
 
 
 def finite_quotient_data(algebra: FiniteAlgebra, ideal: FiniteIdeal):

@@ -147,26 +147,25 @@ def ideal_to_json(algebra: Algebra, ideal: Ideal):
     return {"markers": out}
 
 
+# the morphism kinds built from their algebra alone
+_FACTORIES = {
+    "radical_projection": radical_projection,
+    "perfect_inclusion": perfect_inclusion,
+    "radical_indicator": radical_indicator,
+    "identity": identity,
+    "to_terminal": to_terminal,
+    "from_initial": from_initial,
+}
+
+
 def parse_morphism(obj) -> Morphism:
     kind = obj.get("kind")
-    if kind in ("quotient", "radical_projection", "perfect_inclusion",
-                "radical_indicator", "identity", "to_terminal",
-                "from_initial", "block_projection"):
+    if isinstance(kind, str) and kind in _FACTORIES:
+        return _FACTORIES[kind](parse_algebra(obj["algebra"]))
+    if kind in ("quotient", "block_projection"):
         algebra = parse_algebra(obj["algebra"])
         if kind == "quotient":
             return quotient(algebra, parse_ideal(algebra, obj["ideal"])).projection
-        if kind == "radical_projection":
-            return radical_projection(algebra)
-        if kind == "perfect_inclusion":
-            return perfect_inclusion(algebra)
-        if kind == "radical_indicator":
-            return radical_indicator(algebra)
-        if kind == "identity":
-            return identity(algebra)
-        if kind == "to_terminal":
-            return to_terminal(algebra)
-        if kind == "from_initial":
-            return from_initial(algebra)
         if not isinstance(algebra, SymbolicAlgebra):
             raise ValueError("block projections need a block algebra")
         n = len(algebra.blocks)

@@ -45,14 +45,15 @@ from dataclasses import dataclass
 
 from .core import (
     Algebra,
-    Chain,
     FiniteAlgebra,
-    Komori,
     SymbolicAlgebra,
+    block,
     carrier_size,
+    element,
     elements,
     hom_tables,
     initial_algebra,
+    parts,
     resolve_mode,
     run_checks,
     sample_tuples,
@@ -68,8 +69,10 @@ from .ideals import (
     ideal_contains,
     ideal_elements,
     ideal_leq,
+    marker_coords,
     markers_from_elements,
     marker_quotient_data,
+    sub_marker,
     validate_ideal,
     zero_ideal,
 )
@@ -140,15 +143,10 @@ class CoordMap:
     def __call__(self, x):
         out = []
         for src, scale, coords in self.rows:
-            v = x[src]
-            if not coords:
-                out.append((v if isinstance(v, int) else v[0]) * scale)
-            elif isinstance(v, int):
-                out.append((v * scale, (0,) * len(coords)))
-            else:
-                a, b = v
-                out.append((a * scale, tuple(
-                    0 if c is None else b[c[0]] * c[1] for c in coords)))
+            a, b = parts(x[src])
+            out.append((a * scale, tuple(0 if c is None else b[c[0]] * c[1]
+                                         for c in coords))
+                       if coords else a * scale)
         return tuple(out)
 
     def then(self, other: "CoordMap") -> "CoordMap":
@@ -167,14 +165,12 @@ class CoordMap:
         for (src, _, coords), mk in zip(self.rows, markers):
             if mk == "full":
                 continue
-            block = dom.blocks[src]
-            if isinstance(block, Chain):
-                out[src] = "zero"
-                continue
-            allowed = frozenset(range(block.r)) if out[src] == "full" else out[src][1]
-            kept = mk[1] if coords else ()
-            out[src] = ("sub", allowed - {c[0] for t, c in enumerate(coords)
-                                          if c is not None and t not in kept})
+            r = dom.blocks[src].r
+            allowed = frozenset(range(r)) if out[src] == "full" \
+                else marker_coords(out[src])
+            kept = marker_coords(mk)
+            out[src] = sub_marker(r, allowed - {c[0] for t, c in enumerate(coords)
+                                                if c is not None and t not in kept})
         return MarkerIdeal(tuple(out))
 
     def image(self, markers) -> MarkerIdeal:
@@ -185,12 +181,11 @@ class CoordMap:
             mk = markers[src]
             if mk == "full":
                 out.append("full")
-            elif not coords:
-                out.append("zero")
             else:
-                out.append(("sub", frozenset(
+                support = marker_coords(mk)
+                out.append(sub_marker(len(coords), (
                     t for t, c in enumerate(coords)
-                    if c is not None and c[0] in mk[1])))
+                    if c is not None and c[0] in support)))
         return MarkerIdeal(tuple(out))
 
     def is_onto(self) -> bool:
@@ -215,7 +210,7 @@ class CoordMap:
         vecs = [[0] * b.r for b in dom.blocks]
         fixed = set()
         for (src, scale, coords), v in zip(self.rows, y):
-            a, b = v if coords else (v, ())
+            a, b = parts(v)
             if src not in heights:
                 if a % scale:
                     return None
@@ -227,9 +222,8 @@ class CoordMap:
                     return None
                 vecs[src][c[0]] = w // c[1]
                 fixed.add((src, c[0]))
-        x = tuple(heights.get(i, 0) if isinstance(b, Chain)
-                  else (heights.get(i, 0), tuple(vecs[i]))
-                  for i, b in enumerate(dom.blocks))
+        x = tuple(element(heights.get(i, 0), vecs[i])
+                  for i in range(len(dom.blocks)))
         return x if dom.contains(x) and self(x) == y else None
 
 
@@ -238,8 +232,8 @@ def _is_plain(coords) -> bool:
     return len(hit) == len(coords) == len(set(hit))
 
 
-def _plain(block) -> tuple:
-    return tuple((c, 1) for c in range(block.r))
+def _plain(b) -> tuple:
+    return tuple((c, 1) for c in range(b.r))
 
 
 def _copies(dom: SymbolicAlgebra, kept) -> CoordMap:
@@ -340,7 +334,7 @@ def _decode_table(dom: SymbolicAlgebra, cod: SymbolicAlgebra, values) -> CoordMa
         if len(srcs) != 1 or blk.m % dom.blocks[srcs[0]].m:
             raise ValueError("values do not form a homomorphism of block products")
         i = srcs[0]
-        rows.append((i, blk.m // dom.blocks[i].m, (None,) * len(_plain(blk))))
+        rows.append((i, blk.m // dom.blocks[i].m, (None,) * blk.r))
     body = CoordMap(tuple(rows))
     if any(body(x) != v for x, v in zip(elems, values)):
         raise ValueError("values do not form a homomorphism of block products")
@@ -529,7 +523,8 @@ def quotient(algebra: Algebra, ideal: Ideal, label: str = "quotient") -> Quotien
     for i, (b, mk) in enumerate(zip(algebra.blocks, ideal.markers)):
         if mk == "full":
             continue
-        rows.append((i, 1, tuple((c, 1) for c in range(b.r) if c not in mk[1])))
+        killed = marker_coords(mk)
+        rows.append((i, 1, tuple((c, 1) for c in range(b.r) if c not in killed)))
     q = marker_quotient_data(algebra, ideal)
     proj = Morphism(algebra, q, CoordMap(tuple(rows)), label)
     return QuotientResult(q, proj, ideal, None)
@@ -627,11 +622,11 @@ def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
         return SubalgebraResult(sub, incl, ideal)
     pairs = list(zip(algebra.blocks, ideal.markers))
     full = [i for i, (_, mk) in enumerate(pairs) if mk == "full"]
-    joint = [(i, c) for i, (b, mk) in enumerate(pairs)
-             if mk != "full" for c in range(b.r) if c in mk[1]]
+    joint = [(i, c) for i, (_, mk) in enumerate(pairs)
+             if mk != "full" for c in sorted(marker_coords(mk))]
     blocks = [algebra.blocks[i] for i in full]
     if len(full) < len(pairs):
-        blocks.append(Komori(1, len(joint)) if joint else Chain(1))
+        blocks.append(block(1, len(joint)))
     rows = []
     for i, (b, mk) in enumerate(pairs):
         if mk == "full":
@@ -639,7 +634,7 @@ def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
         else:
             rows.append((len(full), b.m, tuple(
                 (joint.index((i, c)), 1) if (i, c) in joint else None
-                for c in range(len(_plain(b))))))
+                for c in range(b.r))))
     sub = SymbolicAlgebra(blocks)
     return SubalgebraResult(sub, Morphism(sub, algebra, CoordMap(tuple(rows)), label),
                             ideal)
@@ -695,7 +690,7 @@ def _corestrict_coords(e: CoordMap, through: CoordMap, sub: SymbolicAlgebra) -> 
     if len(heads) != len(sub.blocks):
         raise ValueError("corestriction needs an injective map")
     phi = CoordMap(tuple(
-        heads[s] + (tuple(placed.get((s, c)) for c in range(len(_plain(b)))),)
+        heads[s] + (tuple(placed.get((s, c)) for c in range(b.r)),)
         for s, b in enumerate(sub.blocks)))
     if phi.then(through) != e:
         raise ValueError("image of e escapes the subobject")
@@ -797,15 +792,11 @@ def kernel_pair(e: Morphism):
             blocks.extend([b, b])
             first.append((pos, 1, _plain(b)))
             second.append((pos + 1, 1, _plain(b)))
-        elif isinstance(b, Chain):
-            blocks.append(b)
-            first.append((pos, 1, ()))
-            second.append((pos, 1, ()))
         else:
-            s = sorted(mk[1])
-            blocks.append(Komori(b.m, b.r + len(s)))
+            s = sorted(marker_coords(mk))
+            blocks.append(block(b.m, b.r + len(s)))
             first.append((pos, 1, _plain(b)))
-            second.append((pos, 1, tuple((b.r + s.index(c) if c in mk[1] else c, 1)
+            second.append((pos, 1, tuple((b.r + s.index(c) if c in s else c, 1)
                                          for c in range(b.r))))
     kp = SymbolicAlgebra(blocks)
     return (kp, Morphism(kp, A, CoordMap(tuple(first))),

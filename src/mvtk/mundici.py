@@ -13,10 +13,9 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    Chain,
     CheckReport,
-    Komori,
     SymbolicAlgebra,
+    block,
     check_sample_args,
     join as alg_join,
     leq as alg_leq,
@@ -225,12 +224,10 @@ def interval_algebra(group: LexGroup, unit=None) -> SymbolicAlgebra:
         if b.rank == 1:
             if u[0] < 0:
                 raise ValueError("unit must be nonnegative")
-            blocks.append(Chain(u[0]))
-            continue
-        if u[0] < 1 or any(c != 0 for c in u[1:]):
+        elif u[0] < 1 or any(c != 0 for c in u[1:]):
             raise ValueError("higher-rank units must be (m, 0, ..., 0) "
                              "with m >= 1")
-        blocks.append(Komori(u[0], b.rank - 1))
+        blocks.append(block(u[0], b.rank - 1))
     return SymbolicAlgebra(blocks)
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from .catalog import chain_product_catalog
 from .core import (
     Algebra,
-    Chain,
     FiniteAlgebra,
     SymbolicAlgebra,
     carrier_size,
+    element,
     elements,
     forced_elements,
     to_finite,
@@ -181,7 +181,7 @@ def _outside_witness(f: Morphism):
     if any(s != src for s, _, _ in rows):
         x[src] = f.dom.one[src]             # 1 in one codomain block, 0 in another
     elif block.m > 1:
-        x[src] = 1 if isinstance(block, Chain) else (1, (0,) * block.r)
+        x[src] = element(1, (0,) * block.r)
     else:
         c = next(c for _, _, coords in rows for c in coords if c is not None)
         x[src] = (0, tuple(int(i == c[0]) for i in range(block.r)))
@@ -244,15 +244,23 @@ def pre_exact(algebra: Algebra) -> PreExactSequence:
     return PreExactSequence(perfect_part(algebra), semisimple_quotient(algebra))
 
 
+def _catalog_like(algebra: Algebra, bound: int) -> list:
+    """The catalog chain products of size at most ``bound``, as tables
+    when ``algebra`` is one."""
+    catalog = chain_product_catalog(bound)
+    if isinstance(algebra, FiniteAlgebra):
+        return [to_finite(e) for e in catalog]
+    return catalog
+
+
 def probes_into(algebra: Algebra, bound: int = 4) -> list[Morphism]:
     """Maps into the algebra used to exercise prekernel universality:
     every hom from small catalog algebras when the carrier is finite, the
     vocabulary inclusions otherwise."""
     if carrier_size(algebra) is not None:
         out = [identity(algebra)]
-        for e in chain_product_catalog(bound):
-            src = to_finite(e) if isinstance(algebra, FiniteAlgebra) else e
-            out.extend(enumerate_homs(src, algebra))
+        for e in _catalog_like(algebra, bound):
+            out.extend(enumerate_homs(e, algebra))
         return out
     out = [identity(algebra), from_initial(algebra)]
     for ideal in all_ideals(algebra):
@@ -266,9 +274,8 @@ def probes_out_of(algebra: Algebra, bound: int = 4) -> list[Morphism]:
     otherwise."""
     if carrier_size(algebra) is not None:
         out = [identity(algebra)]
-        for c in chain_product_catalog(bound):
-            tgt = to_finite(c) if isinstance(algebra, FiniteAlgebra) else c
-            out.extend(enumerate_homs(algebra, tgt))
+        for c in _catalog_like(algebra, bound):
+            out.extend(enumerate_homs(algebra, c))
         return out
     return [quotient(algebra, ideal).projection for ideal in all_ideals(algebra)]
 

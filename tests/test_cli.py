@@ -400,3 +400,39 @@ class TestIdealCountCap:
         assert out.err == "error: more than 16385 ideals to list\n"
         assert not out.out
         assert elapsed < 1.0
+
+
+class TestExpectChoices:
+    """--expect takes only the properties its subcommand reports; any other
+    value is an argparse error (exit 2) before the input is read."""
+
+    @pytest.mark.parametrize("args", [
+        ("radical", fx("chang.json")),
+        ("classify", fx("eta_chang.json")),
+        ("square-classify", fx("square.json")),
+        ("commutator", fx("commutator.json")),
+    ], ids=lambda args: args[0])
+    def test_unknown_expectation_exits_2(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--expect", "bogus"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "argument --expect: invalid choice: 'bogus'" in out.err
+        assert not out.out
+
+    def test_square_that_is_not_a_regular_pushout(self, tmp_path, capsys):
+        c1 = {"blocks": [{"chain": 1}]}
+        path = tmp_path / "degenerate_square.json"
+        path.write_text(json.dumps({
+            "top": {"kind": "identity", "algebra": c1},
+            "left": {"kind": "identity", "algebra": c1},
+            "right": {"kind": "to_terminal", "algebra": c1},
+            "bottom": {"kind": "to_terminal", "algebra": c1}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["square-classify", str(path), "--expect", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, doc = run(capsys, "square-classify", str(path),
+                        "--expect", "central")
+        assert code == 1
+        assert not doc["regular_pushout"] and doc["expected"] == "central"

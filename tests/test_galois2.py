@@ -18,6 +18,7 @@ from mvtk import (
     commutator_pair,
     compose,
     describe,
+    elements,
     full_ideal,
     ideal_contains,
     ideal_elements,
@@ -145,6 +146,43 @@ class TestRestriction:
         r = restrict_to_ideal_subalgebra(CHANG, k, radical(CHANG))
         sub = ideal_subalgebra(CHANG, k).algebra
         assert validate_ideal(sub, r) == radical(sub)
+
+    def test_table_with_full_k_restricts_the_zero_ideal(self):
+        table = to_finite(make_chain(2))
+        r = restrict_to_ideal_subalgebra(table, full_ideal(table),
+                                         zero_ideal(table))
+        assert r == FiniteIdeal(frozenset({0}))
+
+    def test_table_rejects_a_full_w_over_a_zero_k(self):
+        table = to_finite(make_chain(2))
+        with pytest.raises(ValueError):
+            restrict_to_ideal_subalgebra(table, zero_ideal(table),
+                                         full_ideal(table))
+
+    def test_table_escape_check_matches_the_marker_check(self):
+        """On a product of chains the Boolean reading of the escape check
+        refuses exactly the pairs the marker reading refuses."""
+        algebra = product([make_chain(1), make_chain(2)])
+        table = to_finite(algebra)
+        index = {x: i for i, x in enumerate(elements(algebra))}
+
+        def as_table(ideal):
+            return FiniteIdeal(frozenset(
+                index[x] for x in ideal_elements(algebra, ideal)))
+
+        refused = 0
+        for k, w in itertools.product(all_ideals(algebra), repeat=2):
+            outcomes = []
+            for alg, kk, ww in ((algebra, k, w),
+                                (table, as_table(k), as_table(w))):
+                try:
+                    restrict_to_ideal_subalgebra(alg, kk, ww)
+                    outcomes.append(False)
+                except ValueError:
+                    outcomes.append(True)
+            assert outcomes[0] == outcomes[1], (k, w)
+            refused += outcomes[0]
+        assert refused == 7
 
     @pytest.mark.parametrize("seed", range(8))
     def test_every_restriction_validates(self, seed):

@@ -41,6 +41,9 @@ from mvtk import (
     validate_ideal,
     zero_ideal,
 )
+from mvtk.core import Chain, Komori, block, element, parts, sample_tuples
+from mvtk.ideals import marker_coords, sub_marker
+from mvtk.morphisms import image_ideal, quotient
 
 CHANG = make_komori(1, 1)
 PROD = product([make_chain(1), make_chain(2)])
@@ -245,3 +248,58 @@ def test_generated_ideals_of_the_table_match_the_markers(algebra):
         symbolic = generated_ideal(algebra, [x])
         assert generated_ideal(table, [i]).elements \
             == {index[y] for y in ideal_elements(algebra, symbolic)}
+
+
+def _assert_canonical(algebra, ideal):
+    assert validate_ideal(algebra, ideal) == ideal
+    for b, m in zip(algebra.blocks, ideal.markers):
+        if not b.r:
+            assert m in ("zero", "full")
+
+
+class TestCanonicalMarkers:
+    """Every marker ideal the library returns is already canonical, so two
+    ideals compare with == without validating them first."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_returned_ideals_are_canonical(self, seed):
+        rng = random.Random(seed)
+        # chains and Komori blocks of rank at most 3; odd seeds may draw
+        # chains only
+        algebra = random_block_algebra(rng, max_r=3, require_komori=seed % 2 == 0)
+        ideals = all_ideals(algebra)
+        found = [zero_ideal(algebra), full_ideal(algebra),
+                 *(radical(algebra, method=m)
+                   for m in ("inf", "maximal", "nilpotent")),
+                 *maximal_ideals(algebra), *ideals]
+        picked = rng.sample(ideals, min(len(ideals), 12))
+        for i, j in itertools.product(picked[:6], repeat=2):
+            found += [ideal_meet(algebra, i, j), ideal_join(algebra, i, j)]
+        found += [polar(algebra, i) for i in picked]
+        draws = list(sample_tuples(algebra, 2, 30, rng, 3))
+        for x, y in draws:
+            found += [generated_ideal(algebra, [x]),
+                      generated_ideal(algebra, [x, y]),
+                      polar(algebra, [x])]
+            for v in x + y:
+                assert element(*parts(v)) == v
+        for ideal in found:
+            _assert_canonical(algebra, ideal)
+        for i in picked:
+            q = quotient(algebra, i)
+            _assert_canonical(algebra, q.projection.kernel())
+            for j in picked:
+                _assert_canonical(algebra, q.projection.preimage_ideal(
+                    image_ideal(q.projection, j)))
+                _assert_canonical(q.algebra, image_ideal(q.projection, j))
+            for j in all_ideals(q.algebra)[:12]:
+                _assert_canonical(algebra, q.projection.preimage_ideal(j))
+
+    def test_the_encoders_of_a_chain_are_its_rank_0_case(self):
+        assert block(2, 0) == Chain(2) and block(2, 3) == Komori(2, 3)
+        assert parts(3) == (3, ()) and parts((1, (2, -1))) == (1, (2, -1))
+        assert element(3, ()) == 3 and element(1, [2, -1]) == (1, (2, -1))
+        assert sub_marker(0) == "zero"
+        assert sub_marker(2, [1]) == ("sub", frozenset({1}))
+        assert marker_coords("zero") == frozenset()
+        assert marker_coords(("sub", frozenset({0}))) == frozenset({0})
