@@ -49,19 +49,19 @@ def catalog_signature(algebra: SymbolicAlgebra) -> tuple[int, ...]:
     return tuple(sorted((b.m for b in algebra.blocks), reverse=True))
 
 
-def random_block_algebra(rng: random.Random, max_blocks: int = 3,
-                         max_m: int = 3, max_r: int = 3,
+def random_block_algebra(rng: random.Random, max_r: int = 3,
                          require_komori: bool = True) -> SymbolicAlgebra:
-    """Random block product for sampled checks.  With ``require_komori``
-    at least one block is a Komori block, so the radical is nontrivial."""
-    k = rng.randint(1, max_blocks)
+    """Random block product for sampled checks: one to three blocks of
+    height one to three.  With ``require_komori`` at least one block is a
+    Komori block, so the radical is nontrivial."""
+    k = rng.randint(1, 3)
     blocks = []
     for _ in range(k):
         if rng.random() < 0.5:
-            blocks.append(Chain(rng.randint(1, max_m)))
+            blocks.append(Chain(rng.randint(1, 3)))
         else:
-            blocks.append(Komori(rng.randint(1, max_m), rng.randint(1, max_r)))
+            blocks.append(Komori(rng.randint(1, 3), rng.randint(1, max_r)))
     if require_komori and not any(b.r for b in blocks):
         blocks[rng.randrange(len(blocks))] = Komori(
-            rng.randint(1, max_m), rng.randint(1, max_r))
+            rng.randint(1, 3), rng.randint(1, max_r))
     return SymbolicAlgebra(blocks)

@@ -222,10 +222,6 @@ class SymbolicAlgebra:
                 element(b.m, (0,) * b.r) for b in self.blocks))
         return self._one
 
-    @property
-    def is_terminal(self) -> bool:
-        return not self.blocks
-
     def contains(self, x) -> bool:
         if not isinstance(x, tuple) or len(x) != len(self.blocks):
             return False
@@ -236,15 +232,6 @@ class SymbolicAlgebra:
 
     def neg(self, x):
         return tuple(_block_neg(b, v) for b, v in zip(self.blocks, x))
-
-    def finite_carrier_size(self) -> int | None:
-        """Number of elements, or None when some block is a Komori block."""
-        n = 1
-        for b in self.blocks:
-            if b.r:
-                return None
-            n *= b.m + 1
-        return n
 
 
 class FiniteAlgebra:
@@ -372,9 +359,15 @@ def product(algebras) -> Algebra:
 
 
 def carrier_size(algebra: Algebra) -> int | None:
+    """Number of elements, or None when some block is a Komori block."""
     if isinstance(algebra, FiniteAlgebra):
         return algebra.size
-    return algebra.finite_carrier_size()
+    n = 1
+    for b in algebra.blocks:
+        if b.r:
+            return None
+        n *= b.m + 1
+    return n
 
 
 def elements(algebra: Algebra):
@@ -409,7 +402,7 @@ def table_on(elems, plus, neg, zero) -> FiniteAlgebra:
 def describe(algebra: Algebra) -> str:
     if isinstance(algebra, FiniteAlgebra):
         return f"finite[{algebra.size}]"
-    if algebra.is_terminal:
+    if not algebra.blocks:
         return "terminal"
     return " x ".join(map(repr, algebra.blocks))
 

@@ -112,22 +112,17 @@ class PullbackSquareReport:
     mediator_surjective: bool
 
 
-def trivial_via_pullback(f: Morphism, eta_a: Morphism | None = None,
-                         eta_b: Morphism | None = None,
-                         sf: Morphism | None = None) -> PullbackSquareReport:
+def trivial_via_pullback(f: Morphism,
+                         eta_a: Morphism | None = None) -> PullbackSquareReport:
     """Literal cross-check on finite carriers: f is a trivial covering
     exactly when the naturality square over the semisimple quotients is a
-    pullback.  The three derived maps can be overridden to exercise
+    pullback.  The domain's unit ``eta_a`` can be overridden to exercise
     corrupted squares."""
     if carrier_size(f.dom) is None or carrier_size(f.cod) is None:
         raise ValueError("the literal pullback check needs finite carriers")
     if eta_a is None:
         eta_a = radical_projection(f.dom)
-    if eta_b is None:
-        eta_b = radical_projection(f.cod)
-    if sf is None:
-        sf = semisimple_map(f)
-    pb = pullback(sf, eta_b)
+    pb = pullback(semisimple_map(f), radical_projection(f.cod))
     try:
         psi = mediator_to_pullback(pb, eta_a, f)
     except ValueError:
@@ -137,10 +132,10 @@ def trivial_via_pullback(f: Morphism, eta_a: Morphism | None = None,
     return PullbackSquareReport(inj and sur, True, inj, sur)
 
 
-def kernel_subalgebra(f: Morphism, label: str = "kernel_subalgebra") -> SubalgebraResult:
+def kernel_subalgebra(f: Morphism) -> SubalgebraResult:
     """The subalgebra on the kernel and its negations (the whole domain
     when the codomain is terminal)."""
-    return ideal_subalgebra(f.dom, f.kernel(), label=label)
+    return ideal_subalgebra(f.dom, f.kernel(), label="kernel_subalgebra")
 
 
 @dataclass(frozen=True)

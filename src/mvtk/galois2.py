@@ -65,16 +65,15 @@ class ExtensionSquare:
     bottom: Morphism
 
 
-def validate_square(sq: ExtensionSquare, surjective: bool = True) -> None:
+def validate_square(sq: ExtensionSquare) -> None:
     if sq.top.dom != sq.left.dom or sq.top.cod != sq.right.dom \
             or sq.left.cod != sq.bottom.dom or sq.right.cod != sq.bottom.cod:
         raise ValueError("square corners do not line up")
     if not same_morphism(compose(sq.top, sq.right), compose(sq.left, sq.bottom)):
         raise ValueError("square does not commute")
-    if surjective:
-        for name in ("top", "left", "right", "bottom"):
-            if not getattr(sq, name).is_surjective():
-                raise ValueError(f"{name} leg is not surjective")
+    for name in ("top", "left", "right", "bottom"):
+        if not getattr(sq, name).is_surjective():
+            raise ValueError(f"{name} leg is not surjective")
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from .core import (
 )
 from .ideals import FiniteIdeal, Ideal, MarkerIdeal, validate_ideal
 from .morphisms import (
-    BlockProjectionBody,
     FiniteMapBody,
     Morphism,
+    _copies,
     compose,
     from_initial,
     identity,
@@ -159,6 +159,8 @@ _FACTORIES = {
 
 
 def parse_morphism(obj) -> Morphism:
+    if not isinstance(obj, dict):
+        raise ValueError(f"morphism must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if isinstance(kind, str) and kind in _FACTORIES:
         return _FACTORIES[kind](parse_algebra(obj["algebra"]))
@@ -177,7 +179,7 @@ def parse_morphism(obj) -> Morphism:
                              f"between 1 and {n}")
         kept = tuple(i - 1 for i in kept)
         cod = SymbolicAlgebra([algebra.blocks[i] for i in kept])
-        return Morphism(algebra, cod, BlockProjectionBody(kept),
+        return Morphism(algebra, cod, _copies(algebra, kept),
                         "block_projection")
     if kind == "table":
         dom = parse_algebra(obj["dom"])
@@ -197,7 +199,10 @@ def parse_morphism(obj) -> Morphism:
                              f"fails at {list(broken[1])}")
         return m
     if kind == "compose":
-        parts = [parse_morphism(p) for p in obj["parts"]]
+        parts = obj["parts"]
+        if not (isinstance(parts, list) and parts):
+            raise ValueError("'parts' must be a non-empty list of morphisms")
+        parts = [parse_morphism(p) for p in parts]
         out = parts[0]
         for p in parts[1:]:
             out = compose(out, p)

@@ -32,9 +32,7 @@ kernels, preimages, images, surjectivity, corestriction and factoring
 through quotients are closed formulas on this data.
 
 A FiniteMapBody lists the value of ``elements(dom)[i]`` at position i.
-Given between two block products it is decoded into its CoordMap, and so
-are the construction specs :class:`ElemTableBody`,
-:class:`BlockProjectionBody` and :class:`TuplingBody`.
+Given between two block products it is decoded into its CoordMap.
 """
 
 from __future__ import annotations
@@ -81,9 +79,6 @@ __all__ = [
     "Morphism",
     "CoordMap",
     "FiniteMapBody",
-    "ElemTableBody",
-    "BlockProjectionBody",
-    "TuplingBody",
     "identity",
     "to_terminal",
     "from_initial",
@@ -256,43 +251,7 @@ def _check_coords(dom: SymbolicAlgebra, cod: SymbolicAlgebra, body: CoordMap) ->
                 raise ValueError(f"bad coordinate placement {c!r} from {source!r}")
 
 
-# Construction specs: each is lowered to a CoordMap or a FiniteMapBody as
-# soon as a Morphism is built from it.
-
-
-@dataclass(frozen=True)
-class ElemTableBody:
-    """Explicit element dictionary; the domain must have a finite carrier."""
-
-    mapping: dict
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.mapping.items(), key=repr)))
-
-
-@dataclass(frozen=True)
-class BlockProjectionBody:
-    """Projection of a block product onto some of its blocks."""
-
-    kept: tuple
-
-
-@dataclass(frozen=True)
-class TuplingBody:
-    """Pairing into a block product.  ``placement`` lists, per codomain
-    block, which part and which of its blocks supplies the value."""
-
-    parts: tuple
-    placement: tuple
-
-
 def _lower(dom: Algebra, cod: Algebra, body):
-    if isinstance(body, ElemTableBody):
-        body = FiniteMapBody(tuple(body.mapping[x] for x in elements(dom)))
-    elif isinstance(body, BlockProjectionBody):
-        body = _copies(dom, body.kept)
-    elif isinstance(body, TuplingBody):
-        body = _tupled(dom, body)
     if isinstance(body, FiniteMapBody):
         if isinstance(dom, SymbolicAlgebra) and isinstance(cod, SymbolicAlgebra):
             return _decode_table(dom, cod, body.table)
@@ -303,21 +262,6 @@ def _lower(dom: Algebra, cod: Algebra, body):
         _check_coords(dom, cod, body)
         return body
     raise TypeError(f"unknown body {body!r}")
-
-
-def _tupled(dom: Algebra, body: TuplingBody) -> CoordMap:
-    """The rows of a tupling, each read off the part that supplies it."""
-    for part in body.parts:
-        if part.dom != dom:
-            raise ValueError("every part of a tupling must start at its domain")
-        if not isinstance(part.body, CoordMap):
-            raise TypeError("tupling parts must be maps between block products")
-    rows = []
-    for p, b in body.placement:
-        if not (0 <= p < len(body.parts) and 0 <= b < len(body.parts[p].body.rows)):
-            raise ValueError(f"tupling placement {(p, b)!r} out of range")
-        rows.append(body.parts[p].body.rows[b])
-    return CoordMap(tuple(rows))
 
 
 def _decode_table(dom: SymbolicAlgebra, cod: SymbolicAlgebra, values) -> CoordMap:
@@ -385,9 +329,6 @@ class Morphism:
 
     def __call__(self, x):
         return self._eval(x)
-
-    def then(self, g: "Morphism") -> "Morphism":
-        return compose(self, g)
 
     def kernel(self) -> Ideal:
         return _preimage(self, zero_ideal(self.cod))
@@ -466,7 +407,7 @@ def _tabulate(dom: Algebra, fn) -> FiniteMapBody:
 
 
 def is_morphism(m: Morphism, mode: str = "auto", count: int = 400,
-                seed: int = 0, bound: int = 8):
+                seed: int = 0):
     """Verify preservation of zero, addition and negation pointwise, and
     that values land in the codomain.  Returns a CheckReport."""
     A, B = m.dom, m.cod
@@ -484,7 +425,7 @@ def is_morphism(m: Morphism, mode: str = "auto", count: int = 400,
     else:
         def tuples(name, arity):
             return sample_tuples(A, arity, count,
-                                 random.Random(f"{seed}:{name}"), bound)
+                                 random.Random(f"{seed}:{name}"))
     return run_checks(checks, tuples, "morphism", mode)
 
 

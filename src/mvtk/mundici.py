@@ -211,16 +211,14 @@ def order_unit_check(group: LexGroup, unit=None) -> OrderUnitReport:
     return OrderUnitReport(True, None, "")
 
 
-def interval_algebra(group: LexGroup, unit=None) -> SymbolicAlgebra:
+def interval_algebra(group: LexGroup) -> SymbolicAlgebra:
     """The unit interval as a block algebra: a rank-one block with unit
     (m,) gives Chain(m) (m = 0 collapses into the terminal factor), and a
     higher-rank block with unit (m, 0, ..., 0), m >= 1, gives
     Komori(m, rank - 1).  Other units are out of scope."""
-    if unit is None:
-        unit = group_unit(group)
-    _check_shape(group, unit)
     blocks = []
-    for b, u in zip(group.blocks, unit):
+    for b in group.blocks:
+        u = b.unit
         if b.rank == 1:
             if u[0] < 0:
                 raise ValueError("unit must be nonnegative")
@@ -231,11 +229,10 @@ def interval_algebra(group: LexGroup, unit=None) -> SymbolicAlgebra:
     return SymbolicAlgebra(blocks)
 
 
-def to_algebra_element(group: LexGroup, x, unit=None) -> tuple:
+def to_algebra_element(group: LexGroup, x) -> tuple:
     """Convert a group element inside [0, unit] to its block-algebra
     form; raises when the element leaves the interval."""
-    if unit is None:
-        unit = group_unit(group)
+    unit = group_unit(group)
     _check_shape(group, x)
     zero = group_zero(group)
     if not (group_leq(group, zero, x) and group_leq(group, x, unit)):
@@ -251,12 +248,10 @@ def to_algebra_element(group: LexGroup, x, unit=None) -> tuple:
     return tuple(out)
 
 
-def from_algebra_element(group: LexGroup, a, unit=None) -> tuple:
-    if unit is None:
-        unit = group_unit(group)
+def from_algebra_element(group: LexGroup, a) -> tuple:
     out = []
     it = iter(a)
-    for b, u in zip(group.blocks, unit):
+    for b, u in zip(group.blocks, group_unit(group)):
         if b.rank == 1:
             out.append((0,) if u[0] == 0 else (next(it),))
         else:
@@ -265,17 +260,13 @@ def from_algebra_element(group: LexGroup, a, unit=None) -> tuple:
     return tuple(out)
 
 
-def interval_sum(group: LexGroup, x, y, unit=None) -> tuple:
+def interval_sum(group: LexGroup, x, y) -> tuple:
     """Truncated addition (x + y) meet unit."""
-    if unit is None:
-        unit = group_unit(group)
-    return group_meet(group, group_add(group, x, y), unit)
+    return group_meet(group, group_add(group, x, y), group_unit(group))
 
 
-def interval_neg(group: LexGroup, x, unit=None) -> tuple:
-    if unit is None:
-        unit = group_unit(group)
-    return group_sub(group, unit, x)
+def interval_neg(group: LexGroup, x) -> tuple:
+    return group_sub(group, group_unit(group), x)
 
 
 def semidirect_sum(group: LexGroup, pair1, pair2) -> tuple:

@@ -65,8 +65,6 @@ __all__ = [
     "is_trivial_morphism",
     "PreExactSequence",
     "pre_exact",
-    "probes_into",
-    "probes_out_of",
     "ProbeReport",
     "is_prekernel",
     "is_precokernel",
@@ -112,17 +110,18 @@ def perfect_inclusion(algebra: Algebra) -> Morphism:
     return perfect_part(algebra).inclusion
 
 
-def semisimple_map(f: Morphism, label: str = "semisimple_map") -> Morphism:
+def semisimple_map(f: Morphism) -> Morphism:
     """Induced map between semisimple quotients: f followed by the
     codomain's projection, factored through the domain's."""
     return factor_through_quotient(radical_projection(f.dom),
-                                   compose(f, radical_projection(f.cod)), label)
+                                   compose(f, radical_projection(f.cod)),
+                                   "semisimple_map")
 
 
-def perfect_map(f: Morphism, label: str = "perfect_map") -> Morphism:
+def perfect_map(f: Morphism) -> Morphism:
     """Induced map between perfect parts (the restriction of f)."""
     return corestrict(compose(perfect_inclusion(f.dom), f),
-                      perfect_inclusion(f.cod), label)
+                      perfect_inclusion(f.cod), "perfect_map")
 
 
 def radical_indicator(algebra: Algebra) -> Morphism:
@@ -244,22 +243,22 @@ def pre_exact(algebra: Algebra) -> PreExactSequence:
     return PreExactSequence(perfect_part(algebra), semisimple_quotient(algebra))
 
 
-def _catalog_like(algebra: Algebra, bound: int) -> list:
-    """The catalog chain products of size at most ``bound``, as tables
-    when ``algebra`` is one."""
-    catalog = chain_product_catalog(bound)
+def _catalog_like(algebra: Algebra) -> list:
+    """The catalog chain products of size at most 4, as tables when
+    ``algebra`` is one."""
+    catalog = chain_product_catalog(4)
     if isinstance(algebra, FiniteAlgebra):
         return [to_finite(e) for e in catalog]
     return catalog
 
 
-def probes_into(algebra: Algebra, bound: int = 4) -> list[Morphism]:
+def _probes_into(algebra: Algebra) -> list[Morphism]:
     """Maps into the algebra used to exercise prekernel universality:
     every hom from small catalog algebras when the carrier is finite, the
     vocabulary inclusions otherwise."""
     if carrier_size(algebra) is not None:
         out = [identity(algebra)]
-        for e in _catalog_like(algebra, bound):
+        for e in _catalog_like(algebra):
             out.extend(enumerate_homs(e, algebra))
         return out
     out = [identity(algebra), from_initial(algebra)]
@@ -268,13 +267,13 @@ def probes_into(algebra: Algebra, bound: int = 4) -> list[Morphism]:
     return out
 
 
-def probes_out_of(algebra: Algebra, bound: int = 4) -> list[Morphism]:
+def _probes_out_of(algebra: Algebra) -> list[Morphism]:
     """Maps out of the algebra for precokernel universality: every hom
     into small catalog algebras in the finite case, all marker quotients
     otherwise."""
     if carrier_size(algebra) is not None:
         out = [identity(algebra)]
-        for c in _catalog_like(algebra, bound):
+        for c in _catalog_like(algebra):
             out.extend(enumerate_homs(algebra, c))
         return out
     return [quotient(algebra, ideal).projection for ideal in all_ideals(algebra)]
@@ -289,7 +288,7 @@ class ProbeReport:
     reason: str = ""
 
 
-def is_prekernel(k: Morphism, g: Morphism, probes=None) -> ProbeReport:
+def is_prekernel(k: Morphism, g: Morphism) -> ProbeReport:
     """Probe the universal property of k as the prekernel of g: the
     composite is trivial, and every probe with trivial composite factors
     through k exactly once."""
@@ -297,14 +296,10 @@ def is_prekernel(k: Morphism, g: Morphism, probes=None) -> ProbeReport:
         raise ValueError("prekernel check needs k.cod == g.dom")
     if not is_trivial_morphism(compose(k, g)).trivial:
         return ProbeReport(False, 0, 0, (), "composite g o k is not trivial")
-    if probes is None:
-        probes = probes_into(g.dom)
     failures = []
     checked = skipped = 0
     injective = k.is_injective()
-    for idx, e in enumerate(probes):
-        if e.cod != g.dom:
-            raise ValueError("probe codomain mismatch")
+    for idx, e in enumerate(_probes_into(g.dom)):
         if not is_trivial_morphism(compose(e, g)).trivial:
             skipped += 1
             continue
@@ -326,20 +321,16 @@ def is_prekernel(k: Morphism, g: Morphism, probes=None) -> ProbeReport:
     return ProbeReport(not failures, checked, skipped, tuple(failures))
 
 
-def is_precokernel(g: Morphism, k: Morphism, probes=None) -> ProbeReport:
+def is_precokernel(g: Morphism, k: Morphism) -> ProbeReport:
     """Probe the universal property of g as the precokernel of k."""
     if k.cod != g.dom:
         raise ValueError("precokernel check needs k.cod == g.dom")
     if not is_trivial_morphism(compose(k, g)).trivial:
         return ProbeReport(False, 0, 0, (), "composite g o k is not trivial")
-    if probes is None:
-        probes = probes_out_of(g.dom)
     failures = []
     checked = skipped = 0
     surjective = g.is_surjective()
-    for idx, t in enumerate(probes):
-        if t.dom != g.dom:
-            raise ValueError("probe domain mismatch")
+    for idx, t in enumerate(_probes_out_of(g.dom)):
         if not is_trivial_morphism(compose(k, t)).trivial:
             skipped += 1
             continue

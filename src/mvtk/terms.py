@@ -112,7 +112,7 @@ class HarnessReport:
     surjective_mismatches: int
 
 
-def kernel_restriction_harness(max_size: int = 6, seed: int = 0) -> HarnessReport:
+def kernel_restriction_harness(max_size: int = 6) -> HarnessReport:
     """For every square of finite quotients with a compatible horizontal
     map, compare the comparison morphism into the pullback against the
     restriction between the vertical kernels: injectivity, surjectivity

@@ -8,7 +8,9 @@ import time
 
 import pytest
 
+from mvtk import describe
 from mvtk.cli import main
+from mvtk.jsonio import parse_morphism
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -259,6 +261,29 @@ class TestMorphismInputChecks:
                 "table": [0, 1, 2]}
         code, out = classify_spec(tmp_path, capsys, spec)
         assert code == 0 and json.loads(out.out)["surjective"]
+
+    @pytest.mark.parametrize("spec", [
+        [],
+        "full",
+        {"kind": "compose", "parts": ["x"]},
+        {"kind": "compose", "parts": []},
+    ], ids=["list", "string", "compose_part_string", "compose_no_parts"])
+    def test_malformed_morphism_exits_2(self, tmp_path, capsys, spec):
+        code, out = classify_spec(tmp_path, capsys, spec)
+        assert code == 2 and out.err.startswith("error:") and not out.out
+
+    def test_permuted_projection_of_a_komori_product(self, tmp_path, capsys):
+        spec = {"kind": "block_projection", "kept": [2, 1],
+                "algebra": {"blocks": [{"komori": {"m": 1, "r": 2}},
+                                       {"chain": 2}]}}
+        m = parse_morphism(spec)
+        assert describe(m.cod) == "Chain(2) x Komori(1,2)"
+        assert m.body.rows == ((1, 1, ()), (0, 1, ((0, 1), (1, 1))))
+        code, out = classify_spec(tmp_path, capsys, spec)
+        assert code == 0
+        doc = json.loads(out.out)
+        assert doc["kernel"] == {"markers": [{"sub": []}, "zero"]}
+        assert doc["trivial"]
 
 
 def refused(tmp_path, capsys, command, doc):

@@ -11,11 +11,9 @@ import random
 import pytest
 
 from mvtk import (
-    BlockProjectionBody,
-    ElemTableBody,
+    CoordMap,
     FiniteMapBody,
     Morphism,
-    TuplingBody,
     carrier_size,
     chain_product_catalog,
     compose,
@@ -37,8 +35,6 @@ from mvtk import (
     perfect_map,
     perfect_part,
     pre_exact,
-    probes_into,
-    probes_out_of,
     product,
     protoadditivity_check,
     quotient,
@@ -128,7 +124,7 @@ class TestReflections:
 
 class TestFunctoriality:
     def proj_to_chain(self):
-        body = BlockProjectionBody((1,))
+        body = CoordMap(((1, 1, ()),))
         return Morphism(MIXED, make_chain(2), body, "second_factor")
 
     def test_semisimple_map_commutes_with_units(self):
@@ -219,32 +215,28 @@ class TestPreExactness:
         seq = pre_exact(algebra)
         comp = compose(seq.inclusion, seq.projection)
         assert is_trivial_morphism(comp).trivial
-        pk = is_prekernel(seq.inclusion, seq.projection,
-                          probes_into(algebra))
+        pk = is_prekernel(seq.inclusion, seq.projection)
         assert pk.ok, pk.failures
-        ck = is_precokernel(seq.projection, seq.inclusion,
-                            probes_out_of(algebra))
+        ck = is_precokernel(seq.projection, seq.inclusion)
         assert ck.ok, ck.failures
 
     def test_probe_accounting_on_a_block(self):
         k = make_komori(2, 1)
         seq = pre_exact(k)
-        pk = is_prekernel(seq.inclusion, seq.projection, probes_into(k))
+        pk = is_prekernel(seq.inclusion, seq.projection)
         assert (pk.checked, pk.skipped) == (3, 2)
-        ck = is_precokernel(seq.projection, seq.inclusion, probes_out_of(k))
+        ck = is_precokernel(seq.projection, seq.inclusion)
         assert (ck.checked, ck.skipped) == (2, 1)
 
     def test_finite_sequence(self):
         c2 = to_finite(make_chain(2))
         seq = pre_exact(c2)
-        assert is_prekernel(seq.inclusion, seq.projection,
-                            probes_into(c2)).ok
-        assert is_precokernel(seq.projection, seq.inclusion,
-                              probes_out_of(c2)).ok
+        assert is_prekernel(seq.inclusion, seq.projection).ok
+        assert is_precokernel(seq.projection, seq.inclusion).ok
 
     def test_prekernel_rejects_non_trivial_composite(self):
         k = make_komori(2, 1)
-        report = is_prekernel(identity(k), identity(k), probes_into(k))
+        report = is_prekernel(identity(k), identity(k))
         assert not report.ok
         assert "not trivial" in report.reason
 
@@ -279,13 +271,13 @@ class TestFactorizations:
 class TestProtoadditivity:
     def test_symbolic_split_projection(self):
         prod = product([CHANG, make_chain(2)])
-        p = Morphism(prod, CHANG, BlockProjectionBody((0,)), "first")
+        p = Morphism(prod, CHANG, CoordMap(((0, 1, ((0, 1),)),)), "first")
         eta = radical_projection(CHANG)
         double = Morphism(eta.cod, make_chain(2),
-                          ElemTableBody({(0,): (0,), (1,): (2,)}), "double")
+                          FiniteMapBody(((0,), (2,))), "double")
         s = Morphism(CHANG, prod,
-                     TuplingBody((identity(CHANG), compose(eta, double)),
-                                 ((0, 0), (1, 0))), "section")
+                     CoordMap(identity(CHANG).body.rows
+                              + compose(eta, double).body.rows), "section")
         assert same_morphism(compose(s, p), identity(CHANG))
         for g in [from_initial(CHANG), identity(CHANG)]:
             report = protoadditivity_check(p, s, g)

@@ -123,7 +123,7 @@ class TestPixleyTerm:
 
 class TestKernelRestrictionHarness:
     def test_frozen_counts_at_the_default_size(self):
-        report = kernel_restriction_harness(max_size=6, seed=0)
+        report = kernel_restriction_harness(max_size=6)
         assert report.squares == 266
         assert report.negatives == 198
         assert report.violations == ()
@@ -131,12 +131,7 @@ class TestKernelRestrictionHarness:
         assert report.surjective_mismatches == 0
 
     def test_smaller_sweep_agrees(self):
-        report = kernel_restriction_harness(max_size=5, seed=1)
+        report = kernel_restriction_harness(max_size=5)
         assert report.squares == 128
         assert report.negatives == 89
         assert report.violations == ()
-
-    def test_seed_does_not_change_the_enumeration(self):
-        a = kernel_restriction_harness(max_size=4, seed=0)
-        b = kernel_restriction_harness(max_size=4, seed=99)
-        assert (a.squares, a.negatives) == (b.squares, b.negatives)
