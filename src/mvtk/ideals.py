@@ -484,9 +484,12 @@ def marker_quotient_data(algebra: SymbolicAlgebra, ideal: MarkerIdeal) -> Symbol
     """Block structure of A/I: a full marker kills its block, and any
     other keeps the block's height and its unmarked coordinates (a chain
     when none is left)."""
-    ideal = validate_ideal(algebra, ideal)
+    return _quotient_blocks(algebra, validate_ideal(algebra, ideal).markers)
+
+
+def _quotient_blocks(algebra: SymbolicAlgebra, markers) -> SymbolicAlgebra:
     return SymbolicAlgebra(block(b.m, b.r - len(marker_coords(m)))
-                           for b, m in zip(algebra.blocks, ideal.markers)
+                           for b, m in zip(algebra.blocks, markers)
                            if m != "full")
 
 

@@ -63,13 +63,13 @@ from .ideals import (
     FiniteIdeal,
     Ideal,
     MarkerIdeal,
+    _quotient_blocks,
     finite_quotient_data,
     ideal_contains,
     ideal_elements,
     ideal_leq,
     marker_coords,
     markers_from_elements,
-    marker_quotient_data,
     sub_marker,
     validate_ideal,
     zero_ideal,
@@ -135,6 +135,13 @@ class CoordMap:
                                for c in coords))
             for src, scale, coords in self.rows))
 
+    @classmethod
+    def _normal(cls, rows: tuple) -> "CoordMap":
+        """A CoordMap on rows already in normal form: no copy."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __call__(self, x):
         out = []
         for src, scale, coords in self.rows:
@@ -152,7 +159,7 @@ class CoordMap:
             rows.append((s0, k0 * scale, tuple(
                 None if c is None or c0[c[0]] is None
                 else (c0[c[0]][0], c0[c[0]][1] * c[1]) for c in coords)))
-        return CoordMap(tuple(rows))
+        return CoordMap._normal(tuple(rows))
 
     def preimage(self, dom: SymbolicAlgebra, markers) -> MarkerIdeal:
         """Markers of the preimage of a (validated) codomain ideal."""
@@ -314,11 +321,16 @@ class Morphism:
             table = body.table
             def ev(x):
                 return table[_index(dom, x)]
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_eval", ev)
+        for name, value in zip(self.__slots__, (dom, cod, body, label, ev)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_coords(cls, dom, cod, body: CoordMap, label: str = "") -> "Morphism":
+        """A morphism on a CoordMap valid by construction: no checks."""
+        m = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (dom, cod, body, label, body)):
+            object.__setattr__(m, name, value)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Morphism is immutable")
@@ -376,9 +388,11 @@ def to_terminal(algebra: Algebra) -> Morphism:
 
 
 def from_initial(algebra: Algebra) -> Morphism:
-    dom = _INITIAL if isinstance(algebra, SymbolicAlgebra) else to_finite(_INITIAL)
-    return Morphism(dom, algebra, FiniteMapBody((algebra.zero, algebra.one)),
-                    "from_initial")
+    if isinstance(algebra, SymbolicAlgebra):
+        return Morphism._of_coords(_INITIAL, algebra, CoordMap(tuple(
+            (0, b.m, (None,) * b.r) for b in algebra.blocks)), "from_initial")
+    return Morphism(to_finite(_INITIAL), algebra,
+                    FiniteMapBody((algebra.zero, algebra.one)), "from_initial")
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
@@ -389,10 +403,8 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     if f.cod != g.dom:
         raise ValueError("composite needs f.cod == g.dom")
     if isinstance(f.body, CoordMap) and isinstance(g.body, CoordMap):
-        body = f.body.then(g.body)
-    else:
-        body = _tabulate(f.dom, lambda x: g(f(x)))
-    return Morphism(f.dom, g.cod, body)
+        return Morphism._of_coords(f.dom, g.cod, f.body.then(g.body))
+    return Morphism(f.dom, g.cod, _tabulate(f.dom, lambda x: g(f(x))))
 
 
 def _tabulate(dom: Algebra, fn) -> FiniteMapBody:
@@ -460,15 +472,19 @@ def quotient(algebra: Algebra, ideal: Ideal, label: str = "quotient") -> Quotien
         q, class_of, reps = finite_quotient_data(algebra, ideal)
         proj = Morphism(algebra, q, FiniteMapBody(class_of), label)
         return QuotientResult(q, proj, ideal, reps)
+    q, body = _quotient_parts(algebra, ideal.markers)
+    return QuotientResult(q, Morphism(algebra, q, body, label), ideal, None)
+
+
+def _quotient_parts(algebra: SymbolicAlgebra, markers):
+    """A/I and its projection's rows, for the canonical markers of I: a
+    full marker drops its block, any other keeps its unmarked coordinates."""
     rows = []
-    for i, (b, mk) in enumerate(zip(algebra.blocks, ideal.markers)):
-        if mk == "full":
-            continue
-        killed = marker_coords(mk)
-        rows.append((i, 1, tuple((c, 1) for c in range(b.r) if c not in killed)))
-    q = marker_quotient_data(algebra, ideal)
-    proj = Morphism(algebra, q, CoordMap(tuple(rows)), label)
-    return QuotientResult(q, proj, ideal, None)
+    for i, (b, mk) in enumerate(zip(algebra.blocks, markers)):
+        if mk != "full":
+            killed = marker_coords(mk)
+            rows.append((i, 1, tuple((c, 1) for c in range(b.r) if c not in killed)))
+    return _quotient_blocks(algebra, markers), CoordMap._normal(tuple(rows))
 
 
 def factor_through_quotient(q: Morphism, f: Morphism, label: str = "") -> Morphism:
@@ -561,7 +577,14 @@ def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
         sub = table_on(members, algebra.plus, algebra.neg, algebra.zero)
         incl = Morphism(sub, algebra, FiniteMapBody(tuple(members)), label)
         return SubalgebraResult(sub, incl, ideal)
-    pairs = list(zip(algebra.blocks, ideal.markers))
+    sub, body = _subalgebra_parts(algebra, ideal.markers)
+    return SubalgebraResult(sub, Morphism(sub, algebra, body, label), ideal)
+
+
+def _subalgebra_parts(algebra: SymbolicAlgebra, markers):
+    """The subalgebra on I u neg(I) and the rows of its inclusion, for the
+    canonical markers of I."""
+    pairs = list(zip(algebra.blocks, markers))
     full = [i for i, (_, mk) in enumerate(pairs) if mk == "full"]
     joint = [(i, c) for i, (_, mk) in enumerate(pairs)
              if mk != "full" for c in sorted(marker_coords(mk))]
@@ -576,9 +599,7 @@ def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
             rows.append((len(full), b.m, tuple(
                 (joint.index((i, c)), 1) if (i, c) in joint else None
                 for c in range(b.r))))
-    sub = SymbolicAlgebra(blocks)
-    return SubalgebraResult(sub, Morphism(sub, algebra, CoordMap(tuple(rows)), label),
-                            ideal)
+    return SymbolicAlgebra(blocks), CoordMap._normal(tuple(rows))
 
 
 def _point_decoder(through: Morphism):

@@ -1,11 +1,11 @@
 """The (perfect, semisimple) pretorsion theory.
 
 Semisimple algebras have zero radical; perfect algebras are covered by
-the radical and its negations.  The only algebras that are both are the
-one- and two-element ones, and a map is trivial when it factors through
-one of those two.  This module builds the reflection onto semisimple
-quotients, the coreflection onto perfect parts, and the probe-based
-checks for prekernels, precokernels and protoadditivity.
+the radical and its negations.  Only the one- and two-element algebras
+are both, so a map is trivial iff its image lies in {0, 1}.  This module
+builds the semisimple reflection and the perfect coreflection, checks
+prekernels (exactly) and precokernels by probes, decided on CoordMap
+bodies between block products, and checks protoadditivity.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .core import (
     carrier_size,
     element,
     elements,
-    forced_elements,
     to_finite,
 )
 from .ideals import (
@@ -28,6 +27,7 @@ from .ideals import (
     ideal_leq,
     is_zero_ideal,
     radical,
+    zero_ideal,
 )
 from .morphisms import (
     CoordMap,
@@ -35,19 +35,25 @@ from .morphisms import (
     Morphism,
     QuotientResult,
     SubalgebraResult,
+    _check_coords,
+    _corestrict_coords,
+    _factor_coords,
+    _quotient_parts,
+    _subalgebra_parts,
     compose,
     corestrict,
     enumerate_homs,
     factor_through_quotient,
-    identity,
-    ideal_subalgebra,
-    image_set,
     from_initial,
+    ideal_subalgebra,
+    identity,
+    image_set,
     mediator_to_pullback,
     product_with_projections,
     pullback,
     quotient,
     same_morphism,
+    subalgebra_decode,
     to_terminal,
 )
 
@@ -151,40 +157,26 @@ class TrivialWitness:
     reason: str
 
 
-def _collapsed_block(f: Morphism):
-    """For a map between block products: the domain block of height 1
-    that every codomain block reads without infinitesimal coordinates,
-    the one shape whose image lies in {0, 1}; None otherwise."""
-    srcs = {src for src, _, _ in f.body.rows}
-    if len(srcs) != 1:
-        return None
-    (src,) = srcs
-    if f.dom.blocks[src].m != 1 or any(
-            c is not None for _, _, coords in f.body.rows for c in coords):
-        return None
-    return src
+def _collapsed_block(dom: SymbolicAlgebra, rows):
+    """For the rows of a map between block products: the domain block of
+    height 1 that every codomain block reads without infinitesimal
+    coordinates, the one shape whose image lies in {0, 1}; else None."""
+    srcs = {src for src, _, _ in rows}
+    if len(srcs) == 1 and dom.blocks[min(srcs)].m == 1 and all(
+            c is None for _, _, coords in rows for c in coords):
+        return min(srcs)
+    return None
 
 
-def _outside_witness(f: Morphism):
-    """A domain element whose value is neither 0 nor 1, for a map between
-    block products with no collapsed block: the first forced element that
-    works, else one built from the rows."""
-    zero_one = (f.cod.zero, f.cod.one)
-    for x in forced_elements(f.dom):
-        if f(x) not in zero_one:
-            return x
-    rows = f.body.rows
-    src = rows[0][0]
-    block = f.dom.blocks[src]
-    x = list(f.dom.zero)
-    if any(s != src for s, _, _ in rows):
-        x[src] = f.dom.one[src]             # 1 in one codomain block, 0 in another
-    elif block.m > 1:
-        x[src] = element(1, (0,) * block.r)
-    else:
-        c = next(c for _, _, coords in rows for c in coords if c is not None)
-        x[src] = (0, tuple(int(i == c[0]) for i in range(block.r)))
-    return tuple(x)
+def _is_trivial(dom: Algebra, cod: Algebra, body) -> bool:
+    """Whether the map with this body is trivial: its codomain is
+    terminal, or its image lies in {0, 1} (a CoordMap has a collapsed
+    block, a value table only those values)."""
+    if carrier_size(cod) == 1:
+        return True
+    if isinstance(body, CoordMap):
+        return _collapsed_block(dom, body.rows) is not None
+    return all(v == cod.zero or v == cod.one for v in body.table)
 
 
 def is_trivial_morphism(f: Morphism) -> TrivialWitness:
@@ -192,6 +184,13 @@ def is_trivial_morphism(f: Morphism) -> TrivialWitness:
     produce the factorization.  A negative verdict carries a witness: the
     first value outside {0, 1} on a finite carrier, a domain element
     sent outside {0, 1} otherwise."""
+    finite = carrier_size(f.dom) is not None
+    zero_one = (f.cod.zero, f.cod.one)
+    if not _is_trivial(f.dom, f.cod, f.body):
+        witness = min((v for v in image_set(f) if v not in zero_one), key=repr) \
+            if finite else next(x for x in _points(f.dom) if f(x) not in zero_one)
+        return TrivialWitness(False, None, None, None, witness,
+                              "image contains a value other than 0 and 1")
     if carrier_size(f.cod) == 1:
         left = to_terminal(f.dom)
         right = Morphism(left.cod, f.cod, FiniteMapBody((f.cod.zero,)),
@@ -199,21 +198,12 @@ def is_trivial_morphism(f: Morphism) -> TrivialWitness:
         return TrivialWitness(True, "terminal", left, right, None,
                               "codomain is terminal")
     right = from_initial(f.cod)
-    reason = "image contains a value other than 0 and 1"
-    if carrier_size(f.dom) is not None:
-        zero_one = (f.cod.zero, f.cod.one)
-        outside = sorted((v for v in image_set(f) if v not in zero_one), key=repr)
-        if outside:
-            return TrivialWitness(False, None, None, None, outside[0], reason)
+    if finite:
         body = FiniteMapBody(tuple(
             right.dom.one if f(x) == f.cod.one else right.dom.zero
             for x in elements(f.dom)))
     else:
-        src = _collapsed_block(f)
-        if src is None:
-            return TrivialWitness(False, None, None, None, _outside_witness(f),
-                                  reason)
-        body = CoordMap(((src, 1, ()),))
+        body = CoordMap(((_collapsed_block(f.dom, f.body.rows), 1, ()),))
     left = Morphism(f.dom, right.dom, body, "initial_collapse")
     return TrivialWitness(True, "initial", left, right, None,
                           "image lies in {0, 1}")
@@ -243,40 +233,33 @@ def pre_exact(algebra: Algebra) -> PreExactSequence:
     return PreExactSequence(perfect_part(algebra), semisimple_quotient(algebra))
 
 
-def _catalog_like(algebra: Algebra) -> list:
-    """The catalog chain products of size at most 4, as tables when
-    ``algebra`` is one."""
+def _catalog_homs(algebra: Algebra, into: bool) -> list[Morphism]:
+    """The identity and every hom from (``into``) or to the catalog chain
+    products of size at most 4, as tables when ``algebra`` is one."""
     catalog = chain_product_catalog(4)
     if isinstance(algebra, FiniteAlgebra):
-        return [to_finite(e) for e in catalog]
-    return catalog
+        catalog = [to_finite(e) for e in catalog]
+    ends = [(e, algebra) if into else (algebra, e) for e in catalog]
+    return [identity(algebra)] + [h for end in ends for h in enumerate_homs(*end)]
 
 
-def _probes_into(algebra: Algebra) -> list[Morphism]:
-    """Maps into the algebra used to exercise prekernel universality:
-    every hom from small catalog algebras when the carrier is finite, the
-    vocabulary inclusions otherwise."""
+def _probes_into(algebra: Algebra) -> list:
+    """(domain, body) of the identity and every hom out of the small
+    catalog algebras on a finite carrier; otherwise of the identity, the
+    map from Chain(1) and the inclusion of I u neg(I) for each ideal I."""
     if carrier_size(algebra) is not None:
-        out = [identity(algebra)]
-        for e in _catalog_like(algebra):
-            out.extend(enumerate_homs(e, algebra))
-        return out
-    out = [identity(algebra), from_initial(algebra)]
-    for ideal in all_ideals(algebra):
-        out.append(ideal_subalgebra(algebra, ideal).inclusion)
-    return out
+        return [(h.dom, h.body) for h in _catalog_homs(algebra, True)]
+    return [(m.dom, m.body) for m in (identity(algebra), from_initial(algebra))] \
+        + [_subalgebra_parts(algebra, i.markers) for i in all_ideals(algebra)]
 
 
-def _probes_out_of(algebra: Algebra) -> list[Morphism]:
-    """Maps out of the algebra for precokernel universality: every hom
-    into small catalog algebras in the finite case, all marker quotients
-    otherwise."""
+def _probes_out_of(algebra: Algebra) -> list:
+    """(codomain, body) of the identity and every hom into the small
+    catalog algebras on a finite carrier; otherwise of the projection
+    onto A/I for each ideal I."""
     if carrier_size(algebra) is not None:
-        out = [identity(algebra)]
-        for c in _catalog_like(algebra):
-            out.extend(enumerate_homs(algebra, c))
-        return out
-    return [quotient(algebra, ideal).projection for ideal in all_ideals(algebra)]
+        return [(h.cod, h.body) for h in _catalog_homs(algebra, False)]
+    return [_quotient_parts(algebra, i.markers) for i in all_ideals(algebra)]
 
 
 @dataclass(frozen=True)
@@ -288,67 +271,147 @@ class ProbeReport:
     reason: str = ""
 
 
+# the outcome of a probe whose composite is not trivial
+_SKIPPED = object()
+
+
+def _report(outcomes: list) -> ProbeReport:
+    """Tally per-probe outcomes: None (passed), a failure text or _SKIPPED."""
+    skipped = outcomes.count(_SKIPPED)
+    failures = tuple((i, o) for i, o in enumerate(outcomes) if isinstance(o, str))
+    return ProbeReport(not failures, len(outcomes) - skipped, skipped, failures)
+
+
+def _on_coords(k: Morphism, g: Morphism) -> bool:
+    """Whether each probe is decided on CoordMaps, building no Morphism."""
+    return isinstance(k.body, CoordMap) and isinstance(g.body, CoordMap)
+
+
+def _points(algebra: Algebra) -> list:
+    """Every element of a finite carrier; of an infinite block product,
+    the height-1 element and each unit infinitesimal of every block (zero
+    elsewhere), which generate it."""
+    if carrier_size(algebra) is not None:
+        return elements(algebra)
+    z = algebra.zero
+    return [z[:i] + (element(a, coefs),) + z[i + 1:]
+            for i, b in enumerate(algebra.blocks)
+            for a, coefs in [(1, (0,) * b.r)] + [
+                (0, tuple(int(t == c) for t in range(b.r))) for c in range(b.r)]]
+
+
+def _prekernel_outcomes(k: Morphism, g: Morphism, injective: bool) -> list:
+    if _on_coords(k, g):
+        def composite(dom, e):
+            return e.then(g.body)
+        def factor(dom, e):     # what corestrict(e, k) runs
+            _check_coords(dom, k.dom, _corestrict_coords(e, k.body, k.dom))
+    else:
+        def composite(dom, e):
+            return compose(Morphism(dom, g.dom, e), g).body
+        def factor(dom, e):
+            corestrict(Morphism(dom, g.dom, e), k)
+
+    def outcome(dom, e):
+        if not _is_trivial(dom, g.cod, composite(dom, e)):
+            return _SKIPPED
+        try:
+            factor(dom, e)
+        except (ValueError, TypeError) as exc:
+            return f"no factorization: {exc}"
+        if injective:
+            return None
+        if carrier_size(dom) is None or carrier_size(k.dom) is None:
+            return "uniqueness undecidable: k not injective"
+        n = sum(compose(h, k).body == e for h in enumerate_homs(dom, k.dom))
+        return None if n == 1 else f"{n} factorizations"
+    return [outcome(dom, e) for dom, e in _probes_into(g.dom)]
+
+
+def _prekernel_gap(k: Morphism, g: Morphism, injective: bool):
+    """None when k is injective with image ker g u neg(ker g); otherwise
+    the failure text, with a witness."""
+    if not injective:
+        y = next(y for y in _points(k.dom)
+                 if y != k.dom.zero and k(y) == k.cod.zero)
+        return f"{y} is sent to 0: k is not injective"
+    sub = ideal_subalgebra(g.dom, g.kernel())
+    try:
+        corestrict(sub.inclusion, k)
+        return None
+    except (ValueError, TypeError):
+        x = next(x for x in map(sub.inclusion, _points(sub.algebra))
+                 if subalgebra_decode(k, x) is None)
+        return f"{x} in ker g u neg(ker g) is outside im k"
+
+
 def is_prekernel(k: Morphism, g: Morphism) -> ProbeReport:
     """Probe the universal property of k as the prekernel of g: the
     composite is trivial, and every probe with trivial composite factors
-    through k exactly once."""
+    through k exactly once.  Then decide it exactly.
+
+    A map is trivial iff its image lies in {0, 1}, and g(x) = 1 iff neg x
+    is in ker g, so g^-1{0, 1} = ker g u neg(ker g), the carrier of
+    ``ideal_subalgebra(A, ker g)``.  So k is a prekernel of g iff k is
+    injective with im k = ker g u neg(ker g): then every probe with
+    trivial composite factors once.  Conversely im k lies in g^-1{0, 1};
+    that subalgebra's inclusion must factor through k; and a != b with
+    k(a) = k(b) give two factorizations of the map sending the generator
+    of the free one-generated algebra to k(a).  When no probe fails, the
+    inclusion is corestricted through k, and an element outside im k, or
+    one a non-injective k sends to 0, is the failure (None, text)."""
     if k.cod != g.dom:
         raise ValueError("prekernel check needs k.cod == g.dom")
-    if not is_trivial_morphism(compose(k, g)).trivial:
+    c = compose(k, g)
+    if not _is_trivial(c.dom, c.cod, c.body):
         return ProbeReport(False, 0, 0, (), "composite g o k is not trivial")
-    failures = []
-    checked = skipped = 0
     injective = k.is_injective()
-    for idx, e in enumerate(_probes_into(g.dom)):
-        if not is_trivial_morphism(compose(e, g)).trivial:
-            skipped += 1
-            continue
-        checked += 1
+    report = _report(_prekernel_outcomes(k, g, injective))
+    if report.ok and (gap := _prekernel_gap(k, g, injective)):
+        return ProbeReport(False, report.checked, report.skipped, ((None, gap),))
+    return report
+
+
+def _precokernel_outcomes(g: Morphism, k: Morphism) -> list:
+    A, kernel, surjective = g.dom, g.kernel(), g.is_surjective()
+    if _on_coords(k, g):
+        def composite(cod, t):
+            return k.body.then(t)
+        def kills(cod, t):
+            return ideal_leq(A, kernel, t.preimage(A, zero_ideal(cod).markers))
+        def mediate(cod, t):    # what factor_through_quotient(g, t) runs
+            _check_coords(g.cod, cod, _factor_coords(g.body, t))
+    else:
+        def composite(cod, t):
+            return compose(k, Morphism(A, cod, t)).body
+        def kills(cod, t):
+            return ideal_leq(A, kernel, Morphism(A, cod, t).kernel())
+        def mediate(cod, t):
+            factor_through_quotient(g, Morphism(A, cod, t))
+
+    def outcome(cod, t):
+        if not _is_trivial(k.dom, cod, composite(cod, t)):
+            return _SKIPPED
+        if not kills(cod, t):
+            return "probe does not kill ker g: no mediator"
         try:
-            phi = corestrict(e, k)
+            mediate(cod, t)     # the mediator psi recovers t: g then psi is t
         except (ValueError, TypeError) as exc:
-            failures.append((idx, f"no factorization: {exc}"))
-            continue
-        # corestrict raises unless phi followed by k is e
-        if not injective:
-            if carrier_size(e.dom) is None or carrier_size(k.dom) is None:
-                failures.append((idx, "uniqueness undecidable: k not injective"))
-                continue
-            cands = [h for h in enumerate_homs(e.dom, k.dom)
-                     if same_morphism(compose(h, k), e)]
-            if len(cands) != 1:
-                failures.append((idx, f"{len(cands)} factorizations"))
-    return ProbeReport(not failures, checked, skipped, tuple(failures))
+            return f"no mediator: {exc}"
+        return None if surjective else "uniqueness undecidable: g not surjective"
+    return [outcome(cod, t) for cod, t in _probes_out_of(A)]
 
 
 def is_precokernel(g: Morphism, k: Morphism) -> ProbeReport:
-    """Probe the universal property of g as the precokernel of k."""
+    """Probe the universal property of g as the precokernel of k: the
+    composite is trivial, and every probe t with k then t trivial factors
+    through g exactly once."""
     if k.cod != g.dom:
         raise ValueError("precokernel check needs k.cod == g.dom")
-    if not is_trivial_morphism(compose(k, g)).trivial:
+    c = compose(k, g)
+    if not _is_trivial(c.dom, c.cod, c.body):
         return ProbeReport(False, 0, 0, (), "composite g o k is not trivial")
-    failures = []
-    checked = skipped = 0
-    surjective = g.is_surjective()
-    for idx, t in enumerate(_probes_out_of(g.dom)):
-        if not is_trivial_morphism(compose(k, t)).trivial:
-            skipped += 1
-            continue
-        checked += 1
-        if not ideal_leq(g.dom, g.kernel(), t.kernel()):
-            failures.append((idx, "probe does not kill ker g: no mediator"))
-            continue
-        try:
-            psi = factor_through_quotient(g, t)
-        except (ValueError, TypeError) as exc:
-            failures.append((idx, f"no mediator: {exc}"))
-            continue
-        if not same_morphism(compose(g, psi), t):
-            failures.append((idx, "mediator does not recover the probe"))
-            continue
-        if not surjective:
-            failures.append((idx, "uniqueness undecidable: g not surjective"))
-    return ProbeReport(not failures, checked, skipped, tuple(failures))
+    return _report(_precokernel_outcomes(g, k))
 
 
 @dataclass(frozen=True)

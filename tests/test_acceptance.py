@@ -38,7 +38,6 @@ import contextlib
 
 import mvtk
 from mvtk import (
-    AXIOM_NAMES,
     ExtensionSquare,
     all_ideals,
     carrier_size,

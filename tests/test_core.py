@@ -18,7 +18,6 @@ from mvtk import (
     check_lattice_identities,
     describe,
     dist,
-    elements,
     enumerate_homs,
     forced_elements,
     initial_algebra,

@@ -6,9 +6,6 @@ surjection splits as a radical-kernel surjection followed by a
 radical-missing one.
 """
 
-import itertools
-import random
-
 import pytest
 
 from mvtk import (
@@ -28,11 +25,9 @@ from mvtk import (
     extension_commutator,
     fill_diagonal,
     from_initial,
-    full_ideal,
     ideal_leq,
     ideal_meet,
     identity,
-    is_morphism,
     kernel_subalgebra,
     m_member,
     make_chain,

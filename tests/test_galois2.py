@@ -6,7 +6,6 @@ import random
 import pytest
 
 from mvtk import (
-    CommutatorReport,
     ExtensionSquare,
     FiniteIdeal,
     MarkerIdeal,
@@ -22,7 +21,6 @@ from mvtk import (
     full_ideal,
     ideal_contains,
     ideal_elements,
-    ideal_join,
     ideal_leq,
     ideal_meet,
     ideal_subalgebra,

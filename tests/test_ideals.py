@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvtk import (
-    FiniteIdeal,
     MarkerIdeal,
     all_ideals,
     chain_product_catalog,
-    carrier_size,
     describe,
     elements,
     full_ideal,

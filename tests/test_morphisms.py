@@ -1,7 +1,6 @@
 """Quotients, subalgebras, pullbacks, and kernel pairs."""
 
 import itertools
-import random
 
 import pytest
 
@@ -12,7 +11,6 @@ from mvtk import (
     are_isomorphic,
     carrier_size,
     compose,
-    corestrict,
     describe,
     elements,
     enumerate_homs,
@@ -24,7 +22,6 @@ from mvtk import (
     identity,
     image_ideal,
     image_set,
-    initial_algebra,
     is_morphism,
     kernel_pair,
     make_chain,
@@ -37,7 +34,6 @@ from mvtk import (
     radical,
     same_morphism,
     subalgebra_decode,
-    terminal_algebra,
     to_finite,
     to_terminal,
     zero_ideal,

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvtk import (
-    are_isomorphic,
     describe,
     from_algebra_element,
     gamma_ops_agree,
@@ -34,7 +33,6 @@ from mvtk import (
     neg,
     oplus,
     order_unit_check,
-    product,
     random_group_element,
     semidirect_join,
     semidirect_sum,

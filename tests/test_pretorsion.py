@@ -12,17 +12,24 @@ import pytest
 
 from mvtk import (
     CoordMap,
+    FiniteAlgebra,
     FiniteMapBody,
     Morphism,
+    all_ideals,
     carrier_size,
     chain_product_catalog,
     compose,
+    corestrict,
     counit_factorization,
     describe,
     elements,
     enumerate_homs,
+    factor_through_quotient,
     from_initial,
+    ideal_leq,
+    ideal_subalgebra,
     identity,
+    initial_algebra,
     is_morphism,
     is_perfect,
     is_precokernel,
@@ -47,7 +54,6 @@ from mvtk import (
     semisimple_quotient,
     terminal_algebra,
     to_finite,
-    to_terminal,
     unit_factorization,
     zero_ideal,
 )
@@ -297,3 +303,244 @@ class TestProtoadditivity:
         assert same_morphism(compose(diag, proj), identity(c2))
         report = protoadditivity_check(proj, diag, identity(c2))
         assert report.ok and report.compared >= 6
+
+
+# ---------------------------------------------------------------------------
+# the per-probe Morphism loops, kept as the oracle of the body probes
+
+
+def _generators(algebra):
+    """Elements of a block product whose images decide whether a map
+    lands in a subalgebra: all of a finite carrier, else per block the
+    height-1 element and each unit infinitesimal."""
+    if carrier_size(algebra) is not None:
+        return elements(algebra)
+    out = []
+    for i, b in enumerate(algebra.blocks):
+        units = [(0, tuple(int(t == c) for t in range(b.r))) for c in range(b.r)]
+        for v in [(1, (0,) * b.r) if b.r else 1] + units:
+            out.append(algebra.zero[:i] + (v,) + algebra.zero[i + 1:])
+    return out
+
+
+def _oracle_trivial(f):
+    """Image within {0, 1}, by evaluation on the domain's generators."""
+    return carrier_size(f.cod) == 1 or all(
+        f(x) in (f.cod.zero, f.cod.one) for x in _generators(f.dom))
+
+
+def _oracle_catalog(algebra):
+    catalog = chain_product_catalog(4)
+    if isinstance(algebra, FiniteAlgebra):
+        return [to_finite(e) for e in catalog]
+    return catalog
+
+
+def _oracle_probes_into(algebra):
+    if carrier_size(algebra) is not None:
+        out = [identity(algebra)]
+        for e in _oracle_catalog(algebra):
+            out.extend(enumerate_homs(e, algebra))
+        return out
+    out = [identity(algebra), from_initial(algebra)]
+    for ideal in all_ideals(algebra):
+        out.append(ideal_subalgebra(algebra, ideal).inclusion)
+    return out
+
+
+def _oracle_probes_out_of(algebra):
+    if carrier_size(algebra) is not None:
+        out = [identity(algebra)]
+        for c in _oracle_catalog(algebra):
+            out.extend(enumerate_homs(algebra, c))
+        return out
+    return [quotient(algebra, ideal).projection for ideal in all_ideals(algebra)]
+
+
+_NOT_TRIVIAL = (False, 0, 0, (), "composite g o k is not trivial")
+
+
+def _oracle_prekernel(k, g):
+    """(ok, checked, skipped, failures, reason) of the probes alone."""
+    if not _oracle_trivial(compose(k, g)):
+        return _NOT_TRIVIAL
+    failures = []
+    checked = skipped = 0
+    injective = k.is_injective()
+    for idx, e in enumerate(_oracle_probes_into(g.dom)):
+        if not _oracle_trivial(compose(e, g)):
+            skipped += 1
+            continue
+        checked += 1
+        try:
+            corestrict(e, k)
+        except (ValueError, TypeError) as exc:
+            failures.append((idx, f"no factorization: {exc}"))
+            continue
+        if not injective:
+            if carrier_size(e.dom) is None or carrier_size(k.dom) is None:
+                failures.append((idx, "uniqueness undecidable: k not injective"))
+                continue
+            cands = [h for h in enumerate_homs(e.dom, k.dom)
+                     if same_morphism(compose(h, k), e)]
+            if len(cands) != 1:
+                failures.append((idx, f"{len(cands)} factorizations"))
+    return (not failures, checked, skipped, tuple(failures), "")
+
+
+def _oracle_precokernel(g, k):
+    if not _oracle_trivial(compose(k, g)):
+        return _NOT_TRIVIAL
+    failures = []
+    checked = skipped = 0
+    surjective = g.is_surjective()
+    for idx, t in enumerate(_oracle_probes_out_of(g.dom)):
+        if not _oracle_trivial(compose(k, t)):
+            skipped += 1
+            continue
+        checked += 1
+        if not ideal_leq(g.dom, g.kernel(), t.kernel()):
+            failures.append((idx, "probe does not kill ker g: no mediator"))
+            continue
+        try:
+            psi = factor_through_quotient(g, t)
+        except (ValueError, TypeError) as exc:
+            failures.append((idx, f"no mediator: {exc}"))
+            continue
+        if not same_morphism(compose(g, psi), t):
+            failures.append((idx, "mediator does not recover the probe"))
+            continue
+        if not surjective:
+            failures.append((idx, "uniqueness undecidable: g not surjective"))
+    return (not failures, checked, skipped, tuple(failures), "")
+
+
+def _agrees_with_oracle(k, g):
+    """Both reports match the oracle's counts, probe failures and reason;
+    ok differs only by an exact-decision failure (index None)."""
+    reports = is_prekernel(k, g), is_precokernel(g, k)
+    for report, oracle in zip(reports, (_oracle_prekernel(k, g),
+                                        _oracle_precokernel(g, k))):
+        probe_failures = tuple(f for f in report.failures if f[0] is not None)
+        exact = tuple(f for f in report.failures if f[0] is None)
+        assert (report.checked, report.skipped, probe_failures,
+                report.reason) == oracle[1:]
+        assert report.ok == (oracle[0] and not exact)
+    return reports
+
+
+def _random_algebras(seed, count):
+    rng = random.Random(seed)
+    return [random_block_algebra(rng, max_r=2) for _ in range(count)]
+
+
+class TestProbesAgreeWithTheMorphismOracle:
+    def test_pre_exact_sequences_of_random_block_algebras(self):
+        for algebra in _random_algebras(11, 40):
+            seq = pre_exact(algebra)
+            _agrees_with_oracle(seq.inclusion, seq.projection)
+            assert is_prekernel(seq.inclusion, seq.projection).ok
+
+    @pytest.mark.parametrize("finite", [False, True], ids=["blocks", "tables"])
+    def test_pre_exact_sequences_of_the_small_catalog(self, finite):
+        for algebra in chain_product_catalog(8):
+            seq = pre_exact(to_finite(algebra) if finite else algebra)
+            _agrees_with_oracle(seq.inclusion, seq.projection)
+            assert is_prekernel(seq.inclusion, seq.projection).ok
+            assert is_precokernel(seq.projection, seq.inclusion).ok
+
+    def test_ideal_pairs_that_are_not_pre_exact(self):
+        rng = random.Random(12)
+        for algebra in _random_algebras(13, 25):
+            ideals = all_ideals(algebra)
+            for _ in range(3):
+                i, j = rng.choice(ideals), rng.choice(ideals)
+                _agrees_with_oracle(ideal_subalgebra(algebra, i).inclusion,
+                                    quotient(algebra, j).projection)
+            _agrees_with_oracle(identity(algebra), identity(algebra))
+
+    def test_non_injective_k_and_non_surjective_g(self):
+        chang, k12 = make_komori(1, 1), make_komori(1, 2)
+        # k drops a coordinate: every checked probe is undecidable
+        k = Morphism(k12, chang, CoordMap(((0, 1, ((0, 1),)),)))
+        _agrees_with_oracle(k, radical_projection(chang))
+        # k forgets a block: no probe factors
+        pair = product([chang, chang])
+        k = Morphism(pair, chang, CoordMap(((0, 1, ((0, 1),)),)))
+        _agrees_with_oracle(k, radical_projection(chang))
+        # a projection of tables: probes factor twice
+        c1 = to_finite(make_chain(1))
+        k = enumerate_homs(to_finite(product([make_chain(1)] * 2)), c1)[0]
+        prekernel, _ = _agrees_with_oracle(k, identity(c1))
+        assert "2 factorizations" in dict(prekernel.failures).values()
+        # g doubles the infinitesimal: one probe has no mediator, the
+        # others cannot be shown unique
+        g = Morphism(chang, chang, CoordMap(((0, 1, ((0, 2),)),)))
+        _, precokernel = _agrees_with_oracle(from_initial(chang), g)
+        assert precokernel.failures[0] == (
+            0, "no mediator: f reads a coordinate the quotient kills")
+        assert precokernel.failures[1][1] == \
+            "uniqueness undecidable: g not surjective"
+
+    def test_from_initial_is_the_decoded_table(self):
+        for algebra in _random_algebras(14, 20) + chain_product_catalog(8):
+            decoded = Morphism(initial_algebra(), algebra,
+                               FiniteMapBody((algebra.zero, algebra.one)))
+            assert from_initial(algebra).body == decoded.body
+
+
+class TestExactPrekernel:
+    A = product([make_chain(5), make_chain(2)])
+    G = Morphism(A, make_chain(2), CoordMap(((1, 1, ()),)), "second")
+
+    def test_missing_element_of_the_kernel_subalgebra(self):
+        # the four Boolean elements: every probe factors, yet (1, 0),
+        # with g(1, 0) = 0, is not among them
+        booleans = product([make_chain(1), make_chain(1)])
+        k = Morphism(booleans, self.A, CoordMap(((0, 5, ()), (1, 2, ()))))
+        report = is_prekernel(k, self.G)
+        assert (report.ok, report.checked, report.skipped) == (False, 5, 1)
+        assert report.failures == (
+            (None, "(1, 0) in ker g u neg(ker g) is outside im k"),)
+
+    def test_kernel_subalgebra_is_the_prekernel(self):
+        sub = ideal_subalgebra(self.A, self.G.kernel())
+        assert carrier_size(sub.algebra) == 12
+        report = is_prekernel(sub.inclusion, self.G)
+        assert report.ok and (report.checked, report.skipped) == (5, 1)
+
+
+def _morphisms_built(monkeypatch, run):
+    """Morphisms constructed while ``run`` runs, through __init__ and the
+    private constructor both."""
+    built = []
+    init, of_coords = Morphism.__init__, Morphism._of_coords.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_of_coords(cls, *args, **kwargs):
+        built.append(1)
+        return of_coords(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Morphism, "__init__", counted_init)
+    monkeypatch.setattr(Morphism, "_of_coords", classmethod(counted_of_coords))
+    run()
+    monkeypatch.undo()
+    return len(built)
+
+
+def test_probe_cost_does_not_grow_with_the_ideal_count(monkeypatch):
+    counts = {}
+    for algebra in [make_komori(1, 2),
+                    product([make_komori(2, 2), make_komori(1, 2), make_chain(1)]),
+                    product([make_komori(2, 2), make_komori(1, 2), make_komori(1, 1)])]:
+        seq = pre_exact(algebra)
+
+        def run():
+            assert is_prekernel(seq.inclusion, seq.projection).ok
+            assert is_precokernel(seq.projection, seq.inclusion).ok
+        counts[len(all_ideals(algebra))] = _morphisms_built(monkeypatch, run)
+    assert set(counts) == {5, 50, 75}
+    assert len(set(counts.values())) == 1, counts
