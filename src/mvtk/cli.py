@@ -68,6 +68,16 @@ def _probe_report(rep):
             "failures": jsonable(rep.failures), "reason": rep.reason}
 
 
+def _expected(args, payload, ok, holds):
+    """The payload and ``ok``; under ``--expect p`` also whether property p
+    holds (``not-p``: whether it fails), recorded in the payload."""
+    if args.expect:
+        payload["expected"] = args.expect
+        negated = args.expect.startswith("not-")
+        ok = ok and bool(holds[args.expect.removeprefix("not-")]) != negated
+    return payload, ok
+
+
 def cmd_check_axioms(args):
     algebra = parse_algebra(_load(args.file))
     reports = {
@@ -97,11 +107,8 @@ def cmd_radical(args):
         "semisimple": is_semisimple(algebra),
         "perfect": is_perfect(algebra),
     }
-    ok = agree
-    if args.expect:
-        payload["expected"] = args.expect
-        ok = ok and payload[args.expect]
-    return payload, ok
+    return _expected(args, payload, agree, {
+        "semisimple": payload["semisimple"], "perfect": payload["perfect"]})
 
 
 def cmd_ideals(args):
@@ -143,14 +150,9 @@ def cmd_classify(args):
         "kernel_meet_radical": ideal_to_json(f.dom, cl.radical_meet),
         "kernel_in_radical_polar": cl.kernel_in_radical_polar,
     }
-    ok = True
-    if args.expect:
-        lookup = {"trivial": cl.trivial, "central": cl.central,
-                  "normal": cl.normal, "surjective": cl.surjective,
-                  "not-trivial": not cl.trivial, "not-central": not cl.central}
-        payload["expected"] = args.expect
-        ok = lookup[args.expect]
-    return payload, ok
+    return _expected(args, payload, True, {
+        "trivial": cl.trivial, "central": cl.central, "normal": cl.normal,
+        "surjective": cl.surjective})
 
 
 def cmd_factorize(args):
@@ -185,19 +187,13 @@ def cmd_square_classify(args):
     rp = is_regular_pushout(sq)
     payload = {"regular_pushout": rp.ok,
                "comparison_surjective": rp.comparison_surjective}
-    ok = rp.ok
+    holds = {}
     if rp.ok:
         dc = classify_double(sq)
         payload["central"] = dc.central
         payload["kernel_meet"] = jsonable(dc.meet)
-        if args.expect:
-            lookup = {"central": dc.central, "not-central": not dc.central}
-            payload["expected"] = args.expect
-            ok = lookup[args.expect]
-    elif args.expect:
-        payload["expected"] = args.expect
-        ok = False
-    return payload, ok
+        holds["central"] = dc.central
+    return _expected(args, payload, rp.ok, holds)
 
 
 def cmd_commutator(args):
@@ -216,12 +212,7 @@ def cmd_commutator(args):
         "double_central": rep.double_central,
         "radical_compatible": rep.radical_compatible,
     }
-    ok = True
-    if args.expect:
-        lookup = {"central": rep.in_center, "not-central": not rep.in_center}
-        payload["expected"] = args.expect
-        ok = lookup[args.expect]
-    return payload, ok
+    return _expected(args, payload, True, {"central": rep.in_center})
 
 
 def cmd_terms(args):
@@ -337,7 +328,7 @@ def main(argv=None) -> int:
     try:
         payload, ok = args.func(args)
     except (ValueError, KeyError, TypeError, NotImplementedError,
-            OSError, json.JSONDecodeError) as exc:
+            OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(payload, sort_keys=True, indent=2)

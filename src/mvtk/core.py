@@ -959,7 +959,7 @@ def canonical_blocks(algebra: SymbolicAlgebra) -> tuple:
 def are_isomorphic(a: Algebra, b: Algebra) -> bool:
     """Isomorphism test.  Symbolic pairs compare block multisets (a direct
     product of chain and Komori blocks determines them); mixed or finite
-    pairs search for a bijective table morphism."""
+    pairs look for a bijective table among all table morphisms."""
     if isinstance(a, SymbolicAlgebra) and isinstance(b, SymbolicAlgebra):
         return canonical_blocks(a) == canonical_blocks(b)
     na, nb = carrier_size(a), carrier_size(b)
@@ -968,17 +968,18 @@ def are_isomorphic(a: Algebra, b: Algebra) -> bool:
         return False
     if na != nb:
         return False
-    return bool(hom_tables(to_finite(a), to_finite(b), bijective=True, limit=1))
+    fa, fb = to_finite(a), to_finite(b)
+    return any(len(set(t)) == fa.size for t in hom_tables(fa, fb))
 
 
 # ---------------------------------------------------------------------------
 # morphism table search
 
 
-def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v, used):
+def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v):
     """Assign table[x] = v and close under neg and plus against everything
-    already assigned.  Mutates table (and used, when injective search);
-    returns the list of newly assigned points or None on contradiction."""
+    already assigned.  Mutates table; returns the list of newly assigned
+    points or None on contradiction."""
     stack = [(x, v)]
     added = []
     while stack:
@@ -986,14 +987,9 @@ def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v, used):
         cur = table[x]
         if cur is not None:
             if cur != v:
-                _undo(table, used, added)
+                _undo(table, added)
                 return None
             continue
-        if used is not None:
-            if v in used:
-                _undo(table, used, added)
-                return None
-            used.add(v)
         table[x] = v
         added.append(x)
         nx = A.neg_row[x]
@@ -1006,43 +1002,32 @@ def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v, used):
     return added
 
 
-def _undo(table, used, added):
+def _undo(table, added):
     for x in added:
-        if used is not None:
-            used.discard(table[x])
         table[x] = None
 
 
-def hom_tables(A: FiniteAlgebra, B: FiniteAlgebra, bijective: bool = False,
-               limit: int | None = None) -> list[tuple[int, ...]]:
+def hom_tables(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All homomorphism tables A -> B (zero-, plus- and neg-preserving),
-    found by backtracking with closure propagation.  Deterministic order.
-    ``bijective`` restricts to bijections; ``limit`` stops early."""
-    if bijective and A.size != B.size:
-        return []
+    found by backtracking with closure propagation.  Deterministic order."""
     out: list[tuple[int, ...]] = []
     table: list[int | None] = [None] * A.size
-    used: set[int] | None = set() if bijective else None
-    seed = _propagate(A, B, table, A.zero, B.zero, used)
+    seed = _propagate(A, B, table, A.zero, B.zero)
     if seed is None:
         return out
 
-    def rec() -> bool:
-        if limit is not None and len(out) >= limit:
-            return True
+    def rec() -> None:
         x = next((i for i, v in enumerate(table) if v is None), None)
         if x is None:
             out.append(tuple(table))  # type: ignore[arg-type]
-            return limit is not None and len(out) >= limit
+            return
         for v in range(B.size):
-            added = _propagate(A, B, table, x, v, used)
+            added = _propagate(A, B, table, x, v)
             if added is None:
                 continue
-            if rec():
-                return True
-            _undo(table, used, added)
-        return False
+            rec()
+            _undo(table, added)
 
     rec()
-    _undo(table, used, seed)
+    _undo(table, seed)
     return out

@@ -61,7 +61,6 @@ __all__ = [
     "polar",
     "riesz_split",
     "radical_conegation_disjoint",
-    "marker_quotient_data",
     "finite_quotient_data",
 ]
 
@@ -480,22 +479,18 @@ def radical_conegation_disjoint(algebra: Algebra, ideal: Ideal) -> bool:
 # quotient data
 
 
-def marker_quotient_data(algebra: SymbolicAlgebra, ideal: MarkerIdeal) -> SymbolicAlgebra:
-    """Block structure of A/I: a full marker kills its block, and any
-    other keeps the block's height and its unmarked coordinates (a chain
-    when none is left)."""
-    return _quotient_blocks(algebra, validate_ideal(algebra, ideal).markers)
-
-
 def _quotient_blocks(algebra: SymbolicAlgebra, markers) -> SymbolicAlgebra:
+    """Block structure of A/I for the canonical markers of I: a full marker
+    kills its block, and any other keeps the block's height and its
+    unmarked coordinates (a chain when none is left)."""
     return SymbolicAlgebra(block(b.m, b.r - len(marker_coords(m)))
                            for b, m in zip(algebra.blocks, markers)
                            if m != "full")
 
 
 def finite_quotient_data(algebra: FiniteAlgebra, ideal: FiniteIdeal):
-    """(quotient table algebra, class index per element, representative per
-    class).  Classes are joined by the distance term landing in the ideal."""
+    """(quotient table algebra, class index per element).  Classes are
+    joined by the distance term landing in the ideal."""
     ideal = validate_ideal(algebra, ideal)
     n = algebra.size
     class_of: list[int | None] = [None] * n
@@ -511,4 +506,4 @@ def finite_quotient_data(algebra: FiniteAlgebra, ideal: FiniteIdeal):
     neg_row = [class_of[algebra.neg(r)] for r in reps]
     plus_rows = [[class_of[algebra.plus(r, s)] for s in reps] for r in reps]
     q = FiniteAlgebra(neg_row, plus_rows, class_of[algebra.zero])
-    return q, tuple(class_of), tuple(reps)
+    return q, tuple(class_of)

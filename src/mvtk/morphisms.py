@@ -312,24 +312,14 @@ class Morphism:
     __slots__ = ("dom", "cod", "body", "label", "_eval")
 
     def __init__(self, dom: Algebra, cod: Algebra, body, label: str = ""):
-        body = _lower(dom, cod, body)
-        if isinstance(body, CoordMap):
-            ev = body
-        elif isinstance(dom, FiniteAlgebra):
-            ev = body.table.__getitem__
-        else:
-            table = body.table
-            def ev(x):
-                return table[_index(dom, x)]
-        for name, value in zip(self.__slots__, (dom, cod, body, label, ev)):
-            object.__setattr__(self, name, value)
+        _fill(self, dom, cod, _lower(dom, cod, body), label)
 
     @classmethod
-    def _of_coords(cls, dom, cod, body: CoordMap, label: str = "") -> "Morphism":
-        """A morphism on a CoordMap valid by construction: no checks."""
+    def _of_coords(cls, dom, cod, body, label: str = "") -> "Morphism":
+        """A morphism on a body valid by construction, such as the body
+        operations below return: no checks."""
         m = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (dom, cod, body, label, body)):
-            object.__setattr__(m, name, value)
+        _fill(m, dom, cod, body, label)
         return m
 
     def __setattr__(self, name, value):
@@ -343,10 +333,11 @@ class Morphism:
         return self._eval(x)
 
     def kernel(self) -> Ideal:
-        return _preimage(self, zero_ideal(self.cod))
+        return _preimage(self.dom, self.cod, self.body, zero_ideal(self.cod))
 
     def preimage_ideal(self, ideal: Ideal) -> Ideal:
-        return _preimage(self, validate_ideal(self.cod, ideal))
+        return _preimage(self.dom, self.cod, self.body,
+                         validate_ideal(self.cod, ideal))
 
     def is_surjective(self) -> bool:
         if isinstance(self.body, CoordMap):
@@ -358,18 +349,43 @@ class Morphism:
         return self.kernel() == zero_ideal(self.dom)
 
 
-def _preimage(m: Morphism, ideal: Ideal) -> Ideal:
-    if isinstance(m.body, CoordMap):
-        return m.body.preimage(m.dom, ideal.markers)
+def _fill(m: Morphism, dom, cod, body, label) -> None:
+    for name, value in zip(Morphism.__slots__,
+                           (dom, cod, body, label, _evaluator(dom, body))):
+        object.__setattr__(m, name, value)
+
+
+def _evaluator(dom: Algebra, body):
+    """x -> the value at x of the map out of ``dom`` with this body."""
+    if isinstance(body, CoordMap):
+        return body
+    table = body.table
+    if isinstance(dom, FiniteAlgebra):
+        return table.__getitem__
+    return lambda x: table[_index(dom, x)]
+
+
+# The body operations (_preimage, _compose_body, _factor_body and
+# _corestrict_body) take the algebras and bodies of their maps and decide
+# once whether the bodies are CoordMaps (closed formulas) or not
+# (tabulation).  The last three return a checked body, which the public
+# functions wrap with Morphism._of_coords; the pretorsion probes call them
+# without building a Morphism.
+
+
+def _preimage(dom: Algebra, cod: Algebra, body, ideal: Ideal) -> Ideal:
+    """Preimage of a validated codomain ideal."""
+    if isinstance(body, CoordMap):
+        return body.preimage(dom, ideal.markers)
     if isinstance(ideal, FiniteIdeal):
         hit = ideal.elements.__contains__
     else:
         def hit(v):
-            return ideal_contains(m.cod, ideal, v)
-    pre = [x for x, v in zip(elements(m.dom), m.body.table) if hit(v)]
-    if isinstance(m.dom, FiniteAlgebra):
+            return ideal_contains(cod, ideal, v)
+    pre = [x for x, v in zip(elements(dom), body.table) if hit(v)]
+    if isinstance(dom, FiniteAlgebra):
         return FiniteIdeal(frozenset(pre))
-    return markers_from_elements(m.dom, pre)
+    return markers_from_elements(dom, pre)
 
 
 def identity(algebra: Algebra) -> Morphism:
@@ -402,9 +418,16 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     algebra (ValueError)."""
     if f.cod != g.dom:
         raise ValueError("composite needs f.cod == g.dom")
-    if isinstance(f.body, CoordMap) and isinstance(g.body, CoordMap):
-        return Morphism._of_coords(f.dom, g.cod, f.body.then(g.body))
-    return Morphism(f.dom, g.cod, _tabulate(f.dom, lambda x: g(f(x))))
+    return Morphism._of_coords(f.dom, g.cod,
+                               _compose_body(f.dom, f.cod, g.cod, f.body, g.body))
+
+
+def _compose_body(A: Algebra, B: Algebra, C: Algebra, f, g):
+    """Body of f: A -> B then g: B -> C."""
+    if isinstance(f, CoordMap) and isinstance(g, CoordMap):
+        return f.then(g)
+    fx, gx = _evaluator(A, f), _evaluator(B, g)
+    return _lower(A, C, _tabulate(A, lambda x: gx(fx(x))))
 
 
 def _tabulate(dom: Algebra, fn) -> FiniteMapBody:
@@ -463,17 +486,16 @@ class QuotientResult:
     algebra: Algebra
     projection: Morphism
     ideal: Ideal
-    reps: tuple | None = None
 
 
 def quotient(algebra: Algebra, ideal: Ideal, label: str = "quotient") -> QuotientResult:
     ideal = validate_ideal(algebra, ideal)
     if isinstance(algebra, FiniteAlgebra):
-        q, class_of, reps = finite_quotient_data(algebra, ideal)
+        q, class_of = finite_quotient_data(algebra, ideal)
         proj = Morphism(algebra, q, FiniteMapBody(class_of), label)
-        return QuotientResult(q, proj, ideal, reps)
+        return QuotientResult(q, proj, ideal)
     q, body = _quotient_parts(algebra, ideal.markers)
-    return QuotientResult(q, Morphism(algebra, q, body, label), ideal, None)
+    return QuotientResult(q, Morphism(algebra, q, body, label), ideal)
 
 
 def _quotient_parts(algebra: SymbolicAlgebra, markers):
@@ -493,17 +515,26 @@ def factor_through_quotient(q: Morphism, f: Morphism, label: str = "") -> Morphi
         raise ValueError("factorization needs a shared domain")
     if not ideal_leq(q.dom, q.kernel(), f.kernel()):
         raise ValueError("kernel of the quotient must sit inside ker f")
-    if isinstance(q.body, CoordMap) and isinstance(f.body, CoordMap):
-        body = _factor_coords(q.body, f.body)
+    return Morphism._of_coords(q.cod, f.cod,
+                               _factor_body(q.dom, q.cod, f.cod, q.body, f.body),
+                               label)
+
+
+def _factor_body(A: Algebra, Q: Algebra, C: Algebra, q, f):
+    """Body of g: Q -> C with q then g equal to f, for q: A -> Q onto and
+    f: A -> C; the kernel condition is left to the caller."""
+    if isinstance(q, CoordMap) and isinstance(f, CoordMap):
+        body = _factor_coords(q, f)
     else:
+        qx, fx = _evaluator(A, q), _evaluator(A, f)
         lifted = {}
-        for x in elements(q.dom):
-            lifted.setdefault(q(x), f(x))
+        for x in elements(A):
+            lifted.setdefault(qx(x), fx(x))
         try:
-            body = FiniteMapBody(tuple(lifted[y] for y in elements(q.cod)))
+            body = FiniteMapBody(tuple(lifted[y] for y in elements(Q)))
         except KeyError:
             raise ValueError("the quotient misses part of its codomain") from None
-    return Morphism(q.cod, f.cod, body, label)
+    return _lower(Q, C, body)
 
 
 def _factor_coords(q: CoordMap, f: CoordMap) -> CoordMap:
@@ -602,12 +633,12 @@ def _subalgebra_parts(algebra: SymbolicAlgebra, markers):
     return SymbolicAlgebra(blocks), CoordMap._normal(tuple(rows))
 
 
-def _point_decoder(through: Morphism):
-    """y -> an x with through(x) == y, or None off the image."""
-    if isinstance(through.body, CoordMap):
-        return lambda y: through.body.solve(through.dom, y)
+def _point_decoder(dom: Algebra, body):
+    """y -> an x with body(x) == y, or None off the image."""
+    if isinstance(body, CoordMap):
+        return lambda y: body.solve(dom, y)
     inverse = {}
-    for x, v in zip(elements(through.dom), through.body.table):
+    for x, v in zip(elements(dom), body.table):
         inverse.setdefault(v, x)
     return inverse.get
 
@@ -615,7 +646,7 @@ def _point_decoder(through: Morphism):
 def subalgebra_decode(incl: Morphism, a):
     """Inverse of an injective map (such as a subalgebra inclusion) on its
     image, None off it."""
-    return _point_decoder(incl)(a)
+    return _point_decoder(incl.dom, incl.body)(a)
 
 
 def corestrict(e: Morphism, through: Morphism, label: str = "") -> Morphism:
@@ -623,14 +654,22 @@ def corestrict(e: Morphism, through: Morphism, label: str = "") -> Morphism:
     contains im(e)."""
     if e.cod != through.cod:
         raise ValueError("corestriction needs matching codomains")
-    if isinstance(e.body, CoordMap) and isinstance(through.body, CoordMap):
-        body = _corestrict_coords(e.body, through.body, through.dom)
+    return Morphism._of_coords(
+        e.dom, through.dom,
+        _corestrict_body(e.dom, through.dom, e.body, through.body), label)
+
+
+def _corestrict_body(E: Algebra, S: Algebra, e, through):
+    """Body of phi: E -> S with phi then ``through``: S -> B equal to
+    e: E -> B."""
+    if isinstance(e, CoordMap) and isinstance(through, CoordMap):
+        body = _corestrict_coords(e, through, S)
     else:
-        decode = _point_decoder(through)
-        body = _tabulate(e.dom, lambda x: decode(e(x)))
+        decode, ex = _point_decoder(S, through), _evaluator(E, e)
+        body = _tabulate(E, lambda x: decode(ex(x)))
         if None in body.table:
             raise ValueError("image of e escapes the subobject")
-    return Morphism(e.dom, through.dom, body, label)
+    return _lower(E, S, body)
 
 
 def _corestrict_coords(e: CoordMap, through: CoordMap, sub: SymbolicAlgebra) -> CoordMap:
@@ -678,11 +717,13 @@ def enumerate_homs(dom: Algebra, cod: Algebra) -> list[Morphism]:
 def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:
     if carrier_size(dom) is None or carrier_size(cod) is None:
         raise ValueError("isomorphism search needs finite carriers")
-    found = hom_tables(to_finite(dom), to_finite(cod), bijective=True, limit=1)
-    if not found:
+    A, B = to_finite(dom), to_finite(cod)
+    found = next((t for t in hom_tables(A, B) if len(set(t)) == A.size == B.size),
+                 None)
+    if found is None:
         return None
     ce = elements(cod)
-    return Morphism(dom, cod, FiniteMapBody(tuple(ce[v] for v in found[0])),
+    return Morphism(dom, cod, FiniteMapBody(tuple(ce[v] for v in found)),
                     "isomorphism")
 
 
@@ -766,21 +807,13 @@ def kernel_pair(e: Morphism):
 
 
 def product_with_projections(algebras):
-    """Product together with its projections."""
+    """Product of block products together with its projections."""
     algebras = list(algebras)
-    if all(isinstance(a, SymbolicAlgebra) for a in algebras):
-        blocks = []
-        offsets = []
-        for a in algebras:
-            offsets.append(len(blocks))
-            blocks.extend(a.blocks)
-        prod = SymbolicAlgebra(blocks)
-        projs = [Morphism(prod, a, _copies(prod, range(off, off + len(a.blocks))))
-                 for a, off in zip(algebras, offsets)]
-        return prod, projs
-    from .core import product as _product
-    prod = _product(algebras)
-    elems = list(itertools.product(*(elements(a) for a in algebras)))
-    projs = [Morphism(prod, a, FiniteMapBody(tuple(e[k] for e in elems)))
-             for k, a in enumerate(algebras)]
+    if not all(isinstance(a, SymbolicAlgebra) for a in algebras):
+        raise ValueError("product_with_projections needs block products")
+    prod = SymbolicAlgebra([b for a in algebras for b in a.blocks])
+    projs, off = [], 0
+    for a in algebras:
+        projs.append(Morphism(prod, a, _copies(prod, range(off, off + len(a.blocks)))))
+        off += len(a.blocks)
     return prod, projs

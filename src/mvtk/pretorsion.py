@@ -4,8 +4,9 @@ Semisimple algebras have zero radical; perfect algebras are covered by
 the radical and its negations.  Only the one- and two-element algebras
 are both, so a map is trivial iff its image lies in {0, 1}.  This module
 builds the semisimple reflection and the perfect coreflection, checks
-prekernels (exactly) and precokernels by probes, decided on CoordMap
-bodies between block products, and checks protoadditivity.
+prekernels (exactly) and precokernels by probes, each decided on map
+bodies by the body operations of ``morphisms``, and checks
+protoadditivity.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ from .morphisms import (
     Morphism,
     QuotientResult,
     SubalgebraResult,
-    _check_coords,
-    _corestrict_coords,
-    _factor_coords,
+    _compose_body,
+    _corestrict_body,
+    _factor_body,
+    _preimage,
     _quotient_parts,
     _subalgebra_parts,
     compose,
@@ -282,11 +284,6 @@ def _report(outcomes: list) -> ProbeReport:
     return ProbeReport(not failures, len(outcomes) - skipped, skipped, failures)
 
 
-def _on_coords(k: Morphism, g: Morphism) -> bool:
-    """Whether each probe is decided on CoordMaps, building no Morphism."""
-    return isinstance(k.body, CoordMap) and isinstance(g.body, CoordMap)
-
-
 def _points(algebra: Algebra) -> list:
     """Every element of a finite carrier; of an infinite block product,
     the height-1 element and each unit infinitesimal of every block (zero
@@ -301,29 +298,21 @@ def _points(algebra: Algebra) -> list:
 
 
 def _prekernel_outcomes(k: Morphism, g: Morphism, injective: bool) -> list:
-    if _on_coords(k, g):
-        def composite(dom, e):
-            return e.then(g.body)
-        def factor(dom, e):     # what corestrict(e, k) runs
-            _check_coords(dom, k.dom, _corestrict_coords(e, k.body, k.dom))
-    else:
-        def composite(dom, e):
-            return compose(Morphism(dom, g.dom, e), g).body
-        def factor(dom, e):
-            corestrict(Morphism(dom, g.dom, e), k)
-
+    """Each probe e: D -> A decided on bodies: e then g trivial, then e
+    corestricted through k (as ``corestrict`` does), then uniqueness."""
     def outcome(dom, e):
-        if not _is_trivial(dom, g.cod, composite(dom, e)):
+        if not _is_trivial(dom, g.cod, _compose_body(dom, g.dom, g.cod, e, g.body)):
             return _SKIPPED
         try:
-            factor(dom, e)
+            _corestrict_body(dom, k.dom, e, k.body)
         except (ValueError, TypeError) as exc:
             return f"no factorization: {exc}"
         if injective:
             return None
         if carrier_size(dom) is None or carrier_size(k.dom) is None:
             return "uniqueness undecidable: k not injective"
-        n = sum(compose(h, k).body == e for h in enumerate_homs(dom, k.dom))
+        n = sum(_compose_body(dom, k.dom, k.cod, h.body, k.body) == e
+                for h in enumerate_homs(dom, k.dom))
         return None if n == 1 else f"{n} factorizations"
     return [outcome(dom, e) for dom, e in _probes_into(g.dom)]
 
@@ -373,29 +362,18 @@ def is_prekernel(k: Morphism, g: Morphism) -> ProbeReport:
 
 
 def _precokernel_outcomes(g: Morphism, k: Morphism) -> list:
+    """Each probe t: A -> C decided on bodies: k then t trivial, then ker g
+    within ker t, then the mediator g.cod -> C (as
+    ``factor_through_quotient`` builds it; g then it is t)."""
     A, kernel, surjective = g.dom, g.kernel(), g.is_surjective()
-    if _on_coords(k, g):
-        def composite(cod, t):
-            return k.body.then(t)
-        def kills(cod, t):
-            return ideal_leq(A, kernel, t.preimage(A, zero_ideal(cod).markers))
-        def mediate(cod, t):    # what factor_through_quotient(g, t) runs
-            _check_coords(g.cod, cod, _factor_coords(g.body, t))
-    else:
-        def composite(cod, t):
-            return compose(k, Morphism(A, cod, t)).body
-        def kills(cod, t):
-            return ideal_leq(A, kernel, Morphism(A, cod, t).kernel())
-        def mediate(cod, t):
-            factor_through_quotient(g, Morphism(A, cod, t))
 
     def outcome(cod, t):
-        if not _is_trivial(k.dom, cod, composite(cod, t)):
+        if not _is_trivial(k.dom, cod, _compose_body(k.dom, A, cod, k.body, t)):
             return _SKIPPED
-        if not kills(cod, t):
+        if not ideal_leq(A, kernel, _preimage(A, cod, t, zero_ideal(cod))):
             return "probe does not kill ker g: no mediator"
         try:
-            mediate(cod, t)     # the mediator psi recovers t: g then psi is t
+            _factor_body(A, g.cod, cod, g.body, t)
         except (ValueError, TypeError) as exc:
             return f"no mediator: {exc}"
         return None if surjective else "uniqueness undecidable: g not surjective"
@@ -466,7 +444,7 @@ def _pullback_with_projections(p: Morphism, g: Morphism):
     if same_morphism(g, identity(g.dom)):
         return p.dom, identity(p.dom), p
     A, C = p.dom, g.dom
-    if isinstance(A, SymbolicAlgebra):
+    if isinstance(p.body, CoordMap) and isinstance(g.body, CoordMap):
         kept = tuple(src for src, _, _ in p.body.rows)
         copies = identity(A).body.rows
         if len(set(kept)) == len(kept) \

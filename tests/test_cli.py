@@ -461,3 +461,23 @@ class TestExpectChoices:
                         "--expect", "central")
         assert code == 1
         assert not doc["regular_pushout"] and doc["expected"] == "central"
+
+
+class TestDeepNesting:
+    """Input nested beyond the interpreter's recursion limit is malformed
+    input: exit 2 with one line, not a traceback with exit 1."""
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "compose", "parts": [' * 3000
+        + '{"kind": "identity", "algebra": {"blocks": [{"chain": 1}]}}'
+        + ']}' * 3000,
+        "[" * 100_000,
+    ], ids=["compose", "brackets"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code = main(["classify", str(path)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert not out.out

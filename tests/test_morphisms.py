@@ -226,6 +226,10 @@ class TestProducts:
         assert projs[0](packed) == (1,)
         assert projs[1](packed) == ((0, (3,)),)
 
+    def test_projections_need_block_products(self):
+        with pytest.raises(ValueError):
+            product_with_projections([make_chain(2), to_finite(make_chain(1))])
+
     def test_image_set_of_finite_surjection(self):
         prod = to_finite(product([make_chain(1), make_chain(1)]))
         q = quotient(prod, FiniteIdeal(frozenset({0, 1})))

@@ -290,6 +290,22 @@ class TestProtoadditivity:
             assert report.ok, report
             assert report.compared >= 6
 
+    def test_pullbacks_along_table_maps_are_not_implemented(self):
+        # p or g is a table map, so the pullback has no symbolic presentation
+        prod, c1 = product([CHANG, make_chain(2)]), make_chain(1)
+        cases = [
+            (Morphism(prod, CHANG, CoordMap(((0, 1, ((0, 1),)),)), "first"),
+             Morphism(CHANG, prod, CoordMap(((0, 1, ((0, 1),)), (0, 2, ())))),
+             Morphism(to_finite(c1), CHANG,
+                      FiniteMapBody((CHANG.zero, CHANG.one)))),
+            (Morphism(to_finite(c1), c1, FiniteMapBody(tuple(elements(c1)))),
+             Morphism(c1, to_finite(c1), FiniteMapBody((0, 1))),
+             radical_projection(CHANG)),
+        ]
+        for p, s, g in cases:
+            with pytest.raises(NotImplementedError):
+                protoadditivity_check(p, s, g)
+
     def test_finite_diagonal_section(self):
         c2 = to_finite(make_chain(2))
         sq = to_finite(product([make_chain(2), make_chain(2)]))
