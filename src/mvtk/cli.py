@@ -60,7 +60,10 @@ __all__ = ["main"]
 
 def _load(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("input nested too deeply") from None
 
 
 def _probe_report(rep):
@@ -107,8 +110,7 @@ def cmd_radical(args):
         "semisimple": is_semisimple(algebra),
         "perfect": is_perfect(algebra),
     }
-    return _expected(args, payload, agree, {
-        "semisimple": payload["semisimple"], "perfect": payload["perfect"]})
+    return _expected(args, payload, agree, payload)
 
 
 def cmd_ideals(args):
@@ -328,7 +330,7 @@ def main(argv=None) -> int:
     try:
         payload, ok = args.func(args)
     except (ValueError, KeyError, TypeError, NotImplementedError,
-            OSError, RecursionError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(payload, sort_keys=True, indent=2)

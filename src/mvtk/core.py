@@ -959,7 +959,7 @@ def canonical_blocks(algebra: SymbolicAlgebra) -> tuple:
 def are_isomorphic(a: Algebra, b: Algebra) -> bool:
     """Isomorphism test.  Symbolic pairs compare block multisets (a direct
     product of chain and Komori blocks determines them); mixed or finite
-    pairs look for a bijective table among all table morphisms."""
+    pairs search for a bijective table morphism."""
     if isinstance(a, SymbolicAlgebra) and isinstance(b, SymbolicAlgebra):
         return canonical_blocks(a) == canonical_blocks(b)
     na, nb = carrier_size(a), carrier_size(b)
@@ -968,18 +968,17 @@ def are_isomorphic(a: Algebra, b: Algebra) -> bool:
         return False
     if na != nb:
         return False
-    fa, fb = to_finite(a), to_finite(b)
-    return any(len(set(t)) == fa.size for t in hom_tables(fa, fb))
+    return _bijection(to_finite(a), to_finite(b)) is not None
 
 
 # ---------------------------------------------------------------------------
 # morphism table search
 
 
-def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v):
+def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v, used):
     """Assign table[x] = v and close under neg and plus against everything
-    already assigned.  Mutates table; returns the list of newly assigned
-    points or None on contradiction."""
+    already assigned.  Mutates table (and used, when injective search);
+    returns the list of newly assigned points or None on contradiction."""
     stack = [(x, v)]
     added = []
     while stack:
@@ -987,9 +986,14 @@ def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v):
         cur = table[x]
         if cur is not None:
             if cur != v:
-                _undo(table, added)
+                _undo(table, used, added)
                 return None
             continue
+        if used is not None:
+            if v in used:
+                _undo(table, used, added)
+                return None
+            used.add(v)
         table[x] = v
         added.append(x)
         nx = A.neg_row[x]
@@ -1002,32 +1006,48 @@ def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v):
     return added
 
 
-def _undo(table, added):
+def _undo(table, used, added):
     for x in added:
+        if used is not None:
+            used.discard(table[x])
         table[x] = None
 
 
 def hom_tables(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All homomorphism tables A -> B (zero-, plus- and neg-preserving),
     found by backtracking with closure propagation.  Deterministic order."""
+    return _hom_search(A, B, None)
+
+
+def _bijection(A: FiniteAlgebra, B: FiniteAlgebra) -> tuple[int, ...] | None:
+    """The first bijective table of ``hom_tables(A, B)``, or None; the
+    search cuts every branch that repeats a value."""
+    found = _hom_search(A, B, set()) if A.size == B.size else []
+    return found[0] if found else None
+
+
+def _hom_search(A: FiniteAlgebra, B: FiniteAlgebra, used) -> list[tuple[int, ...]]:
+    """Backtracking; a set ``used`` makes it injective and first-only."""
     out: list[tuple[int, ...]] = []
     table: list[int | None] = [None] * A.size
-    seed = _propagate(A, B, table, A.zero, B.zero)
+    seed = _propagate(A, B, table, A.zero, B.zero, used)
     if seed is None:
         return out
 
-    def rec() -> None:
+    def rec() -> bool:
         x = next((i for i, v in enumerate(table) if v is None), None)
         if x is None:
             out.append(tuple(table))  # type: ignore[arg-type]
-            return
+            return used is not None
         for v in range(B.size):
-            added = _propagate(A, B, table, x, v)
+            added = _propagate(A, B, table, x, v, used)
             if added is None:
                 continue
-            rec()
-            _undo(table, added)
+            if rec():
+                return True
+            _undo(table, used, added)
+        return False
 
     rec()
-    _undo(table, seed)
+    _undo(table, used, seed)
     return out

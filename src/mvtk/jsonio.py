@@ -202,7 +202,10 @@ def parse_morphism(obj) -> Morphism:
         parts = obj["parts"]
         if not (isinstance(parts, list) and parts):
             raise ValueError("'parts' must be a non-empty list of morphisms")
-        parts = [parse_morphism(p) for p in parts]
+        try:
+            parts = [parse_morphism(p) for p in parts]
+        except RecursionError:
+            raise ValueError("input nested too deeply") from None
         out = parts[0]
         for p in parts[1:]:
             out = compose(out, p)

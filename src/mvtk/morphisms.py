@@ -45,6 +45,7 @@ from .core import (
     Algebra,
     FiniteAlgebra,
     SymbolicAlgebra,
+    _bijection,
     block,
     carrier_size,
     element,
@@ -312,15 +313,20 @@ class Morphism:
     __slots__ = ("dom", "cod", "body", "label", "_eval")
 
     def __init__(self, dom: Algebra, cod: Algebra, body, label: str = ""):
-        _fill(self, dom, cod, _lower(dom, cod, body), label)
+        self._fill(dom, cod, _lower(dom, cod, body), label)
 
     @classmethod
     def _of_coords(cls, dom, cod, body, label: str = "") -> "Morphism":
         """A morphism on a body valid by construction, such as the body
         operations below return: no checks."""
         m = object.__new__(cls)
-        _fill(m, dom, cod, body, label)
+        m._fill(dom, cod, body, label)
         return m
+
+    def _fill(self, dom, cod, body, label) -> None:
+        for name, value in zip(self.__slots__,
+                               (dom, cod, body, label, _evaluator(dom, body))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Morphism is immutable")
@@ -349,12 +355,6 @@ class Morphism:
         return self.kernel() == zero_ideal(self.dom)
 
 
-def _fill(m: Morphism, dom, cod, body, label) -> None:
-    for name, value in zip(Morphism.__slots__,
-                           (dom, cod, body, label, _evaluator(dom, body))):
-        object.__setattr__(m, name, value)
-
-
 def _evaluator(dom: Algebra, body):
     """x -> the value at x of the map out of ``dom`` with this body."""
     if isinstance(body, CoordMap):
@@ -365,12 +365,9 @@ def _evaluator(dom: Algebra, body):
     return lambda x: table[_index(dom, x)]
 
 
-# The body operations (_preimage, _compose_body, _factor_body and
-# _corestrict_body) take the algebras and bodies of their maps and decide
-# once whether the bodies are CoordMaps (closed formulas) or not
-# (tabulation).  The last three return a checked body, which the public
-# functions wrap with Morphism._of_coords; the pretorsion probes call them
-# without building a Morphism.
+# Body operations: _preimage and the _*_body functions take algebras and
+# bodies, decide once between CoordMap formulas and tabulation, and return
+# checked results, which the pretorsion probes use without a Morphism.
 
 
 def _preimage(dom: Algebra, cod: Algebra, body, ideal: Ideal) -> Ideal:
@@ -717,9 +714,7 @@ def enumerate_homs(dom: Algebra, cod: Algebra) -> list[Morphism]:
 def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:
     if carrier_size(dom) is None or carrier_size(cod) is None:
         raise ValueError("isomorphism search needs finite carriers")
-    A, B = to_finite(dom), to_finite(cod)
-    found = next((t for t in hom_tables(A, B) if len(set(t)) == A.size == B.size),
-                 None)
+    found = _bijection(to_finite(dom), to_finite(cod))
     if found is None:
         return None
     ce = elements(cod)
@@ -812,8 +807,6 @@ def product_with_projections(algebras):
     if not all(isinstance(a, SymbolicAlgebra) for a in algebras):
         raise ValueError("product_with_projections needs block products")
     prod = SymbolicAlgebra([b for a in algebras for b in a.blocks])
-    projs, off = [], 0
-    for a in algebras:
-        projs.append(Morphism(prod, a, _copies(prod, range(off, off + len(a.blocks)))))
-        off += len(a.blocks)
-    return prod, projs
+    ends = itertools.accumulate(len(a.blocks) for a in algebras)
+    return prod, [Morphism(prod, a, _copies(prod, range(end - len(a.blocks), end)))
+                  for a, end in zip(algebras, ends)]
