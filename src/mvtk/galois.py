@@ -6,6 +6,11 @@ meets the radical trivially.  Every finite algebra is semisimple, so every
 finite surjection is trivial; the interesting stratification lives on the
 block algebras.  The pair (radical-kernel surjections, radical-disjoint
 kernels) forms the factorization system built by ``em_factorize``.
+
+The pullback criterion for trivial coverings and the stability of the
+left class are checked with ``morphisms.pullback``: between block
+products the pullback along a surjection is presented as a block
+product, on any carrier; table maps get the literal set of pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 from .core import (
     Algebra,
     carrier_size,
-    initial_algebra,
 )
 from .ideals import (
     Ideal,
@@ -31,9 +35,7 @@ from .morphisms import (
     SubalgebraResult,
     compose,
     factor_through_quotient,
-    identity,
     ideal_subalgebra,
-    kernel_pair,
     mediator_to_pullback,
     pullback,
     quotient,
@@ -114,12 +116,11 @@ class PullbackSquareReport:
 
 def trivial_via_pullback(f: Morphism,
                          eta_a: Morphism | None = None) -> PullbackSquareReport:
-    """Literal cross-check on finite carriers: f is a trivial covering
-    exactly when the naturality square over the semisimple quotients is a
-    pullback.  The domain's unit ``eta_a`` can be overridden to exercise
-    corrupted squares."""
-    if carrier_size(f.dom) is None or carrier_size(f.cod) is None:
-        raise ValueError("the literal pullback check needs finite carriers")
+    """The pullback criterion: f is a trivial covering exactly when the
+    naturality square over the semisimple quotients is a pullback.  The
+    pullback is a block product for maps between block products and
+    literal for table maps.  The domain's unit ``eta_a`` can be
+    overridden to exercise corrupted squares."""
     if eta_a is None:
         eta_a = radical_projection(f.dom)
     pb = pullback(semisimple_map(f), radical_projection(f.cod))
@@ -215,33 +216,13 @@ class StabilityReport:
 
 def stability_check(e: Morphism, g: Morphism) -> StabilityReport:
     """Pull a radical-kernel surjection e back along g and test whether
-    the projection over g's domain stays in the class.  Finite carriers
-    use the literal pullback; symbolically the supported cases are g an
-    identity, g equal to e (the kernel pair), and g from the initial
-    algebra (the kernel subalgebra with its side indicator)."""
+    the projection over g's domain stays in the class.  The pullback is a
+    block product when e and g run between block products, and literal
+    for table maps on finite carriers."""
     if e.cod != g.cod:
         raise ValueError("maps must share a codomain")
     if not e_member(e):
         raise ValueError("stability is asserted for radical-kernel "
                          "surjections only")
-    if carrier_size(e.dom) is not None and carrier_size(g.dom) is not None:
-        pb = pullback(e, g)
-        proj = pb.right
-        return StabilityReport(e_member(proj), proj, proj.kernel())
-    if same_morphism(g, identity(g.dom)):
-        return StabilityReport(e_member(e), e, e.kernel())
-    if same_morphism(g, e):
-        _, q1, q2 = kernel_pair(e)
-        return StabilityReport(e_member(q1) and e_member(q2), q2, q2.kernel())
-    if g.dom == initial_algebra():
-        sub = kernel_subalgebra(e)
-        if len(sub.algebra.blocks) != 1:
-            raise AssertionError("radical-bound kernels have no full blocks")
-        proj = quotient(sub.algebra, radical(sub.algebra),
-                        label="side_indicator").projection
-        if proj.cod != g.dom:
-            raise AssertionError("side indicator misses the initial algebra")
-        return StabilityReport(e_member(proj), proj, proj.kernel())
-    raise NotImplementedError(
-        "symbolic stability checks cover identities, kernel pairs, and "
-        "initial-algebra pullbacks")
+    proj = pullback(e, g).right
+    return StabilityReport(e_member(proj), proj, proj.kernel())

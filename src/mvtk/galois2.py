@@ -86,7 +86,7 @@ class RegularPushoutReport:
 
 def is_regular_pushout(sq: ExtensionSquare) -> RegularPushoutReport:
     """Kernel criterion: left(ker top) = ker bottom.  On finite carriers
-    the comparison into the pullback is also checked literally."""
+    the comparison into the pullback is also checked."""
     validate_square(sq)
     img = image_ideal(sq.left, sq.top.kernel())
     ker = sq.bottom.kernel()

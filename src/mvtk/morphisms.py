@@ -29,7 +29,8 @@ formula is a homomorphism.  The source block, the scale and the
 placements are determined by h, so two CoordMaps with the same domain and
 codomain are equal exactly when they are the same map.  Composition,
 kernels, preimages, images, surjectivity, corestriction and factoring
-through quotients are closed formulas on this data.
+through quotients are closed formulas on this data, and so is the
+pullback of any CoordMap along an onto one: a block product.
 
 A FiniteMapBody lists the value of ``elements(dom)[i]`` at position i.
 Given between two block products it is decoded into its CoordMap.
@@ -728,19 +729,34 @@ def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:
 
 @dataclass(frozen=True)
 class PullbackResult:
-    algebra: FiniteAlgebra
-    pairs: tuple
+    """A pullback with its projections ``left`` and ``right`` onto the
+    domains of the two maps.  ``pairs`` lists the carrier of a literal
+    pullback and is None for a block product."""
+
+    algebra: Algebra
+    pairs: tuple | None
     left: Morphism
     right: Morphism
 
 
 def pullback(f: Morphism, g: Morphism) -> PullbackResult:
-    """Literal pullback of f: A -> D against g: C -> D over finite
-    carriers, with its two projections."""
+    """Pullback of f: A -> D against g: C -> D, with its two projections.
+
+    Two coordinate maps one of which is onto have a block product as
+    their pullback, on any carrier.  Otherwise the pullback is the literal
+    set of pairs, which needs finite carriers (NotImplementedError)."""
     if f.cod != g.cod:
         raise ValueError("pullback needs a shared codomain")
+    if isinstance(f.body, CoordMap) and isinstance(g.body, CoordMap):
+        if g.body.is_onto():
+            return _block_pullback(f, g)
+        if f.body.is_onto():
+            pb = _block_pullback(g, f)
+            return PullbackResult(pb.algebra, None, pb.right, pb.left)
     if carrier_size(f.dom) is None or carrier_size(g.dom) is None:
-        raise ValueError("literal pullback needs finite carriers")
+        raise NotImplementedError(
+            "a pullback over an infinite carrier needs two coordinate maps, "
+            "one of them onto")
     ea, ec = elements(f.dom), elements(g.dom)
     pairs = [(a, c) for a in ea for c in ec if f(a) == g(c)]
     pb = table_on(pairs,
@@ -752,53 +768,69 @@ def pullback(f: Morphism, g: Morphism) -> PullbackResult:
     return PullbackResult(pb, tuple(pairs), leg(0, f.dom), leg(1, g.dom))
 
 
+def _block_pullback(f: Morphism, e: Morphism) -> PullbackResult:
+    """Pullback of a CoordMap f: A -> D against an onto CoordMap e: B -> D.
+
+    Block j of the pullback is block j of A followed, for each D-block d
+    that f reads from block j, by the coordinates of e's source block for
+    d that e does not read; the B-blocks e drops come last.  The left
+    projection reads A plainly.  The right one reads each B-block through
+    f's row, its unread coordinates from the tail and a dropped block
+    plainly.  Pairs ask the same signs at height 0 and at the top on both
+    sides, so the carrier is exactly the set of pairs."""
+    A, B = f.dom, e.dom
+    ranks = [a.r for a in A.blocks]
+    right = [None] * len(B.blocks)
+    for (src, scale, coords), (b, _, ecoords) in zip(f.body.rows, e.body.rows):
+        read = {c[0]: t for t, c in enumerate(ecoords)}
+        placed = []
+        for u in range(B.blocks[b].r):
+            if u in read:
+                placed.append(coords[read[u]])
+            else:
+                placed.append((ranks[src], 1))
+                ranks[src] += 1
+        right[b] = (src, scale, tuple(placed))
+    dropped = [i for i, row in enumerate(right) if row is None]
+    for k, i in enumerate(dropped):
+        right[i] = (len(A.blocks) + k, 1, _plain(B.blocks[i]))
+    P = SymbolicAlgebra([block(a.m, r) for a, r in zip(A.blocks, ranks)]
+                        + [B.blocks[i] for i in dropped])
+    left = CoordMap._normal(tuple((j, 1, _plain(a)) for j, a in enumerate(A.blocks)))
+    return PullbackResult(P, None, Morphism._of_coords(P, A, left),
+                          Morphism._of_coords(P, B, CoordMap._normal(tuple(right))))
+
+
 def mediator_to_pullback(pb: PullbackResult, u: Morphism, v: Morphism) -> Morphism:
-    """x -> (u(x), v(x)) as a map into the pullback carrier."""
+    """x -> (u(x), v(x)) as a map into the pullback, read off the two
+    projections and checked against both of them."""
     if u.dom != v.dom:
         raise ValueError("mediator needs a shared domain")
-    if carrier_size(u.dom) is None:
-        raise ValueError("mediator needs a finite carrier")
-    index = {p: i for i, p in enumerate(pb.pairs)}
-    values = []
-    for x in elements(u.dom):
-        key = (u(x), v(x))
-        if key not in index:
-            raise ValueError("square does not commute into the pullback")
-        values.append(index[key])
-    return Morphism(u.dom, pb.algebra, FiniteMapBody(tuple(values)))
+    if pb.pairs is not None:
+        legs = FiniteMapBody(pb.pairs)
+        pair = _tabulate(u.dom, lambda x: (u(x), v(x)))
+    else:
+        legs = CoordMap._normal(pb.left.body.rows + pb.right.body.rows)
+        pair = CoordMap._normal(u.body.rows + v.body.rows) \
+            if isinstance(u.body, CoordMap) and isinstance(v.body, CoordMap) \
+            else _tabulate(u.dom, lambda x: u(x) + v(x))
+    try:
+        body = _corestrict_body(u.dom, pb.algebra, pair, legs)
+    except ValueError:
+        raise ValueError("square does not commute into the pullback") from None
+    return Morphism._of_coords(u.dom, pb.algebra, body)
 
 
 def kernel_pair(e: Morphism):
-    """Kernel pair of e: the pullback of e against itself, with both
-    projections.  Maps between block products get a symbolic
-    presentation built from the kernel; other maps fall back to the
-    literal pullback.
-
-    For a Komori block with marked coordinates S the pair algebra keeps one
-    copy of the full vector plus a primed copy of the S entries; the first
-    projection drops the primed tail, the second reads the primed entries
-    in place of the unprimed S entries.
-    """
-    if not isinstance(e.body, CoordMap):
-        pb = pullback(e, e)
-        return pb.algebra, pb.left, pb.right
-    A = e.dom
-    blocks, first, second = [], [], []
-    for b, mk in zip(A.blocks, e.kernel().markers):
-        pos = len(blocks)
-        if mk == "full":
-            blocks.extend([b, b])
-            first.append((pos, 1, _plain(b)))
-            second.append((pos + 1, 1, _plain(b)))
-        else:
-            s = sorted(marker_coords(mk))
-            blocks.append(block(b.m, b.r + len(s)))
-            first.append((pos, 1, _plain(b)))
-            second.append((pos, 1, tuple((b.r + s.index(c) if c in s else c, 1)
-                                         for c in range(b.r))))
-    kp = SymbolicAlgebra(blocks)
-    return (kp, Morphism(kp, A, CoordMap(tuple(first))),
-            Morphism(kp, A, CoordMap(tuple(second))))
+    """Kernel pair of e: the pullback against itself of the quotient by
+    ker e, which has the same pairs as e.  For a Komori block with kernel
+    coordinates S the pair algebra keeps the full vector plus a primed
+    copy of the S entries; the first projection drops the primed tail, the
+    second reads the primed entries in place of the unprimed S entries.
+    A block e kills has its second copy after all the others."""
+    q = quotient(e.dom, e.kernel()).projection
+    pb = pullback(q, q)
+    return pb.algebra, pb.left, pb.right
 
 
 def product_with_projections(algebras):

@@ -51,7 +51,6 @@ from .morphisms import (
     identity,
     image_set,
     mediator_to_pullback,
-    product_with_projections,
     pullback,
     quotient,
     same_morphism,
@@ -437,31 +436,6 @@ class ProtoadditivityReport:
     compared: int
 
 
-def _pullback_with_projections(p: Morphism, g: Morphism):
-    if carrier_size(p.dom) is not None and carrier_size(g.dom) is not None:
-        pb = pullback(p, g)
-        return pb.algebra, pb.left, pb.right
-    if same_morphism(g, identity(g.dom)):
-        return p.dom, identity(p.dom), p
-    A, C = p.dom, g.dom
-    if isinstance(p.body, CoordMap) and isinstance(g.body, CoordMap):
-        kept = tuple(src for src, _, _ in p.body.rows)
-        copies = identity(A).body.rows
-        if len(set(kept)) == len(kept) \
-                and p.body.rows == tuple(copies[i] for i in kept):
-            others = [i for i in range(len(A.blocks)) if i not in kept]
-            rest = SymbolicAlgebra([A.blocks[i] for i in others])
-            pb, (pi_c, pi_e) = product_with_projections([C, rest])
-            lifted = compose(pi_c, g).body.rows
-            rows = tuple(lifted[kept.index(i)] if i in kept
-                         else pi_e.body.rows[others.index(i)]
-                         for i in range(len(A.blocks)))
-            return pb, Morphism(pb, A, CoordMap(rows)), pi_c
-    raise NotImplementedError(
-        "symbolic pullbacks are available along identities and block "
-        "projections only")
-
-
 def protoadditivity_check(p: Morphism, s: Morphism,
                           g: Morphism) -> ProtoadditivityReport:
     """Check that the semisimple reflection preserves the pullback of the
@@ -471,10 +445,10 @@ def protoadditivity_check(p: Morphism, s: Morphism,
         raise ValueError("need a split surjection p with section s and a "
                          "map g into its codomain")
     section_valid = same_morphism(compose(s, p), identity(p.cod))
-    pb, pi_a, pi_c = _pullback_with_projections(p, g)
+    pb = pullback(p, g)
     reflected = pullback(semisimple_map(p), semisimple_map(g))
-    psi = mediator_to_pullback(reflected, semisimple_map(pi_a),
-                               semisimple_map(pi_c))
+    psi = mediator_to_pullback(reflected, semisimple_map(pb.left),
+                               semisimple_map(pb.right))
     inj = psi.is_injective()
     sur = psi.is_surjective()
     return ProtoadditivityReport(section_valid and inj and sur,

@@ -6,9 +6,12 @@ surjection splits as a radical-kernel surjection followed by a
 radical-missing one.
 """
 
+import random
+
 import pytest
 
 from mvtk import (
+    CoordMap,
     FiniteIdeal,
     FiniteMapBody,
     MarkerIdeal,
@@ -26,6 +29,7 @@ from mvtk import (
     fill_diagonal,
     from_initial,
     ideal_leq,
+    ideal_subalgebra,
     ideal_meet,
     identity,
     kernel_subalgebra,
@@ -38,6 +42,7 @@ from mvtk import (
     rad_restriction_surjective,
     radical,
     radical_projection,
+    random_block_algebra,
     same_morphism,
     stability_check,
     to_finite,
@@ -137,6 +142,27 @@ class TestPullbackCharacterization:
             assert classify_extension(f).trivial \
                 == trivial_via_pullback(f).is_pullback
 
+
+    def test_symbolic_quotients_agree_with_the_classification(self):
+        trivial = 0
+        for seed in range(100):
+            rng = random.Random(f"cls:{seed}")
+            alg = random_block_algebra(rng)
+            ideals = all_ideals(alg)
+            f = quotient(alg, ideals[rng.randrange(len(ideals))]).projection
+            report = trivial_via_pullback(f)
+            assert report.commutes
+            assert report.is_pullback == classify_extension(f).trivial
+            trivial += report.is_pullback
+        assert 0 < trivial < 100
+
+    def test_corrupted_symbolic_unit_breaks_the_square(self):
+        a = product([make_komori(1, 1), make_komori(1, 1)])
+        eta = radical_projection(a)
+        swapped = Morphism(a, eta.cod, CoordMap(tuple(reversed(eta.body.rows))),
+                           "corrupted")
+        assert trivial_via_pullback(identity(a)).is_pullback
+        assert not trivial_via_pullback(identity(a), eta_a=swapped).commutes
 
 class TestRadicalRestriction:
     def test_quotient_bodies_restrict_onto(self):
@@ -254,6 +280,16 @@ class TestStability:
         assert describe(report.projection.dom) == "Komori(2,2) x Chain(2)"
         assert report.kernel.markers == (("sub", frozenset({0})), "zero")
         assert e_member(report.projection)
+
+    def test_pullback_along_ideal_subalgebra_inclusions(self):
+        for seed in range(20):
+            rng = random.Random(f"stab-sub:{seed}")
+            eta = radical_projection(random_block_algebra(rng))
+            ideals = all_ideals(eta.cod)
+            g = ideal_subalgebra(eta.cod, ideals[rng.randrange(len(ideals))]).inclusion
+            report = stability_check(eta, g)
+            assert report.ok and e_member(report.projection)
+            assert report.projection.cod == g.dom
 
     def test_refuses_maps_outside_the_left_class(self):
         drop = quotient(B, MarkerIdeal(("full", "zero"))).projection

@@ -1,12 +1,17 @@
 """Quotients, subalgebras, pullbacks, and kernel pairs."""
 
 import itertools
+import random
 
 import pytest
 
 from mvtk import (
+    CoordMap,
     FiniteIdeal,
+    FiniteMapBody,
     MarkerIdeal,
+    Morphism,
+    SymbolicAlgebra,
     all_ideals,
     are_isomorphic,
     carrier_size,
@@ -32,6 +37,7 @@ from mvtk import (
     pullback,
     quotient,
     radical,
+    random_block_algebra,
     same_morphism,
     subalgebra_decode,
     to_finite,
@@ -215,6 +221,97 @@ class TestPullbacks:
         assert carrier_size(kp) == 3
         assert same_morphism(p1, p2)
 
+
+
+def _box(algebra, k):
+    """Elements of a block product whose coordinates lie in [-k, k]."""
+    per_block = [[x for a in range(b.m + 1)
+                  for v in itertools.product(range(-k, k + 1), repeat=b.r)
+                  for x in [(a, v) if b.r else a]
+                  if SymbolicAlgebra([b]).contains((x,))]
+                 for b in algebra.blocks]
+    return list(itertools.product(*per_block))
+
+
+def _assert_bounded_pullback(f, h):
+    """P -> B x C is injective on P's coordinates in [-1, 1] and hits every
+    pair (b, c) with f(b) = h(c) and coordinates in [-1, 1]."""
+    pb = pullback(f, h)
+    assert pb.pairs is None
+    assert same_morphism(compose(pb.left, f), compose(pb.right, h))
+    over = {}
+    for c in _box(h.dom, 1):
+        over.setdefault(h(c), []).append(c)
+    pairs = {(b, c) for b in _box(f.dom, 1) for c in over.get(f(b), ())}
+    legs = [(pb.left(x), pb.right(x)) for x in _box(pb.algebra, 1)]
+    assert len(set(legs)) == len(legs)
+    assert pairs <= set(legs)
+
+
+class TestBlockPullbacks:
+    def test_bounded_brute_force(self):
+        """Random quotients e against identities, e itself, maps out of
+        the initial algebra and ideal-subalgebra inclusions, with the onto
+        leg on either side."""
+        checked = 0
+        for seed in range(10):
+            rng = random.Random(f"pb:{seed}")
+            alg = random_block_algebra(rng, max_r=2)
+            ideals = all_ideals(alg)
+            e = quotient(alg, ideals[rng.randrange(len(ideals))]).projection
+            D = e.cod
+            sub = all_ideals(D)[rng.randrange(len(all_ideals(D)))]
+            for g in (identity(D), e, from_initial(D),
+                      ideal_subalgebra(D, sub).inclusion):
+                _assert_bounded_pullback(e, g)
+                _assert_bounded_pullback(g, e)
+                checked += 2
+        assert checked == 80
+
+    def test_multiplied_coordinates(self):
+        k21 = make_komori(2, 1)
+        e = quotient(make_komori(2, 2),
+                     MarkerIdeal((("sub", frozenset({1})),))).projection
+        double = Morphism(k21, k21, CoordMap(((0, 1, ((0, 2),)),)))
+        shifted = Morphism(make_komori(1, 2), k21,
+                           CoordMap(((0, 2, (None,)),)))
+        for g in (double, shifted):
+            _assert_bounded_pullback(e, g)
+            _assert_bounded_pullback(g, e)
+
+    def test_mediator_tuples_rows(self):
+        k = make_komori(1, 3)
+        q = quotient(k, MarkerIdeal((("sub", frozenset({1})),))).projection
+        pb = pullback(q, q)
+        med = mediator_to_pullback(pb, identity(k), identity(k))
+        assert same_morphism(compose(med, pb.left), identity(k))
+        assert same_morphism(compose(med, pb.right), identity(k))
+        swap = Morphism(k, k, CoordMap(((0, 1, ((1, 1), (0, 1), (2, 1))),)))
+        with pytest.raises(ValueError, match="does not commute"):
+            mediator_to_pullback(pb, identity(k), swap)
+
+    def test_mediator_from_a_table_algebra(self):
+        c2 = make_chain(2)
+        pb = pullback(to_terminal(c2), to_terminal(c2))
+        assert describe(pb.algebra) == "Chain(2) x Chain(2)"
+        listed = Morphism(to_finite(c2), c2, FiniteMapBody(tuple(elements(c2))))
+        med = mediator_to_pullback(pb, listed, listed)
+        assert [med(i) for i in range(3)] == [(0, 0), (1, 1), (2, 2)]
+
+    def test_kernel_pair_of_a_symbolic_injection_is_diagonal(self):
+        k21 = make_komori(2, 1)
+        incl = ideal_subalgebra(k21, radical(k21)).inclusion
+        assert not incl.is_surjective()
+        kp, p1, p2 = kernel_pair(incl)
+        assert same_morphism(p1, p2)
+        assert kp == incl.dom
+
+    def test_two_legs_not_onto_are_not_implemented(self):
+        k6 = make_komori(6, 1)
+        f = Morphism(make_komori(2, 1), k6, CoordMap(((0, 3, ((0, 1),)),)))
+        g = Morphism(make_komori(3, 1), k6, CoordMap(((0, 2, ((0, 1),)),)))
+        with pytest.raises(NotImplementedError, match="one of them onto"):
+            pullback(f, g)
 
 class TestProducts:
     def test_projections_cover(self):

@@ -290,6 +290,14 @@ class TestProtoadditivity:
             assert report.ok, report
             assert report.compared >= 6
 
+    def test_split_projection_that_drops_a_coordinate(self):
+        k12, k11 = make_komori(1, 2), make_komori(1, 1)
+        p = Morphism(k12, k11, CoordMap(((0, 1, ((0, 1),)),)), "drop")
+        s = Morphism(k11, k12, CoordMap(((0, 1, ((0, 1), None)),)), "section")
+        report = protoadditivity_check(p, s, from_initial(k11))
+        assert report.ok, report
+        assert report.compared == 2
+
     def test_pullbacks_along_table_maps_are_not_implemented(self):
         # p or g is a table map, so the pullback has no symbolic presentation
         prod, c1 = product([CHANG, make_chain(2)]), make_chain(1)
