@@ -191,8 +191,13 @@ class SymbolicAlgebra:
             if not isinstance(b, (Chain, Komori)):
                 raise TypeError(f"not a block: {b!r}")
         object.__setattr__(self, "blocks", tuple(b for b in blocks if b.m))
-        object.__setattr__(self, "_zero", None)
-        object.__setattr__(self, "_one", None)
+
+    @classmethod
+    def _of_blocks(cls, blocks) -> "SymbolicAlgebra":
+        """Trusted constructor: blocks valid by construction, no ``Chain(0)``."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "blocks", tuple(blocks))
+        return a
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolicAlgebra is immutable")
@@ -210,14 +215,14 @@ class SymbolicAlgebra:
 
     @property
     def zero(self):
-        if self._zero is None:
+        if getattr(self, "_zero", None) is None:
             object.__setattr__(self, "_zero", tuple(
                 element(0, (0,) * b.r) for b in self.blocks))
         return self._zero
 
     @property
     def one(self):
-        if self._one is None:
+        if getattr(self, "_one", None) is None:
             object.__setattr__(self, "_one", tuple(
                 element(b.m, (0,) * b.r) for b in self.blocks))
         return self._one
@@ -746,6 +751,18 @@ class CheckReport:
         return None
 
 
+# exhaustive grids take O(n**3) memory: about 300 MiB on Chain(255)
+_GRID_CAP = 256
+
+
+def _grid_table(algebra: Algebra) -> FiniteAlgebra:
+    """``to_finite``, refused before any table is built above ``_GRID_CAP`` elements."""
+    if (n := carrier_size(algebra) or 0) > _GRID_CAP:
+        raise ValueError(f"exhaustive mode on {n} elements exceeds the "
+                         f"budget of {_GRID_CAP}")
+    return to_finite(algebra)
+
+
 def resolve_mode(algebra: Algebra, mode: str) -> str:
     """The mode a check runs in: ``"auto"`` is exhaustive on a finite
     carrier and sampling otherwise."""
@@ -795,7 +812,7 @@ def grid_checks(algebra: Algebra, checks, subject: str) -> CheckReport:
     """
     import numpy as np
 
-    table = to_finite(algebra)
+    table = _grid_table(algebra)
     n = table.size
     elems = elements(algebra)
     results = []

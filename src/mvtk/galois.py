@@ -23,22 +23,22 @@ from .core import (
 )
 from .ideals import (
     Ideal,
+    _ideal_leq,
+    _ideal_meet,
+    _polar,
     ideal_elements,
-    ideal_leq,
-    ideal_meet,
-    is_zero_ideal,
-    polar,
     radical,
+    zero_ideal,
 )
 from .morphisms import (
     Morphism,
     SubalgebraResult,
+    _ideal_subalgebra,
+    _quotient,
     compose,
     factor_through_quotient,
-    ideal_subalgebra,
     mediator_to_pullback,
     pullback,
-    quotient,
     same_morphism,
 )
 from .pretorsion import radical_projection, semisimple_map
@@ -96,12 +96,12 @@ def classify_extension(f: Morphism) -> ExtensionClassification:
     A = f.dom
     ker = f.kernel()
     rad = radical(A)
-    meet = ideal_meet(A, ker, rad)
-    disjoint = is_zero_ideal(A, meet)
+    meet = _ideal_meet(A, ker, rad)
+    disjoint = meet == zero_ideal(A)
     surjective = f.is_surjective()
     trivial = surjective and disjoint and rad_restriction_surjective(f)
     central = surjective and disjoint
-    in_polar = ideal_leq(A, ker, polar(A, rad))
+    in_polar = _ideal_leq(A, ker, _polar(A, rad))
     return ExtensionClassification(surjective, trivial, central, central,
                                    ker, meet, in_polar)
 
@@ -136,7 +136,7 @@ def trivial_via_pullback(f: Morphism,
 def kernel_subalgebra(f: Morphism) -> SubalgebraResult:
     """The subalgebra on the kernel and its negations (the whole domain
     when the codomain is terminal)."""
-    return ideal_subalgebra(f.dom, f.kernel(), label="kernel_subalgebra")
+    return _ideal_subalgebra(f.dom, f.kernel(), "kernel_subalgebra")
 
 
 @dataclass(frozen=True)
@@ -151,20 +151,20 @@ def extension_commutator(f: Morphism) -> ExtensionCommutator:
     subalgebra on kernel-meet-radical.  It vanishes exactly when the
     kernel misses the radical."""
     A = f.dom
-    theta = ideal_meet(A, f.kernel(), radical(A))
-    sub = ideal_subalgebra(A, theta, label="extension_commutator")
-    return ExtensionCommutator(theta, sub, is_zero_ideal(A, theta))
+    theta = _ideal_meet(A, f.kernel(), radical(A))
+    sub = _ideal_subalgebra(A, theta, "extension_commutator")
+    return ExtensionCommutator(theta, sub, theta == zero_ideal(A))
 
 
 def e_member(f: Morphism) -> bool:
     """Surjections whose kernel sits inside the radical."""
-    return f.is_surjective() and ideal_leq(f.dom, f.kernel(), radical(f.dom))
+    return f.is_surjective() and _ideal_leq(f.dom, f.kernel(), radical(f.dom))
 
 
 def m_member(f: Morphism) -> bool:
     """Maps whose kernel meets the radical trivially."""
     A = f.dom
-    return is_zero_ideal(A, ideal_meet(A, f.kernel(), radical(A)))
+    return _ideal_meet(A, f.kernel(), radical(A)) == zero_ideal(A)
 
 
 @dataclass(frozen=True)
@@ -180,8 +180,8 @@ def em_factorize(f: Morphism) -> EMFactorization:
     radical-disjoint kernel, splitting at the quotient by
     kernel-meet-radical."""
     A = f.dom
-    theta = ideal_meet(A, f.kernel(), radical(A))
-    q = quotient(A, theta, label="em_projection")
+    theta = _ideal_meet(A, f.kernel(), radical(A))
+    q = _quotient(A, theta, "em_projection")
     i = factor_through_quotient(q.projection, f, "em_embedding")
     if not e_member(q.projection):
         raise AssertionError("projection left the surjection class")

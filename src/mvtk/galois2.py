@@ -11,30 +11,31 @@ square is doubly central.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .core import Algebra, carrier_size
 from .ideals import (
     FiniteIdeal,
     Ideal,
-    ideal_join,
-    ideal_leq,
-    ideal_meet,
-    is_full_ideal,
-    is_zero_ideal,
+    _ideal_join,
+    _ideal_meet,
+    full_ideal,
     radical,
     validate_ideal,
+    zero_ideal,
 )
 from .morphisms import (
     Morphism,
     SubalgebraResult,
+    _ideal_subalgebra,
+    _image_ideal,
+    _preimage,
+    _quotient,
     compose,
     factor_through_quotient,
     identity,
-    ideal_subalgebra,
-    image_ideal,
     mediator_to_pullback,
     pullback,
-    quotient,
     same_morphism,
 )
 
@@ -88,10 +89,9 @@ def is_regular_pushout(sq: ExtensionSquare) -> RegularPushoutReport:
     """Kernel criterion: left(ker top) = ker bottom.  On finite carriers
     the comparison into the pullback is also checked."""
     validate_square(sq)
-    img = image_ideal(sq.left, sq.top.kernel())
+    img = _image_ideal(sq.left, sq.top.kernel())
     ker = sq.bottom.kernel()
-    C = sq.bottom.dom
-    ok = ideal_leq(C, img, ker) and ideal_leq(C, ker, img)
+    ok = img == ker
     comparison = None
     if carrier_size(sq.left.cod) is not None \
             and carrier_size(sq.right.dom) is not None \
@@ -105,12 +105,13 @@ def is_regular_pushout(sq: ExtensionSquare) -> RegularPushoutReport:
 def square_from_ideals(algebra: Algebra, i: Ideal, j: Ideal) -> ExtensionSquare:
     """The square of quotients by two ideals, meeting at the quotient by
     their join.  Always a regular pushout."""
-    i = validate_ideal(algebra, i)
-    j = validate_ideal(algebra, j)
-    k = ideal_join(algebra, i, j)
-    top = quotient(algebra, j, label="mod_second").projection
-    left = quotient(algebra, i, label="mod_first").projection
-    corner = quotient(algebra, k, label="mod_join").projection
+    return _square_from_ideals(algebra, *(validate_ideal(algebra, x) for x in (i, j)))
+
+
+def _square_from_ideals(algebra: Algebra, i: Ideal, j: Ideal) -> ExtensionSquare:
+    top = _quotient(algebra, j, "mod_second").projection
+    left = _quotient(algebra, i, "mod_first").projection
+    corner = _quotient(algebra, _ideal_join(algebra, i, j), "mod_join").projection
     right = factor_through_quotient(top, corner, "mod_second_to_join")
     bottom = factor_through_quotient(left, corner, "mod_first_to_join")
     return ExtensionSquare(top, left, right, bottom)
@@ -134,15 +135,14 @@ def central_reflection(f: Morphism) -> CentralReflection:
     if not f.is_surjective():
         raise ValueError("central reflection applies to surjections")
     A = f.dom
-    theta = ideal_meet(A, f.kernel(), radical(A))
-    q = quotient(A, theta, label="central_reflection")
+    theta = _ideal_meet(A, f.kernel(), radical(A))
+    q = _quotient(A, theta, "central_reflection")
     reflected = factor_through_quotient(q.projection, f, "reflected")
     sq = ExtensionSquare(top=f, left=q.projection,
                          right=identity(f.cod), bottom=reflected)
     rp = is_regular_pushout(sq)
     B = reflected.dom
-    theta2 = ideal_meet(B, reflected.kernel(), radical(B))
-    central = is_zero_ideal(B, theta2)
+    central = _ideal_meet(B, reflected.kernel(), radical(B)) == zero_ideal(B)
     return CentralReflection(sq, reflected, theta, rp.ok, central,
                              idempotent=central)
 
@@ -162,9 +162,9 @@ def classify_double(sq: ExtensionSquare) -> DoubleClassification:
     if not rp.ok:
         raise ValueError("not a regular pushout: no double classification")
     A = sq.top.dom
-    meet = ideal_meet(A, ideal_meet(A, sq.top.kernel(), sq.left.kernel()),
-                      radical(A))
-    return DoubleClassification(True, is_zero_ideal(A, meet), meet)
+    meet = _ideal_meet(A, _ideal_meet(A, sq.top.kernel(), sq.left.kernel()),
+                       radical(A))
+    return DoubleClassification(True, meet == zero_ideal(A), meet)
 
 
 def restrict_to_ideal_subalgebra(algebra: Algebra, k: Ideal, w: Ideal) -> Ideal:
@@ -184,7 +184,8 @@ def restrict_to_ideal_subalgebra(algebra: Algebra, k: Ideal, w: Ideal) -> Ideal:
                       for mk, mw in zip(k.markers, w.markers))
     if escapes:
         raise ValueError("ideal is full outside the subalgebra blocks")
-    return ideal_subalgebra(algebra, k).inclusion.preimage_ideal(w)
+    sub = _ideal_subalgebra(algebra, k, "subalgebra_inclusion")
+    return _preimage(sub.algebra, algebra, sub.inclusion.body, w)
 
 
 @dataclass(frozen=True)
@@ -207,23 +208,23 @@ def commutator_pair(algebra: Algebra, i: Ideal, j: Ideal) -> CommutatorReport:
     subalgebra spanned by the join."""
     i = validate_ideal(algebra, i)
     j = validate_ideal(algebra, j)
-    com = ideal_meet(algebra, ideal_meet(algebra, i, j), radical(algebra))
-    sub = ideal_subalgebra(algebra, com, label="ideal_commutator")
-    in_center = is_zero_ideal(algebra, com)
-    k = ideal_join(algebra, i, j)
-    if is_full_ideal(algebra, k):
+    com = _ideal_meet(algebra, _ideal_meet(algebra, i, j), radical(algebra))
+    sub = _ideal_subalgebra(algebra, com, "ideal_commutator")
+    in_center = com == zero_ideal(algebra)
+    k = _ideal_join(algebra, i, j)
+    if k == full_ideal(algebra):
         base = algebra
-        sq = square_from_ideals(algebra, i, j)
+        sq = _square_from_ideals(algebra, i, j)
         if carrier_size(sq.bottom.cod) != 1:
             raise AssertionError("join-full square corner is not terminal")
         style = "join_full"
         radical_ok = True
     else:
-        base_sub = ideal_subalgebra(algebra, k, label="join_span")
+        base_sub = _ideal_subalgebra(algebra, k, "join_span")
         base = base_sub.algebra
-        restrict = base_sub.inclusion.preimage_ideal
+        restrict = partial(_preimage, base, algebra, base_sub.inclusion.body)
         radical_ok = restrict(radical(algebra)) == radical(base)
-        sq = square_from_ideals(base, restrict(i), restrict(j))
+        sq = _square_from_ideals(base, restrict(i), restrict(j))
         if carrier_size(sq.bottom.cod) != 2:
             raise AssertionError("proper-join square corner is not the "
                                  "two-element algebra")

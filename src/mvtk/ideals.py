@@ -11,6 +11,10 @@ coordinate set.  This module owns the marker encoding: a non-full marker
 is built with :func:`sub_marker` and read with :func:`marker_coords`, so a
 chain's ``"zero"`` is the rank-0 case of ``("sub", S)`` and no caller
 tests a block's type.
+
+Public functions validate each ideal argument once; the private helper
+named after one (``_ideal_meet``) takes canonical ideals, such as the
+kernels, radicals and meets the library builds, and checks nothing.
 """
 
 from __future__ import annotations
@@ -111,7 +115,8 @@ def _canon_marker(b, marker):
 
 
 def validate_ideal(algebra: Algebra, ideal: Ideal) -> Ideal:
-    """Canonicalize and type-check an ideal against its algebra."""
+    """Canonicalize and type-check an ideal against its algebra: the one
+    check an ideal gets, where it enters the library."""
     if isinstance(algebra, FiniteAlgebra):
         if not isinstance(ideal, FiniteIdeal):
             raise TypeError("finite algebra needs a FiniteIdeal")
@@ -153,7 +158,10 @@ def is_proper_ideal(algebra: Algebra, ideal: Ideal) -> bool:
 
 
 def ideal_contains(algebra: Algebra, ideal: Ideal, x) -> bool:
-    ideal = validate_ideal(algebra, ideal)
+    return _ideal_contains(validate_ideal(algebra, ideal), x)
+
+
+def _ideal_contains(ideal: Ideal, x) -> bool:
     if isinstance(ideal, FiniteIdeal):
         return x in ideal.elements
     for m, v in zip(ideal.markers, x):
@@ -171,7 +179,7 @@ def ideal_elements(algebra: Algebra, ideal: Ideal) -> list:
     ideal = validate_ideal(algebra, ideal)
     if isinstance(ideal, FiniteIdeal):
         return sorted(ideal.elements)
-    return [x for x in elements(algebra) if ideal_contains(algebra, ideal, x)]
+    return [x for x in elements(algebra) if _ideal_contains(ideal, x)]
 
 
 def markers_from_elements(algebra: SymbolicAlgebra, subset) -> MarkerIdeal:
@@ -282,44 +290,40 @@ def all_ideals(algebra: Algebra) -> list[Ideal]:
     return [MarkerIdeal(m) for m in itertools.product(*per_block)]
 
 
-def _marker_meet(b, m1, m2):
-    if m1 == "full":
-        return m2
-    if m2 == "full":
-        return m1
-    return sub_marker(b.r, marker_coords(m1) & marker_coords(m2))
-
-
-def _marker_join(b, m1, m2):
-    if m1 == "full" or m2 == "full":
-        return "full"
-    return sub_marker(b.r, marker_coords(m1) | marker_coords(m2))
-
-
 def ideal_meet(algebra: Algebra, i: Ideal, j: Ideal) -> Ideal:
-    i = validate_ideal(algebra, i)
-    j = validate_ideal(algebra, j)
+    return _ideal_meet(algebra, validate_ideal(algebra, i), validate_ideal(algebra, j))
+
+
+def _ideal_meet(algebra: Algebra, i: Ideal, j: Ideal) -> Ideal:
     if isinstance(i, FiniteIdeal):
         return FiniteIdeal(i.elements & j.elements)
     return MarkerIdeal(tuple(
-        _marker_meet(b, a, c)
+        c if a == "full" else a if c == "full"
+        else sub_marker(b.r, marker_coords(a) & marker_coords(c))
         for b, a, c in zip(algebra.blocks, i.markers, j.markers)))
 
 
 def ideal_join(algebra: Algebra, i: Ideal, j: Ideal) -> Ideal:
     """Join of ideals; by the Riesz decomposition this is the sumset."""
-    i = validate_ideal(algebra, i)
-    j = validate_ideal(algebra, j)
+    return _ideal_join(algebra, validate_ideal(algebra, i), validate_ideal(algebra, j))
+
+
+def _ideal_join(algebra: Algebra, i: Ideal, j: Ideal) -> Ideal:
     if isinstance(i, FiniteIdeal):
         return FiniteIdeal(frozenset(
             algebra.plus(x, y) for x in i.elements for y in j.elements))
     return MarkerIdeal(tuple(
-        _marker_join(b, a, c)
+        "full" if "full" in (a, c)
+        else sub_marker(b.r, marker_coords(a) | marker_coords(c))
         for b, a, c in zip(algebra.blocks, i.markers, j.markers)))
 
 
 def ideal_leq(algebra: Algebra, i: Ideal, j: Ideal) -> bool:
-    return ideal_meet(algebra, i, j) == validate_ideal(algebra, i)
+    return _ideal_leq(algebra, validate_ideal(algebra, i), validate_ideal(algebra, j))
+
+
+def _ideal_leq(algebra: Algebra, i: Ideal, j: Ideal) -> bool:
+    return _ideal_meet(algebra, i, j) == i
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +369,7 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
         acc = zero_ideal(algebra)
         for j in all_ideals(algebra):
             if is_nilpotent_ideal(algebra, j):
-                acc = ideal_join(algebra, acc, j)
+                acc = _ideal_join(algebra, acc, j)
         return acc
     if method == "inf":
         # chain blocks have no nonzero infinitesimal; a Komori block's
@@ -375,7 +379,7 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
     if method == "maximal":
         acc = full_ideal(algebra)
         for m in maximal_ideals(algebra):
-            acc = ideal_meet(algebra, acc, m)
+            acc = _ideal_meet(algebra, acc, m)
         return acc
     acc = zero_ideal(algebra)
     for i, b in enumerate(algebra.blocks):
@@ -384,7 +388,7 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
             one_block[i] = sub_marker(b.r, range(b.r))
             cand = MarkerIdeal(tuple(one_block))
             if is_nilpotent_ideal(algebra, cand):
-                acc = ideal_join(algebra, acc, cand)
+                acc = _ideal_join(algebra, acc, cand)
     return acc
 
 
@@ -431,9 +435,11 @@ def polar(algebra: Algebra, subset) -> Ideal:
     ideal or a plain element set (the polar only depends on the generated
     ideal)."""
     if isinstance(subset, (FiniteIdeal, MarkerIdeal)):
-        ideal = validate_ideal(algebra, subset)
-    else:
-        ideal = generated_ideal(algebra, subset)
+        return _polar(algebra, validate_ideal(algebra, subset))
+    return _polar(algebra, generated_ideal(algebra, subset))
+
+
+def _polar(algebra: Algebra, ideal: Ideal) -> Ideal:
     if isinstance(algebra, FiniteAlgebra):
         out = frozenset(
             a for a in range(algebra.size)
@@ -472,7 +478,7 @@ def radical_conegation_disjoint(algebra: Algebra, ideal: Ideal) -> bool:
         rad = radical(algebra)
         conegs = {algebra.neg(x) for x in ideal.elements}
         return not (rad.elements & conegs)
-    return is_proper_ideal(algebra, ideal)
+    return ideal != full_ideal(algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +489,9 @@ def _quotient_blocks(algebra: SymbolicAlgebra, markers) -> SymbolicAlgebra:
     """Block structure of A/I for the canonical markers of I: a full marker
     kills its block, and any other keeps the block's height and its
     unmarked coordinates (a chain when none is left)."""
-    return SymbolicAlgebra(block(b.m, b.r - len(marker_coords(m)))
-                           for b, m in zip(algebra.blocks, markers)
-                           if m != "full")
+    return SymbolicAlgebra._of_blocks(block(b.m, b.r - len(marker_coords(m)))
+                                      for b, m in zip(algebra.blocks, markers)
+                                      if m != "full")
 
 
 def finite_quotient_data(algebra: FiniteAlgebra, ideal: FiniteIdeal):

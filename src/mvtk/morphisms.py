@@ -65,11 +65,11 @@ from .ideals import (
     FiniteIdeal,
     Ideal,
     MarkerIdeal,
+    _ideal_contains,
+    _ideal_leq,
     _quotient_blocks,
     finite_quotient_data,
-    ideal_contains,
     ideal_elements,
-    ideal_leq,
     marker_coords,
     markers_from_elements,
     sub_marker,
@@ -343,8 +343,7 @@ class Morphism:
         return _preimage(self.dom, self.cod, self.body, zero_ideal(self.cod))
 
     def preimage_ideal(self, ideal: Ideal) -> Ideal:
-        return _preimage(self.dom, self.cod, self.body,
-                         validate_ideal(self.cod, ideal))
+        return _preimage(self.dom, self.cod, self.body, validate_ideal(self.cod, ideal))
 
     def is_surjective(self) -> bool:
         if isinstance(self.body, CoordMap):
@@ -379,7 +378,7 @@ def _preimage(dom: Algebra, cod: Algebra, body, ideal: Ideal) -> Ideal:
         hit = ideal.elements.__contains__
     else:
         def hit(v):
-            return ideal_contains(cod, ideal, v)
+            return _ideal_contains(ideal, v)
     pre = [x for x, v in zip(elements(dom), body.table) if hit(v)]
     if isinstance(dom, FiniteAlgebra):
         return FiniteIdeal(frozenset(pre))
@@ -487,13 +486,16 @@ class QuotientResult:
 
 
 def quotient(algebra: Algebra, ideal: Ideal, label: str = "quotient") -> QuotientResult:
-    ideal = validate_ideal(algebra, ideal)
+    return _quotient(algebra, validate_ideal(algebra, ideal), label)
+
+
+def _quotient(algebra: Algebra, ideal: Ideal, label: str) -> QuotientResult:
     if isinstance(algebra, FiniteAlgebra):
         q, class_of = finite_quotient_data(algebra, ideal)
-        proj = Morphism(algebra, q, FiniteMapBody(class_of), label)
-        return QuotientResult(q, proj, ideal)
-    q, body = _quotient_parts(algebra, ideal.markers)
-    return QuotientResult(q, Morphism(algebra, q, body, label), ideal)
+        body = FiniteMapBody(class_of)
+    else:
+        q, body = _quotient_parts(algebra, ideal.markers)
+    return QuotientResult(q, Morphism._of_coords(algebra, q, body, label), ideal)
 
 
 def _quotient_parts(algebra: SymbolicAlgebra, markers):
@@ -511,7 +513,7 @@ def factor_through_quotient(q: Morphism, f: Morphism, label: str = "") -> Morphi
     """The unique g with g o q = f; needs ker q within ker f and q onto."""
     if q.dom != f.dom:
         raise ValueError("factorization needs a shared domain")
-    if not ideal_leq(q.dom, q.kernel(), f.kernel()):
+    if not _ideal_leq(q.dom, q.kernel(), f.kernel()):
         raise ValueError("kernel of the quotient must sit inside ker f")
     return Morphism._of_coords(q.cod, f.cod,
                                _factor_body(q.dom, q.cod, f.cod, q.body, f.body),
@@ -571,7 +573,10 @@ def _factor_coords(q: CoordMap, f: CoordMap) -> CoordMap:
 
 def image_ideal(q: Morphism, ideal: Ideal) -> Ideal:
     """Forward image of an ideal along a surjective map."""
-    ideal = validate_ideal(q.dom, ideal)
+    return _image_ideal(q, validate_ideal(q.dom, ideal))
+
+
+def _image_ideal(q: Morphism, ideal: Ideal) -> Ideal:
     if isinstance(q.body, CoordMap):
         return q.body.image(ideal.markers)
     img = {q(x) for x in ideal_elements(q.dom, ideal)}
@@ -600,14 +605,17 @@ def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
     block: a Komori block of height 1 over the marked coordinates (or a
     two-element chain when none is marked) read by each of them.
     """
-    ideal = validate_ideal(algebra, ideal)
+    return _ideal_subalgebra(algebra, validate_ideal(algebra, ideal), label)
+
+
+def _ideal_subalgebra(algebra: Algebra, ideal: Ideal, label: str) -> SubalgebraResult:
     if isinstance(algebra, FiniteAlgebra):
         members = sorted(ideal.elements | {algebra.neg(x) for x in ideal.elements})
         sub = table_on(members, algebra.plus, algebra.neg, algebra.zero)
-        incl = Morphism(sub, algebra, FiniteMapBody(tuple(members)), label)
-        return SubalgebraResult(sub, incl, ideal)
-    sub, body = _subalgebra_parts(algebra, ideal.markers)
-    return SubalgebraResult(sub, Morphism(sub, algebra, body, label), ideal)
+        body = FiniteMapBody(tuple(members))
+    else:
+        sub, body = _subalgebra_parts(algebra, ideal.markers)
+    return SubalgebraResult(sub, Morphism._of_coords(sub, algebra, body, label), ideal)
 
 
 def _subalgebra_parts(algebra: SymbolicAlgebra, markers):
@@ -628,7 +636,7 @@ def _subalgebra_parts(algebra: SymbolicAlgebra, markers):
             rows.append((len(full), b.m, tuple(
                 (joint.index((i, c)), 1) if (i, c) in joint else None
                 for c in range(b.r))))
-    return SymbolicAlgebra(blocks), CoordMap._normal(tuple(rows))
+    return SymbolicAlgebra._of_blocks(blocks), CoordMap._normal(tuple(rows))
 
 
 def _point_decoder(dom: Algebra, body):
@@ -794,8 +802,8 @@ def _block_pullback(f: Morphism, e: Morphism) -> PullbackResult:
     dropped = [i for i, row in enumerate(right) if row is None]
     for k, i in enumerate(dropped):
         right[i] = (len(A.blocks) + k, 1, _plain(B.blocks[i]))
-    P = SymbolicAlgebra([block(a.m, r) for a, r in zip(A.blocks, ranks)]
-                        + [B.blocks[i] for i in dropped])
+    P = SymbolicAlgebra._of_blocks([block(a.m, r) for a, r in zip(A.blocks, ranks)]
+                                   + [B.blocks[i] for i in dropped])
     left = CoordMap._normal(tuple((j, 1, _plain(a)) for j, a in enumerate(A.blocks)))
     return PullbackResult(P, None, Morphism._of_coords(P, A, left),
                           Morphism._of_coords(P, B, CoordMap._normal(tuple(right))))
@@ -828,7 +836,7 @@ def kernel_pair(e: Morphism):
     copy of the S entries; the first projection drops the primed tail, the
     second reads the primed entries in place of the unprimed S entries.
     A block e kills has its second copy after all the others."""
-    q = quotient(e.dom, e.kernel()).projection
+    q = _quotient(e.dom, e.kernel(), "quotient").projection
     pb = pullback(q, q)
     return pb.algebra, pb.left, pb.right
 

@@ -24,9 +24,8 @@ from .core import (
     to_finite,
 )
 from .ideals import (
+    _ideal_leq,
     all_ideals,
-    ideal_leq,
-    is_zero_ideal,
     radical,
     zero_ideal,
 )
@@ -39,7 +38,9 @@ from .morphisms import (
     _compose_body,
     _corestrict_body,
     _factor_body,
+    _ideal_subalgebra,
     _preimage,
+    _quotient,
     _quotient_parts,
     _subalgebra_parts,
     compose,
@@ -47,12 +48,10 @@ from .morphisms import (
     enumerate_homs,
     factor_through_quotient,
     from_initial,
-    ideal_subalgebra,
     identity,
     image_set,
     mediator_to_pullback,
     pullback,
-    quotient,
     same_morphism,
     subalgebra_decode,
     to_terminal,
@@ -85,7 +84,7 @@ __all__ = [
 
 def is_semisimple(algebra: Algebra) -> bool:
     """Zero radical.  Products of chains; includes the terminal algebra."""
-    return is_zero_ideal(algebra, radical(algebra))
+    return radical(algebra) == zero_ideal(algebra)
 
 
 def is_perfect(algebra: Algebra) -> bool:
@@ -99,7 +98,7 @@ def is_perfect(algebra: Algebra) -> bool:
 def semisimple_quotient(algebra: Algebra) -> QuotientResult:
     """Reflection onto semisimple algebras: the quotient by the radical.
     Its carrier is finite for every block algebra."""
-    return quotient(algebra, radical(algebra), label="radical_projection")
+    return _quotient(algebra, radical(algebra), "radical_projection")
 
 
 def radical_projection(algebra: Algebra) -> Morphism:
@@ -109,8 +108,7 @@ def radical_projection(algebra: Algebra) -> Morphism:
 def perfect_part(algebra: Algebra) -> SubalgebraResult:
     """Coreflection onto perfect algebras: the subalgebra on the radical
     and its negations."""
-    return ideal_subalgebra(algebra, radical(algebra),
-                            label="perfect_inclusion")
+    return _ideal_subalgebra(algebra, radical(algebra), "perfect_inclusion")
 
 
 def perfect_inclusion(algebra: Algebra) -> Morphism:
@@ -140,8 +138,7 @@ def radical_indicator(algebra: Algebra) -> Morphism:
                          "two-element algebra")
     if not is_perfect(algebra):
         raise ValueError("radical indicator needs a perfect algebra")
-    return quotient(algebra, radical(algebra),
-                    label="radical_indicator").projection
+    return _quotient(algebra, radical(algebra), "radical_indicator").projection
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +320,7 @@ def _prekernel_gap(k: Morphism, g: Morphism, injective: bool):
         y = next(y for y in _points(k.dom)
                  if y != k.dom.zero and k(y) == k.cod.zero)
         return f"{y} is sent to 0: k is not injective"
-    sub = ideal_subalgebra(g.dom, g.kernel())
+    sub = _ideal_subalgebra(g.dom, g.kernel(), "subalgebra_inclusion")
     try:
         corestrict(sub.inclusion, k)
         return None
@@ -369,7 +366,7 @@ def _precokernel_outcomes(g: Morphism, k: Morphism) -> list:
     def outcome(cod, t):
         if not _is_trivial(k.dom, cod, _compose_body(k.dom, A, cod, k.body, t)):
             return _SKIPPED
-        if not ideal_leq(A, kernel, _preimage(A, cod, t, zero_ideal(cod))):
+        if not _ideal_leq(A, kernel, _preimage(A, cod, t, zero_ideal(cod))):
             return "probe does not kill ker g: no mediator"
         try:
             _factor_body(A, g.cod, cod, g.body, t)
@@ -404,7 +401,7 @@ def unit_factorization(g: Morphism) -> UnitFactorization:
     if not is_semisimple(g.cod):
         raise ValueError("unit factorization needs a semisimple codomain")
     qa = semisimple_quotient(g.dom)
-    if not ideal_leq(g.dom, qa.ideal, g.kernel()):
+    if not _ideal_leq(g.dom, qa.ideal, g.kernel()):
         return UnitFactorization(None, False, False)
     psi = factor_through_quotient(qa.projection, g, "unit_mediator")
     return UnitFactorization(psi, True, True)

@@ -19,6 +19,7 @@ from .catalog import chain_product_catalog
 from .core import (
     Algebra,
     CheckReport,
+    _grid_table,
     arrow,
     describe,
     grid_checks,
@@ -66,7 +67,7 @@ def verify_protomodularity(algebra: Algebra, mode: str = "auto",
     """The identity (x - y) + ((x + not y) . y) = x, which rebuilds the
     first argument from two binary terms and the second argument."""
     if resolve_mode(algebra, mode) == "exhaustive":
-        table = to_finite(algebra)
+        table = _grid_table(algebra)
         return grid_checks(table, _recovery_checks, describe(table))
     return sample_checks(algebra, _recovery_checks, describe(algebra), count,
                          bound, lambda name: f"{seed}:protomodularity")
@@ -97,7 +98,7 @@ def verify_pixley(algebra: Algebra, mode: str = "auto", count: int = 2000,
     r(x, y, y) = x and r(x, y, x) = x.  Sampling draws one stream of
     triples shared by the three identities."""
     if resolve_mode(algebra, mode) == "exhaustive":
-        table = to_finite(algebra)
+        table = _grid_table(algebra)
         return grid_checks(table, _pixley_checks, describe(table))
     return sample_checks(algebra, _pixley_checks, describe(algebra), count,
                          bound, lambda name: f"{seed}:pixley")

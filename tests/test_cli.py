@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -425,6 +426,31 @@ class TestIdealCountCap:
         assert out.err == "error: more than 16385 ideals to list\n"
         assert not out.out
         assert elapsed < 1.0
+
+
+class TestExhaustiveBudget:
+    """An exhaustive check of a carrier above the grid budget exits 2 with
+    one line before any table is built.  The child runs under a 2 GiB
+    address-space limit, so a regression fails instead of filling memory."""
+
+    @pytest.mark.parametrize("args", [
+        ("check-axioms", "--mode", "exhaustive"),
+        ("check-axioms", "--mode", "auto"),
+        ("terms", "--mode", "exhaustive"),
+    ], ids=" ".join)
+    def test_exits_2_with_one_line(self, tmp_path, args):
+        path = tmp_path / "chain3000.json"
+        path.write_text(json.dumps({"blocks": [{"chain": 3000}]}))
+        limit = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvtk.cli", args[0], str(path), *args[1:]],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: exhaustive mode on 3001 elements "
+                               "exceeds the budget of 256\n")
+        assert not proc.stdout
 
 
 class TestExpectChoices:

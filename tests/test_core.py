@@ -39,7 +39,8 @@ from mvtk import (
     to_finite,
     to_terminal,
 )
-from mvtk.core import _CHUNK, _uniform, sample_columns, sample_tuples
+from mvtk.core import _CHUNK, _GRID_CAP, _uniform, sample_columns, sample_tuples
+from mvtk.terms import verify_pixley, verify_protomodularity
 
 import random
 
@@ -137,6 +138,18 @@ class TestAxiomChecks:
         rows[1][2] = 0
         bad = make_finite(f3.neg_row, tuple(tuple(r) for r in rows))
         assert not check_axioms(bad, mode="exhaustive").ok
+
+    def test_exhaustive_grid_over_the_budget_is_refused(self):
+        big = make_chain(_GRID_CAP)
+        message = (f"exhaustive mode on {_GRID_CAP + 1} elements exceeds "
+                   f"the budget of {_GRID_CAP}")
+        for check in (check_axioms, check_derived_identities,
+                      verify_protomodularity, verify_pixley):
+            for mode in ("exhaustive", "auto"):
+                with pytest.raises(ValueError) as caught:
+                    check(big, mode=mode)
+                assert str(caught.value) == message
+        assert check_axioms(big, mode="sample", count=50).ok
 
     def test_axiom_names_are_stable(self):
         assert AXIOM_NAMES == ("add_assoc", "add_comm", "zero_unit",

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import mvtk.ideals as ideals_module
 from mvtk import (
     ExtensionSquare,
     FiniteIdeal,
@@ -18,17 +19,24 @@ from mvtk import (
     compose,
     describe,
     elements,
+    em_factorize,
+    fill_diagonal,
     full_ideal,
     ideal_contains,
     ideal_elements,
+    ideal_join,
     ideal_leq,
     ideal_meet,
     ideal_subalgebra,
     identity,
+    image_ideal,
+    is_precokernel,
+    is_prekernel,
     is_regular_pushout,
     is_zero_ideal,
     make_chain,
     make_komori,
+    pre_exact,
     product,
     quotient,
     radical,
@@ -43,6 +51,7 @@ from mvtk import (
     validate_square,
     zero_ideal,
 )
+from mvtk.core import Chain, Komori, SymbolicAlgebra
 
 CHANG = make_komori(1, 1)
 A = product([make_komori(1, 1), make_chain(2)])
@@ -255,3 +264,86 @@ class TestCommutatorPairs:
             r = commutator_pair(fin, i, j)
             assert r.in_center
             assert is_zero_ideal(fin, r.ideal)
+
+
+class TestValidateOnce:
+    """Public functions validate each ideal argument once; the library
+    hands the ideals it builds to unchecked private helpers."""
+
+    BAD = {
+        "marker count": (CHANG, MarkerIdeal(("full", "full")),
+                         ValueError, "marker count does not match block count"),
+        "coordinate out of range": (
+            CHANG, MarkerIdeal((("sub", {3}),)),
+            ValueError, "sub coordinates out of range for Komori(1,1)"),
+        "sub marker on a chain": (
+            make_chain(2), MarkerIdeal((("sub", {0}),)),
+            ValueError, "bad chain marker ('sub', {0})"),
+        "table ideal on a block product": (
+            CHANG, FiniteIdeal(frozenset({0})),
+            TypeError, "symbolic algebra needs a MarkerIdeal"),
+    }
+    # each binary entry is called with the bad ideal first and second
+    BINARY = (ideal_meet, ideal_join, ideal_leq, square_from_ideals,
+              commutator_pair, restrict_to_ideal_subalgebra)
+
+    def image_ideal_of_identity(a, i):
+        return image_ideal(identity(a), i)
+
+    def preimage_ideal_of_identity(a, i):
+        return identity(a).preimage_ideal(i)
+
+    UNARY = (is_zero_ideal, ideal_elements, quotient, ideal_subalgebra,
+             image_ideal_of_identity, preimage_ideal_of_identity)
+
+    @pytest.mark.parametrize("entry", BINARY + UNARY, ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_public_entries_still_validate(self, entry, bad):
+        algebra, ideal, error, message = self.BAD[bad]
+        zero = zero_ideal(algebra)
+        calls = [(ideal, zero), (zero, ideal)] if entry in self.BINARY \
+            else [(ideal,)]
+        for args in calls:
+            with pytest.raises(error) as caught:
+                entry(algebra, *args)
+            assert type(caught.value) is error and str(caught.value) == message
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Count the markers ``validate_ideal`` canonicalizes."""
+        seen = []
+        canon = ideals_module._canon_marker
+        monkeypatch.setattr(ideals_module, "_canon_marker",
+                            lambda b, m: seen.append(m) or canon(b, m))
+        return seen
+
+    MIXED = SymbolicAlgebra([Komori(1, 2), Komori(2, 1), Chain(3)])
+
+    def test_library_built_ideals_are_not_canonicalized_again(self, monkeypatch):
+        A = self.MIXED
+        maps = [quotient(A, i).projection for i in all_ideals(A)]
+        seen = self.counting(monkeypatch)
+        for f in maps:
+            classify_extension(f)
+            fac = em_factorize(f)
+            fill_diagonal(fac.e, fac.m, fac.e, fac.m)
+            central_reflection(f)
+            f.kernel()
+        seq = pre_exact(A)
+        assert is_prekernel(seq.inclusion, seq.projection).ok
+        assert is_precokernel(seq.projection, seq.inclusion).ok
+        assert seen == []
+
+    def test_public_entries_canonicalize_each_argument_once(self, monkeypatch):
+        A = self.MIXED
+        lattice = all_ideals(A)
+        pairs = random.Random(12).sample(
+            list(itertools.product(lattice, repeat=2)), 40)
+        assert {commutator_pair(A, i, j).style for i, j in pairs} == {
+            "join_full", "proper_join"}
+        seen = self.counting(monkeypatch)
+        for entry in (commutator_pair, square_from_ideals, ideal_leq):
+            for i, j in pairs:
+                seen.clear()
+                entry(A, i, j)
+                assert len(seen) == 2 * len(A.blocks), entry.__name__
