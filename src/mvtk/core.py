@@ -21,6 +21,7 @@ loads it.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -63,6 +64,8 @@ __all__ = [
     "is_terminal_object",
     "canonical_blocks",
     "are_isomorphic",
+    "Decomposition",
+    "decompose",
     "hom_tables",
     "AXIOM_NAMES",
 ]
@@ -243,11 +246,17 @@ class FiniteAlgebra:
     """Algebra given by explicit tables over {0, ..., n-1}.
 
     Tables are stored as nested tuples so instances hash and compare by
-    value.  Nothing here assumes the tables satisfy the axioms; corrupted
-    tables are legal inputs for the checkers.
+    value.  Constructing one assumes nothing about the axioms: the
+    identity checks (``check_axioms``, the derived and lattice banks,
+    ``terms``' verifiers, ``is_morphism``) report on corrupted tables.
+    Every tool that reads a table's structure, namely ideals, radicals,
+    quotients, hom enumeration and isomorphism, first decomposes it into a
+    product of chains (:func:`decompose`, cached), whose certificate
+    refuses a table that is not an MV-algebra with a ValueError naming a
+    witness.
     """
 
-    __slots__ = ("size", "zero", "neg_row", "plus_rows", "_np")
+    __slots__ = ("size", "zero", "neg_row", "plus_rows", "_np", "_dec")
 
     def __init__(self, neg_row, plus_rows, zero: int = 0):
         neg_row = tuple(neg_row)
@@ -262,11 +271,20 @@ class FiniteAlgebra:
             raise ValueError("plus table entry out of range")
         if zero not in rng:
             raise ValueError("zero out of range")
-        object.__setattr__(self, "size", n)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "neg_row", neg_row)
-        object.__setattr__(self, "plus_rows", plus_rows)
-        object.__setattr__(self, "_np", None)
+        self._fill(neg_row, plus_rows, zero)
+
+    @classmethod
+    def _of_rows(cls, neg_row, plus_rows, zero: int) -> "FiniteAlgebra":
+        """Trusted constructor: n x n tables whose entries are elements by
+        construction."""
+        a = object.__new__(cls)
+        a._fill(tuple(neg_row), tuple(map(tuple, plus_rows)), zero)
+        return a
+
+    def _fill(self, neg_row: tuple, plus_rows: tuple, zero: int) -> None:
+        for name, value in zip(self.__slots__, (len(neg_row), zero, neg_row,
+                                                plus_rows, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteAlgebra is immutable")
@@ -399,9 +417,9 @@ def table_on(elems, plus, neg, zero) -> FiniteAlgebra:
     """The table algebra whose element i is ``elems[i]``, under ``plus``
     and ``neg``, which must map ``elems`` into itself."""
     index = {e: i for i, e in enumerate(elems)}
-    return FiniteAlgebra([index[neg(e)] for e in elems],
-                         [[index[plus(e, f)] for f in elems] for e in elems],
-                         index[zero])
+    return FiniteAlgebra._of_rows([index[neg(e)] for e in elems],
+                                  [[index[plus(e, f)] for f in elems] for e in elems],
+                                  index[zero])
 
 
 def describe(algebra: Algebra) -> str:
@@ -961,6 +979,132 @@ def check_lattice_identities(algebra: Algebra, mode: str = "sample",
 
 
 # ---------------------------------------------------------------------------
+# chain decomposition: every finite MV-algebra is a product of finite
+# chains (Cignoli, D'Ottaviano and Mundici, *Algebraic Foundations of
+# Many-valued Reasoning*, 2000, section 3.6)
+
+
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """A finite MV-algebra as the product of the chains Chain(m_i).
+
+    ``heights`` holds the m_i.  Element x, its position in
+    ``elements(algebra)``, has the levels ``coords[x]``, one per chain,
+    and ``support[x]`` has bit i set when its level i is not 0.  ``at``
+    inverts ``coords``: ``at[code]`` is the element whose levels have that
+    mixed-radix code, the sum of level i times ``weights[i]``, so codes
+    run in ``itertools.product`` order of the levels."""
+
+    heights: tuple
+    weights: tuple
+    coords: tuple
+    support: tuple
+    at: list
+
+
+def _not_mv(what: str) -> ValueError:
+    return ValueError(f"not an MV-algebra: {what}")
+
+
+def _indexed(heights: tuple, coords) -> Decomposition:
+    """The decomposition in which element x has the levels ``coords[x]``,
+    each in range.  Two elements with the same levels, or a level tuple no
+    element has, is a ValueError naming it."""
+    first = {}
+    for x, c in enumerate(coords):
+        y = first.setdefault(c, x)
+        if y != x:
+            raise _not_mv(f"elements {y} and {x} both have levels {list(c)}")
+    if len(first) != math.prod(m + 1 for m in heights):
+        missing = next(c for c in itertools.product(*(range(m + 1) for m in heights))
+                       if c not in first)
+        raise _not_mv(f"no element has levels {list(missing)}")
+    weights = [1] * len(heights)
+    for i in range(len(heights) - 1, 0, -1):
+        weights[i - 1] = weights[i] * (heights[i] + 1)
+    at = [0] * len(coords)
+    for x, c in enumerate(coords):
+        at[sum(v * w for v, w in zip(c, weights))] = x
+    support = tuple(sum(1 << i for i, v in enumerate(c) if v) for c in coords)
+    return Decomposition(heights, tuple(weights), tuple(coords), support, at)
+
+
+def _certify(table: FiniteAlgebra) -> Decomposition:
+    """Decompose a table into chains and check the result.
+
+    The Boolean elements are the x with x (+) x = x.  Their atoms e_i
+    bound the chains [0, e_i], and level i of x is the position of
+    x /\\ e_i in its chain.  The levels are then checked to be a bijection
+    onto the product of the chains that preserves 0, neg and (+), in
+    O(n**2 k) lookups.  A table that passes is isomorphic to a product of
+    chains, hence an MV-algebra; an MV-algebra passes, by the structure
+    theorem.  A failure is a ValueError naming its witness: a pair (x, y),
+    an element, or a level tuple that no element has."""
+    n, neg, plus, zero = table.size, table.neg_row, table.plus_rows, table.zero
+    one = neg[zero]
+    # atoms in decreasing element order keep the blocks of a to_finite table
+    boolean = [x for x in reversed(range(n)) if x != zero and plus[x][x] == x]
+    atoms = [e for e in boolean
+             if not any(b != e and plus[neg[b]][e] == one for b in boolean)]
+    heights, columns = [], []
+    for e in atoms:
+        chain = [y for y in range(n) if plus[neg[y]][e] == one]
+        negs = [neg[z] for z in chain]
+        # the level of y counts the other chain elements below it
+        level = {y: sum(plus[z][y] == one for z in negs)
+                 - (plus[neg[y]][y] == one) for y in chain}
+        column = []
+        for x in range(n):
+            nx = neg[x]
+            meet_e = neg[plus[nx][neg[plus[nx][e]]]]
+            if meet_e not in level:
+                raise _not_mv(f"{x} meets the atom {e} outside the chain below it")
+            column.append(level[meet_e])
+        heights.append(len(chain) - 1)
+        columns.append(column)
+    coords = list(zip(*columns)) if columns else [()] * n
+    dec = _indexed(tuple(heights), coords)
+    if any(coords[zero]):
+        raise _not_mv(f"zero {zero} has levels {list(coords[zero])}")
+    for x in range(n):
+        if coords[neg[x]] != tuple(m - v for m, v in zip(heights, coords[x])):
+            raise _not_mv(f"neg({x}) = {neg[x]} is not the levelwise negation")
+    # sums[i][a]: the levels in chain i of a (+) y for each element y
+    sums = [[[min(a + b, m) for b in column] for a in range(m + 1)]
+            for m, column in zip(heights, columns)]
+    for x in range(n):
+        row = plus[x]
+        if any(list(map(column.__getitem__, row)) != s[column[x]]
+               for column, s in zip(columns, sums)):
+            y = next(y for y in range(n) if coords[row[y]] != tuple(
+                min(u + v, m) for u, v, m in zip(coords[x], coords[y], heights)))
+            raise _not_mv(f"plus({x}, {y}) = {row[y]} is not the levelwise "
+                          f"truncated sum")
+    return dec
+
+
+def decompose(algebra: Algebra) -> Decomposition:
+    """The chain decomposition of a finite-carrier algebra.
+
+    A table is decomposed and certified once, on first use, and keeps the
+    result; one that is not an MV-algebra is a ValueError naming a
+    witness.  A block product of chains is read off its blocks, unchecked:
+    its elements already are level tuples."""
+    if isinstance(algebra, FiniteAlgebra):
+        if algebra._dec is None:
+            object.__setattr__(algebra, "_dec", _certify(algebra))
+        return algebra._dec
+    return _indexed(tuple(b.m for b in algebra.blocks), elements(algebra))
+
+
+def _adopt(table: FiniteAlgebra, heights: tuple, coords) -> FiniteAlgebra:
+    """``table`` with the decomposition these levels give, unchecked: for
+    tables built from a decomposed one, such as its quotients."""
+    object.__setattr__(table, "_dec", _indexed(heights, coords))
+    return table
+
+
+# ---------------------------------------------------------------------------
 # object classification and isomorphism
 
 
@@ -975,27 +1119,25 @@ def canonical_blocks(algebra: SymbolicAlgebra) -> tuple:
 
 def are_isomorphic(a: Algebra, b: Algebra) -> bool:
     """Isomorphism test.  Symbolic pairs compare block multisets (a direct
-    product of chain and Komori blocks determines them); mixed or finite
-    pairs search for a bijective table morphism."""
+    product of chain and Komori blocks determines them).  Otherwise both
+    carriers must be finite, and two finite MV-algebras are isomorphic
+    exactly when their chain decompositions have the same heights."""
     if isinstance(a, SymbolicAlgebra) and isinstance(b, SymbolicAlgebra):
         return canonical_blocks(a) == canonical_blocks(b)
     na, nb = carrier_size(a), carrier_size(b)
-    if na is None or nb is None:
-        # one side infinite: finite side can only match if sizes agree
+    if na is None or nb is None or na != nb:
         return False
-    if na != nb:
-        return False
-    return _bijection(to_finite(a), to_finite(b)) is not None
+    return sorted(decompose(a).heights) == sorted(decompose(b).heights)
 
 
 # ---------------------------------------------------------------------------
-# morphism table search
+# morphism table search: the literal oracle for the decomposition's homs
 
 
-def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v, used):
+def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v):
     """Assign table[x] = v and close under neg and plus against everything
-    already assigned.  Mutates table (and used, when injective search);
-    returns the list of newly assigned points or None on contradiction."""
+    already assigned.  Mutates table; returns the list of newly assigned
+    points or None on contradiction."""
     stack = [(x, v)]
     added = []
     while stack:
@@ -1003,14 +1145,9 @@ def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v, used):
         cur = table[x]
         if cur is not None:
             if cur != v:
-                _undo(table, used, added)
+                _undo(table, added)
                 return None
             continue
-        if used is not None:
-            if v in used:
-                _undo(table, used, added)
-                return None
-            used.add(v)
         table[x] = v
         added.append(x)
         nx = A.neg_row[x]
@@ -1023,48 +1160,30 @@ def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v, used):
     return added
 
 
-def _undo(table, used, added):
+def _undo(table, added):
     for x in added:
-        if used is not None:
-            used.discard(table[x])
         table[x] = None
 
 
 def hom_tables(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All homomorphism tables A -> B (zero-, plus- and neg-preserving),
-    found by backtracking with closure propagation.  Deterministic order."""
-    return _hom_search(A, B, None)
-
-
-def _bijection(A: FiniteAlgebra, B: FiniteAlgebra) -> tuple[int, ...] | None:
-    """The first bijective table of ``hom_tables(A, B)``, or None; the
-    search cuts every branch that repeats a value."""
-    found = _hom_search(A, B, set()) if A.size == B.size else []
-    return found[0] if found else None
-
-
-def _hom_search(A: FiniteAlgebra, B: FiniteAlgebra, used) -> list[tuple[int, ...]]:
-    """Backtracking; a set ``used`` makes it injective and first-only."""
+    found by backtracking with closure propagation, in lexicographic
+    order."""
     out: list[tuple[int, ...]] = []
     table: list[int | None] = [None] * A.size
-    seed = _propagate(A, B, table, A.zero, B.zero, used)
-    if seed is None:
+    if _propagate(A, B, table, A.zero, B.zero) is None:
         return out
 
-    def rec() -> bool:
+    def rec() -> None:
         x = next((i for i, v in enumerate(table) if v is None), None)
         if x is None:
             out.append(tuple(table))  # type: ignore[arg-type]
-            return used is not None
+            return
         for v in range(B.size):
-            added = _propagate(A, B, table, x, v, used)
-            if added is None:
-                continue
-            if rec():
-                return True
-            _undo(table, used, added)
-        return False
+            added = _propagate(A, B, table, x, v)
+            if added is not None:
+                rec()
+                _undo(table, added)
 
     rec()
-    _undo(table, used, seed)
     return out

@@ -25,7 +25,6 @@ from .ideals import (
     Ideal,
     _ideal_leq,
     _ideal_meet,
-    _polar,
     ideal_elements,
     radical,
     zero_ideal,
@@ -92,7 +91,13 @@ class ExtensionClassification:
 def classify_extension(f: Morphism) -> ExtensionClassification:
     """Trivial: restriction to radicals is a bijection.  Central and
     normal coincide: the kernel meets the radical trivially, equivalently
-    lies in the radical's polar."""
+    lies in the radical's polar.
+
+    For ideals, I is within the polar of J exactly when I /\\ J = 0: if
+    every a in I has a /\\ b = 0 for every b in J, then an element of both
+    has c = c /\\ c = 0; conversely a /\\ b lies in I and in J, as ideals
+    are downward closed.  So ``kernel_in_radical_polar`` is the meet test,
+    and no polar is built."""
     A = f.dom
     ker = f.kernel()
     rad = radical(A)
@@ -101,9 +106,8 @@ def classify_extension(f: Morphism) -> ExtensionClassification:
     surjective = f.is_surjective()
     trivial = surjective and disjoint and rad_restriction_surjective(f)
     central = surjective and disjoint
-    in_polar = _ideal_leq(A, ker, _polar(A, rad))
     return ExtensionClassification(surjective, trivial, central, central,
-                                   ker, meet, in_polar)
+                                   ker, meet, disjoint)
 
 
 @dataclass(frozen=True)

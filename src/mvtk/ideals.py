@@ -20,14 +20,16 @@ kernels, radicals and meets the library builds, and checks nothing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import (
     Algebra,
     FiniteAlgebra,
     SymbolicAlgebra,
+    _adopt,
     block,
-    dist,
+    decompose,
     elements,
     leq,
     meet,
@@ -35,7 +37,6 @@ from .core import (
     oplus,
     otimes,
     parts,
-    table_view,
 )
 
 __all__ = [
@@ -116,7 +117,10 @@ def _canon_marker(b, marker):
 
 def validate_ideal(algebra: Algebra, ideal: Ideal) -> Ideal:
     """Canonicalize and type-check an ideal against its algebra: the one
-    check an ideal gets, where it enters the library."""
+    check an ideal gets, where it enters the library.  The ideals of a
+    table are the sets of elements that vanish outside some of its chains
+    (``decompose``), so an element set is one exactly when it has as many
+    elements as the chains it reaches allow, an O(n) test."""
     if isinstance(algebra, FiniteAlgebra):
         if not isinstance(ideal, FiniteIdeal):
             raise TypeError("finite algebra needs a FiniteIdeal")
@@ -124,6 +128,14 @@ def validate_ideal(algebra: Algebra, ideal: Ideal) -> Ideal:
             raise ValueError("ideal element out of range")
         if algebra.zero not in ideal.elements:
             raise ValueError("ideal must contain zero")
+        dec = decompose(algebra)
+        reach = _reach(dec, ideal)
+        if len(ideal.elements) != math.prod(
+                m + 1 for i, m in enumerate(dec.heights) if reach >> i & 1):
+            missing = next(x for x in _vanishing(dec, reach)
+                           if x not in ideal.elements)
+            raise ValueError(f"not an ideal: the ideal it generates also "
+                             f"holds {missing}")
         return ideal
     if not isinstance(ideal, MarkerIdeal):
         raise TypeError("symbolic algebra needs a MarkerIdeal")
@@ -131,6 +143,20 @@ def validate_ideal(algebra: Algebra, ideal: Ideal) -> Ideal:
         raise ValueError("marker count does not match block count")
     return MarkerIdeal(tuple(
         _canon_marker(b, m) for b, m in zip(algebra.blocks, ideal.markers)))
+
+
+def _reach(dec, ideal: FiniteIdeal) -> int:
+    """The chains on which some element of the ideal is not 0, as bits."""
+    reach = 0
+    for x in ideal.elements:
+        reach |= dec.support[x]
+    return reach
+
+
+def _vanishing(dec, reach: int) -> list:
+    """The elements that are 0 on every chain outside ``reach``, in order:
+    the ideal of a table that reaches those chains."""
+    return [x for x, s in enumerate(dec.support) if not s & ~reach]
 
 
 def zero_ideal(algebra: Algebra) -> Ideal:
@@ -219,30 +245,16 @@ def is_ideal(algebra: Algebra, subset) -> bool:
 
 
 def generated_ideal(algebra: Algebra, generators) -> Ideal:
-    """Least ideal containing the generators."""
+    """Least ideal containing the generators: on a table, the elements
+    that vanish outside the chains some generator reaches."""
     generators = list(generators)
     for g in generators:
         if not algebra.contains(g):
             raise ValueError(f"not an element: {g!r}")
     if isinstance(algebra, FiniteAlgebra):
-        import numpy as np
-
-        _, plust = algebra.tables()
-        grid = np.arange(algebra.size)
-        below = leq(table_view(algebra), grid[:, None], grid[None, :])
-        member = np.zeros(algebra.size, dtype=bool)
-        member[algebra.zero] = True
-        for g in generators:
-            member[g] = True
-        while True:
-            idx = np.nonzero(member)[0]
-            nxt = member.copy()
-            nxt[plust[np.ix_(idx, idx)].ravel()] = True
-            nxt |= below[:, idx].any(axis=1)
-            if (nxt == member).all():
-                return FiniteIdeal(frozenset(
-                    int(i) for i in np.nonzero(member)[0]))
-            member = nxt
+        dec = decompose(algebra)
+        reach = _reach(dec, FiniteIdeal(frozenset(generators)))
+        return FiniteIdeal(frozenset(_vanishing(dec, reach)))
     markers = []
     for i, b in enumerate(algebra.blocks):
         entries = [parts(g[i]) for g in generators]
@@ -259,25 +271,15 @@ _ALL_IDEALS_CAP = 2 ** 14 + 1
 
 
 def all_ideals(algebra: Algebra) -> list[Ideal]:
-    """Every ideal, in a deterministic order.  A block product with more
-    than ``_ALL_IDEALS_CAP`` ideals, prod(2**r + 1) over its blocks, is a
+    """Every ideal, in a deterministic order.  A table with k chains
+    (``decompose``) has 2**k, one per set of chains, listed by size and
+    then by their sorted elements.  A block product with more than
+    ``_ALL_IDEALS_CAP`` ideals, prod(2**r + 1) over its blocks, is a
     ValueError raised before any is built."""
     if isinstance(algebra, FiniteAlgebra):
-        principals = {generated_ideal(algebra, [x]).elements
-                      for x in range(algebra.size)}
-        found = {frozenset({algebra.zero})}
-        frontier = list(found)
-        while frontier:
-            nxt = []
-            for ideal in frontier:
-                for p in principals:
-                    joined = frozenset(
-                        algebra.plus(x, y) for x in ideal for y in p)
-                    if joined not in found:
-                        found.add(joined)
-                        nxt.append(joined)
-            frontier = nxt
-        return [FiniteIdeal(s) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+        dec = decompose(algebra)
+        found = [_vanishing(dec, reach) for reach in range(1 << len(dec.heights))]
+        return [FiniteIdeal(frozenset(s)) for s in sorted(found, key=lambda s: (len(s), s))]
     total = 1
     for b in algebra.blocks:
         # 2**bit_length exceeds the cap, so no larger power is formed
@@ -354,11 +356,14 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
     ``"inf"``: infinitesimals (every multiple n.a stays below neg a) plus
     zero.  ``"maximal"``: intersection of all maximal ideals; on the
     terminal algebra the empty intersection gives the full (= zero) ideal.
-    ``"nilpotent"``: join of all ideals J with x (*) y = 0 on J.
+    ``"nilpotent"``: join of all ideals J with x (*) y = 0 on J.  A table
+    is decomposed first (``decompose``), so every method refuses one that
+    is not an MV-algebra.
     """
     if method not in ("inf", "maximal", "nilpotent"):
         raise ValueError(f"unknown radical method {method!r}")
     if isinstance(algebra, FiniteAlgebra):
+        decompose(algebra)
         if method == "inf":
             return FiniteIdeal(_finite_infinitesimals(algebra))
         if method == "maximal":
@@ -468,17 +473,13 @@ def riesz_split(algebra: Algebra, x, y, z) -> tuple:
 def radical_conegation_disjoint(algebra: Algebra, ideal: Ideal) -> bool:
     """Whether Rad(A) misses the negations of a proper ideal.
 
-    Finite algebras are checked by direct intersection.  On a symbolic
-    algebra an element of Rad whose negation lies in the ideal forces a
-    full marker on every block, so disjointness holds exactly when the
-    ideal is proper.
+    An element of Rad whose negation lies in the ideal forces a full
+    marker on every block of a block product, and on a table, whose
+    radical is zero (a finite MV-algebra is a product of chains), it puts
+    1 in the ideal.  So disjointness holds exactly when the ideal is
+    proper.
     """
-    ideal = validate_ideal(algebra, ideal)
-    if isinstance(algebra, FiniteAlgebra):
-        rad = radical(algebra)
-        conegs = {algebra.neg(x) for x in ideal.elements}
-        return not (rad.elements & conegs)
-    return ideal != full_ideal(algebra)
+    return validate_ideal(algebra, ideal) != full_ideal(algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +496,26 @@ def _quotient_blocks(algebra: SymbolicAlgebra, markers) -> SymbolicAlgebra:
 
 
 def finite_quotient_data(algebra: FiniteAlgebra, ideal: FiniteIdeal):
-    """(quotient table algebra, class index per element).  Classes are
-    joined by the distance term landing in the ideal."""
-    ideal = validate_ideal(algebra, ideal)
-    n = algebra.size
-    class_of: list[int | None] = [None] * n
+    """(quotient table algebra, class index per element).  Two elements
+    are in one class when their levels agree on every chain the ideal does
+    not reach (``decompose``); classes are numbered by their first
+    element, and the quotient keeps those chains as its decomposition."""
+    return _finite_quotient(algebra, validate_ideal(algebra, ideal))
+
+
+def _finite_quotient(algebra: FiniteAlgebra, ideal: FiniteIdeal):
+    dec = decompose(algebra)
+    reach = _reach(dec, ideal)
+    kept = [i for i in range(len(dec.heights)) if not reach >> i & 1]
+    keys = [tuple(c[i] for i in kept) for c in dec.coords]
+    classes: dict = {}
     reps: list[int] = []
-    for x in range(n):
-        if class_of[x] is not None:
-            continue
-        c = len(reps)
-        reps.append(x)
-        for y in range(x, n):
-            if class_of[y] is None and dist(algebra, x, y) in ideal.elements:
-                class_of[y] = c
+    for x, key in enumerate(keys):
+        if key not in classes:
+            classes[key] = len(reps)
+            reps.append(x)
+    class_of = tuple(map(classes.__getitem__, keys))
     neg_row = [class_of[algebra.neg(r)] for r in reps]
     plus_rows = [[class_of[algebra.plus(r, s)] for s in reps] for r in reps]
-    q = FiniteAlgebra(neg_row, plus_rows, class_of[algebra.zero])
-    return q, tuple(class_of)
+    q = FiniteAlgebra._of_rows(neg_row, plus_rows, class_of[algebra.zero])
+    return _adopt(q, tuple(dec.heights[i] for i in kept), list(classes)), class_of

@@ -23,11 +23,11 @@ from .morphisms import (
     FiniteMapBody,
     Morphism,
     _copies,
+    _quotient,
     compose,
     from_initial,
     identity,
     is_morphism,
-    quotient,
     to_terminal,
 )
 from .mundici import LexGroup, make_group
@@ -167,7 +167,8 @@ def parse_morphism(obj) -> Morphism:
     if kind in ("quotient", "block_projection"):
         algebra = parse_algebra(obj["algebra"])
         if kind == "quotient":
-            return quotient(algebra, parse_ideal(algebra, obj["ideal"])).projection
+            return _quotient(algebra, parse_ideal(algebra, obj["ideal"]),
+                             "quotient").projection
         if not isinstance(algebra, SymbolicAlgebra):
             raise ValueError("block projections need a block algebra")
         n = len(algebra.blocks)
@@ -214,13 +215,13 @@ def parse_morphism(obj) -> Morphism:
 
 
 def parse_square(obj):
-    from .galois2 import ExtensionSquare, square_from_ideals
+    from .galois2 import ExtensionSquare, _square_from_ideals
 
     if "algebra" in obj:
         algebra = parse_algebra(obj["algebra"])
         i = parse_ideal(algebra, obj["ideal_i"])
         j = parse_ideal(algebra, obj["ideal_j"])
-        return square_from_ideals(algebra, i, j)
+        return _square_from_ideals(algebra, i, j)
     return ExtensionSquare(top=parse_morphism(obj["top"]),
                            left=parse_morphism(obj["left"]),
                            right=parse_morphism(obj["right"]),

@@ -39,6 +39,7 @@ Given between two block products it is decoded into its CoordMap.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -46,12 +47,11 @@ from .core import (
     Algebra,
     FiniteAlgebra,
     SymbolicAlgebra,
-    _bijection,
     block,
     carrier_size,
+    decompose,
     element,
     elements,
-    hom_tables,
     initial_algebra,
     parts,
     resolve_mode,
@@ -65,10 +65,10 @@ from .ideals import (
     FiniteIdeal,
     Ideal,
     MarkerIdeal,
+    _finite_quotient,
     _ideal_contains,
     _ideal_leq,
     _quotient_blocks,
-    finite_quotient_data,
     ideal_elements,
     marker_coords,
     markers_from_elements,
@@ -374,12 +374,7 @@ def _preimage(dom: Algebra, cod: Algebra, body, ideal: Ideal) -> Ideal:
     """Preimage of a validated codomain ideal."""
     if isinstance(body, CoordMap):
         return body.preimage(dom, ideal.markers)
-    if isinstance(ideal, FiniteIdeal):
-        hit = ideal.elements.__contains__
-    else:
-        def hit(v):
-            return _ideal_contains(ideal, v)
-    pre = [x for x, v in zip(elements(dom), body.table) if hit(v)]
+    pre = [x for x, v in zip(elements(dom), body.table) if _ideal_contains(ideal, v)]
     if isinstance(dom, FiniteAlgebra):
         return FiniteIdeal(frozenset(pre))
     return markers_from_elements(dom, pre)
@@ -491,7 +486,7 @@ def quotient(algebra: Algebra, ideal: Ideal, label: str = "quotient") -> Quotien
 
 def _quotient(algebra: Algebra, ideal: Ideal, label: str) -> QuotientResult:
     if isinstance(algebra, FiniteAlgebra):
-        q, class_of = finite_quotient_data(algebra, ideal)
+        q, class_of = _finite_quotient(algebra, ideal)
         body = FiniteMapBody(class_of)
     else:
         q, body = _quotient_parts(algebra, ideal.markers)
@@ -524,16 +519,15 @@ def _factor_body(A: Algebra, Q: Algebra, C: Algebra, q, f):
     """Body of g: Q -> C with q then g equal to f, for q: A -> Q onto and
     f: A -> C; the kernel condition is left to the caller."""
     if isinstance(q, CoordMap) and isinstance(f, CoordMap):
-        body = _factor_coords(q, f)
-    else:
-        qx, fx = _evaluator(A, q), _evaluator(A, f)
-        lifted = {}
-        for x in elements(A):
-            lifted.setdefault(qx(x), fx(x))
-        try:
-            body = FiniteMapBody(tuple(lifted[y] for y in elements(Q)))
-        except KeyError:
-            raise ValueError("the quotient misses part of its codomain") from None
+        return _factor_coords(q, f)
+    qx, fx = _evaluator(A, q), _evaluator(A, f)
+    lifted = {}
+    for x in elements(A):
+        lifted.setdefault(qx(x), fx(x))
+    try:
+        body = FiniteMapBody(tuple(lifted[y] for y in elements(Q)))
+    except KeyError:
+        raise ValueError("the quotient misses part of its codomain") from None
     return _lower(Q, C, body)
 
 
@@ -669,12 +663,11 @@ def _corestrict_body(E: Algebra, S: Algebra, e, through):
     """Body of phi: E -> S with phi then ``through``: S -> B equal to
     e: E -> B."""
     if isinstance(e, CoordMap) and isinstance(through, CoordMap):
-        body = _corestrict_coords(e, through, S)
-    else:
-        decode, ex = _point_decoder(S, through), _evaluator(E, e)
-        body = _tabulate(E, lambda x: decode(ex(x)))
-        if None in body.table:
-            raise ValueError("image of e escapes the subobject")
+        return _corestrict_coords(e, through, S)
+    decode, ex = _point_decoder(S, through), _evaluator(E, e)
+    body = _tabulate(E, lambda x: decode(ex(x)))
+    if None in body.table:
+        raise ValueError("image of e escapes the subobject")
     return _lower(E, S, body)
 
 
@@ -709,26 +702,99 @@ def _corestrict_coords(e: CoordMap, through: CoordMap, sub: SymbolicAlgebra) -> 
 
 
 def enumerate_homs(dom: Algebra, cod: Algebra) -> list[Morphism]:
-    """All morphisms between finite-carrier algebras, deterministically
-    ordered."""
+    """All morphisms between finite-carrier algebras, in the order of their
+    value tables (that of ``hom_tables``).
+
+    Both sides are read as products of chains (``decompose``, which
+    refuses a table that is not an MV-algebra).  A map into Chain(n) reads
+    one chain Chain(m) of the domain with m dividing n, scaling its level
+    by n / m, and each codomain chain picks its own: every choice is a
+    morphism, and these are all."""
     if carrier_size(dom) is None or carrier_size(cod) is None:
         raise ValueError("hom enumeration needs finite carriers")
-    tables = hom_tables(to_finite(dom), to_finite(cod))
-    if isinstance(cod, SymbolicAlgebra):
+    da, db = decompose(dom), decompose(cod)
+    per_block = [[(i, n // m, ()) for i, m in enumerate(da.heights) if n % m == 0]
+                 for n in db.heights]
+    return _chain_homs(dom, cod, sorted((_values(da, db, rows), rows)
+                                        for rows in itertools.product(*per_block)))
+
+
+def _values(da, db, rows) -> tuple:
+    """The value table, as codomain positions, of the chain-product map
+    with these CoordMap rows."""
+    terms = [(src, scale * w) for (src, scale, _), w in zip(rows, db.weights)]
+    at = db.at
+    return tuple(at[sum(c[src] * k for src, k in terms)] for c in da.coords)
+
+
+def _chain_homs(dom: Algebra, cod: Algebra, found, label: str = "") -> list:
+    """The morphisms given as (value table, CoordMap rows) pairs between
+    products of chains: value tables when a side is a table algebra,
+    CoordMaps otherwise."""
+    if isinstance(dom, FiniteAlgebra) or isinstance(cod, FiniteAlgebra):
         ce = elements(cod)
-        tables = [tuple(ce[v] for v in t) for t in tables]
-    return [Morphism(dom, cod, FiniteMapBody(t)) for t in tables]
+        return [Morphism._of_coords(dom, cod, FiniteMapBody(tuple(map(
+            ce.__getitem__, values))), label) for values, _ in found]
+    return [Morphism._of_coords(dom, cod, CoordMap._normal(rows), label)
+            for _, rows in found]
 
 
 def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:
+    """The isomorphism whose value table comes first in ``hom_tables``
+    order, or None when there is none.
+
+    An isomorphism of products of chains sends each codomain chain to a
+    domain chain of the same height, one to one.  The isomorphisms that
+    agree with the first values so far are those sending each group of
+    codomain chains onto a matching group of domain chains, in any order.
+    Element by element, the first value over every such arrangement is
+    kept and the groups split by level, so at most one value per element
+    of the codomain is tried, never every permutation."""
     if carrier_size(dom) is None or carrier_size(cod) is None:
         raise ValueError("isomorphism search needs finite carriers")
-    found = _bijection(to_finite(dom), to_finite(cod))
-    if found is None:
+    if carrier_size(dom) != carrier_size(cod):
         return None
-    ce = elements(cod)
-    return Morphism(dom, cod, FiniteMapBody(tuple(ce[v] for v in found)),
-                    "isomorphism")
+    da, db = decompose(dom), decompose(cod)
+    if sorted(da.heights) != sorted(db.heights):
+        return None
+    groups = [([j for j, n in enumerate(db.heights) if n == h],
+               [i for i, m in enumerate(da.heights) if m == h])
+              for h in sorted(set(db.heights))]
+
+    def value(choice):
+        levels = [0] * len(db.heights)
+        for (targets, _), order in zip(groups, choice):
+            for j, v in zip(targets, order):
+                levels[j] = v
+        return db.at[sum(map(operator.mul, levels, db.weights))]
+
+    for c in da.coords:
+        if all(len(targets) == 1 for targets, _ in groups):
+            break
+        best = min(itertools.product(*(
+            list(_arrangements(sorted(c[i] for i in sources)))
+            for _, sources in groups)), key=value)
+        groups = [([j for j, v in zip(targets, order) if v == level],
+                   [i for i in sources if c[i] == level])
+                  for (targets, sources), order in zip(groups, best)
+                  for level in sorted(set(order))]
+    rows = [None] * len(db.heights)
+    for targets, sources in groups:
+        rows[targets[0]] = (sources[0], 1, ())
+    rows = tuple(rows)
+    return _chain_homs(dom, cod, [(_values(da, db, rows), rows)], "isomorphism")[0]
+
+
+def _arrangements(values: list):
+    """Each distinct ordering of the sorted multiset ``values`` once, in
+    lexicographic order."""
+    if not values:
+        yield ()
+        return
+    for k, v in enumerate(values):
+        if k == 0 or v != values[k - 1]:
+            for tail in _arrangements(values[:k] + values[k + 1:]):
+                yield (v,) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -508,3 +508,35 @@ class TestDeepNesting:
             spec = {"kind": "compose", "parts": [spec]}
         with pytest.raises(ValueError, match="input nested too deeply"):
             parse_morphism(spec)
+
+
+class TestTableThatIsNotAnMVAlgebra:
+    """A table whose plus is constantly 0 has no chain decomposition.  The
+    commands that read its structure exit 2 with one line naming the
+    witness; the identity checks report where it fails."""
+
+    BAD = {"finite": {"size": 2, "zero": 0, "neg": [1, 0],
+                      "plus": [[0, 0], [0, 0]]}}
+    WITNESS = "error: not an MV-algebra: elements 0 and 1 both have levels []\n"
+
+    @pytest.mark.parametrize("command", ["radical", "ideals", "homs"])
+    def test_structural_commands_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        doc = self.BAD if command != "homs" else {
+            "dom": self.BAD, "cod": {"blocks": [{"chain": 1}]}}
+        path.write_text(json.dumps(doc))
+        code = main([command, str(path)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.err == self.WITNESS
+        assert not out.out
+
+    @pytest.mark.parametrize("command, report", [
+        ("check-axioms", "axioms"), ("terms", "protomodularity")])
+    def test_identity_checks_report_the_failure(self, tmp_path, capsys,
+                                                command, report):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self.BAD))
+        code, doc = run(capsys, command, str(path))
+        assert code == 1
+        assert not doc[report]["ok"]

@@ -1,0 +1,412 @@
+"""The chain decomposition of finite tables and what is read off it.
+
+Every finite MV-algebra is a product of finite chains.  ``decompose``
+finds the chains of a table and certifies the result; hom enumeration,
+isomorphism, ideals and quotients are then read off the decomposition.
+These tests hold each of them to the literal algorithm it replaced, kept
+here as an oracle: exhaustive ``check_axioms`` for the certificate,
+``hom_tables`` for the homs, and the closure, ideal-join and distance
+loops for ideals and quotients.
+"""
+
+import itertools
+import random
+import time
+
+import pytest
+
+from mvtk import (
+    FiniteIdeal,
+    all_ideals,
+    are_isomorphic,
+    chain_product_catalog,
+    check_axioms,
+    classify_extension,
+    describe,
+    elements,
+    em_factorize,
+    enumerate_homs,
+    fill_diagonal,
+    finite_quotient_data,
+    find_isomorphism,
+    generated_ideal,
+    ideal_leq,
+    image_set,
+    is_ideal,
+    is_precokernel,
+    is_prekernel,
+    leq,
+    make_chain,
+    make_finite,
+    polar,
+    pre_exact,
+    product,
+    quotient,
+    radical,
+    radical_conegation_disjoint,
+    radical_projection,
+    random_block_algebra,
+    square_from_ideals,
+    stability_check,
+    to_finite,
+    validate_ideal,
+)
+from mvtk import morphisms, pretorsion
+from mvtk.core import decompose, dist, hom_tables
+from mvtk.galois2 import central_reflection, commutator_pair
+from mvtk.morphisms import CoordMap, _check_coords
+
+
+def relabel(table, perm):
+    """The table with element x renamed perm[x]: an isomorphic copy whose
+    element order is no longer that of ``to_finite``."""
+    n = table.size
+    neg = [0] * n
+    plus = [[0] * n for _ in range(n)]
+    for x in range(n):
+        neg[perm[x]] = perm[table.neg(x)]
+        for y in range(n):
+            plus[perm[x]][perm[y]] = perm[table.plus(x, y)]
+    return make_finite(neg, plus, perm[table.zero])
+
+
+def shuffled(table, seed):
+    perm = list(range(table.size))
+    random.Random(seed).shuffle(perm)
+    return relabel(table, perm)
+
+
+def corruptions(table, seed):
+    """Four seeded corruptions: one plus entry, a symmetric pair of plus
+    entries (commutativity survives), one neg entry, and zero moved."""
+    rng = random.Random(seed)
+    n = table.size
+    neg = list(table.neg_row)
+    plus = [list(r) for r in table.plus_rows]
+    out = []
+    x, y = rng.randrange(n), rng.randrange(n)
+    rows = [list(r) for r in plus]
+    rows[x][y] = rng.choice([v for v in range(n) if v != rows[x][y]])
+    out.append(make_finite(neg, rows, table.zero))
+    x, y = rng.sample(range(n), 2)
+    rows = [list(r) for r in plus]
+    rows[x][y] = rows[y][x] = rng.choice([v for v in range(n) if v != rows[x][y]])
+    out.append(make_finite(neg, rows, table.zero))
+    negs = list(neg)
+    x = rng.randrange(n)
+    negs[x] = rng.choice([v for v in range(n) if v != negs[x]])
+    out.append(make_finite(negs, plus, table.zero))
+    out.append(make_finite(neg, plus, rng.choice(
+        [v for v in range(n) if v != table.zero])))
+    return out
+
+
+def certified(table) -> bool:
+    try:
+        decompose(table)
+    except ValueError as exc:
+        text = str(exc)
+        assert text.startswith("not an MV-algebra: ") and "\n" not in text
+        return False
+    return True
+
+
+CATALOG_30 = [to_finite(a) for a in chain_product_catalog(30) if a.blocks]
+CATALOG_24 = [to_finite(a) for a in chain_product_catalog(24)]
+
+
+class TestCertificate:
+    def test_accepts_exactly_what_the_axioms_accept(self):
+        assert len(CATALOG_30) == 69
+        accepted = rejected = 0
+        for k, table in enumerate(CATALOG_30):
+            for candidate in [table, shuffled(table, f"perm:{k}")] \
+                    + corruptions(table, f"corrupt:{k}"):
+                ok = check_axioms(candidate, mode="exhaustive").ok
+                assert certified(candidate) == ok, describe(table)
+                accepted += ok
+                rejected += not ok
+        assert accepted >= 2 * len(CATALOG_30) and rejected > 200
+
+    def test_the_one_element_table_is_the_empty_product(self):
+        dec = decompose(make_finite([0], [[0]]))
+        assert dec.heights == () and dec.coords == ((),) and dec.at == [0]
+
+    def test_levels_of_a_chain_product_table_are_its_elements(self):
+        for algebra in chain_product_catalog(24):
+            table = to_finite(algebra)
+            dec = decompose(table)
+            assert dec.heights == tuple(b.m for b in algebra.blocks)
+            assert list(dec.coords) == elements(algebra)
+            assert dec.at == list(range(table.size))
+            assert decompose(table) is dec
+
+    @pytest.mark.parametrize("neg, plus, witness", [
+        ([1, 0], [[0, 0], [0, 0]], "elements 0 and 1 both have levels []"),
+        ([1, 0], [[0, 0], [0, 1]],
+         "0 meets the atom 1 outside the chain below it"),
+        ([1, 2, 0], [[2, 1, 2], [1, 1, 1], [2, 1, 0]], "zero 0 has levels [1]"),
+        ([2, 1, 0], [[1, 0, 2], [0, 0, 2], [2, 2, 2]],
+         "neg(0) = 2 is not the levelwise negation"),
+        ([2, 1, 0], [[0, 1, 2], [1, 0, 2], [2, 2, 2]],
+         "plus(1, 1) = 0 is not the levelwise truncated sum"),
+        ([3, 2, 1, 0], [[3, 1, 2, 3], [1, 1, 3, 3], [2, 3, 0, 0], [3, 3, 0, 3]],
+         "no element has levels [0, 1]"),
+    ])
+    def test_each_refusal_names_its_witness(self, neg, plus, witness):
+        table = make_finite(neg, plus)
+        with pytest.raises(ValueError) as exc:
+            decompose(table)
+        assert str(exc.value) == f"not an MV-algebra: {witness}"
+        assert not check_axioms(table, mode="exhaustive").ok
+
+
+class TestHoms:
+    def test_enumerate_homs_is_hom_tables_in_order(self):
+        assert len(CATALOG_24) == 53
+        total = 0
+        for dom, cod in itertools.product(CATALOG_24, repeat=2):
+            homs = enumerate_homs(dom, cod)
+            assert [h.body.table for h in homs] == hom_tables(dom, cod)
+            total += len(homs)
+        assert total == 5117
+
+    def test_relabelled_tables(self):
+        for k, table in enumerate(CATALOG_24[:32]):
+            other = shuffled(table, f"hom:{k}")
+            for dom, cod in ((table, other), (other, table), (other, other)):
+                homs = enumerate_homs(dom, cod)
+                assert [h.body.table for h in homs] == hom_tables(dom, cod)
+
+    def test_block_products_get_coordinate_maps(self):
+        algebras = chain_product_catalog(12)
+        for dom, cod in itertools.product(algebras, repeat=2):
+            index = {y: k for k, y in enumerate(elements(cod))}
+            homs = enumerate_homs(dom, cod)
+            assert all(isinstance(h.body, CoordMap) for h in homs)
+            assert [tuple(index[h(x)] for x in elements(dom)) for h in homs] \
+                == hom_tables(to_finite(dom), to_finite(cod))
+
+
+def first_bijection(dom, cod):
+    return next((t for t in hom_tables(dom, cod) if len(set(t)) == cod.size),
+                None)
+
+
+class TestIsomorphism:
+    def test_first_isomorphism_is_the_first_bijective_hom_table(self):
+        tables = [to_finite(a) for a in chain_product_catalog(16)]
+        for k, table in enumerate(tables):
+            copies = [table, shuffled(table, f"iso:{k}:0"),
+                      shuffled(table, f"iso:{k}:1")]
+            others = [t for t in tables if t.size == table.size]
+            for dom, cod in itertools.product(copies, copies + others):
+                found = find_isomorphism(dom, cod)
+                want = first_bijection(dom, cod)
+                assert (None if found is None else found.body.table) == want
+                assert are_isomorphic(dom, cod) == (want is not None)
+
+    def test_mixed_pairs(self):
+        a = product([make_chain(1), make_chain(2)])
+        b = shuffled(to_finite(product([make_chain(2), make_chain(1)])), "mixed")
+        there, back = find_isomorphism(a, b), find_isomorphism(b, a)
+        assert len(set(there.body.table)) == 6
+        assert all(back(there(x)) == x for x in elements(a))
+        assert there.body.table == first_bijection(to_finite(a), b)
+
+    def test_the_256_element_boolean_table_is_fast(self):
+        boolean = to_finite(product([make_chain(1)] * 8))
+        copy = shuffled(boolean, "boolean")
+        start = time.perf_counter()
+        iso = find_isomorphism(boolean, copy)
+        assert are_isomorphic(boolean, copy)
+        elapsed = time.perf_counter() - start
+        t = iso.body.table
+        assert sorted(t) == list(range(256))
+        assert all(t[boolean.neg(x)] == copy.neg(t[x]) for x in range(256))
+        assert all(t[boolean.plus(x, y)] == copy.plus(t[x], t[y])
+                   for x in range(256) for y in range(256))
+        assert elapsed < 5
+
+
+def closure(table, generators):
+    """The least ideal containing ``generators``, by closing under (+) and
+    under going down, as ``generated_ideal`` once did on tables."""
+    member = {table.zero, *generators}
+    while True:
+        grown = member | {table.plus(x, y) for x in member for y in member} \
+            | {z for z in range(table.size) for x in member if leq(table, z, x)}
+        if grown == member:
+            return frozenset(member)
+        member = grown
+
+
+def ideals_by_joins(table):
+    """All ideals: the joins of principal ideals, grown breadth first."""
+    principals = {closure(table, [x]) for x in range(table.size)}
+    found = {frozenset({table.zero})}
+    frontier = list(found)
+    while frontier:
+        grown = []
+        for ideal in frontier:
+            for p in principals:
+                joined = frozenset(table.plus(x, y) for x in ideal for y in p)
+                if joined not in found:
+                    found.add(joined)
+                    grown.append(joined)
+        frontier = grown
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def quotient_by_distance(table, ideal):
+    """(neg, plus, zero, classes): classes joined by the distance term
+    landing in the ideal, numbered by first element."""
+    n = table.size
+    class_of = [None] * n
+    reps = []
+    for x in range(n):
+        if class_of[x] is not None:
+            continue
+        reps.append(x)
+        for y in range(x, n):
+            if class_of[y] is None and dist(table, x, y) in ideal:
+                class_of[y] = len(reps) - 1
+    neg_row = tuple(class_of[table.neg(r)] for r in reps)
+    plus_rows = tuple(tuple(class_of[table.plus(r, s)] for s in reps)
+                      for r in reps)
+    return neg_row, plus_rows, class_of[table.zero], tuple(class_of)
+
+
+SMALL_TABLES = [to_finite(a) for a in chain_product_catalog(12)]
+SMALL_TABLES += [shuffled(t, f"ideals:{k}") for k, t in enumerate(SMALL_TABLES)]
+
+
+class TestIdealsAndQuotients:
+    def test_all_ideals_are_the_joins_of_principal_ideals(self):
+        for table in SMALL_TABLES:
+            assert [i.elements for i in all_ideals(table)] == \
+                ideals_by_joins(table)
+
+    def test_quotient_data_is_the_distance_quotient(self):
+        for table in SMALL_TABLES:
+            for ideal in all_ideals(table):
+                q, class_of = finite_quotient_data(table, ideal)
+                assert (q.neg_row, q.plus_rows, q.zero, class_of) == \
+                    quotient_by_distance(table, ideal.elements)
+                assert certified(q)
+
+    def test_a_quotient_keeps_the_surviving_chains(self):
+        table = shuffled(to_finite(product([make_chain(2), make_chain(3)])), "q")
+        for ideal in all_ideals(table):
+            q, _ = finite_quotient_data(table, ideal)
+            kept = decompose(q)
+            fresh = decompose(make_finite(q.neg_row, q.plus_rows, q.zero))
+            assert (kept.heights, kept.coords) == (fresh.heights, fresh.coords)
+
+    def test_generated_ideal_is_the_closure(self):
+        for table in SMALL_TABLES:
+            for x, y in itertools.combinations(range(table.size), 2):
+                assert generated_ideal(table, [x, y]).elements == \
+                    closure(table, [x, y])
+
+    def test_validate_ideal_accepts_exactly_the_ideals(self):
+        for table in [t for t in SMALL_TABLES if t.size <= 8]:
+            others = [x for x in range(table.size) if x != table.zero]
+            for k in range(len(others) + 1):
+                for rest in itertools.combinations(others, k):
+                    subset = frozenset((table.zero, *rest))
+                    try:
+                        validate_ideal(table, FiniteIdeal(subset))
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == is_ideal(table, subset)
+
+    def test_a_subset_that_is_not_an_ideal_has_no_quotient(self):
+        with pytest.raises(ValueError, match="not an ideal: the ideal it "
+                                             "generates also holds 2"):
+            quotient(to_finite(make_chain(3)), FiniteIdeal(frozenset({0, 1})))
+
+    def test_conegation_disjointness_is_the_literal_intersection(self):
+        for table in SMALL_TABLES:
+            rad = radical(table).elements
+            for ideal in all_ideals(table):
+                conegs = {table.neg(x) for x in ideal.elements}
+                assert radical_conegation_disjoint(table, ideal) == \
+                    (not rad & conegs)
+
+    def test_structural_tools_refuse_a_table_that_is_not_an_mv_algebra(self):
+        bad = make_finite([1, 0], [[0, 0], [0, 0]])
+        for tool in (all_ideals, radical, radical_projection,
+                     lambda a: enumerate_homs(a, a)):
+            with pytest.raises(ValueError, match="^not an MV-algebra"):
+                tool(bad)
+        assert not check_axioms(bad, mode="exhaustive").ok
+
+
+def symbolic_pool(tag, count):
+    out = []
+    for seed in range(count):
+        rng = random.Random(f"{tag}:{seed}")
+        algebra = random_block_algebra(rng)
+        ideals = all_ideals(algebra)
+        out.append((algebra, ideals[rng.randrange(len(ideals))],
+                    ideals[rng.randrange(len(ideals))]))
+    return out
+
+
+class TestBodyOperationsNeedNoRecheck:
+    """``_factor_body`` and ``_corestrict_body`` return the CoordMap their
+    formulas build without running ``_check_coords`` on it again; on the
+    gates' symbolic pools that check accepts every one of them."""
+
+    def test_every_coordinate_result_passes_the_check(self, monkeypatch):
+        checked = []
+
+        def watch(body_op, ends):
+            def run(*args):
+                body = body_op(*args)
+                if isinstance(body, CoordMap):
+                    _check_coords(*ends(args), body)
+                    checked.append(body_op.__name__)
+                return body
+            return run
+
+        factor = watch(morphisms._factor_body, lambda a: (a[1], a[2]))
+        corestrict = watch(morphisms._corestrict_body, lambda a: (a[0], a[1]))
+        for module in (morphisms, pretorsion):
+            monkeypatch.setattr(module, "_factor_body", factor)
+            monkeypatch.setattr(module, "_corestrict_body", corestrict)
+
+        for algebra, i, _ in symbolic_pool("em", 100):
+            f = quotient(algebra, i).projection
+            fac = em_factorize(f)
+            fill_diagonal(fac.e, fac.m, fac.e, fac.m)
+        for algebra, i, j in symbolic_pool("dbl", 80):
+            square_from_ideals(algebra, i, j)
+            commutator_pair(algebra, i, j)
+        for algebra, i, _ in symbolic_pool("refl", 30):
+            central_reflection(quotient(algebra, i).projection)
+        for algebra, _, _ in symbolic_pool("seq", 20):
+            seq = pre_exact(algebra)
+            is_prekernel(seq.inclusion, seq.projection)
+            is_precokernel(seq.projection, seq.inclusion)
+        for algebra, _, _ in symbolic_pool("stab", 20):
+            eta = radical_projection(algebra)
+            stability_check(eta, eta)
+        assert checked.count("_factor_body") > 300
+        assert checked.count("_corestrict_body") > 300
+
+
+class TestKernelInRadicalPolar:
+    def test_the_meet_test_is_the_polar_containment(self):
+        maps = [quotient(a, i).projection for a, i, _ in symbolic_pool("cls", 100)]
+        tables = [to_finite(a) for a in chain_product_catalog(6)]
+        maps += [h for dom, cod in itertools.product(tables, repeat=2)
+                 for h in enumerate_homs(dom, cod)
+                 if len(image_set(h)) == cod.size]
+        for f in maps:
+            rep = classify_extension(f)
+            rad = radical(f.dom)
+            assert rep.kernel_in_radical_polar == \
+                ideal_leq(f.dom, rep.kernel, polar(f.dom, rad))
