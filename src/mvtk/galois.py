@@ -4,8 +4,10 @@ A surjection is a trivial covering when its restriction to radicals is a
 bijection, and a central (equivalently normal) covering when its kernel
 meets the radical trivially.  Every finite algebra is semisimple, so every
 finite surjection is trivial; the interesting stratification lives on the
-block algebras.  The pair (radical-kernel surjections, radical-disjoint
-kernels) forms the factorization system built by ``em_factorize``.
+block algebras.  On a table the radical is zero (``ideals._radical``)
+and A/0 is A itself, so the semisimple reflection is the identity.  The
+pair (radical-kernel surjections, radical-disjoint kernels) forms the
+factorization system built by ``em_factorize``.
 
 The pullback criterion for trivial coverings and the stability of the
 left class are checked with ``morphisms.pullback``: between block
@@ -25,8 +27,8 @@ from .ideals import (
     Ideal,
     _ideal_leq,
     _ideal_meet,
+    _radical,
     ideal_elements,
-    radical,
     zero_ideal,
 )
 from .morphisms import (
@@ -62,7 +64,7 @@ __all__ = [
 
 
 def _rad_elements(algebra: Algebra):
-    return ideal_elements(algebra, radical(algebra))
+    return ideal_elements(algebra, _radical(algebra))
 
 
 def rad_restriction_surjective(f: Morphism) -> bool:
@@ -100,7 +102,7 @@ def classify_extension(f: Morphism) -> ExtensionClassification:
     and no polar is built."""
     A = f.dom
     ker = f.kernel()
-    rad = radical(A)
+    rad = _radical(A)
     meet = _ideal_meet(A, ker, rad)
     disjoint = meet == zero_ideal(A)
     surjective = f.is_surjective()
@@ -123,8 +125,9 @@ def trivial_via_pullback(f: Morphism,
     """The pullback criterion: f is a trivial covering exactly when the
     naturality square over the semisimple quotients is a pullback.  The
     pullback is a block product for maps between block products and
-    literal for table maps.  The domain's unit ``eta_a`` can be
-    overridden to exercise corrupted squares."""
+    literal for table maps, whose units are identities (A/0 is A).  The
+    domain's unit ``eta_a`` can be overridden to exercise corrupted
+    squares."""
     if eta_a is None:
         eta_a = radical_projection(f.dom)
     pb = pullback(semisimple_map(f), radical_projection(f.cod))
@@ -155,20 +158,20 @@ def extension_commutator(f: Morphism) -> ExtensionCommutator:
     subalgebra on kernel-meet-radical.  It vanishes exactly when the
     kernel misses the radical."""
     A = f.dom
-    theta = _ideal_meet(A, f.kernel(), radical(A))
+    theta = _ideal_meet(A, f.kernel(), _radical(A))
     sub = _ideal_subalgebra(A, theta, "extension_commutator")
     return ExtensionCommutator(theta, sub, theta == zero_ideal(A))
 
 
 def e_member(f: Morphism) -> bool:
     """Surjections whose kernel sits inside the radical."""
-    return f.is_surjective() and _ideal_leq(f.dom, f.kernel(), radical(f.dom))
+    return f.is_surjective() and _ideal_leq(f.dom, f.kernel(), _radical(f.dom))
 
 
 def m_member(f: Morphism) -> bool:
     """Maps whose kernel meets the radical trivially."""
     A = f.dom
-    return _ideal_meet(A, f.kernel(), radical(A)) == zero_ideal(A)
+    return _ideal_meet(A, f.kernel(), _radical(A)) == zero_ideal(A)
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,7 @@ def em_factorize(f: Morphism) -> EMFactorization:
     radical-disjoint kernel, splitting at the quotient by
     kernel-meet-radical."""
     A = f.dom
-    theta = _ideal_meet(A, f.kernel(), radical(A))
+    theta = _ideal_meet(A, f.kernel(), _radical(A))
     q = _quotient(A, theta, "em_projection")
     i = factor_through_quotient(q.projection, f, "em_embedding")
     if not e_member(q.projection):

@@ -19,8 +19,8 @@ from .ideals import (
     Ideal,
     _ideal_join,
     _ideal_meet,
+    _radical,
     full_ideal,
-    radical,
     validate_ideal,
     zero_ideal,
 )
@@ -135,14 +135,14 @@ def central_reflection(f: Morphism) -> CentralReflection:
     if not f.is_surjective():
         raise ValueError("central reflection applies to surjections")
     A = f.dom
-    theta = _ideal_meet(A, f.kernel(), radical(A))
+    theta = _ideal_meet(A, f.kernel(), _radical(A))
     q = _quotient(A, theta, "central_reflection")
     reflected = factor_through_quotient(q.projection, f, "reflected")
     sq = ExtensionSquare(top=f, left=q.projection,
                          right=identity(f.cod), bottom=reflected)
     rp = is_regular_pushout(sq)
     B = reflected.dom
-    central = _ideal_meet(B, reflected.kernel(), radical(B)) == zero_ideal(B)
+    central = _ideal_meet(B, reflected.kernel(), _radical(B)) == zero_ideal(B)
     return CentralReflection(sq, reflected, theta, rp.ok, central,
                              idempotent=central)
 
@@ -163,7 +163,7 @@ def classify_double(sq: ExtensionSquare) -> DoubleClassification:
         raise ValueError("not a regular pushout: no double classification")
     A = sq.top.dom
     meet = _ideal_meet(A, _ideal_meet(A, sq.top.kernel(), sq.left.kernel()),
-                       radical(A))
+                       _radical(A))
     return DoubleClassification(True, meet == zero_ideal(A), meet)
 
 
@@ -208,7 +208,7 @@ def commutator_pair(algebra: Algebra, i: Ideal, j: Ideal) -> CommutatorReport:
     subalgebra spanned by the join."""
     i = validate_ideal(algebra, i)
     j = validate_ideal(algebra, j)
-    com = _ideal_meet(algebra, _ideal_meet(algebra, i, j), radical(algebra))
+    com = _ideal_meet(algebra, _ideal_meet(algebra, i, j), _radical(algebra))
     sub = _ideal_subalgebra(algebra, com, "ideal_commutator")
     in_center = com == zero_ideal(algebra)
     k = _ideal_join(algebra, i, j)
@@ -223,7 +223,7 @@ def commutator_pair(algebra: Algebra, i: Ideal, j: Ideal) -> CommutatorReport:
         base_sub = _ideal_subalgebra(algebra, k, "join_span")
         base = base_sub.algebra
         restrict = partial(_preimage, base, algebra, base_sub.inclusion.body)
-        radical_ok = restrict(radical(algebra)) == radical(base)
+        radical_ok = restrict(_radical(algebra)) == _radical(base)
         sq = _square_from_ideals(base, restrict(i), restrict(j))
         if carrier_size(sq.bottom.cod) != 2:
             raise AssertionError("proper-join square corner is not the "

@@ -350,6 +350,19 @@ def _finite_infinitesimals(algebra: FiniteAlgebra) -> frozenset:
     return frozenset(out)
 
 
+def _radical(algebra: Algebra) -> Ideal:
+    """The radical, read off the structure.  A table is a product of
+    chains (``decompose``, which refuses one that is not an MV-algebra),
+    a product's infinitesimals are those of its factors, and Chain(m) has
+    none but 0: for x > 0, m.x = 1 is not below neg x.  So a table's
+    radical is zero and its semisimple reflection the identity.  A block
+    product keeps the height-zero part of its Komori blocks."""
+    if isinstance(algebra, FiniteAlgebra):
+        decompose(algebra)
+        return zero_ideal(algebra)
+    return MarkerIdeal(tuple(sub_marker(b.r, range(b.r)) for b in algebra.blocks))
+
+
 def radical(algebra: Algebra, method: str = "inf") -> Ideal:
     """Radical ideal, by one of three characterizations.
 
@@ -359,6 +372,11 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
     ``"nilpotent"``: join of all ideals J with x (*) y = 0 on J.  A table
     is decomposed first (``decompose``), so every method refuses one that
     is not an MV-algebra.
+
+    On a table each method is computed literally, so the radical gate
+    can compare the three with each other.  ``galois``, ``galois2`` and
+    ``pretorsion`` read :func:`_radical` instead, the same ideal without a
+    search, as ``enumerate_homs`` stands beside ``hom_tables``.
     """
     if method not in ("inf", "maximal", "nilpotent"):
         raise ValueError(f"unknown radical method {method!r}")
@@ -377,10 +395,7 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
                 acc = _ideal_join(algebra, acc, j)
         return acc
     if method == "inf":
-        # chain blocks have no nonzero infinitesimal; a Komori block's
-        # infinitesimals are exactly its height-zero part
-        return MarkerIdeal(tuple(sub_marker(b.r, range(b.r))
-                                 for b in algebra.blocks))
+        return _radical(algebra)
     if method == "maximal":
         acc = full_ideal(algebra)
         for m in maximal_ideals(algebra):
@@ -499,13 +514,17 @@ def finite_quotient_data(algebra: FiniteAlgebra, ideal: FiniteIdeal):
     """(quotient table algebra, class index per element).  Two elements
     are in one class when their levels agree on every chain the ideal does
     not reach (``decompose``); classes are numbered by their first
-    element, and the quotient keeps those chains as its decomposition."""
+    element, and the quotient keeps those chains as its decomposition.
+    The zero ideal reaches no chain, and A/0 is A itself, so a table's
+    semisimple reflection (its radical is zero) is its identity map."""
     return _finite_quotient(algebra, validate_ideal(algebra, ideal))
 
 
 def _finite_quotient(algebra: FiniteAlgebra, ideal: FiniteIdeal):
     dec = decompose(algebra)
     reach = _reach(dec, ideal)
+    if not reach:
+        return algebra, tuple(range(algebra.size))
     kept = [i for i in range(len(dec.heights)) if not reach >> i & 1]
     keys = [tuple(c[i] for i in kept) for c in dec.coords]
     classes: dict = {}

@@ -818,7 +818,9 @@ def pullback(f: Morphism, g: Morphism) -> PullbackResult:
 
     Two coordinate maps one of which is onto have a block product as
     their pullback, on any carrier.  Otherwise the pullback is the literal
-    set of pairs, which needs finite carriers (NotImplementedError)."""
+    set of pairs, which needs finite carriers (NotImplementedError): the
+    pairs (a, c) with f(a) = g(c), a-major, whose table is read off the
+    rows of the two domains' tables."""
     if f.cod != g.cod:
         raise ValueError("pullback needs a shared codomain")
     if isinstance(f.body, CoordMap) and isinstance(g.body, CoordMap):
@@ -831,15 +833,22 @@ def pullback(f: Morphism, g: Morphism) -> PullbackResult:
         raise NotImplementedError(
             "a pullback over an infinite carrier needs two coordinate maps, "
             "one of them onto")
+    A, C = to_finite(f.dom), to_finite(g.dom)
     ea, ec = elements(f.dom), elements(g.dom)
-    pairs = [(a, c) for a in ea for c in ec if f(a) == g(c)]
-    pb = table_on(pairs,
-                  lambda p, q: (f.dom.plus(p[0], q[0]), g.dom.plus(p[1], q[1])),
-                  lambda p: (f.dom.neg(p[0]), g.dom.neg(p[1])),
-                  (f.dom.zero, g.dom.zero))
+    over = {}
+    for j, c in enumerate(ec):
+        over.setdefault(g(c), []).append(j)
+    pos = [(i, j) for i, a in enumerate(ea) for j in over.get(f(a), ())]
+    index = {p: k for k, p in enumerate(pos)}
+    pb = FiniteAlgebra._of_rows(
+        [index[A.neg_row[i], C.neg_row[j]] for i, j in pos],
+        [[index[ra[i], rc[j]] for i, j in pos]
+         for ra, rc in ((A.plus_rows[i], C.plus_rows[j]) for i, j in pos)],
+        index[A.zero, C.zero])
+    pairs = tuple((ea[i], ec[j]) for i, j in pos)
     def leg(side, cod):
         return Morphism(pb, cod, FiniteMapBody(tuple(p[side] for p in pairs)))
-    return PullbackResult(pb, tuple(pairs), leg(0, f.dom), leg(1, g.dom))
+    return PullbackResult(pb, pairs, leg(0, f.dom), leg(1, g.dom))
 
 
 def _block_pullback(f: Morphism, e: Morphism) -> PullbackResult:

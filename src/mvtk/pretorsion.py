@@ -25,8 +25,8 @@ from .core import (
 )
 from .ideals import (
     _ideal_leq,
+    _radical,
     all_ideals,
-    radical,
     zero_ideal,
 )
 from .morphisms import (
@@ -84,7 +84,7 @@ __all__ = [
 
 def is_semisimple(algebra: Algebra) -> bool:
     """Zero radical.  Products of chains; includes the terminal algebra."""
-    return radical(algebra) == zero_ideal(algebra)
+    return _radical(algebra) == zero_ideal(algebra)
 
 
 def is_perfect(algebra: Algebra) -> bool:
@@ -97,8 +97,9 @@ def is_perfect(algebra: Algebra) -> bool:
 
 def semisimple_quotient(algebra: Algebra) -> QuotientResult:
     """Reflection onto semisimple algebras: the quotient by the radical.
-    Its carrier is finite for every block algebra."""
-    return _quotient(algebra, radical(algebra), "radical_projection")
+    Its carrier is finite for every block algebra.  A table's radical is
+    zero, and A/0 is A itself: its reflection is its identity map."""
+    return _quotient(algebra, _radical(algebra), "radical_projection")
 
 
 def radical_projection(algebra: Algebra) -> Morphism:
@@ -108,7 +109,7 @@ def radical_projection(algebra: Algebra) -> Morphism:
 def perfect_part(algebra: Algebra) -> SubalgebraResult:
     """Coreflection onto perfect algebras: the subalgebra on the radical
     and its negations."""
-    return _ideal_subalgebra(algebra, radical(algebra), "perfect_inclusion")
+    return _ideal_subalgebra(algebra, _radical(algebra), "perfect_inclusion")
 
 
 def perfect_inclusion(algebra: Algebra) -> Morphism:
@@ -138,7 +139,7 @@ def radical_indicator(algebra: Algebra) -> Morphism:
                          "two-element algebra")
     if not is_perfect(algebra):
         raise ValueError("radical indicator needs a perfect algebra")
-    return _quotient(algebra, radical(algebra), "radical_indicator").projection
+    return _quotient(algebra, _radical(algebra), "radical_indicator").projection
 
 
 # ---------------------------------------------------------------------------
