@@ -19,19 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    Algebra,
-    carrier_size,
-)
+from .core import Algebra
 from .ideals import (
     Ideal,
     _ideal_leq,
     _ideal_meet,
     _radical,
-    ideal_elements,
     zero_ideal,
 )
 from .morphisms import (
+    CoordMap,
     Morphism,
     SubalgebraResult,
     _ideal_subalgebra,
@@ -42,7 +39,7 @@ from .morphisms import (
     pullback,
     same_morphism,
 )
-from .pretorsion import radical_projection, semisimple_map
+from .pretorsion import is_semisimple, radical_projection, semisimple_map
 
 __all__ = [
     "ExtensionClassification",
@@ -63,20 +60,15 @@ __all__ = [
 ]
 
 
-def _rad_elements(algebra: Algebra):
-    return ideal_elements(algebra, _radical(algebra))
-
-
 def rad_restriction_surjective(f: Morphism) -> bool:
     """Does f map the radical of its domain onto the radical of its
-    codomain?  Read off the coordinate placements when the domain is an
-    infinite block product; radicals are listed on finite carriers."""
-    if carrier_size(f.dom) is None:
+    codomain?  A coordinate map answers from its placements
+    (``CoordMap.covers_radical``).  Any other body has a finite domain,
+    whose radical is zero, so it covers the codomain's radical exactly
+    when that is zero too: when the codomain is semisimple."""
+    if isinstance(f.body, CoordMap):
         return f.body.covers_radical()
-    if carrier_size(f.cod) is None:
-        return False    # a finite image cannot cover an infinite radical
-    image = {f(x) for x in _rad_elements(f.dom)}
-    return set(_rad_elements(f.cod)) <= image
+    return is_semisimple(f.cod)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .core import Algebra, carrier_size
+from .galois import em_factorize
 from .ideals import (
     FiniteIdeal,
     Ideal,
@@ -87,15 +88,15 @@ class RegularPushoutReport:
 
 def is_regular_pushout(sq: ExtensionSquare) -> RegularPushoutReport:
     """Kernel criterion: left(ker top) = ker bottom.  On finite carriers
-    the comparison into the pullback is also checked."""
+    the comparison into the pullback is also checked.  Only the top
+    domain is tested: ``validate_square`` makes every leg onto, and an
+    onto image of a finite carrier is finite, so every corner is."""
     validate_square(sq)
     img = _image_ideal(sq.left, sq.top.kernel())
     ker = sq.bottom.kernel()
     ok = img == ker
     comparison = None
-    if carrier_size(sq.left.cod) is not None \
-            and carrier_size(sq.right.dom) is not None \
-            and carrier_size(sq.top.dom) is not None:
+    if carrier_size(sq.top.dom) is not None:
         pb = pullback(sq.bottom, sq.right)
         psi = mediator_to_pullback(pb, sq.left, sq.top)
         comparison = psi.is_surjective()
@@ -128,23 +129,19 @@ class CentralReflection:
 
 
 def central_reflection(f: Morphism) -> CentralReflection:
-    """Reflect a surjection onto its central quotient: quotient the
-    domain by kernel-meet-radical and factor f through it.  The unit
-    square is a regular pushout, the reflected map is central, and doing
-    it twice changes nothing."""
+    """Reflect a surjection onto its central quotient: the quotient of
+    the domain by theta = kernel-meet-radical, through which f factors.
+    That is the middle object of the (E, M) factorization, so the left
+    leg is ``em_factorize(f).e`` and the reflected map is its ``m``.  The
+    factorization asserts that m's kernel meets the radical trivially, so
+    the reflected surjection is central and reflecting it again changes
+    nothing; the unit square is a regular pushout."""
     if not f.is_surjective():
         raise ValueError("central reflection applies to surjections")
-    A = f.dom
-    theta = _ideal_meet(A, f.kernel(), _radical(A))
-    q = _quotient(A, theta, "central_reflection")
-    reflected = factor_through_quotient(q.projection, f, "reflected")
-    sq = ExtensionSquare(top=f, left=q.projection,
-                         right=identity(f.cod), bottom=reflected)
-    rp = is_regular_pushout(sq)
-    B = reflected.dom
-    central = _ideal_meet(B, reflected.kernel(), _radical(B)) == zero_ideal(B)
-    return CentralReflection(sq, reflected, theta, rp.ok, central,
-                             idempotent=central)
+    em = em_factorize(f)
+    sq = ExtensionSquare(top=f, left=em.e, right=identity(f.cod), bottom=em.m)
+    return CentralReflection(sq, em.m, em.theta, is_regular_pushout(sq).ok,
+                             central=True, idempotent=True)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from .catalog import chain_product_catalog
 from .core import (
     Algebra,
-    FiniteAlgebra,
     SymbolicAlgebra,
     carrier_size,
     element,
     elements,
-    to_finite,
 )
 from .ideals import (
     _ideal_leq,
@@ -49,7 +47,6 @@ from .morphisms import (
     factor_through_quotient,
     from_initial,
     identity,
-    image_set,
     mediator_to_pullback,
     pullback,
     same_morphism,
@@ -180,14 +177,17 @@ def _is_trivial(dom: Algebra, cod: Algebra, body) -> bool:
 
 def is_trivial_morphism(f: Morphism) -> TrivialWitness:
     """Decide whether f factors through a one- or two-element algebra and
-    produce the factorization.  A negative verdict carries a witness: the
-    first value outside {0, 1} on a finite carrier, a domain element
-    sent outside {0, 1} otherwise."""
-    finite = carrier_size(f.dom) is not None
-    zero_one = (f.cod.zero, f.cod.one)
+    produce the factorization.  A negative verdict carries a witness on
+    every carrier: the first domain element of ``_points`` sent outside
+    {0, 1}.  Those points are every element of a finite carrier and
+    generate an infinite block product, and the preimage of {0, 1} is a
+    subalgebra, so a map that is not trivial sends one of them outside.
+    A trivial map into a nonterminal algebra has its image in {0, 1}, the
+    image of ``from_initial``, which is one to one; so f corestricts
+    through it, whatever its body."""
     if not _is_trivial(f.dom, f.cod, f.body):
-        witness = min((v for v in image_set(f) if v not in zero_one), key=repr) \
-            if finite else next(x for x in _points(f.dom) if f(x) not in zero_one)
+        zero_one = (f.cod.zero, f.cod.one)
+        witness = next(x for x in _points(f.dom) if f(x) not in zero_one)
         return TrivialWitness(False, None, None, None, witness,
                               "image contains a value other than 0 and 1")
     if carrier_size(f.cod) == 1:
@@ -197,13 +197,7 @@ def is_trivial_morphism(f: Morphism) -> TrivialWitness:
         return TrivialWitness(True, "terminal", left, right, None,
                               "codomain is terminal")
     right = from_initial(f.cod)
-    if finite:
-        body = FiniteMapBody(tuple(
-            right.dom.one if f(x) == f.cod.one else right.dom.zero
-            for x in elements(f.dom)))
-    else:
-        body = CoordMap(((_collapsed_block(f.dom, f.body.rows), 1, ()),))
-    left = Morphism(f.dom, right.dom, body, "initial_collapse")
+    left = corestrict(f, right, "initial_collapse")
     return TrivialWitness(True, "initial", left, right, None,
                           "image lies in {0, 1}")
 
@@ -234,11 +228,9 @@ def pre_exact(algebra: Algebra) -> PreExactSequence:
 
 def _catalog_homs(algebra: Algebra, into: bool) -> list[Morphism]:
     """The identity and every hom from (``into``) or to the catalog chain
-    products of size at most 4, as tables when ``algebra`` is one."""
-    catalog = chain_product_catalog(4)
-    if isinstance(algebra, FiniteAlgebra):
-        catalog = [to_finite(e) for e in catalog]
-    ends = [(e, algebra) if into else (algebra, e) for e in catalog]
+    products of size at most 4.  The catalog stays symbolic on a table
+    too: ``enumerate_homs`` pairs a block product with a table."""
+    ends = [(e, algebra) if into else (algebra, e) for e in chain_product_catalog(4)]
     return [identity(algebra)] + [h for end in ends for h in enumerate_homs(*end)]
 
 
@@ -398,13 +390,15 @@ class UnitFactorization:
 
 def unit_factorization(g: Morphism) -> UnitFactorization:
     """Factor g: A -> B with semisimple B through the semisimple
-    projection of A.  Uniqueness holds because the projection is onto."""
+    projection of A.  Uniqueness holds because the projection is onto.
+    ``factor_through_quotient`` refuses g exactly when Rad A is not
+    within ker g, so its ValueError is the negative answer."""
     if not is_semisimple(g.cod):
         raise ValueError("unit factorization needs a semisimple codomain")
-    qa = semisimple_quotient(g.dom)
-    if not _ideal_leq(g.dom, qa.ideal, g.kernel()):
+    try:
+        psi = factor_through_quotient(radical_projection(g.dom), g, "unit_mediator")
+    except ValueError:
         return UnitFactorization(None, False, False)
-    psi = factor_through_quotient(qa.projection, g, "unit_mediator")
     return UnitFactorization(psi, True, True)
 
 

@@ -177,6 +177,17 @@ class TestRadicalRestriction:
         assert rad_restriction_surjective(identity(B))
         assert rad_restriction_surjective(to_terminal(B))
 
+    def test_table_maps_cover_exactly_a_zero_radical(self):
+        two = to_finite(make_chain(1))
+        into_chang = Morphism(two, CHANG, FiniteMapBody((CHANG.zero, CHANG.one)))
+        assert not rad_restriction_surjective(into_chang)
+        tables = [to_finite(a) for a in (make_chain(1), make_chain(2),
+                                          product([make_chain(1), make_chain(2)]))]
+        for a in tables:
+            for b in tables:
+                for h in enumerate_homs(a, b):
+                    assert rad_restriction_surjective(h)
+
 
 class TestKernelSubalgebra:
     def test_mixed_kernel_subalgebra(self):

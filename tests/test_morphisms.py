@@ -103,6 +103,30 @@ class TestFactorisation:
         with pytest.raises(ValueError):
             factor_through_quotient(big, small)
 
+    def test_factor_refuses_a_table_map_not_constant_on_classes(self):
+        fin = to_finite(product([make_chain(1), make_chain(1)]))
+        q = quotient(fin, FiniteIdeal(frozenset({0, 1}))).projection
+        f = Morphism(fin, to_finite(make_chain(1)), FiniteMapBody((0, 0, 1, 0)))
+        with pytest.raises(ValueError, match="must sit inside ker f"):
+            factor_through_quotient(q, f)
+
+    def test_factor_takes_no_kernel(self, monkeypatch):
+        prod = product([make_chain(1), make_chain(2)])
+        q = quotient(prod, MarkerIdeal(("full", "zero"))).projection
+        f = quotient(prod, full_ideal(prod)).projection
+        fin = to_finite(prod)
+        qt = quotient(fin, zero_ideal(fin)).projection
+        ft = quotient(fin, full_ideal(fin)).projection
+        kernels = []
+        kernel = Morphism.kernel
+        monkeypatch.setattr(Morphism, "kernel",
+                            lambda self: kernels.append(self) or kernel(self))
+        factor_through_quotient(q, f)
+        factor_through_quotient(qt, ft)
+        with pytest.raises(ValueError):
+            factor_through_quotient(f, q)
+        assert kernels == []
+
     def test_factored_map_kernel(self):
         prod = product([make_chain(1), make_chain(2)])
         q = quotient(prod, MarkerIdeal(("zero", "zero"))).projection

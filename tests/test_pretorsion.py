@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import mvtk.core as core_module
 from mvtk import (
     CoordMap,
     FiniteAlgebra,
@@ -568,3 +569,35 @@ def test_probe_cost_does_not_grow_with_the_ideal_count(monkeypatch):
         counts[len(all_ideals(algebra))] = _morphisms_built(monkeypatch, run)
     assert set(counts) == {5, 50, 75}
     assert len(set(counts.values())) == 1, counts
+
+
+class TestTrivialWitnessRule:
+    def test_witness_is_the_first_point_sent_outside_zero_one(self):
+        """The witness is a domain element on tables too, never a value
+        of the codomain."""
+        tables = [to_finite(a) for a in chain_product_catalog(8)]
+        negative = [(h, w) for a in tables for b in tables
+                    for h in enumerate_homs(a, b)
+                    if not (w := is_trivial_morphism(h)).trivial]
+        assert len(negative) == 70
+        for h, w in negative:
+            zero_one = (h.cod.zero, h.cod.one)
+            assert h(w.witness) not in zero_one
+            assert w.witness == next(x for x in elements(h.dom)
+                                     if h(x) not in zero_one)
+
+
+def test_table_probes_certify_no_catalog_table(monkeypatch):
+    """The probes of a table pair it with the symbolic catalog, so no
+    catalog table is built and certified per call."""
+    seq = pre_exact(to_finite(product([make_chain(2), make_chain(1)])))
+    certified = []
+    certify = core_module._certify
+    monkeypatch.setattr(core_module, "_certify",
+                        lambda table: certified.append(table) or certify(table))
+    for _ in range(3):
+        pk = is_prekernel(seq.inclusion, seq.projection)
+        pc = is_precokernel(seq.projection, seq.inclusion)
+        assert (pk.ok, pk.checked, pk.skipped) == (True, 3, 3)
+        assert (pc.ok, pc.checked, pc.skipped) == (True, 7, 0)
+    assert certified == []
