@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 __all__ = [
@@ -990,16 +992,32 @@ class Decomposition:
 
     ``heights`` holds the m_i.  Element x, its position in
     ``elements(algebra)``, has the levels ``coords[x]``, one per chain,
-    and ``support[x]`` has bit i set when its level i is not 0.  ``at``
-    inverts ``coords``: ``at[code]`` is the element whose levels have that
-    mixed-radix code, the sum of level i times ``weights[i]``, so codes
-    run in ``itertools.product`` order of the levels."""
+    and ``support[x]`` has bit i set when its level i is not 0.
+    ``codes[x]`` is the mixed-radix code of those levels, the sum of level
+    i times ``weights[i]``, so codes run in ``itertools.product`` order of
+    the levels, and ``at`` inverts it: ``at[code]`` is the element with
+    that code.  The levels and supports are read off the codes on first
+    use."""
 
     heights: tuple
     weights: tuple
-    coords: tuple
-    support: tuple
+    codes: tuple
     at: list
+
+    @cached_property
+    def coords(self) -> tuple:
+        return tuple(tuple(code // w % (m + 1) for m, w in zip(self.heights, self.weights))
+                     for code in self.codes)
+
+    @cached_property
+    def support(self) -> tuple:
+        return tuple(sum(1 << i for i, v in enumerate(c) if v) for c in self.coords)
+
+    @cached_property
+    def view(self) -> SymbolicAlgebra:
+        """The product of the chains as a block product, whose elements
+        are the level tuples."""
+        return SymbolicAlgebra._of_blocks(block(m) for m in self.heights)
 
 
 def _not_mv(what: str) -> ValueError:
@@ -1019,14 +1037,31 @@ def _indexed(heights: tuple, coords) -> Decomposition:
         missing = next(c for c in itertools.product(*(range(m + 1) for m in heights))
                        if c not in first)
         raise _not_mv(f"no element has levels {list(missing)}")
+    return _decomposition(heights, coords)
+
+
+def _decomposition(heights: tuple, coords) -> Decomposition:
+    """The decomposition in which element x has the levels ``coords[x]``,
+    a bijection onto the level tuples: unchecked."""
+    weights = _weights(heights)
+    dec = _coded(heights, [sum(map(operator.mul, c, weights)) for c in coords])
+    dec.__dict__["coords"] = tuple(coords)
+    return dec
+
+
+def _weights(heights: tuple) -> tuple:
     weights = [1] * len(heights)
     for i in range(len(heights) - 1, 0, -1):
         weights[i - 1] = weights[i] * (heights[i] + 1)
-    at = [0] * len(coords)
-    for x, c in enumerate(coords):
-        at[sum(v * w for v, w in zip(c, weights))] = x
-    support = tuple(sum(1 << i for i, v in enumerate(c) if v) for c in coords)
-    return Decomposition(heights, tuple(weights), tuple(coords), support, at)
+    return tuple(weights)
+
+
+def _coded(heights: tuple, codes) -> Decomposition:
+    """The decomposition in which element x has the code ``codes[x]``, a
+    bijection onto the codes: unchecked."""
+    codes = tuple(codes)
+    return Decomposition(heights, _weights(heights), codes,
+                         sorted(range(len(codes)), key=codes.__getitem__))
 
 
 def _certify(table: FiniteAlgebra) -> Decomposition:
@@ -1097,11 +1132,19 @@ def decompose(algebra: Algebra) -> Decomposition:
     return _indexed(tuple(b.m for b in algebra.blocks), elements(algebra))
 
 
-def _adopt(table: FiniteAlgebra, heights: tuple, coords) -> FiniteAlgebra:
-    """``table`` with the decomposition these levels give, unchecked: for
-    tables built from a decomposed one, such as its quotients."""
-    object.__setattr__(table, "_dec", _indexed(heights, coords))
-    return table
+def _adopt(table: FiniteAlgebra, dec: Decomposition) -> list:
+    """Give ``table`` this decomposition, unchecked: for tables built from
+    decomposed ones, such as quotients.  Its chains are put in the order
+    ``_certify`` finds them, by decreasing atom (the top of the chain), so
+    equal tables have one decomposition however they were built.  Returns
+    that order: chain t of the table is chain ``order[t]`` of ``dec``."""
+    order = sorted(range(len(dec.heights)),
+                   key=lambda i: -dec.at[dec.heights[i] * dec.weights[i]])
+    if order != list(range(len(order))):
+        dec = _decomposition(tuple(dec.heights[i] for i in order),
+                             [tuple(c[i] for i in order) for c in dec.coords])
+    object.__setattr__(table, "_dec", dec)
+    return order
 
 
 # ---------------------------------------------------------------------------

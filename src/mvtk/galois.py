@@ -28,9 +28,9 @@ from .ideals import (
     zero_ideal,
 )
 from .morphisms import (
-    CoordMap,
     Morphism,
     SubalgebraResult,
+    _coord_map,
     _ideal_subalgebra,
     _quotient,
     compose,
@@ -39,7 +39,7 @@ from .morphisms import (
     pullback,
     same_morphism,
 )
-from .pretorsion import is_semisimple, radical_projection, semisimple_map
+from .pretorsion import radical_projection, semisimple_map
 
 __all__ = [
     "ExtensionClassification",
@@ -62,13 +62,11 @@ __all__ = [
 
 def rad_restriction_surjective(f: Morphism) -> bool:
     """Does f map the radical of its domain onto the radical of its
-    codomain?  A coordinate map answers from its placements
-    (``CoordMap.covers_radical``).  Any other body has a finite domain,
-    whose radical is zero, so it covers the codomain's radical exactly
-    when that is zero too: when the codomain is semisimple."""
-    if isinstance(f.body, CoordMap):
-        return f.body.covers_radical()
-    return is_semisimple(f.cod)
+    codomain?  Its CoordMap answers from its placements
+    (``CoordMap.covers_radical``); on the chain view of a table, whose
+    radical is zero, that holds exactly when the codomain's radical is
+    zero too."""
+    return _coord_map(f.body).covers_radical()
 
 
 @dataclass(frozen=True)

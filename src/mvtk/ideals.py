@@ -28,6 +28,7 @@ from .core import (
     FiniteAlgebra,
     SymbolicAlgebra,
     _adopt,
+    _decomposition,
     block,
     decompose,
     elements,
@@ -66,7 +67,6 @@ __all__ = [
     "polar",
     "riesz_split",
     "radical_conegation_disjoint",
-    "finite_quotient_data",
 ]
 
 
@@ -157,6 +157,27 @@ def _vanishing(dec, reach: int) -> list:
     """The elements that are 0 on every chain outside ``reach``, in order:
     the ideal of a table that reaches those chains."""
     return [x for x, s in enumerate(dec.support) if not s & ~reach]
+
+
+def _view_markers(algebra: Algebra, ideal: Ideal) -> tuple:
+    """The markers of a validated ideal on the chain view of its algebra
+    (``decompose``): a table ideal is full on the chains it reaches and
+    zero on the others; a block product keeps its own markers."""
+    if isinstance(algebra, FiniteAlgebra):
+        dec = decompose(algebra)
+        reach = _reach(dec, ideal)
+        return tuple(["full" if reach >> i & 1 else "zero"
+                      for i in range(len(dec.heights))])
+    return ideal.markers
+
+
+def _from_view(algebra: Algebra, ideal: MarkerIdeal) -> Ideal:
+    """The ideal of ``algebra`` that is ``ideal`` on its chain view: on a
+    table, the elements that vanish outside the chains marked full."""
+    if isinstance(algebra, FiniteAlgebra):
+        return FiniteIdeal(frozenset(_vanishing(decompose(algebra), sum(
+            [1 << i for i, mk in enumerate(ideal.markers) if mk == "full"]))))
+    return ideal
 
 
 def zero_ideal(algebra: Algebra) -> Ideal:
@@ -510,21 +531,18 @@ def _quotient_blocks(algebra: SymbolicAlgebra, markers) -> SymbolicAlgebra:
                                       if m != "full")
 
 
-def finite_quotient_data(algebra: FiniteAlgebra, ideal: FiniteIdeal):
-    """(quotient table algebra, class index per element).  Two elements
-    are in one class when their levels agree on every chain the ideal does
-    not reach (``decompose``); classes are numbered by their first
-    element, and the quotient keeps those chains as its decomposition.
-    The zero ideal reaches no chain, and A/0 is A itself, so a table's
-    semisimple reflection (its radical is zero) is its identity map."""
-    return _finite_quotient(algebra, validate_ideal(algebra, ideal))
-
-
 def _finite_quotient(algebra: FiniteAlgebra, ideal: FiniteIdeal):
+    """(quotient table algebra, class index per element, the chains of
+    the algebra it keeps, in its own order).  Two elements are in one
+    class when their levels agree on every chain the ideal does not reach
+    (``decompose``); classes are numbered by their first element, and the
+    quotient keeps those chains as its decomposition.  The zero ideal
+    reaches no chain, and A/0 is A itself, so a table's semisimple
+    reflection (its radical is zero) is its identity map."""
     dec = decompose(algebra)
     reach = _reach(dec, ideal)
     if not reach:
-        return algebra, tuple(range(algebra.size))
+        return algebra, tuple(range(algebra.size)), tuple(range(len(dec.heights)))
     kept = [i for i in range(len(dec.heights)) if not reach >> i & 1]
     keys = [tuple(c[i] for i in kept) for c in dec.coords]
     classes: dict = {}
@@ -537,4 +555,5 @@ def _finite_quotient(algebra: FiniteAlgebra, ideal: FiniteIdeal):
     neg_row = [class_of[algebra.neg(r)] for r in reps]
     plus_rows = [[class_of[algebra.plus(r, s)] for s in reps] for r in reps]
     q = FiniteAlgebra._of_rows(neg_row, plus_rows, class_of[algebra.zero])
-    return _adopt(q, tuple(dec.heights[i] for i in kept), list(classes)), class_of
+    order = _adopt(q, _decomposition(tuple(dec.heights[i] for i in kept), list(classes)))
+    return q, class_of, tuple(kept[p] for p in order)

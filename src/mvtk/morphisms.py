@@ -1,11 +1,15 @@
 """Morphisms with computable kernels, preimages and surjectivity.
 
-A morphism pairs a domain, a codomain and a body.  There are two bodies.
-A map whose domain or codomain is a table algebra is a
-:class:`FiniteMapBody`, its value table.  A map between two block
-products is a :class:`CoordMap`, which stores, per codomain block, the
-domain block it reads, the integer height scale, and where each
-infinitesimal coordinate comes from.
+A morphism pairs a domain, a codomain and a body, and every body
+operation runs one formula, on a :class:`CoordMap`.  A CoordMap runs
+between block products: it stores, per codomain block, the domain block
+it reads, the integer height scale, and where each infinitesimal
+coordinate comes from.  A table algebra is read through its chain view,
+the block product of the chains Chain(m_i) that ``decompose`` certifies,
+whose element x is the level tuple ``coords[x]``.  So a map with a table
+side is a CoordMap between chain views as well; its body is a
+:class:`FiniteMapBody`, which keeps the value table for evaluation beside
+that CoordMap.
 
 Why every homomorphism h: A_1 x ... x A_n -> B_1 x ... x B_k of block
 products is a CoordMap.  A map into a product is a tuple of maps into its
@@ -32,8 +36,15 @@ kernels, preimages, images, surjectivity, corestriction and factoring
 through quotients are closed formulas on this data, and so is the
 pullback of any CoordMap along an onto one: a block product.
 
-A FiniteMapBody lists the value of ``elements(dom)[i]`` at position i.
-Given between two block products it is decoded into its CoordMap.
+A value table lists the value of ``elements(dom)[i]`` at position i.  It
+is decoded once, where it enters the library: block j reads the domain
+chain whose top goes to the top of block j, and the rows are checked
+against every value.  A table that does not decode is not a
+homomorphism; it stays a rowless FiniteMapBody, which evaluates, and which
+``is_morphism`` and ``same_morphism`` read, while every other operation
+refuses it with a ValueError.  A result with a table side reads its value
+table off its rows, and table ideals cross to the chain view as the set
+of chains they reach.
 """
 
 from __future__ import annotations
@@ -41,12 +52,16 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     Algebra,
     FiniteAlgebra,
     SymbolicAlgebra,
+    _adopt,
+    _coded,
+    _decomposition,
+    _weights,
     block,
     carrier_size,
     decompose,
@@ -62,15 +77,13 @@ from .core import (
     to_finite,
 )
 from .ideals import (
-    FiniteIdeal,
     Ideal,
     MarkerIdeal,
     _finite_quotient,
-    _ideal_contains,
+    _from_view,
     _quotient_blocks,
-    ideal_elements,
+    _view_markers,
     marker_coords,
-    markers_from_elements,
     sub_marker,
     validate_ideal,
     zero_ideal,
@@ -109,12 +122,16 @@ __all__ = [
 # bodies
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteMapBody:
-    """Value table of a map out of a finite carrier: entry i is the value
-    at ``elements(dom)[i]`` (at i itself for a table algebra)."""
+    """Value table of a map with a table side: entry i is the value at
+    ``elements(dom)[i]`` (at i itself for a table algebra).  ``coords`` is
+    the CoordMap between the chain views that has these values, or None
+    when they are not a homomorphism (a rowless table).  Two bodies are
+    equal when their values are."""
 
     table: tuple
+    coords: CoordMap | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -159,7 +176,7 @@ class CoordMap:
             s0, k0, c0 = self.rows[src]
             rows.append((s0, k0 * scale, tuple(
                 None if c is None or c0[c[0]] is None
-                else (c0[c[0]][0], c0[c[0]][1] * c[1]) for c in coords)))
+                else (c0[c[0]][0], c0[c[0]][1] * c[1]) for c in coords) if coords else ()))
         return CoordMap._normal(tuple(rows))
 
     def preimage(self, dom: SymbolicAlgebra, markers) -> MarkerIdeal:
@@ -169,6 +186,9 @@ class CoordMap:
             if mk == "full":
                 continue
             r = dom.blocks[src].r
+            if not r:
+                out[src] = sub_marker(0)
+                continue
             allowed = frozenset(range(r)) if out[src] == "full" \
                 else marker_coords(out[src])
             kept = marker_coords(mk)
@@ -259,46 +279,109 @@ def _check_coords(dom: SymbolicAlgebra, cod: SymbolicAlgebra, body: CoordMap) ->
                 raise ValueError(f"bad coordinate placement {c!r} from {source!r}")
 
 
-def _lower(dom: Algebra, cod: Algebra, body):
-    if isinstance(body, FiniteMapBody):
-        if isinstance(dom, SymbolicAlgebra) and isinstance(cod, SymbolicAlgebra):
-            return _decode_table(dom, cod, body.table)
-        return body
+# ---------------------------------------------------------------------------
+# the chain view of a table, and the decode boundary
+
+
+def _has_table(dom: Algebra, cod: Algebra) -> bool:
+    return isinstance(dom, FiniteAlgebra) or isinstance(cod, FiniteAlgebra)
+
+
+def _view(algebra: Algebra) -> SymbolicAlgebra:
+    """The block product a CoordMap reads: a table's certified chains, a
+    block product itself."""
+    return decompose(algebra).view if isinstance(algebra, FiniteAlgebra) else algebra
+
+
+def _levels(algebra: Algebra):
+    """x -> x as an element of the chain view."""
+    if isinstance(algebra, FiniteAlgebra):
+        return decompose(algebra).coords.__getitem__
+    return lambda x: x
+
+
+def _coord_map(body, refusal: str = "the value table is not a homomorphism") -> CoordMap:
+    """The CoordMap every body operation runs on: the body itself, or a
+    value table's decoded rows.  A rowless table is refused."""
     if isinstance(body, CoordMap):
-        if not (isinstance(dom, SymbolicAlgebra) and isinstance(cod, SymbolicAlgebra)):
+        return body
+    if body.coords is None:
+        raise ValueError(refusal)
+    return body.coords
+
+
+def _lower(dom: Algebra, cod: Algebra, body):
+    """A body where it enters the library: a value table is decoded once
+    (between two block products it becomes its CoordMap), and a CoordMap
+    is checked against the blocks."""
+    if isinstance(body, FiniteMapBody):
+        coords = _decode(dom, cod, body.table)
+        if _has_table(dom, cod):
+            return FiniteMapBody(body.table, coords)
+        if coords is None:
+            raise ValueError("values do not form a homomorphism of block products")
+        return coords
+    if isinstance(body, CoordMap):
+        if _has_table(dom, cod):
             raise TypeError("coordinate maps run between block products")
         _check_coords(dom, cod, body)
         return body
     raise TypeError(f"unknown body {body!r}")
 
 
-def _decode_table(dom: SymbolicAlgebra, cod: SymbolicAlgebra, values) -> CoordMap:
-    """The CoordMap sending elements(dom)[i] to values[i]; codomain block j
-    reads the one domain block whose top goes to the top of block j."""
-    elems = elements(dom)
-    if len(values) != len(elems):
+def _decode(dom: Algebra, cod: Algebra, values) -> CoordMap | None:
+    """The CoordMap between the chain views whose value at
+    ``elements(dom)[i]`` is values[i]; None when the values are not a
+    homomorphism.  Block j of the codomain view reads the one domain chain
+    whose top goes to the top of block j, scaled up to its height, and the
+    rows are checked against every value: O(n k) for n elements and k
+    chains."""
+    values = tuple(values)
+    da, view = decompose(dom), _view(cod)
+    if len(values) != len(da.codes):
         raise ValueError("value table does not cover the domain")
-    tops = [values[_index(dom, dom.zero[:i] + (b.m,) + dom.zero[i + 1:])]
-            for i, b in enumerate(dom.blocks)]
+    if not all(map(cod.contains, values)):
+        return None
+    tops = list(map(_levels(cod), (values[da.at[m * w]]
+                                   for m, w in zip(da.heights, da.weights))))
     rows = []
-    for j, blk in enumerate(cod.blocks):
-        srcs = [i for i, top in enumerate(tops) if top[j] == cod.one[j]]
-        if len(srcs) != 1 or blk.m % dom.blocks[srcs[0]].m:
-            raise ValueError("values do not form a homomorphism of block products")
-        i = srcs[0]
-        rows.append((i, blk.m // dom.blocks[i].m, (None,) * blk.r))
-    body = CoordMap(tuple(rows))
-    if any(body(x) != v for x, v in zip(elems, values)):
-        raise ValueError("values do not form a homomorphism of block products")
-    return body
+    for j, (b, one) in enumerate(zip(view.blocks, view.one)):
+        srcs = [i for i, top in enumerate(tops) if top[j] == one]
+        if len(srcs) != 1 or b.m % da.heights[srcs[0]]:
+            return None
+        rows.append((srcs[0], b.m // da.heights[srcs[0]], (None,) * b.r))
+    coords = CoordMap._normal(tuple(rows))
+    return coords if _table_of(dom, cod, coords) == values else None
 
 
-def _index(dom: SymbolicAlgebra, x) -> int:
-    """Position of x in elements(dom) for a product of chains."""
-    k = 0
-    for b, v in zip(dom.blocks, x):
-        k = k * (b.m + 1) + v
-    return k
+def _renumbered(coords: CoordMap, order) -> CoordMap:
+    """``coords`` out of a table whose chains ``_adopt`` put in this
+    order."""
+    if order == list(range(len(order))):
+        return coords
+    new = {p: t for t, p in enumerate(order)}
+    return CoordMap._normal(tuple((new[src], scale, c) for src, scale, c in coords.rows))
+
+
+def _table_of(dom: Algebra, cod: Algebra, coords: CoordMap) -> tuple:
+    """The value table of the map with this CoordMap out of a finite
+    domain."""
+    da = decompose(dom)
+    if isinstance(cod, FiniteAlgebra):
+        return _values(da, decompose(cod), coords.rows)
+    return tuple(map(coords, da.coords))
+
+
+def _body(dom: Algebra, cod: Algebra, coords: CoordMap):
+    """The body of a result: its CoordMap between block products; with a
+    table side, the value table read off it, which needs a finite
+    domain."""
+    if not _has_table(dom, cod):
+        return coords
+    if carrier_size(dom) is None:
+        raise ValueError("a map out of an infinite block product into a "
+                         "table algebra has no representation")
+    return FiniteMapBody(_table_of(dom, cod, coords), coords)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +390,11 @@ def _index(dom: SymbolicAlgebra, x) -> int:
 
 _INITIAL = initial_algebra()
 _TERMINAL = terminal_algebra()
+# their table forms, decomposed once, for maps out of and into tables
+_INITIAL_TABLE = to_finite(_INITIAL)
+_TERMINAL_TABLE = to_finite(_TERMINAL)
+decompose(_INITIAL_TABLE)
+decompose(_TERMINAL_TABLE)
 
 
 class Morphism:
@@ -339,16 +427,13 @@ class Morphism:
         return self._eval(x)
 
     def kernel(self) -> Ideal:
-        return _preimage(self.dom, self.cod, self.body, zero_ideal(self.cod))
+        return _kernel(self.dom, self.cod, self.body)
 
     def preimage_ideal(self, ideal: Ideal) -> Ideal:
         return _preimage(self.dom, self.cod, self.body, validate_ideal(self.cod, ideal))
 
     def is_surjective(self) -> bool:
-        if isinstance(self.body, CoordMap):
-            return self.body.is_onto()
-        size = carrier_size(self.cod)
-        return size is not None and len(set(self.body.table)) == size
+        return _coord_map(self.body).is_onto()
 
     def is_injective(self) -> bool:
         return self.kernel() == zero_ideal(self.dom)
@@ -358,74 +443,61 @@ def _evaluator(dom: Algebra, body):
     """x -> the value at x of the map out of ``dom`` with this body."""
     if isinstance(body, CoordMap):
         return body
-    table = body.table
     if isinstance(dom, FiniteAlgebra):
-        return table.__getitem__
-    return lambda x: table[_index(dom, x)]
+        return body.table.__getitem__
+    return dict(zip(elements(dom), body.table)).__getitem__
 
 
 # Body operations: _preimage and the _*_body functions take algebras and
-# bodies, decide once between CoordMap formulas and tabulation, and return
-# checked results, which the pretorsion probes use without a Morphism.
+# bodies, run the CoordMap formula on the chain views and return checked
+# results, which the pretorsion probes use without a Morphism.
 
 
 def _preimage(dom: Algebra, cod: Algebra, body, ideal: Ideal) -> Ideal:
     """Preimage of a validated codomain ideal."""
-    if isinstance(body, CoordMap):
-        return body.preimage(dom, ideal.markers)
-    pre = [x for x, v in zip(elements(dom), body.table) if _ideal_contains(ideal, v)]
-    if isinstance(dom, FiniteAlgebra):
-        return FiniteIdeal(frozenset(pre))
-    return markers_from_elements(dom, pre)
+    return _from_view(dom, _coord_map(body).preimage(
+        _view(dom), _view_markers(cod, ideal)))
+
+
+def _kernel(dom: Algebra, cod: Algebra, body) -> Ideal:
+    """Preimage of the zero ideal of the codomain's chain view."""
+    return _from_view(dom, _coord_map(body).preimage(
+        _view(dom), zero_ideal(_view(cod)).markers))
 
 
 def identity(algebra: Algebra) -> Morphism:
-    if isinstance(algebra, FiniteAlgebra):
-        body = FiniteMapBody(tuple(range(algebra.size)))
-    else:
-        body = _copies(algebra, range(len(algebra.blocks)))
-    return Morphism(algebra, algebra, body, "identity")
+    view = _view(algebra)
+    return Morphism._of_coords(algebra, algebra, _body(
+        algebra, algebra, _copies(view, range(len(view.blocks)))), "identity")
 
 
 def to_terminal(algebra: Algebra) -> Morphism:
-    if isinstance(algebra, SymbolicAlgebra):
-        return Morphism(algebra, _TERMINAL, CoordMap(()), "to_terminal")
-    return Morphism(algebra, to_finite(_TERMINAL),
-                    FiniteMapBody((0,) * algebra.size), "to_terminal")
+    cod = _TERMINAL if isinstance(algebra, SymbolicAlgebra) else _TERMINAL_TABLE
+    return Morphism._of_coords(algebra, cod, _body(algebra, cod, CoordMap(())),
+                               "to_terminal")
 
 
 def from_initial(algebra: Algebra) -> Morphism:
-    if isinstance(algebra, SymbolicAlgebra):
-        return Morphism._of_coords(_INITIAL, algebra, CoordMap(tuple(
-            (0, b.m, (None,) * b.r) for b in algebra.blocks)), "from_initial")
-    return Morphism(to_finite(_INITIAL), algebra,
-                    FiniteMapBody((algebra.zero, algebra.one)), "from_initial")
+    dom = _INITIAL if isinstance(algebra, SymbolicAlgebra) else _INITIAL_TABLE
+    coords = CoordMap._normal(tuple((0, b.m, (None,) * b.r)
+                                    for b in _view(algebra).blocks))
+    return Morphism._of_coords(dom, algebra, _body(dom, algebra, coords),
+                               "from_initial")
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
-    """f then g.  Two coordinate maps compose by substitution; any other
-    composite is tabulated on the elements of f's domain, so a block
-    product with an infinite carrier cannot be composed into a table
-    algebra (ValueError)."""
+    """f then g: their CoordMaps compose by substitution, on any bodies.
+    A composite out of an infinite block product into a table algebra has
+    no value table (ValueError)."""
     if f.cod != g.dom:
         raise ValueError("composite needs f.cod == g.dom")
     return Morphism._of_coords(f.dom, g.cod,
-                               _compose_body(f.dom, f.cod, g.cod, f.body, g.body))
+                               _compose_body(f.dom, g.cod, f.body, g.body))
 
 
-def _compose_body(A: Algebra, B: Algebra, C: Algebra, f, g):
+def _compose_body(A: Algebra, C: Algebra, f, g):
     """Body of f: A -> B then g: B -> C."""
-    if isinstance(f, CoordMap) and isinstance(g, CoordMap):
-        return f.then(g)
-    fx, gx = _evaluator(A, f), _evaluator(B, g)
-    return _lower(A, C, _tabulate(A, lambda x: gx(fx(x))))
-
-
-def _tabulate(dom: Algebra, fn) -> FiniteMapBody:
-    if carrier_size(dom) is None:
-        raise ValueError("a map out of an infinite block product into a "
-                         "table algebra has no representation")
-    return FiniteMapBody(tuple(fn(x) for x in elements(dom)))
+    return _body(A, C, _coord_map(f).then(_coord_map(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +537,7 @@ def same_morphism(f: Morphism, g: Morphism) -> bool:
 def image_set(m: Morphism) -> set:
     if carrier_size(m.dom) is None:
         raise ValueError("image_set needs a finite carrier")
-    return {m(x) for x in elements(m.dom)}
+    return set(map(m._eval, elements(m.dom)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +557,8 @@ def quotient(algebra: Algebra, ideal: Ideal, label: str = "quotient") -> Quotien
 
 def _quotient(algebra: Algebra, ideal: Ideal, label: str) -> QuotientResult:
     if isinstance(algebra, FiniteAlgebra):
-        q, class_of = _finite_quotient(algebra, ideal)
-        body = FiniteMapBody(class_of)
+        q, class_of, kept = _finite_quotient(algebra, ideal)
+        body = FiniteMapBody(class_of, CoordMap._normal(tuple((i, 1, ()) for i in kept)))
     else:
         q, body = _quotient_parts(algebra, ideal.markers)
     return QuotientResult(q, Morphism._of_coords(algebra, q, body, label), ideal)
@@ -506,11 +578,9 @@ def _quotient_parts(algebra: SymbolicAlgebra, markers):
 def factor_through_quotient(q: Morphism, f: Morphism, label: str = "") -> Morphism:
     """The unique g with g o q = f; needs ker q within ker f and q onto.
 
-    No kernel is compared: the body operation decides.  Two coordinate
-    maps give a g that is composed back and refused unless q then g is f.
-    A value table is lifted class by class and refused when f is not
-    constant on a class of q; for homomorphisms that is ker q within
-    ker f, since x, y share a class of q iff d(x, y) lies in ker q."""
+    No kernel is compared: the body operation decides.  The CoordMap of
+    g is read off those of q and f, composed back and refused unless q
+    then g is f."""
     if q.dom != f.dom:
         raise ValueError("factorization needs a shared domain")
     return Morphism._of_coords(q.cod, f.cod,
@@ -520,20 +590,11 @@ def factor_through_quotient(q: Morphism, f: Morphism, label: str = "") -> Morphi
 
 def _factor_body(A: Algebra, Q: Algebra, C: Algebra, q, f):
     """Body of g: Q -> C with q then g equal to f, for q: A -> Q onto and
-    f: A -> C; ValueError when there is none."""
-    if isinstance(q, CoordMap) and isinstance(f, CoordMap):
-        return _factor_coords(q, f)
-    qx, fx = _evaluator(A, q), _evaluator(A, f)
-    lifted = {}
-    for x in elements(A):
-        v = fx(x)
-        if lifted.setdefault(qx(x), v) != v:
-            raise ValueError("kernel of the quotient must sit inside ker f")
-    try:
-        body = FiniteMapBody(tuple(lifted[y] for y in elements(Q)))
-    except KeyError:
-        raise ValueError("the quotient misses part of its codomain") from None
-    return _lower(Q, C, body)
+    f: A -> C; ValueError when there is none.  A rowless table is not
+    constant on the classes of q, as a homomorphism with ker q within
+    ker f would be."""
+    refusal = "kernel of the quotient must sit inside ker f"
+    return _body(Q, C, _factor_coords(_coord_map(q, refusal), _coord_map(f, refusal)))
 
 
 def _factor_coords(q: CoordMap, f: CoordMap) -> CoordMap:
@@ -564,7 +625,7 @@ def _factor_coords(q: CoordMap, f: CoordMap) -> CoordMap:
         if scale % qscale:
             raise ValueError("f does not factor through the quotient")
         rows.append((j, scale // qscale, tuple(placed)))
-    g = CoordMap(tuple(rows))
+    g = CoordMap._normal(tuple(rows))
     if q.then(g) != f:
         raise ValueError("f does not factor through the quotient")
     return g
@@ -576,12 +637,7 @@ def image_ideal(q: Morphism, ideal: Ideal) -> Ideal:
 
 
 def _image_ideal(q: Morphism, ideal: Ideal) -> Ideal:
-    if isinstance(q.body, CoordMap):
-        return q.body.image(ideal.markers)
-    img = {q(x) for x in ideal_elements(q.dom, ideal)}
-    if isinstance(q.cod, FiniteAlgebra):
-        return FiniteIdeal(frozenset(img))
-    return markers_from_elements(q.cod, img)
+    return _from_view(q.cod, _coord_map(q.body).image(_view_markers(q.dom, ideal)))
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +664,16 @@ def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
 
 
 def _ideal_subalgebra(algebra: Algebra, ideal: Ideal, label: str) -> SubalgebraResult:
+    """On a table, the subalgebra's table lists the members in order, and
+    their levels and the inclusion come from the block-product formula on
+    the chain view."""
     if isinstance(algebra, FiniteAlgebra):
-        members = sorted(ideal.elements | {algebra.neg(x) for x in ideal.elements})
+        members = tuple(sorted(ideal.elements | {algebra.neg(x) for x in ideal.elements}))
+        view, incl = _subalgebra_parts(_view(algebra), _view_markers(algebra, ideal))
         sub = table_on(members, algebra.plus, algebra.neg, algebra.zero)
-        body = FiniteMapBody(tuple(members))
+        order = _adopt(sub, _decomposition(tuple(b.m for b in view.blocks), [
+            incl.solve(view, levels) for levels in map(_levels(algebra), members)]))
+        body = FiniteMapBody(members, _renumbered(incl, order))
     else:
         sub, body = _subalgebra_parts(algebra, ideal.markers)
     return SubalgebraResult(sub, Morphism._of_coords(sub, algebra, body, label), ideal)
@@ -638,20 +700,15 @@ def _subalgebra_parts(algebra: SymbolicAlgebra, markers):
     return SymbolicAlgebra._of_blocks(blocks), CoordMap._normal(tuple(rows))
 
 
-def _point_decoder(dom: Algebra, body):
-    """y -> an x with body(x) == y, or None off the image."""
-    if isinstance(body, CoordMap):
-        return lambda y: body.solve(dom, y)
-    inverse = {}
-    for x, v in zip(elements(dom), body.table):
-        inverse.setdefault(v, x)
-    return inverse.get
-
-
 def subalgebra_decode(incl: Morphism, a):
     """Inverse of an injective map (such as a subalgebra inclusion) on its
     image, None off it."""
-    return _point_decoder(incl.dom, incl.body)(a)
+    if not incl.cod.contains(a):
+        return None
+    x = _coord_map(incl.body).solve(_view(incl.dom), _levels(incl.cod)(a))
+    if x is None or not isinstance(incl.dom, FiniteAlgebra):
+        return x
+    return decompose(incl.dom).coords.index(x)
 
 
 def corestrict(e: Morphism, through: Morphism, label: str = "") -> Morphism:
@@ -667,18 +724,16 @@ def corestrict(e: Morphism, through: Morphism, label: str = "") -> Morphism:
 def _corestrict_body(E: Algebra, S: Algebra, e, through):
     """Body of phi: E -> S with phi then ``through``: S -> B equal to
     e: E -> B."""
-    if isinstance(e, CoordMap) and isinstance(through, CoordMap):
-        return _corestrict_coords(e, through, S)
-    decode, ex = _point_decoder(S, through), _evaluator(E, e)
-    body = _tabulate(E, lambda x: decode(ex(x)))
-    if None in body.table:
-        raise ValueError("image of e escapes the subobject")
-    return _lower(E, S, body)
+    return _body(E, S, _corestrict_coords(_coord_map(e), _coord_map(through), _view(E), _view(S)))
 
 
-def _corestrict_coords(e: CoordMap, through: CoordMap, sub: SymbolicAlgebra) -> CoordMap:
-    """phi with phi.then(through) == e: each block and coordinate of the
-    subobject is read off the first row of ``through`` that sees it."""
+def _corestrict_coords(e: CoordMap, through: CoordMap, E: SymbolicAlgebra,
+                       sub: SymbolicAlgebra) -> CoordMap:
+    """phi: E -> sub with phi.then(through) == e: each block and
+    coordinate of the subobject is read off the first row of ``through``
+    that sees it.  What ``through`` does not see is free: an unseen
+    coordinate is 0, and an unseen block reads the first block of E whose
+    height divides its own, for every map into it reads such a block."""
     heads = {}
     placed = {}
     for (s, k, tcoords), (src, scale, ecoords) in zip(through.rows, e.rows):
@@ -692,9 +747,13 @@ def _corestrict_coords(e: CoordMap, through: CoordMap, sub: SymbolicAlgebra) -> 
             if ec is not None and ec[1] % tc[1]:
                 raise ValueError("image of e escapes the subobject")
             placed[(s, tc[0])] = None if ec is None else (ec[0], ec[1] // tc[1])
-    if len(heads) != len(sub.blocks):
-        raise ValueError("corestriction needs an injective map")
-    phi = CoordMap(tuple(
+    for s, b in enumerate(sub.blocks):
+        if s not in heads:
+            src = next((i for i, a in enumerate(E.blocks) if b.m % a.m == 0), None)
+            if src is None:
+                raise ValueError(f"no map into {b!r}, which the corestriction does not see")
+            heads[s] = (src, b.m // E.blocks[src].m)
+    phi = CoordMap._normal(tuple(
         heads[s] + (tuple(placed.get((s, c)) for c in range(b.r)),)
         for s, b in enumerate(sub.blocks)))
     if phi.then(through) != e:
@@ -726,20 +785,28 @@ def enumerate_homs(dom: Algebra, cod: Algebra) -> list[Morphism]:
 
 def _values(da, db, rows) -> tuple:
     """The value table, as codomain positions, of the chain-product map
-    with these CoordMap rows."""
-    terms = [(src, scale * w) for (src, scale, _), w in zip(rows, db.weights)]
-    at = db.at
-    return tuple(at[sum(c[src] * k for src, k in terms)] for c in da.coords)
+    with these CoordMap rows.  The codomain code of a value is linear in
+    the domain levels, level i weighing the codomain weights of the
+    blocks that read chain i, so the codes are listed in domain-code
+    order, one chain at a time, and read back through ``codes``."""
+    weight = [0] * len(da.heights)
+    for (src, scale, _), w in zip(rows, db.weights):
+        weight[src] += scale * w
+    out = [0]
+    for m, k in zip(da.heights, weight):
+        out = [v + level * k for v in out for level in range(m + 1)]
+    return tuple(map(db.at.__getitem__, map(out.__getitem__, da.codes)))
 
 
 def _chain_homs(dom: Algebra, cod: Algebra, found, label: str = "") -> list:
     """The morphisms given as (value table, CoordMap rows) pairs between
-    products of chains: value tables when a side is a table algebra,
-    CoordMaps otherwise."""
-    if isinstance(dom, FiniteAlgebra) or isinstance(cod, FiniteAlgebra):
+    products of chains: value tables with their rows when a side is a
+    table algebra, CoordMaps otherwise."""
+    if _has_table(dom, cod):
         ce = elements(cod)
         return [Morphism._of_coords(dom, cod, FiniteMapBody(tuple(map(
-            ce.__getitem__, values))), label) for values, _ in found]
+            ce.__getitem__, values)), CoordMap._normal(rows)), label)
+            for values, rows in found]
     return [Morphism._of_coords(dom, cod, CoordMap._normal(rows), label)
             for _, rows in found]
 
@@ -821,43 +888,74 @@ class PullbackResult:
 def pullback(f: Morphism, g: Morphism) -> PullbackResult:
     """Pullback of f: A -> D against g: C -> D, with its two projections.
 
-    Two coordinate maps one of which is onto have a block product as
-    their pullback, on any carrier.  Otherwise the pullback is the literal
-    set of pairs, which needs finite carriers (NotImplementedError): the
-    pairs (a, c) with f(a) = g(c), a-major, whose table is read off the
-    rows of the two domains' tables."""
+    One of f and g must be onto (NotImplementedError otherwise), and the
+    pullback of their CoordMaps is then a block product, on any carrier.
+    When a side of f or g is a table algebra, the pullback is the literal
+    set of pairs instead, which needs finite carriers (NotImplementedError):
+    the pairs (a, c) with f(a) = g(c), a-major, whose table is read off the
+    rows of the two domains' tables.  Its chains are those of the block
+    product: A's chains and the chains of C that an onto g drops, or C's
+    chains and the chains of A that an onto f drops."""
     if f.cod != g.cod:
         raise ValueError("pullback needs a shared codomain")
-    if isinstance(f.body, CoordMap) and isinstance(g.body, CoordMap):
-        if g.body.is_onto():
-            return _block_pullback(f, g)
-        if f.body.is_onto():
-            pb = _block_pullback(g, f)
-            return PullbackResult(pb.algebra, None, pb.right, pb.left)
-    if carrier_size(f.dom) is None or carrier_size(g.dom) is None:
-        raise NotImplementedError(
-            "a pullback over an infinite carrier needs two coordinate maps, "
-            "one of them onto")
+    literal = _has_table(f.dom, f.cod) or _has_table(g.dom, g.cod)
+    if literal and (carrier_size(f.dom) is None or carrier_size(g.dom) is None):
+        raise NotImplementedError("a pullback along a table map needs finite carriers")
+    fc, gc = _coord_map(f.body), _coord_map(g.body)
+    if gc.is_onto():
+        P, left, right = _block_pullback(_view(f.dom), _view(g.dom), fc, gc)
+    elif fc.is_onto():
+        P, right, left = _block_pullback(_view(g.dom), _view(f.dom), gc, fc)
+    else:
+        raise NotImplementedError("a pullback needs two maps, one of them onto")
+    if literal:
+        return _literal_pullback(f, g, P, left, right)
+    return PullbackResult(P, None, Morphism._of_coords(P, f.dom, left),
+                          Morphism._of_coords(P, g.dom, right))
+
+
+def _literal_pullback(f: Morphism, g: Morphism, P: SymbolicAlgebra,
+                      left: CoordMap, right: CoordMap) -> PullbackResult:
+    """The table of the pairs, decomposed as their block-product pullback
+    P with projections ``left`` and ``right``.  Each chain of P takes its
+    level from the first projection row that reads it, so the code of a
+    pair (a, c) is a part read off a plus a part read off c, and the
+    tables are read through those codes."""
     A, C = to_finite(f.dom), to_finite(g.dom)
     ea, ec = elements(f.dom), elements(g.dom)
     over = {}
-    for j, c in enumerate(ec):
-        over.setdefault(g(c), []).append(j)
-    pos = [(i, j) for i, a in enumerate(ea) for j in over.get(f(a), ())]
-    index = {p: k for k, p in enumerate(pos)}
-    pb = FiniteAlgebra._of_rows(
-        [index[A.neg_row[i], C.neg_row[j]] for i, j in pos],
-        [[index[ra[i], rc[j]] for i, j in pos]
-         for ra, rc in ((A.plus_rows[i], C.plus_rows[j]) for i, j in pos)],
-        index[A.zero, C.zero])
-    pairs = tuple((ea[i], ec[j]) for i, j in pos)
-    def leg(side, cod):
-        return Morphism(pb, cod, FiniteMapBody(tuple(p[side] for p in pairs)))
-    return PullbackResult(pb, pairs, leg(0, f.dom), leg(1, g.dom))
+    for j, v in enumerate(map(g._eval, ec)):
+        over.setdefault(v, []).append(j)
+    pos = [(i, j) for i, v in enumerate(map(f._eval, ea)) for j in over.get(v, ())]
+    first = {}
+    for side, coords in enumerate((left, right)):
+        for k, (src, scale, _) in enumerate(coords.rows):
+            first.setdefault(src, (side, k, scale))
+    heights = tuple(b.m for b in P.blocks)
+    parts = [[0] * len(ea), [0] * len(ec)]
+    for (_, (side, k, scale)), w in zip(sorted(first.items()), _weights(heights)):
+        parts[side] = [p + levels[k] // scale * w for p, levels in
+                       zip(parts[side], decompose((f.dom, g.dom)[side]).coords)]
+    part_a, part_c = parts
+    dec = _coded(heights, [part_a[i] + part_c[j] for i, j in pos])
+    at = dec.at
+
+    def row(ra, rc):
+        ca, cc = [part_a[v] for v in ra], [part_c[v] for v in rc]
+        return [at[ca[i] + cc[j]] for i, j in pos]
+    pb = FiniteAlgebra._of_rows(row(A.neg_row, C.neg_row),
+                                [row(A.plus_rows[i], C.plus_rows[j]) for i, j in pos],
+                                at[part_a[A.zero] + part_c[C.zero]])
+    order = _adopt(pb, dec)
+    values = (tuple([ea[i] for i, _ in pos]), tuple([ec[j] for _, j in pos]))
+    return PullbackResult(pb, tuple(zip(*values)), *(
+        Morphism._of_coords(pb, end, FiniteMapBody(v, _renumbered(coords, order)))
+        for end, v, coords in zip((f.dom, g.dom), values, (left, right))))
 
 
-def _block_pullback(f: Morphism, e: Morphism) -> PullbackResult:
-    """Pullback of a CoordMap f: A -> D against an onto CoordMap e: B -> D.
+def _block_pullback(A: SymbolicAlgebra, B: SymbolicAlgebra, f: CoordMap, e: CoordMap):
+    """Pullback of a CoordMap f out of A against an onto CoordMap e out of
+    B, with the CoordMaps of its projections onto A and B.
 
     Block j of the pullback is block j of A followed, for each D-block d
     that f reads from block j, by the coordinates of e's source block for
@@ -866,11 +964,10 @@ def _block_pullback(f: Morphism, e: Morphism) -> PullbackResult:
     f's row, its unread coordinates from the tail and a dropped block
     plainly.  Pairs ask the same signs at height 0 and at the top on both
     sides, so the carrier is exactly the set of pairs."""
-    A, B = f.dom, e.dom
     ranks = [a.r for a in A.blocks]
     right = [None] * len(B.blocks)
-    for (src, scale, coords), (b, _, ecoords) in zip(f.body.rows, e.body.rows):
-        read = {c[0]: t for t, c in enumerate(ecoords)}
+    for (src, scale, coords), (b, _, ecoords) in zip(f.rows, e.rows):
+        read = {c[0]: t for t, c in enumerate(ecoords)} if ecoords else {}
         placed = []
         for u in range(B.blocks[b].r):
             if u in read:
@@ -882,31 +979,26 @@ def _block_pullback(f: Morphism, e: Morphism) -> PullbackResult:
     dropped = [i for i, row in enumerate(right) if row is None]
     for k, i in enumerate(dropped):
         right[i] = (len(A.blocks) + k, 1, _plain(B.blocks[i]))
-    P = SymbolicAlgebra._of_blocks([block(a.m, r) for a, r in zip(A.blocks, ranks)]
+    P = SymbolicAlgebra._of_blocks([a if r == a.r else block(a.m, r)
+                                    for a, r in zip(A.blocks, ranks)]
                                    + [B.blocks[i] for i in dropped])
     left = CoordMap._normal(tuple((j, 1, _plain(a)) for j, a in enumerate(A.blocks)))
-    return PullbackResult(P, None, Morphism._of_coords(P, A, left),
-                          Morphism._of_coords(P, B, CoordMap._normal(tuple(right))))
+    return P, left, CoordMap._normal(tuple(right))
 
 
 def mediator_to_pullback(pb: PullbackResult, u: Morphism, v: Morphism) -> Morphism:
-    """x -> (u(x), v(x)) as a map into the pullback, read off the two
-    projections and checked against both of them."""
+    """x -> (u(x), v(x)) as a map into the pullback: the CoordMap of the
+    pair corestricted through the projections' CoordMaps, on a literal
+    pullback too.  A rowless u or v is refused."""
     if u.dom != v.dom:
         raise ValueError("mediator needs a shared domain")
-    if pb.pairs is not None:
-        legs = FiniteMapBody(pb.pairs)
-        pair = _tabulate(u.dom, lambda x: (u(x), v(x)))
-    else:
-        legs = CoordMap._normal(pb.left.body.rows + pb.right.body.rows)
-        pair = CoordMap._normal(u.body.rows + v.body.rows) \
-            if isinstance(u.body, CoordMap) and isinstance(v.body, CoordMap) \
-            else _tabulate(u.dom, lambda x: u(x) + v(x))
+    legs = CoordMap._normal(_coord_map(pb.left.body).rows + _coord_map(pb.right.body).rows)
+    pair = CoordMap._normal(_coord_map(u.body).rows + _coord_map(v.body).rows)
     try:
-        body = _corestrict_body(u.dom, pb.algebra, pair, legs)
+        coords = _corestrict_coords(pair, legs, _view(u.dom), _view(pb.algebra))
     except ValueError:
         raise ValueError("square does not commute into the pullback") from None
-    return Morphism._of_coords(u.dom, pb.algebra, body)
+    return Morphism._of_coords(u.dom, pb.algebra, _body(u.dom, pb.algebra, coords))
 
 
 def kernel_pair(e: Morphism):

@@ -28,19 +28,20 @@ from .ideals import (
     zero_ideal,
 )
 from .morphisms import (
-    CoordMap,
     FiniteMapBody,
     Morphism,
     QuotientResult,
     SubalgebraResult,
     _compose_body,
+    _coord_map,
     _corestrict_body,
     _factor_body,
     _ideal_subalgebra,
-    _preimage,
+    _kernel,
     _quotient,
     _quotient_parts,
     _subalgebra_parts,
+    _view,
     compose,
     corestrict,
     enumerate_homs,
@@ -166,13 +167,11 @@ def _collapsed_block(dom: SymbolicAlgebra, rows):
 
 def _is_trivial(dom: Algebra, cod: Algebra, body) -> bool:
     """Whether the map with this body is trivial: its codomain is
-    terminal, or its image lies in {0, 1} (a CoordMap has a collapsed
-    block, a value table only those values)."""
+    terminal, or its image lies in {0, 1}, that is its CoordMap has a
+    collapsed block (on the chain view of a table)."""
     if carrier_size(cod) == 1:
         return True
-    if isinstance(body, CoordMap):
-        return _collapsed_block(dom, body.rows) is not None
-    return all(v == cod.zero or v == cod.one for v in body.table)
+    return _collapsed_block(_view(dom), _coord_map(body).rows) is not None
 
 
 def is_trivial_morphism(f: Morphism) -> TrivialWitness:
@@ -290,7 +289,7 @@ def _prekernel_outcomes(k: Morphism, g: Morphism, injective: bool) -> list:
     """Each probe e: D -> A decided on bodies: e then g trivial, then e
     corestricted through k (as ``corestrict`` does), then uniqueness."""
     def outcome(dom, e):
-        if not _is_trivial(dom, g.cod, _compose_body(dom, g.dom, g.cod, e, g.body)):
+        if not _is_trivial(dom, g.cod, _compose_body(dom, g.cod, e, g.body)):
             return _SKIPPED
         try:
             _corestrict_body(dom, k.dom, e, k.body)
@@ -300,7 +299,7 @@ def _prekernel_outcomes(k: Morphism, g: Morphism, injective: bool) -> list:
             return None
         if carrier_size(dom) is None or carrier_size(k.dom) is None:
             return "uniqueness undecidable: k not injective"
-        n = sum(_compose_body(dom, k.dom, k.cod, h.body, k.body) == e
+        n = sum(_compose_body(dom, k.cod, h.body, k.body) == e
                 for h in enumerate_homs(dom, k.dom))
         return None if n == 1 else f"{n} factorizations"
     return [outcome(dom, e) for dom, e in _probes_into(g.dom)]
@@ -357,9 +356,9 @@ def _precokernel_outcomes(g: Morphism, k: Morphism) -> list:
     A, kernel, surjective = g.dom, g.kernel(), g.is_surjective()
 
     def outcome(cod, t):
-        if not _is_trivial(k.dom, cod, _compose_body(k.dom, A, cod, k.body, t)):
+        if not _is_trivial(k.dom, cod, _compose_body(k.dom, cod, k.body, t)):
             return _SKIPPED
-        if not _ideal_leq(A, kernel, _preimage(A, cod, t, zero_ideal(cod))):
+        if not _ideal_leq(A, kernel, _kernel(A, cod, t)):
             return "probe does not kill ker g: no mediator"
         try:
             _factor_body(A, g.cod, cod, g.body, t)

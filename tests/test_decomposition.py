@@ -27,7 +27,6 @@ from mvtk import (
     em_factorize,
     enumerate_homs,
     fill_diagonal,
-    finite_quotient_data,
     find_isomorphism,
     generated_ideal,
     ideal_leq,
@@ -290,7 +289,8 @@ class TestIdealsAndQuotients:
     def test_quotient_data_is_the_distance_quotient(self):
         for table in SMALL_TABLES:
             for ideal in all_ideals(table):
-                q, class_of = finite_quotient_data(table, ideal)
+                result = quotient(table, ideal)
+                q, class_of = result.algebra, result.projection.body.table
                 assert (q.neg_row, q.plus_rows, q.zero, class_of) == \
                     quotient_by_distance(table, ideal.elements)
                 assert certified(q)
@@ -298,7 +298,7 @@ class TestIdealsAndQuotients:
     def test_a_quotient_keeps_the_surviving_chains(self):
         table = shuffled(to_finite(product([make_chain(2), make_chain(3)])), "q")
         for ideal in all_ideals(table):
-            q, _ = finite_quotient_data(table, ideal)
+            q = quotient(table, ideal).algebra
             kept = decompose(q)
             fresh = decompose(make_finite(q.neg_row, q.plus_rows, q.zero))
             assert (kept.heights, kept.coords) == (fresh.heights, fresh.coords)
