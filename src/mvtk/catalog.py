@@ -18,9 +18,17 @@ __all__ = [
 ]
 
 
+# listing takes about 1 s at 4,096 elements and 12 s at 16,384 (2-core host)
+_CATALOG_CAP = 4096
+
+
 def chain_product_catalog(max_size: int) -> list[SymbolicAlgebra]:
     """All finite algebras with at most ``max_size`` elements, one per
-    isomorphism class, deterministically ordered by size then signature."""
+    isomorphism class, deterministically ordered by size then signature.
+    A bound above ``_CATALOG_CAP`` is a ValueError."""
+    if max_size > _CATALOG_CAP:
+        raise ValueError(f"a catalog up to {max_size} elements exceeds the "
+                         f"budget of {_CATALOG_CAP}")
     if max_size < 1:
         return []
     found: list[tuple[int, tuple[int, ...]]] = [(1, ())]

@@ -996,18 +996,19 @@ class Decomposition:
     ``codes[x]`` is the mixed-radix code of those levels, the sum of level
     i times ``weights[i]``, so codes run in ``itertools.product`` order of
     the levels, and ``at`` inverts it: ``at[code]`` is the element with
-    that code.  The levels and supports are read off the codes on first
+    that code.  ``codes`` and ``at`` are read-only sequences, ranges on a
+    block product.  Levels and supports are read off the codes on first
     use."""
 
     heights: tuple
     weights: tuple
-    codes: tuple
-    at: list
+    codes: tuple | range
+    at: list | range
 
     @cached_property
     def coords(self) -> tuple:
-        return tuple(tuple(code // w % (m + 1) for m, w in zip(self.heights, self.weights))
-                     for code in self.codes)
+        levels = list(itertools.product(*(range(m + 1) for m in self.heights)))
+        return tuple(map(levels.__getitem__, self.codes))
 
     @cached_property
     def support(self) -> tuple:
@@ -1022,22 +1023,6 @@ class Decomposition:
 
 def _not_mv(what: str) -> ValueError:
     return ValueError(f"not an MV-algebra: {what}")
-
-
-def _indexed(heights: tuple, coords) -> Decomposition:
-    """The decomposition in which element x has the levels ``coords[x]``,
-    each in range.  Two elements with the same levels, or a level tuple no
-    element has, is a ValueError naming it."""
-    first = {}
-    for x, c in enumerate(coords):
-        y = first.setdefault(c, x)
-        if y != x:
-            raise _not_mv(f"elements {y} and {x} both have levels {list(c)}")
-    if len(first) != math.prod(m + 1 for m in heights):
-        missing = next(c for c in itertools.product(*(range(m + 1) for m in heights))
-                       if c not in first)
-        raise _not_mv(f"no element has levels {list(missing)}")
-    return _decomposition(heights, coords)
 
 
 def _decomposition(heights: tuple, coords) -> Decomposition:
@@ -1098,7 +1083,15 @@ def _certify(table: FiniteAlgebra) -> Decomposition:
         heights.append(len(chain) - 1)
         columns.append(column)
     coords = list(zip(*columns)) if columns else [()] * n
-    dec = _indexed(tuple(heights), coords)
+    first = {}
+    for x, c in enumerate(coords):
+        y = first.setdefault(c, x)
+        if y != x:
+            raise _not_mv(f"elements {y} and {x} both have levels {list(c)}")
+    if len(first) != math.prod(m + 1 for m in heights):
+        missing = next(c for c in itertools.product(*(range(m + 1) for m in heights))
+                       if c not in first)
+        raise _not_mv(f"no element has levels {list(missing)}")
     if any(coords[zero]):
         raise _not_mv(f"zero {zero} has levels {list(coords[zero])}")
     for x in range(n):
@@ -1115,7 +1108,7 @@ def _certify(table: FiniteAlgebra) -> Decomposition:
                 min(u + v, m) for u, v, m in zip(coords[x], coords[y], heights)))
             raise _not_mv(f"plus({x}, {y}) = {row[y]} is not the levelwise "
                           f"truncated sum")
-    return dec
+    return _decomposition(tuple(heights), coords)
 
 
 def decompose(algebra: Algebra) -> Decomposition:
@@ -1123,13 +1116,32 @@ def decompose(algebra: Algebra) -> Decomposition:
 
     A table is decomposed and certified once, on first use, and keeps the
     result; one that is not an MV-algebra is a ValueError naming a
-    witness.  A block product of chains is read off its blocks, unchecked:
-    its elements already are level tuples."""
+    witness.  A block product of chains is its own decomposition, read off
+    its blocks: element x of ``elements`` has code x, so nothing is
+    enumerated or checked."""
     if isinstance(algebra, FiniteAlgebra):
         if algebra._dec is None:
             object.__setattr__(algebra, "_dec", _certify(algebra))
         return algebra._dec
-    return _indexed(tuple(b.m for b in algebra.blocks), elements(algebra))
+    for b in algebra.blocks:
+        if b.r:
+            raise ValueError(f"cannot enumerate infinite carrier of {b!r}")
+    heights = tuple(b.m for b in algebra.blocks)
+    codes = range(math.prod(m + 1 for m in heights))
+    return Decomposition(heights, _weights(heights), codes, codes)
+
+
+def _view(algebra: Algebra) -> SymbolicAlgebra:
+    """The block product a CoordMap reads: a table's certified chains, a
+    block product itself."""
+    return decompose(algebra).view if isinstance(algebra, FiniteAlgebra) else algebra
+
+
+def _levels(algebra: Algebra):
+    """x -> x as an element of the chain view."""
+    if isinstance(algebra, FiniteAlgebra):
+        return decompose(algebra).coords.__getitem__
+    return lambda x: x
 
 
 def _adopt(table: FiniteAlgebra, dec: Decomposition) -> list:

@@ -16,11 +16,11 @@ from functools import partial
 from .core import Algebra, carrier_size
 from .galois import em_factorize
 from .ideals import (
-    FiniteIdeal,
     Ideal,
     _ideal_join,
     _ideal_meet,
     _radical,
+    _view_markers,
     full_ideal,
     validate_ideal,
     zero_ideal,
@@ -167,19 +167,13 @@ def classify_double(sq: ExtensionSquare) -> DoubleClassification:
 def restrict_to_ideal_subalgebra(algebra: Algebra, k: Ideal, w: Ideal) -> Ideal:
     """The ideal w restricted to the subalgebra on k (kernel and
     negations): its preimage along the inclusion.  Every Boolean element
-    of w (x (+) x = x) must lie in k.  On a block product a Boolean
-    element lies in an ideal iff the ideal is full on every block where
-    the element is 1, so there w may not be full on a block where k is
-    not."""
+    of w (x (+) x = x) must lie in k.  A Boolean element lies in an ideal
+    iff the ideal is full on every block of the chain view where the
+    element is 1, so w may not be full on a block where k is not."""
     k = validate_ideal(algebra, k)
     w = validate_ideal(algebra, w)
-    if isinstance(w, FiniteIdeal):
-        escapes = any(algebra.plus(x, x) == x and x not in k.elements
-                      for x in w.elements)
-    else:
-        escapes = any(mk != "full" and mw == "full"
-                      for mk, mw in zip(k.markers, w.markers))
-    if escapes:
+    if any(mk != "full" and mw == "full"
+           for mk, mw in zip(_view_markers(algebra, k), _view_markers(algebra, w))):
         raise ValueError("ideal is full outside the subalgebra blocks")
     sub = _ideal_subalgebra(algebra, k, "subalgebra_inclusion")
     return _preimage(sub.algebra, algebra, sub.inclusion.body, w)

@@ -12,6 +12,12 @@ is built with :func:`sub_marker` and read with :func:`marker_coords`, so a
 chain's ``"zero"`` is the rank-0 case of ``("sub", S)`` and no caller
 tests a block's type.
 
+On its chain view (``core._view``) a table ideal is full on the chains it
+reaches and zero elsewhere.  Generated ideals, joins, maximal ideals and
+element lists run the marker rule there and cross back with
+``_from_view``.  Tables keep the literal infinitesimals, nilpotence test,
+polar and ``is_ideal`` as references, and meets as set intersections.
+
 Public functions validate each ideal argument once; the private helper
 named after one (``_ideal_meet``) takes canonical ideals, such as the
 kernels, radicals and meets the library builds, and checks nothing.
@@ -29,6 +35,8 @@ from .core import (
     SymbolicAlgebra,
     _adopt,
     _decomposition,
+    _levels,
+    _view,
     block,
     decompose,
     elements,
@@ -222,11 +230,10 @@ def _ideal_contains(ideal: Ideal, x) -> bool:
 
 
 def ideal_elements(algebra: Algebra, ideal: Ideal) -> list:
-    """Element list of an ideal; requires a finite carrier."""
-    ideal = validate_ideal(algebra, ideal)
-    if isinstance(ideal, FiniteIdeal):
-        return sorted(ideal.elements)
-    return [x for x in elements(algebra) if _ideal_contains(ideal, x)]
+    """Element list of an ideal, in ``elements`` order; finite carriers."""
+    view_ideal = MarkerIdeal(_view_markers(algebra, validate_ideal(algebra, ideal)))
+    levels = _levels(algebra)
+    return [x for x in elements(algebra) if _ideal_contains(view_ideal, levels(x))]
 
 
 def markers_from_elements(algebra: SymbolicAlgebra, subset) -> MarkerIdeal:
@@ -266,25 +273,23 @@ def is_ideal(algebra: Algebra, subset) -> bool:
 
 
 def generated_ideal(algebra: Algebra, generators) -> Ideal:
-    """Least ideal containing the generators: on a table, the elements
-    that vanish outside the chains some generator reaches."""
+    """Least ideal containing the generators: per block of the chain view,
+    full where some generator has a nonzero height, otherwise the
+    infinitesimal coordinates they use."""
     generators = list(generators)
     for g in generators:
         if not algebra.contains(g):
             raise ValueError(f"not an element: {g!r}")
-    if isinstance(algebra, FiniteAlgebra):
-        dec = decompose(algebra)
-        reach = _reach(dec, FiniteIdeal(frozenset(generators)))
-        return FiniteIdeal(frozenset(_vanishing(dec, reach)))
+    levels = list(map(_levels(algebra), generators))
     markers = []
-    for i, b in enumerate(algebra.blocks):
-        entries = [parts(g[i]) for g in generators]
+    for i, b in enumerate(_view(algebra).blocks):
+        entries = [parts(g[i]) for g in levels]
         if any(a != 0 for a, _ in entries):
             markers.append("full")
         else:
             markers.append(sub_marker(b.r, (
                 j for _, coefs in entries for j, t in enumerate(coefs) if t != 0)))
-    return MarkerIdeal(tuple(markers))
+    return _from_view(algebra, MarkerIdeal(tuple(markers)))
 
 
 # the ideals of one Komori(m, 14) block, 2**14 + 1, are still listed
@@ -332,13 +337,11 @@ def ideal_join(algebra: Algebra, i: Ideal, j: Ideal) -> Ideal:
 
 
 def _ideal_join(algebra: Algebra, i: Ideal, j: Ideal) -> Ideal:
-    if isinstance(i, FiniteIdeal):
-        return FiniteIdeal(frozenset(
-            algebra.plus(x, y) for x in i.elements for y in j.elements))
-    return MarkerIdeal(tuple(
+    return _from_view(algebra, MarkerIdeal(tuple(
         "full" if "full" in (a, c)
         else sub_marker(b.r, marker_coords(a) | marker_coords(c))
-        for b, a, c in zip(algebra.blocks, i.markers, j.markers)))
+        for b, a, c in zip(_view(algebra).blocks, _view_markers(algebra, i),
+                           _view_markers(algebra, j)))))
 
 
 def ideal_leq(algebra: Algebra, i: Ideal, j: Ideal) -> bool:
@@ -394,22 +397,23 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
     is decomposed first (``decompose``), so every method refuses one that
     is not an MV-algebra.
 
-    On a table each method is computed literally, so the radical gate
-    can compare the three with each other.  ``galois``, ``galois2`` and
+    On a table ``"inf"`` and ``"nilpotent"`` are computed literally, so
+    the radical gate can compare them with ``"maximal"``, which reads the
+    chain view (:func:`maximal_ideals`).  ``galois``, ``galois2`` and
     ``pretorsion`` read :func:`_radical` instead, the same ideal without a
     search, as ``enumerate_homs`` stands beside ``hom_tables``.
     """
     if method not in ("inf", "maximal", "nilpotent"):
         raise ValueError(f"unknown radical method {method!r}")
+    if method == "maximal":
+        acc = full_ideal(algebra)
+        for m in maximal_ideals(algebra):
+            acc = _ideal_meet(algebra, acc, m)
+        return acc
     if isinstance(algebra, FiniteAlgebra):
         decompose(algebra)
         if method == "inf":
             return FiniteIdeal(_finite_infinitesimals(algebra))
-        if method == "maximal":
-            out = frozenset(range(algebra.size))
-            for m in maximal_ideals(algebra):
-                out &= m.elements
-            return FiniteIdeal(out)
         acc = zero_ideal(algebra)
         for j in all_ideals(algebra):
             if is_nilpotent_ideal(algebra, j):
@@ -417,11 +421,6 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
         return acc
     if method == "inf":
         return _radical(algebra)
-    if method == "maximal":
-        acc = full_ideal(algebra)
-        for m in maximal_ideals(algebra):
-            acc = _ideal_meet(algebra, acc, m)
-        return acc
     acc = zero_ideal(algebra)
     for i, b in enumerate(algebra.blocks):
         if b.r:
@@ -434,24 +433,15 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
 
 
 def maximal_ideals(algebra: Algebra) -> list[Ideal]:
-    """All maximal ideals.  The terminal algebra has none."""
-    if isinstance(algebra, FiniteAlgebra):
-        ideals = all_ideals(algebra)
-        full = frozenset(range(algebra.size))
-        out = []
-        for i in ideals:
-            if i.elements == full:
-                continue
-            above = [j for j in ideals
-                     if i.elements < j.elements and j.elements != full]
-            if not above:
-                out.append(i)
-        return out
+    """All maximal ideals, one per block of the chain view in block order:
+    full elsewhere, the infinitesimals on its block.  The terminal algebra
+    has none."""
+    view = _view(algebra)
     out = []
-    for i, b in enumerate(algebra.blocks):
-        markers = ["full"] * len(algebra.blocks)
+    for i, b in enumerate(view.blocks):
+        markers = ["full"] * len(view.blocks)
         markers[i] = sub_marker(b.r, range(b.r))
-        out.append(MarkerIdeal(tuple(markers)))
+        out.append(_from_view(algebra, MarkerIdeal(tuple(markers))))
     return out
 
 

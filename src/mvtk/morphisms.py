@@ -61,6 +61,8 @@ from .core import (
     _adopt,
     _coded,
     _decomposition,
+    _levels,
+    _view,
     _weights,
     block,
     carrier_size,
@@ -285,19 +287,6 @@ def _check_coords(dom: SymbolicAlgebra, cod: SymbolicAlgebra, body: CoordMap) ->
 
 def _has_table(dom: Algebra, cod: Algebra) -> bool:
     return isinstance(dom, FiniteAlgebra) or isinstance(cod, FiniteAlgebra)
-
-
-def _view(algebra: Algebra) -> SymbolicAlgebra:
-    """The block product a CoordMap reads: a table's certified chains, a
-    block product itself."""
-    return decompose(algebra).view if isinstance(algebra, FiniteAlgebra) else algebra
-
-
-def _levels(algebra: Algebra):
-    """x -> x as an element of the chain view."""
-    if isinstance(algebra, FiniteAlgebra):
-        return decompose(algebra).coords.__getitem__
-    return lambda x: x
 
 
 def _coord_map(body, refusal: str = "the value table is not a homomorphism") -> CoordMap:
@@ -708,7 +697,8 @@ def subalgebra_decode(incl: Morphism, a):
     x = _coord_map(incl.body).solve(_view(incl.dom), _levels(incl.cod)(a))
     if x is None or not isinstance(incl.dom, FiniteAlgebra):
         return x
-    return decompose(incl.dom).coords.index(x)
+    dec = decompose(incl.dom)
+    return dec.at[sum(map(operator.mul, x, dec.weights))]
 
 
 def corestrict(e: Morphism, through: Morphism, label: str = "") -> Morphism:

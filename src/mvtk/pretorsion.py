@@ -17,6 +17,7 @@ from .catalog import chain_product_catalog
 from .core import (
     Algebra,
     SymbolicAlgebra,
+    _view,
     carrier_size,
     element,
     elements,
@@ -41,7 +42,6 @@ from .morphisms import (
     _quotient,
     _quotient_parts,
     _subalgebra_parts,
-    _view,
     compose,
     corestrict,
     enumerate_homs,

@@ -169,6 +169,13 @@ class TestCatalogAndPlumbing:
         assert doc["count"] == 8
         assert doc["algebras"][0]["size"] == 1
 
+    def test_catalog_above_its_budget_exits_2(self, capsys):
+        code = main(["catalog", "--max-size", "4097"])
+        out = capsys.readouterr()
+        assert code == 2 and not out.out
+        assert out.err == "error: a catalog up to 4097 elements exceeds the " \
+                          "budget of 4096\n"
+
     def test_missing_file_is_a_usage_error(self, capsys):
         code = main(["check-axioms", fx("no_such_file.json")])
         err = capsys.readouterr().err

@@ -29,6 +29,7 @@ from mvtk import (
     fill_diagonal,
     find_isomorphism,
     generated_ideal,
+    ideal_join,
     ideal_leq,
     image_set,
     is_ideal,
@@ -37,6 +38,8 @@ from mvtk import (
     leq,
     make_chain,
     make_finite,
+    make_komori,
+    maximal_ideals,
     polar,
     pre_exact,
     product,
@@ -50,7 +53,7 @@ from mvtk import (
     to_finite,
     validate_ideal,
 )
-from mvtk import morphisms, pretorsion
+from mvtk import core, morphisms, pretorsion
 from mvtk.core import decompose, dist, hom_tables
 from mvtk.galois2 import central_reflection, commutator_pair
 from mvtk.morphisms import CoordMap, _check_coords
@@ -158,6 +161,37 @@ class TestCertificate:
             decompose(table)
         assert str(exc.value) == f"not an MV-algebra: {witness}"
         assert not check_axioms(table, mode="exhaustive").ok
+
+
+class TestBlockProductDecomposition:
+    def test_a_block_product_is_decomposed_without_enumerating(self, monkeypatch):
+        def refuse(algebra):
+            raise AssertionError(f"enumerated the carrier of {algebra!r}")
+
+        monkeypatch.setattr(core, "elements", refuse)
+        big = make_chain(10 ** 6)
+        dec = decompose(big)
+        assert dec.heights == (10 ** 6,) and dec.weights == (1,)
+        assert dec.codes == dec.at == range(10 ** 6 + 1)
+        up = enumerate_homs(make_chain(1), big)
+        assert len(up) == 1 and up[0]((1,)) == (10 ** 6,)
+        assert enumerate_homs(big, make_chain(1)) == []
+
+    def test_it_agrees_with_the_certificate_of_its_table(self):
+        algebras = chain_product_catalog(128)
+        assert len(algebras) == 497
+        for algebra in algebras:
+            dec = decompose(algebra)
+            table = decompose(to_finite(algebra))
+            assert (dec.heights, dec.weights) == (table.heights, table.weights)
+            n = list(range(len(table.codes)))
+            assert list(dec.coords) == elements(algebra)
+            assert list(dec.codes) == list(dec.at) == n
+
+    def test_an_infinite_carrier_is_refused(self):
+        with pytest.raises(ValueError, match=r"^cannot enumerate infinite "
+                                             r"carrier of Komori\(1,1\)$"):
+            decompose(product([make_chain(2), make_komori(1, 1)]))
 
 
 class TestHoms:
@@ -342,6 +376,38 @@ class TestIdealsAndQuotients:
             with pytest.raises(ValueError, match="^not an MV-algebra"):
                 tool(bad)
         assert not check_axioms(bad, mode="exhaustive").ok
+
+
+TABLES_24 = CATALOG_24 + [shuffled(t, f"view:{k}") for k, t in enumerate(CATALOG_24)]
+
+
+class TestIdealRulesOnTheChainView:
+    """On tables, generated ideals, joins and maximal ideals run the
+    marker rule on the chain view; these are their literal definitions."""
+
+    def test_generated_ideal_is_the_closure(self):
+        rng = random.Random("generated")
+        for table in TABLES_24:
+            sets = [[x] for x in range(table.size)] + [
+                rng.sample(range(table.size), min(k, table.size))
+                for k in (2, 3, 4) for _ in range(3)]
+            for gens in sets:
+                assert generated_ideal(table, gens).elements == closure(table, gens)
+
+    def test_ideal_join_is_the_sumset(self):
+        for table in TABLES_24:
+            ideals = all_ideals(table)
+            for i, j in itertools.product(ideals, repeat=2):
+                assert ideal_join(table, i, j).elements == frozenset(
+                    table.plus(x, y) for x in i.elements for y in j.elements)
+
+    def test_maximal_ideals_are_the_maximal_proper_ideals(self):
+        for table in TABLES_24:
+            proper = [i.elements for i in all_ideals(table)
+                      if len(i.elements) < table.size]
+            literal = {i for i in proper if not any(i < j for j in proper)}
+            found = [i.elements for i in maximal_ideals(table)]
+            assert len(found) == len(set(found)) and set(found) == literal
 
 
 def symbolic_pool(tag, count):

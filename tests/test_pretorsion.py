@@ -489,7 +489,8 @@ class TestProbesAgreeWithTheMorphismOracle:
         # k drops a coordinate: every checked probe is undecidable
         k = Morphism(k12, chang, CoordMap(((0, 1, ((0, 1),)),)))
         _agrees_with_oracle(k, radical_projection(chang))
-        # k forgets a block: no probe factors
+        # k forgets a block: every checked probe factors, and its
+        # uniqueness is undecidable because k is not injective
         pair = product([chang, chang])
         k = Morphism(pair, chang, CoordMap(((0, 1, ((0, 1),)),)))
         _agrees_with_oracle(k, radical_projection(chang))
