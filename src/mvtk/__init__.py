@@ -11,187 +11,28 @@ identities, and the unit-interval construction from lattice-ordered
 groups.
 """
 
-from .core import (
-    AXIOM_NAMES,
-    Algebra,
-    Chain,
-    CheckReport,
-    CheckResult,
-    Decomposition,
-    FiniteAlgebra,
-    Komori,
-    SymbolicAlgebra,
-    are_isomorphic,
-    arrow,
-    canonical_blocks,
-    carrier_size,
-    check_axioms,
-    check_derived_identities,
-    check_lattice_identities,
-    decompose,
-    describe,
-    dist,
-    elements,
-    forced_elements,
-    initial_algebra,
-    is_terminal_object,
-    join,
-    leq,
-    make_chain,
-    make_finite,
-    make_komori,
-    meet,
-    neg,
-    ominus,
-    oplus,
-    otimes,
-    product,
-    sample_tuples,
-    terminal_algebra,
-    to_finite,
-)
-from .ideals import (
-    FiniteIdeal,
-    Ideal,
-    MarkerIdeal,
-    all_ideals,
-    full_ideal,
-    generated_ideal,
-    ideal_contains,
-    ideal_elements,
-    ideal_join,
-    ideal_leq,
-    ideal_meet,
-    is_full_ideal,
-    is_ideal,
-    is_nilpotent_ideal,
-    is_proper_ideal,
-    is_zero_ideal,
-    markers_from_elements,
-    maximal_ideals,
-    polar,
-    radical,
-    radical_conegation_disjoint,
-    riesz_split,
-    validate_ideal,
-    zero_ideal,
-)
-from .morphisms import (
-    CoordMap,
-    FiniteMapBody,
-    Morphism,
-    PullbackResult,
-    QuotientResult,
-    SubalgebraResult,
-    compose,
-    corestrict,
-    enumerate_homs,
-    factor_through_quotient,
-    find_isomorphism,
-    from_initial,
-    ideal_subalgebra,
-    identity,
-    image_ideal,
-    image_set,
-    is_morphism,
-    kernel_pair,
-    mediator_to_pullback,
-    product_with_projections,
-    pullback,
-    quotient,
-    same_morphism,
-    subalgebra_decode,
-    to_terminal,
-)
-from .catalog import (
-    catalog_signature,
-    chain_product_catalog,
-    random_block_algebra,
-)
-from .pretorsion import (
-    PreExactSequence,
-    ProbeReport,
-    ProtoadditivityReport,
-    TrivialWitness,
-    UnitFactorization,
-    counit_factorization,
-    is_perfect,
-    is_precokernel,
-    is_prekernel,
-    is_semisimple,
-    is_trivial_morphism,
-    perfect_inclusion,
-    perfect_map,
-    perfect_part,
-    pre_exact,
-    protoadditivity_check,
-    radical_indicator,
-    radical_projection,
-    semisimple_map,
-    semisimple_quotient,
-    unit_factorization,
-)
-from .galois import (
-    EMFactorization,
-    ExtensionClassification,
-    ExtensionCommutator,
-    StabilityReport,
-    classify_extension,
-    e_member,
-    em_factorize,
-    extension_commutator,
-    fill_diagonal,
-    kernel_subalgebra,
-    m_member,
-    rad_restriction_surjective,
-    stability_check,
-    trivial_via_pullback,
-)
-from .galois2 import (
-    CentralReflection,
-    CommutatorReport,
-    DoubleClassification,
-    ExtensionSquare,
-    RegularPushoutReport,
-    central_reflection,
-    classify_double,
-    commutator_pair,
-    is_regular_pushout,
-    restrict_to_ideal_subalgebra,
-    square_from_ideals,
-    validate_square,
-)
-from .terms import (
-    HarnessReport,
-    kernel_restriction_harness,
-    verify_pixley,
-    verify_protomodularity,
-)
-from .mundici import (
-    GroupBlock,
-    LexGroup,
-    OrderUnitReport,
-    from_algebra_element,
-    gamma_ops_agree,
-    group_abs,
-    group_add,
-    group_join,
-    group_laws_check,
-    group_leq,
-    group_meet,
-    group_neg,
-    group_sub,
-    group_unit,
-    group_zero,
-    interval_algebra,
-    interval_neg,
-    interval_sum,
-    make_group,
-    order_unit_check,
-    random_group_element,
-    semidirect_join,
-    semidirect_sum,
-    to_algebra_element,
-)
+from .core import *
+from .ideals import *
+from .morphisms import *
+from .catalog import *
+from .pretorsion import *
+from .galois import *
+from .galois2 import *
+from .terms import *
+from .mundici import *
+
+# each module's __all__ declares its public names and the package
+# republishes them; importing a submodule bound its name here
+__all__ = [
+    *core.__all__,
+    *ideals.__all__,
+    *morphisms.__all__,
+    *catalog.__all__,
+    *pretorsion.__all__,
+    *galois.__all__,
+    *galois2.__all__,
+    *terms.__all__,
+    *mundici.__all__,
+]
 
 __version__ = "0.1.0"

@@ -237,16 +237,10 @@ def ideal_elements(algebra: Algebra, ideal: Ideal) -> list:
 
 
 def markers_from_elements(algebra: SymbolicAlgebra, subset) -> MarkerIdeal:
-    """Marker form of an ideal handed over as an element set.  The set must
-    be a product of block ideals; chains only (finite carrier)."""
+    """Marker form of an ideal handed over as an element set: the ideal
+    the set generates, which must be the set itself (finite carrier)."""
     subset = set(subset)
-    markers = []
-    for i, b in enumerate(algebra.blocks):
-        if b.r:
-            raise ValueError("cannot read markers off an infinite carrier")
-        proj = {x[i] for x in subset}
-        markers.append("zero" if proj == {0} else "full")
-    out = MarkerIdeal(tuple(markers))
+    out = generated_ideal(algebra, subset)
     if set(ideal_elements(algebra, out)) != subset:
         raise ValueError("subset is not a product of block ideals")
     return out
@@ -401,7 +395,7 @@ def radical(algebra: Algebra, method: str = "inf") -> Ideal:
     the radical gate can compare them with ``"maximal"``, which reads the
     chain view (:func:`maximal_ideals`).  ``galois``, ``galois2`` and
     ``pretorsion`` read :func:`_radical` instead, the same ideal without a
-    search, as ``enumerate_homs`` stands beside ``hom_tables``.
+    search.
     """
     if method not in ("inf", "maximal", "nilpotent"):
         raise ValueError(f"unknown radical method {method!r}")

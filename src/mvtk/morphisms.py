@@ -756,8 +756,8 @@ def _corestrict_coords(e: CoordMap, through: CoordMap, E: SymbolicAlgebra,
 
 
 def enumerate_homs(dom: Algebra, cod: Algebra) -> list[Morphism]:
-    """All morphisms between finite-carrier algebras, in the order of their
-    value tables (that of ``hom_tables``).
+    """All morphisms between finite-carrier algebras, in lexicographic
+    order of their value tables.
 
     Both sides are read as products of chains (``decompose``, which
     refuses a table that is not an MV-algebra).  A map into Chain(n) reads
@@ -802,7 +802,7 @@ def _chain_homs(dom: Algebra, cod: Algebra, found, label: str = "") -> list:
 
 
 def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:
-    """The isomorphism whose value table comes first in ``hom_tables``
+    """The isomorphism whose value table comes first in lexicographic
     order, or None when there is none.
 
     An isomorphism of products of chains sends each codomain chain to a
@@ -830,9 +830,10 @@ def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:
                 levels[j] = v
         return db.at[sum(map(operator.mul, levels, db.weights))]
 
-    for c in da.coords:
+    for x in range(len(da.codes)):
         if all(len(targets) == 1 for targets, _ in groups):
             break
+        c = da.coords[x]  # levels are read only while a group can still split
         best = min(itertools.product(*(
             list(_arrangements(sorted(c[i] for i in sources)))
             for _, sources in groups)), key=value)

@@ -1,0 +1,67 @@
+"""Literal reference algorithms that the library's structured ones are
+held to.
+
+``hom_tables`` finds every homomorphism table between two finite
+algebras by backtracking with closure propagation.  ``enumerate_homs``
+reads the same maps off the chain decompositions and must list them in
+this order.
+"""
+
+from __future__ import annotations
+
+from mvtk import FiniteAlgebra
+
+
+def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v):
+    """Assign table[x] = v and close under neg and plus against everything
+    already assigned.  Mutates table; returns the list of newly assigned
+    points or None on contradiction."""
+    stack = [(x, v)]
+    added = []
+    while stack:
+        x, v = stack.pop()
+        cur = table[x]
+        if cur is not None:
+            if cur != v:
+                _undo(table, added)
+                return None
+            continue
+        table[x] = v
+        added.append(x)
+        nx = A.neg_row[x]
+        stack.append((nx, B.neg_row[v]))
+        for y, w in enumerate(table):
+            if w is None:
+                continue
+            stack.append((A.plus_rows[x][y], B.plus_rows[v][w]))
+            stack.append((A.plus_rows[y][x], B.plus_rows[w][v]))
+    return added
+
+
+def _undo(table, added):
+    for x in added:
+        table[x] = None
+
+
+def hom_tables(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """All homomorphism tables A -> B (zero-, plus- and neg-preserving),
+    found by backtracking with closure propagation, in lexicographic
+    order."""
+    out: list[tuple[int, ...]] = []
+    table: list[int | None] = [None] * A.size
+    if _propagate(A, B, table, A.zero, B.zero) is None:
+        return out
+
+    def rec() -> None:
+        x = next((i for i, v in enumerate(table) if v is None), None)
+        if x is None:
+            out.append(tuple(table))  # type: ignore[arg-type]
+            return
+        for v in range(B.size):
+            added = _propagate(A, B, table, x, v)
+            if added is not None:
+                rec()
+                _undo(table, added)
+
+    rec()
+    return out

@@ -294,6 +294,31 @@ class TestMorphismInputChecks:
         assert doc["trivial"]
 
 
+class TestCompose:
+    def test_quotient_then_radical_projection_is_classified(self, tmp_path,
+                                                            capsys):
+        spec = {"kind": "compose", "parts": [
+            {"kind": "quotient",
+             "algebra": {"blocks": [{"komori": {"m": 2, "r": 1}},
+                                    {"chain": 2}]},
+             "ideal": {"markers": [{"sub": [1]}, "zero"]}},
+            {"kind": "radical_projection",
+             "algebra": {"blocks": [{"chain": 2}, {"chain": 2}]}}]}
+        code, out = classify_spec(tmp_path, capsys, spec)
+        assert code == 0
+        doc = json.loads(out.out)
+        assert doc["surjective"]
+        assert doc["kernel"] == {"markers": [{"sub": [1]}, "zero"]}
+
+    def test_mismatched_parts_exit_2(self, tmp_path, capsys):
+        spec = {"kind": "compose", "parts": [
+            {"kind": "identity", "algebra": {"blocks": [{"chain": 1}]}},
+            {"kind": "identity", "algebra": {"blocks": [{"chain": 2}]}}]}
+        code, out = classify_spec(tmp_path, capsys, spec)
+        assert code == 2 and not out.out
+        assert "composite needs f.cod == g.dom" in out.err
+
+
 def refused(tmp_path, capsys, command, doc):
     """Run ``command`` on ``doc``; True when it exits 2 with an error."""
     p = tmp_path / "input.json"

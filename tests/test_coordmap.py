@@ -57,7 +57,7 @@ from mvtk import (
     subalgebra_decode,
     to_finite,
 )
-from mvtk.core import hom_tables
+from oracles import hom_tables
 
 
 def _candidates(dom, cod):

@@ -192,6 +192,15 @@ class TestCatalog:
         second = [describe(a) for a in chain_product_catalog(9)]
         assert first == second
 
+    def test_product_of_tables_is_the_table_of_the_product(self):
+        cat = [a for a in chain_product_catalog(12) if carrier_size(a) > 1]
+        pairs = [(a, b) for a, b in itertools.product(cat, repeat=2)
+                 if carrier_size(a) * carrier_size(b) <= 48]
+        assert len(pairs) == 181
+        for a, b in pairs:
+            assert product([to_finite(a), to_finite(b)]) \
+                == to_finite(product([a, b])), (describe(a), describe(b))
+
 
 class TestHomsAndLimits:
     def test_chain_homs_follow_divisibility(self):

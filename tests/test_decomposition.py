@@ -54,7 +54,8 @@ from mvtk import (
     validate_ideal,
 )
 from mvtk import core, morphisms, pretorsion
-from mvtk.core import decompose, dist, hom_tables
+from mvtk.core import decompose, dist
+from oracles import hom_tables
 from mvtk.galois2 import central_reflection, commutator_pair
 from mvtk.morphisms import CoordMap, _check_coords
 
@@ -238,6 +239,15 @@ class TestIsomorphism:
                 want = first_bijection(dom, cod)
                 assert (None if found is None else found.body.table) == want
                 assert are_isomorphic(dom, cod) == (want is not None)
+
+    def test_distinct_heights_need_no_levels(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("levels read")
+
+        monkeypatch.setattr(core.Decomposition, "coords", property(refuse))
+        chain = make_chain(10 ** 6)
+        iso = find_isomorphism(chain, chain)
+        assert iso.body.rows == ((0, 1, ()),)
 
     def test_mixed_pairs(self):
         a = product([make_chain(1), make_chain(2)])
