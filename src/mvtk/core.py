@@ -395,16 +395,20 @@ def carrier_size(algebra: Algebra) -> int | None:
     return n
 
 
+def _chain_heights(algebra: SymbolicAlgebra) -> tuple:
+    """The heights of a block product of chains: the one refusal of an
+    infinite carrier, which ``elements`` and ``decompose`` read through."""
+    for b in algebra.blocks:
+        if b.r:
+            raise ValueError(f"cannot enumerate infinite carrier of {b!r}")
+    return tuple(b.m for b in algebra.blocks)
+
+
 def elements(algebra: Algebra):
     """All elements, in a fixed order.  Raises on infinite carriers."""
     if isinstance(algebra, FiniteAlgebra):
         return list(range(algebra.size))
-    per_block = []
-    for b in algebra.blocks:
-        if b.r:
-            raise ValueError(f"cannot enumerate infinite carrier of {b!r}")
-        per_block.append(range(b.m + 1))
-    return [tuple(e) for e in itertools.product(*per_block)]
+    return list(itertools.product(*(range(m + 1) for m in _chain_heights(algebra))))
 
 
 def to_finite(algebra: Algebra) -> FiniteAlgebra:
@@ -790,8 +794,6 @@ def resolve_mode(algebra: Algebra, mode: str) -> str:
         mode = "exhaustive" if carrier_size(algebra) is not None else "sample"
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exhaustive" and carrier_size(algebra) is None:
-        raise ValueError("exhaustive mode requires a finite carrier")
     return mode
 
 
@@ -1123,10 +1125,7 @@ def decompose(algebra: Algebra) -> Decomposition:
         if algebra._dec is None:
             object.__setattr__(algebra, "_dec", _certify(algebra))
         return algebra._dec
-    for b in algebra.blocks:
-        if b.r:
-            raise ValueError(f"cannot enumerate infinite carrier of {b!r}")
-    heights = tuple(b.m for b in algebra.blocks)
+    heights = _chain_heights(algebra)
     codes = range(math.prod(m + 1 for m in heights))
     return Decomposition(heights, _weights(heights), codes, codes)
 
@@ -1174,13 +1173,13 @@ def canonical_blocks(algebra: SymbolicAlgebra) -> tuple:
 
 def are_isomorphic(a: Algebra, b: Algebra) -> bool:
     """Isomorphism test.  Symbolic pairs compare block multisets (a direct
-    product of chain and Komori blocks determines them).  Otherwise both
-    carriers must be finite, and two finite MV-algebras are isomorphic
-    exactly when their chain decompositions have the same heights."""
+    product of chain and Komori blocks determines them).  Otherwise a
+    table is not isomorphic to an infinite carrier, and two finite
+    MV-algebras are isomorphic exactly when their chain decompositions
+    have the same heights; a table that is not an MV-algebra is refused."""
     if isinstance(a, SymbolicAlgebra) and isinstance(b, SymbolicAlgebra):
         return canonical_blocks(a) == canonical_blocks(b)
-    na, nb = carrier_size(a), carrier_size(b)
-    if na is None or nb is None or na != nb:
+    if None in (carrier_size(a), carrier_size(b)):
         return False
     return sorted(decompose(a).heights) == sorted(decompose(b).heights)
 

@@ -248,7 +248,10 @@ def markers_from_elements(algebra: SymbolicAlgebra, subset) -> MarkerIdeal:
 
 def is_ideal(algebra: Algebra, subset) -> bool:
     """Downward-closed, addition-closed, contains zero.  Works on any
-    finite-carrier algebra with ``subset`` given as explicit elements."""
+    finite-carrier algebra with ``subset`` given as explicit elements; a
+    table that is not an MV-algebra, or an infinite carrier, is refused
+    by ``decompose`` first."""
+    decompose(algebra)
     subset = set(subset)
     if algebra.zero not in subset:
         return False

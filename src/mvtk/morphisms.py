@@ -524,8 +524,6 @@ def same_morphism(f: Morphism, g: Morphism) -> bool:
 
 
 def image_set(m: Morphism) -> set:
-    if carrier_size(m.dom) is None:
-        raise ValueError("image_set needs a finite carrier")
     return set(map(m._eval, elements(m.dom)))
 
 
@@ -763,14 +761,18 @@ def enumerate_homs(dom: Algebra, cod: Algebra) -> list[Morphism]:
     refuses a table that is not an MV-algebra).  A map into Chain(n) reads
     one chain Chain(m) of the domain with m dividing n, scaling its level
     by n / m, and each codomain chain picks its own: every choice is a
-    morphism, and these are all."""
-    if carrier_size(dom) is None or carrier_size(cod) is None:
-        raise ValueError("hom enumeration needs finite carriers")
+    morphism, and these are all.  A map with a table side keeps the value
+    table it was sorted by."""
     da, db = decompose(dom), decompose(cod)
     per_block = [[(i, n // m, ()) for i, m in enumerate(da.heights) if n % m == 0]
                  for n in db.heights]
-    return _chain_homs(dom, cod, sorted((_values(da, db, rows), rows)
-                                        for rows in itertools.product(*per_block)))
+    found = sorted((_values(da, db, rows), rows) for rows in itertools.product(*per_block))
+    if not _has_table(dom, cod):
+        return [Morphism._of_coords(dom, cod, CoordMap._normal(rows)) for _, rows in found]
+    ce = elements(cod)
+    return [Morphism._of_coords(dom, cod, FiniteMapBody(
+        tuple(map(ce.__getitem__, values)), CoordMap._normal(rows)))
+        for values, rows in found]
 
 
 def _values(da, db, rows) -> tuple:
@@ -788,19 +790,6 @@ def _values(da, db, rows) -> tuple:
     return tuple(map(db.at.__getitem__, map(out.__getitem__, da.codes)))
 
 
-def _chain_homs(dom: Algebra, cod: Algebra, found, label: str = "") -> list:
-    """The morphisms given as (value table, CoordMap rows) pairs between
-    products of chains: value tables with their rows when a side is a
-    table algebra, CoordMaps otherwise."""
-    if _has_table(dom, cod):
-        ce = elements(cod)
-        return [Morphism._of_coords(dom, cod, FiniteMapBody(tuple(map(
-            ce.__getitem__, values)), CoordMap._normal(rows)), label)
-            for values, rows in found]
-    return [Morphism._of_coords(dom, cod, CoordMap._normal(rows), label)
-            for _, rows in found]
-
-
 def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:
     """The isomorphism whose value table comes first in lexicographic
     order, or None when there is none.
@@ -812,10 +801,6 @@ def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:
     Element by element, the first value over every such arrangement is
     kept and the groups split by level, so at most one value per element
     of the codomain is tried, never every permutation."""
-    if carrier_size(dom) is None or carrier_size(cod) is None:
-        raise ValueError("isomorphism search needs finite carriers")
-    if carrier_size(dom) != carrier_size(cod):
-        return None
     da, db = decompose(dom), decompose(cod)
     if sorted(da.heights) != sorted(db.heights):
         return None
@@ -844,8 +829,8 @@ def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:
     rows = [None] * len(db.heights)
     for targets, sources in groups:
         rows[targets[0]] = (sources[0], 1, ())
-    rows = tuple(rows)
-    return _chain_homs(dom, cod, [(_values(da, db, rows), rows)], "isomorphism")[0]
+    coords = CoordMap._normal(tuple(rows))
+    return Morphism._of_coords(dom, cod, _body(dom, cod, coords), "isomorphism")
 
 
 def _arrangements(values: list):

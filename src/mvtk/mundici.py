@@ -17,8 +17,10 @@ from .core import (
     SymbolicAlgebra,
     block,
     check_sample_args,
+    element,
     join as alg_join,
     leq as alg_leq,
+    parts,
     run_checks,
 )
 
@@ -237,26 +239,21 @@ def to_algebra_element(group: LexGroup, x) -> tuple:
     zero = group_zero(group)
     if not (group_leq(group, zero, x) and group_leq(group, x, unit)):
         raise ValueError("element is outside the unit interval")
-    out = []
-    for b, u, v in zip(group.blocks, unit, x):
-        if b.rank == 1:
-            if u[0] == 0:
-                continue
-            out.append(v[0])
-        else:
-            out.append((v[0], tuple(v[1:])))
-    return tuple(out)
+    return tuple(element(v[0], v[1:]) for b, u, v in zip(group.blocks, unit, x)
+                 if b.rank > 1 or u[0] != 0)
 
 
 def from_algebra_element(group: LexGroup, a) -> tuple:
+    """The group element of a block-algebra element: the inverse of
+    ``to_algebra_element``."""
     out = []
     it = iter(a)
     for b, u in zip(group.blocks, group_unit(group)):
-        if b.rank == 1:
-            out.append((0,) if u[0] == 0 else (next(it),))
+        if b.rank == 1 and u[0] == 0:
+            out.append((0,))
         else:
-            z, tail = next(it)
-            out.append((z,) + tuple(tail))
+            z, coefs = parts(next(it))
+            out.append((z,) + tuple(coefs))
     return tuple(out)
 
 

@@ -16,6 +16,7 @@ from mvtk import (
     FiniteAlgebra,
     FiniteMapBody,
     Morphism,
+    ProbeReport,
     all_ideals,
     carrier_size,
     chain_product_catalog,
@@ -602,3 +603,13 @@ def test_table_probes_certify_no_catalog_table(monkeypatch):
         assert (pk.ok, pk.checked, pk.skipped) == (True, 3, 3)
         assert (pc.ok, pc.checked, pc.skipped) == (True, 7, 0)
     assert certified == []
+
+
+def test_a_non_injective_prekernel_names_the_point_sent_to_zero():
+    """Every probe factors, so the exact decision gives the verdict: k
+    collapses the second chain of Chain(1) x Chain(1) onto 0."""
+    chang = make_komori(1, 1)
+    k = Morphism(product([make_chain(1), make_chain(1)]), chang,
+                 CoordMap(((0, 1, (None,)),)))
+    assert is_prekernel(k, identity(chang)) == ProbeReport(
+        False, 2, 3, ((None, "(0, 1) is sent to 0: k is not injective"),))
