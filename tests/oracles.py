@@ -5,11 +5,16 @@ held to.
 algebras by backtracking with closure propagation.  ``enumerate_homs``
 reads the same maps off the chain decompositions and must list them in
 this order.
+
+``grid_checks`` evaluates each identity on the whole index grid at once.
+``core.grid_checks`` streams the grid in slabs of the first variable and
+must report the same witnesses and ``checked`` counts.
 """
 
 from __future__ import annotations
 
-from mvtk import FiniteAlgebra
+from mvtk import Algebra, CheckReport, CheckResult, FiniteAlgebra
+from mvtk.core import _grid_table, elements, table_view
 
 
 def _propagate(A: FiniteAlgebra, B: FiniteAlgebra, table, x, v):
@@ -65,3 +70,32 @@ def hom_tables(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
 
     rec()
     return out
+
+
+def grid_checks(algebra: Algebra, checks, subject: str) -> CheckReport:
+    """Decide each identity of ``checks(view)`` on every tuple at once.
+
+    ``view`` is :func:`table_view` of ``to_finite(algebra)``, so each
+    predicate is called once, with one broadcast index grid per variable;
+    memory is O(n**arity).  The first False in C order is the
+    lexicographically first failing tuple; witnesses are elements of
+    ``algebra``.
+    """
+    import numpy as np
+
+    table = _grid_table(algebra)
+    n = table.size
+    elems = elements(algebra)
+    results = []
+    for name, arity, pred in checks(table_view(table)):
+        held = np.asarray(pred(*np.ix_(*[np.arange(n)] * arity)))
+        first = int(held.argmin())
+        if held.flat[first]:
+            results.append(CheckResult(name, True, None, n ** arity))
+            continue
+        at = np.unravel_index(first, held.shape)
+        read = [k for k in range(arity) if held.shape[k] > 1]
+        witness = tuple(elems[at[k]] for k in read)
+        settles = n ** (arity - len(read))
+        results.append(CheckResult(name, False, witness, (first + 1) * settles))
+    return CheckReport(subject, "exhaustive", tuple(results))

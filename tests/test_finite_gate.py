@@ -44,11 +44,14 @@ def test_an_infinite_carrier_is_refused_by_the_gate(call):
 
 @pytest.mark.parametrize("call", [
     lambda: are_isomorphic(BAD, TWO),
+    lambda: are_isomorphic(BAD, CHANG),
+    lambda: are_isomorphic(CHANG, BAD),
     lambda: find_isomorphism(BAD, TWO),
     lambda: find_isomorphism(TWO, BAD),
     lambda: is_ideal(BAD, {0}),
-], ids=["are_isomorphic", "find_isomorphism", "find_isomorphism_into",
-        "is_ideal"])
+], ids=["are_isomorphic", "are_isomorphic_infinite",
+        "are_isomorphic_from_infinite", "find_isomorphism",
+        "find_isomorphism_into", "is_ideal"])
 def test_a_non_mv_table_of_another_size_gets_no_verdict(call):
     with pytest.raises(ValueError, match="not an MV-algebra"):
         call()
