@@ -186,6 +186,13 @@ class SymbolicAlgebra:
     ``Chain(0)`` factors are dropped on construction, so the terminal
     algebra (empty block tuple) has exactly one representation.  ``zero``
     and ``one`` are built on first use and kept.
+
+    Tables, samples and chain decompositions are read off the blocks by
+    formula.  A subclass that overrides ``plus`` or ``neg`` is tabled,
+    sampled and certified through its own operations instead
+    (:func:`to_finite`, :func:`sample_checks`, :func:`decompose`), so an
+    override that breaks an axiom fails the checks and is refused as not
+    an MV-algebra.
     """
 
     __slots__ = ("blocks", "_zero", "_one")
@@ -411,12 +418,43 @@ def elements(algebra: Algebra):
     return list(itertools.product(*(range(m + 1) for m in _chain_heights(algebra))))
 
 
+def _block_ops(algebra: Algebra) -> bool:
+    """Whether ``algebra`` is a block product whose ``plus`` and ``neg``
+    are its blocks': only then are its tables, samples and chains read off
+    the blocks by formula rather than through its own operations."""
+    cls = type(algebra)
+    # the plain class first: _view asks this of every block product
+    return cls is SymbolicAlgebra or (cls.plus is SymbolicAlgebra.plus
+                                      and cls.neg is SymbolicAlgebra.neg)
+
+
 def to_finite(algebra: Algebra) -> FiniteAlgebra:
     """Table form of a finite-carrier algebra.  Element i of the result is
-    ``elements(algebra)[i]``."""
+    ``elements(algebra)[i]``.
+
+    A block product of chains [0, m_1] x ... x [0, m_k] is tabled by the
+    chain formula: element x has the mixed-radix code x = sum c_i(x) w_i
+    of its levels, last block fastest (the order of ``elements``), so
+    plus[x][y] = sum w_i min(c_i(x) + c_i(y), m_i) and neg[x] = n - 1 - x,
+    built block by block from the last, with zero 0.  The table adopts the
+    block product's own decomposition, so :func:`decompose` certifies
+    nothing.  A block product that overrides ``plus`` or ``neg`` is
+    tabled pointwise through its own operations, as :func:`table_on`."""
     if isinstance(algebra, FiniteAlgebra):
         return algebra
-    return table_on(elements(algebra), algebra.plus, algebra.neg, algebra.zero)
+    if not _block_ops(algebra):
+        return table_on(elements(algebra), algebra.plus, algebra.neg,
+                        algebra.zero)
+    heights = _chain_heights(algebra)
+    rows, size = [[0]], 1
+    for m in reversed(heights):
+        chain = [[*range(a, m), *[m] * (a + 1)] for a in range(m + 1)]
+        rows = [[u * size + v for u in crow for v in row]
+                for crow in chain for row in rows]
+        size *= m + 1
+    table = FiniteAlgebra._of_rows(range(size - 1, -1, -1), rows, 0)
+    object.__setattr__(table, "_dec", _coded(heights, range(size)))
+    return table
 
 
 def table_on(elems, plus, neg, zero) -> FiniteAlgebra:
@@ -890,8 +928,15 @@ def sample_checks(algebra: Algebra, checks, subject: str, count: int,
     columns of a block product otherwise, so each predicate is called
     once per chunk of the stream.  The first False in stream order is the
     witness, decoded to elements of ``algebra``, and ``checked`` is its
-    position.  Identities that share a seed share their stream.
+    position.  Identities that share a seed share their stream.  A block
+    product that overrides ``plus`` or ``neg`` is checked through its own
+    operations instead, by :func:`run_checks` over the same stream decoded
+    by :func:`sample_tuples`, with the same witnesses and counts.
     """
+    if not isinstance(algebra, FiniteAlgebra) and not _block_ops(algebra):
+        return run_checks(checks(algebra), lambda name, arity: sample_tuples(
+            algebra, arity, count, random.Random(stream_seed(name)), bound),
+            subject, "sample")
     import numpy as np
 
     form = _columns_of(algebra, count, bound)
@@ -1149,27 +1194,37 @@ def decompose(algebra: Algebra) -> Decomposition:
     result; one that is not an MV-algebra is a ValueError naming a
     witness.  A block product of chains is its own decomposition, read off
     its blocks: element x of ``elements`` has code x, so nothing is
-    enumerated or checked."""
+    enumerated or checked.  A block product that overrides ``plus`` or
+    ``neg`` is certified as its pointwise table, afresh on each call."""
     if isinstance(algebra, FiniteAlgebra):
         if algebra._dec is None:
             object.__setattr__(algebra, "_dec", _certify(algebra))
         return algebra._dec
+    if not _block_ops(algebra):
+        return decompose(to_finite(algebra))
     heights = _chain_heights(algebra)
     codes = range(math.prod(m + 1 for m in heights))
     return Decomposition(heights, _weights(heights), codes, codes)
 
 
 def _view(algebra: Algebra) -> SymbolicAlgebra:
-    """The block product a CoordMap reads: a table's certified chains, a
-    block product itself."""
-    return decompose(algebra).view if isinstance(algebra, FiniteAlgebra) else algebra
+    """The block product a CoordMap reads: a block product itself, and the
+    certified chains of a table or of a block product that overrides its
+    operations."""
+    if isinstance(algebra, FiniteAlgebra) or not _block_ops(algebra):
+        return decompose(algebra).view
+    return algebra
 
 
 def _levels(algebra: Algebra):
     """x -> x as an element of the chain view."""
     if isinstance(algebra, FiniteAlgebra):
         return decompose(algebra).coords.__getitem__
-    return lambda x: x
+    if _block_ops(algebra):
+        return lambda x: x
+    coords = decompose(algebra).coords
+    index = {e: i for i, e in enumerate(elements(algebra))}
+    return lambda x: coords[index[x]]
 
 
 def _adopt(table: FiniteAlgebra, dec: Decomposition) -> list:

@@ -189,6 +189,32 @@ class TestBlockProductDecomposition:
             assert list(dec.coords) == elements(algebra)
             assert list(dec.codes) == list(dec.at) == n
 
+    def test_a_chain_product_is_tabled_by_formula(self, monkeypatch):
+        """``to_finite`` of every catalog algebra, the terminal one
+        included, is its pointwise table, and the decomposition it adopts
+        is the certificate of that pointwise copy; decomposing it
+        certifies nothing."""
+        certify = core._certify
+
+        def refuse(table):
+            raise AssertionError("certified a table built by formula")
+
+        monkeypatch.setattr(core, "_certify", refuse)
+        algebras = chain_product_catalog(256)
+        assert len(algebras) == 1244 and not algebras[0].blocks
+        for algebra in algebras:
+            table = to_finite(algebra)
+            dec = decompose(table)
+            pointwise = core.table_on(elements(algebra), algebra.plus,
+                                      algebra.neg, algebra.zero)
+            assert (table.neg_row, table.plus_rows, table.zero) == (
+                pointwise.neg_row, pointwise.plus_rows, pointwise.zero), \
+                describe(algebra)
+            fresh = certify(pointwise)
+            assert (dec.heights, dec.codes, dec.at, dec.coords) == (
+                fresh.heights, fresh.codes, fresh.at, fresh.coords), \
+                describe(algebra)
+
     def test_an_infinite_carrier_is_refused(self):
         with pytest.raises(ValueError, match=r"^cannot enumerate infinite "
                                              r"carrier of Komori\(1,1\)$"):

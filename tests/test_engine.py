@@ -21,10 +21,12 @@ from mvtk import (
     Chain,
     Komori,
     SymbolicAlgebra,
+    are_isomorphic,
     chain_product_catalog,
     check_axioms,
     check_derived_identities,
     check_lattice_identities,
+    decompose,
     describe,
     elements,
     make_chain,
@@ -45,6 +47,7 @@ from mvtk.core import (
     _derived_checks,
     _lattice_checks,
     _Rows,
+    _SAMPLE_BOUND,
     run_checks,
 )
 from mvtk.terms import _pixley_checks, _recovery_checks
@@ -122,6 +125,54 @@ def test_witnesses_of_a_block_algebra_are_its_elements():
     assert all(isinstance(v, tuple) for r in report.failures()
                for v in r.witness)
     assert_backends_agree(broken)
+
+
+class PassedSum(SymbolicAlgebra):
+    """Chain(2) x Chain(1) whose addition is overridden by its blocks'."""
+
+    def plus(self, x, y):
+        return super().plus(x, y)
+
+
+BLOCKS_2_1 = product([make_chain(2), make_chain(1)])
+
+
+def test_an_overridden_sum_is_refused_not_read_off_its_blocks():
+    broken = BrokenSum(BLOCKS_2_1.blocks)
+    with pytest.raises(ValueError, match=r"^not an MV-algebra: "):
+        are_isomorphic(broken, BLOCKS_2_1)
+    with pytest.raises(ValueError, match=r"^not an MV-algebra: "):
+        decompose(broken)
+
+
+def test_a_correct_override_still_decomposes():
+    passed = PassedSum(BLOCKS_2_1.blocks)
+    assert are_isomorphic(passed, BLOCKS_2_1)
+    dec, blocks = decompose(passed), decompose(BLOCKS_2_1)
+    assert (dec.heights, list(dec.codes), list(dec.at)) \
+        == (blocks.heights, list(blocks.codes), list(blocks.at))
+    assert to_finite(passed) == to_finite(BLOCKS_2_1)
+    assert check_axioms(passed, mode="sample", count=200).ok
+
+
+class OrSum(SymbolicAlgebra):
+    """Chain(3) whose addition is overridden by bitwise or: with ``neg``
+    x -> 3 - x, the Boolean algebra Chain(1) x Chain(1)."""
+
+    def plus(self, x, y):
+        return (x[0] | y[0],)
+
+
+def test_an_override_is_decomposed_through_its_own_operations():
+    boolean = OrSum(make_chain(3).blocks)
+    assert check_axioms(boolean, mode="exhaustive").ok
+    assert check_axioms(boolean, mode="sample", count=200).ok
+    dec = decompose(boolean)
+    assert dec.heights == (1, 1)
+    assert [core._levels(boolean)(x) for x in elements(boolean)] \
+        == list(dec.coords)
+    assert are_isomorphic(boolean, product([make_chain(1), make_chain(1)]))
+    assert not are_isomorphic(boolean, make_chain(3))
 
 
 def test_pixley_fails_at_a_pair_and_counts_triples():
@@ -250,6 +301,15 @@ def test_sampled_tables_and_corruptions(small_chunks):
             failures += assert_sampled_agree(bad, 60, 2)
     # corrupted tables are where witnesses appear
     assert failures >= 100
+
+
+def test_sampled_banks_run_an_overridden_sum():
+    broken = BrokenSum(BLOCKS_2_1.blocks)
+    report = check_axioms(broken, mode="sample", count=2000)
+    assert not report.ok
+    assert fields(report) == fields(sampled_runner_report(
+        broken, _axiom_checks, 2000, _SAMPLE_BOUND, lambda name: f"0:{name}"))
+    assert assert_sampled_agree(broken, 2000, 0) > 0
 
 
 def test_sampled_identity_without_variables():
