@@ -13,10 +13,11 @@ chain's ``"zero"`` is the rank-0 case of ``("sub", S)`` and no caller
 tests a block's type.
 
 On its chain view (``core._view``) a table ideal is full on the chains it
-reaches and zero elsewhere.  Generated ideals, joins, maximal ideals and
-element lists run the marker rule there and cross back with
-``_from_view``.  Tables keep the literal infinitesimals, nilpotence test,
-polar and ``is_ideal`` as references, and meets as set intersections.
+reaches and zero elsewhere.  Generated ideals, joins, maximal ideals,
+polars, radicals, the nilpotence test and element lists run the marker
+rule there and cross back with ``_from_view``; a subset is an ideal when
+it is the ideal it generates.  Meets of table ideals stay set
+intersections, the cheapest rule.
 
 Public functions validate each ideal argument once; the private helper
 named after one (``_ideal_meet``) takes canonical ideals, such as the
@@ -43,8 +44,6 @@ from .core import (
     leq,
     meet,
     ominus,
-    oplus,
-    otimes,
     parts,
 )
 
@@ -247,26 +246,15 @@ def markers_from_elements(algebra: SymbolicAlgebra, subset) -> MarkerIdeal:
 
 
 def is_ideal(algebra: Algebra, subset) -> bool:
-    """Downward-closed, addition-closed, contains zero.  Works on any
-    finite-carrier algebra with ``subset`` given as explicit elements; a
-    table that is not an MV-algebra, or an infinite carrier, is refused
-    by ``decompose`` first."""
+    """Whether ``subset``, given as explicit elements, is an ideal: it
+    holds zero and is the ideal it generates.  Works on any finite-carrier
+    algebra; a table that is not an MV-algebra, or an infinite carrier, is
+    refused by ``decompose`` first."""
     decompose(algebra)
     subset = set(subset)
     if algebra.zero not in subset:
         return False
-    for x in subset:
-        if not algebra.contains(x):
-            raise ValueError(f"not an element: {x!r}")
-    for x in subset:
-        for y in subset:
-            if oplus(algebra, x, y) not in subset:
-                return False
-    for x in subset:
-        for z in elements(algebra):
-            if leq(algebra, z, x) and z not in subset:
-                return False
-    return True
+    return set(ideal_elements(algebra, generated_ideal(algebra, subset))) == subset
 
 
 def generated_ideal(algebra: Algebra, generators) -> Ideal:
@@ -353,24 +341,6 @@ def _ideal_leq(algebra: Algebra, i: Ideal, j: Ideal) -> bool:
 # radical
 
 
-def _finite_infinitesimals(algebra: FiniteAlgebra) -> frozenset:
-    out = set()
-    for a in range(algebra.size):
-        na = a
-        ok = True
-        seen = set()
-        while na not in seen:
-            seen.add(na)
-            if not leq(algebra, na, algebra.neg(a)):
-                ok = False
-                break
-            na = algebra.plus(na, a)
-        if ok:
-            out.add(a)
-    out.add(algebra.zero)
-    return frozenset(out)
-
-
 def _radical(algebra: Algebra) -> Ideal:
     """The radical, read off the structure.  A table is a product of
     chains (``decompose``, which refuses one that is not an MV-algebra),
@@ -385,48 +355,39 @@ def _radical(algebra: Algebra) -> Ideal:
 
 
 def radical(algebra: Algebra, method: str = "inf") -> Ideal:
-    """Radical ideal, by one of three characterizations.
+    """Radical ideal, by one of three characterizations, each read on the
+    chain view.
 
     ``"inf"``: infinitesimals (every multiple n.a stays below neg a) plus
-    zero.  ``"maximal"``: intersection of all maximal ideals; on the
-    terminal algebra the empty intersection gives the full (= zero) ideal.
-    ``"nilpotent"``: join of all ideals J with x (*) y = 0 on J.  A table
-    is decomposed first (``decompose``), so every method refuses one that
-    is not an MV-algebra.
-
-    On a table ``"inf"`` and ``"nilpotent"`` are computed literally, so
-    the radical gate can compare them with ``"maximal"``, which reads the
-    chain view (:func:`maximal_ideals`).  ``galois``, ``galois2`` and
-    ``pretorsion`` read :func:`_radical` instead, the same ideal without a
-    search.
+    zero, which is :func:`_radical`.  ``"maximal"``: intersection of all
+    maximal ideals; on the terminal algebra the empty intersection gives
+    the full (= zero) ideal.  ``"nilpotent"``: join of all ideals J with
+    x (*) y = 0 on J; a nilpotent ideal is full on no block, so it is the
+    join of the nilpotent ideals confined to one block.  A table is
+    decomposed first (``decompose``), so every method refuses one that is
+    not an MV-algebra.  Its chains have no infinitesimals, so each method
+    gives the zero ideal; the radical gate holds all three to the literal
+    infinitesimal scan of ``tests/oracles.py``.
     """
     if method not in ("inf", "maximal", "nilpotent"):
         raise ValueError(f"unknown radical method {method!r}")
+    if method == "inf":
+        return _radical(algebra)
     if method == "maximal":
         acc = full_ideal(algebra)
         for m in maximal_ideals(algebra):
             acc = _ideal_meet(algebra, acc, m)
         return acc
-    if isinstance(algebra, FiniteAlgebra):
-        decompose(algebra)
-        if method == "inf":
-            return FiniteIdeal(_finite_infinitesimals(algebra))
-        acc = zero_ideal(algebra)
-        for j in all_ideals(algebra):
-            if is_nilpotent_ideal(algebra, j):
-                acc = _ideal_join(algebra, acc, j)
-        return acc
-    if method == "inf":
-        return _radical(algebra)
-    acc = zero_ideal(algebra)
-    for i, b in enumerate(algebra.blocks):
+    view = _view(algebra)
+    acc = zero_ideal(view)
+    for i, b in enumerate(view.blocks):
         if b.r:
-            one_block = list(zero_ideal(algebra).markers)
+            one_block = list(zero_ideal(view).markers)
             one_block[i] = sub_marker(b.r, range(b.r))
             cand = MarkerIdeal(tuple(one_block))
-            if is_nilpotent_ideal(algebra, cand):
-                acc = _ideal_join(algebra, acc, cand)
-    return acc
+            if is_nilpotent_ideal(view, cand):
+                acc = _ideal_join(view, acc, cand)
+    return _from_view(algebra, acc)
 
 
 def maximal_ideals(algebra: Algebra) -> list[Ideal]:
@@ -443,15 +404,10 @@ def maximal_ideals(algebra: Algebra) -> list[Ideal]:
 
 
 def is_nilpotent_ideal(algebra: Algebra, ideal: Ideal) -> bool:
-    """x (*) y = 0 for all x, y in the ideal."""
-    ideal = validate_ideal(algebra, ideal)
-    if isinstance(ideal, FiniteIdeal):
-        return all(
-            otimes(algebra, x, y) == algebra.zero
-            for x in ideal.elements for y in ideal.elements)
-    # two infinitesimals multiply to zero; a full marker on a block with
-    # m >= 1 contains the block unit, which is (*)-idempotent
-    return all(m != "full" for m in ideal.markers)
+    """x (*) y = 0 for all x, y in the ideal: on the chain view, two
+    infinitesimals multiply to zero, and a full marker on a block with
+    m >= 1 contains the block unit, which is (*)-idempotent."""
+    return "full" not in _view_markers(algebra, validate_ideal(algebra, ideal))
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +424,17 @@ def polar(algebra: Algebra, subset) -> Ideal:
 
 
 def _polar(algebra: Algebra, ideal: Ideal) -> Ideal:
-    if isinstance(algebra, FiniteAlgebra):
-        out = frozenset(
-            a for a in range(algebra.size)
-            if all(meet(algebra, a, s) == algebra.zero for s in ideal.elements))
-        return FiniteIdeal(out)
+    """Per block of the chain view: zero under a full marker, the other
+    infinitesimal coordinates under ("sub", S), full under zero."""
     markers = []
-    for b, m in zip(algebra.blocks, ideal.markers):
+    for b, m in zip(_view(algebra).blocks, _view_markers(algebra, ideal)):
         if m == "full":
             markers.append(sub_marker(b.r))
         elif marker_coords(m):
             markers.append(sub_marker(b.r, frozenset(range(b.r)) - marker_coords(m)))
         else:
             markers.append("full")
-    return MarkerIdeal(tuple(markers))
+    return _from_view(algebra, MarkerIdeal(tuple(markers)))
 
 
 def riesz_split(algebra: Algebra, x, y, z) -> tuple:

@@ -9,11 +9,30 @@ this order.
 ``grid_checks`` evaluates each identity on the whole index grid at once.
 ``core.grid_checks`` streams the grid in slabs of the first variable and
 must report the same witnesses and ``checked`` counts.
+
+``infinitesimals``, ``nilpotent_radical``, ``is_nilpotent``, ``polar`` and
+``is_ideal`` compute the radical, the nilpotence test, the polar and the
+ideal test of a table from its operations alone, element by element.
+``ideals`` answers each on the chain view and must give the same ideals
+and verdicts.
 """
 
 from __future__ import annotations
 
-from mvtk import Algebra, CheckReport, CheckResult, FiniteAlgebra
+from mvtk import (
+    Algebra,
+    CheckReport,
+    CheckResult,
+    FiniteAlgebra,
+    FiniteIdeal,
+    all_ideals,
+    ideal_join,
+    leq,
+    meet,
+    oplus,
+    otimes,
+    zero_ideal,
+)
 from mvtk.core import _grid_table, elements, table_view
 
 
@@ -99,3 +118,66 @@ def grid_checks(algebra: Algebra, checks, subject: str) -> CheckReport:
         settles = n ** (arity - len(read))
         results.append(CheckResult(name, False, witness, (first + 1) * settles))
     return CheckReport(subject, "exhaustive", tuple(results))
+
+
+def infinitesimals(algebra: FiniteAlgebra) -> frozenset:
+    """The radical by its definition: zero and every a whose multiples
+    a, 2.a, ... all stay below neg a, scanned until the multiples repeat."""
+    out = set()
+    for a in range(algebra.size):
+        na = a
+        ok = True
+        seen = set()
+        while na not in seen:
+            seen.add(na)
+            if not leq(algebra, na, algebra.neg(a)):
+                ok = False
+                break
+            na = algebra.plus(na, a)
+        if ok:
+            out.add(a)
+    out.add(algebra.zero)
+    return frozenset(out)
+
+
+def is_nilpotent(algebra: FiniteAlgebra, ideal: FiniteIdeal) -> bool:
+    """x (*) y = 0 for every pair of elements of the ideal."""
+    return all(
+        otimes(algebra, x, y) == algebra.zero
+        for x in ideal.elements for y in ideal.elements)
+
+
+def nilpotent_radical(algebra: FiniteAlgebra) -> FiniteIdeal:
+    """The join of every ideal that ``is_nilpotent`` accepts."""
+    acc = zero_ideal(algebra)
+    for j in all_ideals(algebra):
+        if is_nilpotent(algebra, j):
+            acc = ideal_join(algebra, acc, j)
+    return acc
+
+
+def polar(algebra: FiniteAlgebra, ideal: FiniteIdeal) -> FiniteIdeal:
+    """Every a with a /\\ s = 0 for each s in the ideal."""
+    return FiniteIdeal(frozenset(
+        a for a in range(algebra.size)
+        if all(meet(algebra, a, s) == algebra.zero for s in ideal.elements)))
+
+
+def is_ideal(algebra: FiniteAlgebra, subset) -> bool:
+    """Contains zero, closed under (+) and downward closed; an element
+    outside the carrier is a ValueError."""
+    subset = set(subset)
+    if algebra.zero not in subset:
+        return False
+    for x in subset:
+        if not algebra.contains(x):
+            raise ValueError(f"not an element: {x!r}")
+    for x in subset:
+        for y in subset:
+            if oplus(algebra, x, y) not in subset:
+                return False
+    for x in subset:
+        for z in elements(algebra):
+            if leq(algebra, z, x) and z not in subset:
+                return False
+    return True

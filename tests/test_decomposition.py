@@ -5,8 +5,9 @@ finds the chains of a table and certifies the result; hom enumeration,
 isomorphism, ideals and quotients are then read off the decomposition.
 These tests hold each of them to the literal algorithm it replaced, kept
 here as an oracle: exhaustive ``check_axioms`` for the certificate,
-``hom_tables`` for the homs, and the closure, ideal-join and distance
-loops for ideals and quotients.
+``hom_tables`` for the homs, the closure, ideal-join and distance loops
+for ideals and quotients, and the literal scans of ``oracles`` for
+radicals, nilpotence, polars and ``is_ideal``.
 """
 
 import itertools
@@ -33,6 +34,7 @@ from mvtk import (
     ideal_leq,
     image_set,
     is_ideal,
+    is_nilpotent_ideal,
     is_precokernel,
     is_prekernel,
     leq,
@@ -55,6 +57,7 @@ from mvtk import (
 )
 from mvtk import core, morphisms, pretorsion
 from mvtk.core import decompose, dist
+import oracles
 from oracles import hom_tables
 from mvtk.galois2 import central_reflection, commutator_pair
 from mvtk.morphisms import CoordMap, _check_coords
@@ -390,7 +393,8 @@ class TestIdealsAndQuotients:
                         accepted = True
                     except ValueError:
                         accepted = False
-                    assert accepted == is_ideal(table, subset)
+                    assert accepted == is_ideal(table, subset) \
+                        == oracles.is_ideal(table, subset)
 
     def test_a_subset_that_is_not_an_ideal_has_no_quotient(self):
         with pytest.raises(ValueError, match="not an ideal: the ideal it "
@@ -412,6 +416,39 @@ class TestIdealsAndQuotients:
             with pytest.raises(ValueError, match="^not an MV-algebra"):
                 tool(bad)
         assert not check_axioms(bad, mode="exhaustive").ok
+
+
+class TestLiteralScans:
+    def test_radicals_nilpotence_polars_and_ideals_are_the_literal_scans(self):
+        tables = [to_finite(a) for a in chain_product_catalog(30)]
+        assert len(tables) == 70
+        for k, table in enumerate(tables):
+            for t in (table, shuffled(table, f"scans:{k}")):
+                scan = FiniteIdeal(oracles.infinitesimals(t))
+                for method in ("inf", "maximal", "nilpotent"):
+                    assert radical(t, method) == scan, (describe(table), method)
+                assert radical(t, "nilpotent") == oracles.nilpotent_radical(t)
+                for ideal in all_ideals(t):
+                    assert is_nilpotent_ideal(t, ideal) == oracles.is_nilpotent(t, ideal)
+                    assert polar(t, ideal) == oracles.polar(t, ideal)
+                    inside = sorted(ideal.elements - {t.zero})
+                    outside = sorted(set(range(t.size)) - ideal.elements)
+                    subsets = [ideal.elements, ideal.elements - set(inside[-1:]),
+                               ideal.elements | set(outside[:1])]
+                    for subset in subsets:
+                        assert is_ideal(t, subset) == oracles.is_ideal(t, subset)
+            if table.size == 1:
+                continue
+            for bad in corruptions(table, f"scans:{k}"):
+                zero = FiniteIdeal(frozenset({bad.zero}))
+                for call in (lambda: radical(bad, "inf"),
+                             lambda: radical(bad, "maximal"),
+                             lambda: radical(bad, "nilpotent"),
+                             lambda: is_nilpotent_ideal(bad, zero),
+                             lambda: polar(bad, zero),
+                             lambda: is_ideal(bad, zero.elements)):
+                    with pytest.raises(ValueError, match="^not an MV-algebra"):
+                        call()
 
 
 TABLES_24 = CATALOG_24 + [shuffled(t, f"view:{k}") for k, t in enumerate(CATALOG_24)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvtk import (
+    FiniteIdeal,
     MarkerIdeal,
     all_ideals,
     chain_product_catalog,
@@ -42,6 +43,7 @@ from mvtk import (
 from mvtk.core import Chain, Komori, block, element, parts, sample_tuples
 from mvtk.ideals import marker_coords, sub_marker
 from mvtk.morphisms import image_ideal, quotient
+from oracles import infinitesimals
 
 CHANG = make_komori(1, 1)
 PROD = product([make_chain(1), make_chain(2)])
@@ -138,9 +140,9 @@ class TestRadical:
     def test_three_characterizations_agree_on_catalog(self):
         for algebra in chain_product_catalog(10):
             fin = to_finite(algebra)
-            by_inf = radical(fin, method="inf")
-            assert by_inf == radical(fin, method="maximal")
-            assert by_inf == radical(fin, method="nilpotent")
+            scan = FiniteIdeal(infinitesimals(fin))
+            for method in ("inf", "maximal", "nilpotent"):
+                assert radical(fin, method=method) == scan
 
     @pytest.mark.parametrize("seed", range(8))
     def test_three_characterizations_agree_on_blocks(self, seed):
