@@ -188,14 +188,20 @@ class SymbolicAlgebra:
     and ``one`` are built on first use and kept.
 
     Tables, samples and chain decompositions are read off the blocks by
-    formula.  A subclass that overrides ``plus`` or ``neg`` is tabled,
-    sampled and certified through its own operations instead
-    (:func:`to_finite`, :func:`sample_checks`, :func:`decompose`), so an
-    override that breaks an axiom fails the checks and is refused as not
-    an MV-algebra.
+    formula.  A subclass that overrides ``plus`` or ``neg`` is ``_tabled``
+    instead, like a table: tabled, sampled and certified through its own
+    operations (:func:`to_finite`, :func:`sample_checks`, :func:`decompose`),
+    so an override that breaks an axiom is refused as not an MV-algebra,
+    and its ideals and maps read its certified chains (:func:`_view`).
     """
 
     __slots__ = ("blocks", "_zero", "_one")
+    # whether the algebra is read through a table and its certified chains
+    _tabled = False
+
+    def __init_subclass__(cls):
+        cls._tabled = (cls.plus is not SymbolicAlgebra.plus
+                       or cls.neg is not SymbolicAlgebra.neg)
 
     def __init__(self, blocks):
         blocks = tuple(blocks)
@@ -266,6 +272,7 @@ class FiniteAlgebra:
     """
 
     __slots__ = ("size", "zero", "neg_row", "plus_rows", "_np", "_dec")
+    _tabled = True
 
     def __init__(self, neg_row, plus_rows, zero: int = 0):
         neg_row = tuple(neg_row)
@@ -373,11 +380,11 @@ def initial_algebra() -> SymbolicAlgebra:
 
 
 def product(algebras) -> Algebra:
-    """Direct product.  All symbolic factors give a symbolic product;
-    otherwise every factor must have a finite carrier and the result is a
-    table algebra (use :func:`to_finite` on symbolic factors first)."""
+    """Direct product.  Block products that are not ``_tabled`` give a
+    block product; otherwise every factor must have a finite carrier, and
+    the result is the table algebra of their tables."""
     algebras = list(algebras)
-    if all(isinstance(a, SymbolicAlgebra) for a in algebras):
+    if not any(a._tabled for a in algebras):
         blocks = []
         for a in algebras:
             blocks.extend(a.blocks)
@@ -418,16 +425,6 @@ def elements(algebra: Algebra):
     return list(itertools.product(*(range(m + 1) for m in _chain_heights(algebra))))
 
 
-def _block_ops(algebra: Algebra) -> bool:
-    """Whether ``algebra`` is a block product whose ``plus`` and ``neg``
-    are its blocks': only then are its tables, samples and chains read off
-    the blocks by formula rather than through its own operations."""
-    cls = type(algebra)
-    # the plain class first: _view asks this of every block product
-    return cls is SymbolicAlgebra or (cls.plus is SymbolicAlgebra.plus
-                                      and cls.neg is SymbolicAlgebra.neg)
-
-
 def to_finite(algebra: Algebra) -> FiniteAlgebra:
     """Table form of a finite-carrier algebra.  Element i of the result is
     ``elements(algebra)[i]``.
@@ -442,7 +439,7 @@ def to_finite(algebra: Algebra) -> FiniteAlgebra:
     tabled pointwise through its own operations, as :func:`table_on`."""
     if isinstance(algebra, FiniteAlgebra):
         return algebra
-    if not _block_ops(algebra):
+    if algebra._tabled:
         return table_on(elements(algebra), algebra.plus, algebra.neg,
                         algebra.zero)
     heights = _chain_heights(algebra)
@@ -933,7 +930,7 @@ def sample_checks(algebra: Algebra, checks, subject: str, count: int,
     operations instead, by :func:`run_checks` over the same stream decoded
     by :func:`sample_tuples`, with the same witnesses and counts.
     """
-    if not isinstance(algebra, FiniteAlgebra) and not _block_ops(algebra):
+    if algebra._tabled and not isinstance(algebra, FiniteAlgebra):
         return run_checks(checks(algebra), lambda name, arity: sample_tuples(
             algebra, arity, count, random.Random(stream_seed(name)), bound),
             subject, "sample")
@@ -1200,7 +1197,7 @@ def decompose(algebra: Algebra) -> Decomposition:
         if algebra._dec is None:
             object.__setattr__(algebra, "_dec", _certify(algebra))
         return algebra._dec
-    if not _block_ops(algebra):
+    if algebra._tabled:
         return decompose(to_finite(algebra))
     heights = _chain_heights(algebra)
     codes = range(math.prod(m + 1 for m in heights))
@@ -1208,21 +1205,20 @@ def decompose(algebra: Algebra) -> Decomposition:
 
 
 def _view(algebra: Algebra) -> SymbolicAlgebra:
-    """The block product a CoordMap reads: a block product itself, and the
-    certified chains of a table or of a block product that overrides its
-    operations."""
-    if isinstance(algebra, FiniteAlgebra) or not _block_ops(algebra):
-        return decompose(algebra).view
-    return algebra
+    """The chain view: the block product that marker ideals and CoordMap
+    rows index.  A block product is its own; a ``_tabled`` algebra, a
+    table or a block product that overrides its operations, is read as the
+    product of its certified chains (:func:`decompose`)."""
+    return decompose(algebra).view if algebra._tabled else algebra
 
 
 def _levels(algebra: Algebra):
     """x -> x as an element of the chain view."""
-    if isinstance(algebra, FiniteAlgebra):
-        return decompose(algebra).coords.__getitem__
-    if _block_ops(algebra):
+    if not algebra._tabled:
         return lambda x: x
     coords = decompose(algebra).coords
+    if isinstance(algebra, FiniteAlgebra):
+        return coords.__getitem__
     index = {e: i for i, e in enumerate(elements(algebra))}
     return lambda x: coords[index[x]]
 

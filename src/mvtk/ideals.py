@@ -1,23 +1,25 @@
-"""Ideals, radicals and quotient data.
+"""Ideals and radicals.
 
 Finite-table algebras use explicit element sets (:class:`FiniteIdeal`).
-Symbolic algebras use one marker per block (:class:`MarkerIdeal`): a chain
-block carries ``"zero"`` or ``"full"``, a Komori block carries ``"full"``
-or ``("sub", S)`` with ``S`` a set of infinitesimal coordinates.  These
-markers exhaust the ideals of a block product, because an ideal of a
-finite direct product splits as a product of block ideals and the proper
-ideals of a Komori block consist of infinitesimals supported on a fixed
-coordinate set.  This module owns the marker encoding: a non-full marker
-is built with :func:`sub_marker` and read with :func:`marker_coords`, so a
-chain's ``"zero"`` is the rank-0 case of ``("sub", S)`` and no caller
-tests a block's type.
+Every other algebra uses one marker per block of its chain view
+(:class:`MarkerIdeal`): a chain block carries ``"zero"`` or ``"full"``, a
+Komori block carries ``"full"`` or ``("sub", S)`` with ``S`` a set of
+infinitesimal coordinates.  These markers exhaust the ideals of a block
+product, because an ideal of a finite direct product splits as a product
+of block ideals and the proper ideals of a Komori block consist of
+infinitesimals supported on a fixed coordinate set.  This module owns the
+marker encoding: a non-full marker is built with :func:`sub_marker` and
+read with :func:`marker_coords`, so a chain's ``"zero"`` is the rank-0
+case of ``("sub", S)`` and no caller tests a block's type.
 
-On its chain view (``core._view``) a table ideal is full on the chains it
+The chain view (``core._view``) of a block product is itself; a table, or
+a block product that overrides its operations, is read as the product of
+its certified chains, where a table ideal is full on the chains it
 reaches and zero elsewhere.  Generated ideals, joins, maximal ideals,
 polars, radicals, the nilpotence test and element lists run the marker
 rule there and cross back with ``_from_view``; a subset is an ideal when
 it is the ideal it generates.  Meets of table ideals stay set
-intersections, the cheapest rule.
+intersections.  Quotients and subalgebras are built in ``morphisms``.
 
 Public functions validate each ideal argument once; the private helper
 named after one (``_ideal_meet``) takes canonical ideals, such as the
@@ -34,11 +36,8 @@ from .core import (
     Algebra,
     FiniteAlgebra,
     SymbolicAlgebra,
-    _adopt,
-    _decomposition,
     _levels,
     _view,
-    block,
     decompose,
     elements,
     leq,
@@ -146,10 +145,11 @@ def validate_ideal(algebra: Algebra, ideal: Ideal) -> Ideal:
         return ideal
     if not isinstance(ideal, MarkerIdeal):
         raise TypeError("symbolic algebra needs a MarkerIdeal")
-    if len(ideal.markers) != len(algebra.blocks):
+    blocks = _view(algebra).blocks
+    if len(ideal.markers) != len(blocks):
         raise ValueError("marker count does not match block count")
     return MarkerIdeal(tuple(
-        _canon_marker(b, m) for b, m in zip(algebra.blocks, ideal.markers)))
+        _canon_marker(b, m) for b, m in zip(blocks, ideal.markers)))
 
 
 def _reach(dec, ideal: FiniteIdeal) -> int:
@@ -169,7 +169,8 @@ def _vanishing(dec, reach: int) -> list:
 def _view_markers(algebra: Algebra, ideal: Ideal) -> tuple:
     """The markers of a validated ideal on the chain view of its algebra
     (``decompose``): a table ideal is full on the chains it reaches and
-    zero on the others; a block product keeps its own markers."""
+    zero on the others; a marker ideal names the blocks of the view
+    already."""
     if isinstance(algebra, FiniteAlgebra):
         dec = decompose(algebra)
         reach = _reach(dec, ideal)
@@ -190,13 +191,13 @@ def _from_view(algebra: Algebra, ideal: MarkerIdeal) -> Ideal:
 def zero_ideal(algebra: Algebra) -> Ideal:
     if isinstance(algebra, FiniteAlgebra):
         return FiniteIdeal(frozenset({algebra.zero}))
-    return MarkerIdeal(tuple(sub_marker(b.r) for b in algebra.blocks))
+    return MarkerIdeal(tuple(sub_marker(b.r) for b in _view(algebra).blocks))
 
 
 def full_ideal(algebra: Algebra) -> Ideal:
     if isinstance(algebra, FiniteAlgebra):
         return FiniteIdeal(frozenset(range(algebra.size)))
-    return MarkerIdeal(("full",) * len(algebra.blocks))
+    return MarkerIdeal(("full",) * len(_view(algebra).blocks))
 
 
 def is_zero_ideal(algebra: Algebra, ideal: Ideal) -> bool:
@@ -212,12 +213,14 @@ def is_proper_ideal(algebra: Algebra, ideal: Ideal) -> bool:
 
 
 def ideal_contains(algebra: Algebra, ideal: Ideal, x) -> bool:
-    return _ideal_contains(validate_ideal(algebra, ideal), x)
-
-
-def _ideal_contains(ideal: Ideal, x) -> bool:
+    ideal = validate_ideal(algebra, ideal)
     if isinstance(ideal, FiniteIdeal):
         return x in ideal.elements
+    return _ideal_contains(ideal, _levels(algebra)(x))
+
+
+def _ideal_contains(ideal: MarkerIdeal, x) -> bool:
+    """Whether the element ``x`` of the chain view lies in the ideal."""
     for m, v in zip(ideal.markers, x):
         if m == "full":
             continue
@@ -284,22 +287,24 @@ _ALL_IDEALS_CAP = 2 ** 14 + 1
 def all_ideals(algebra: Algebra) -> list[Ideal]:
     """Every ideal, in a deterministic order.  A table with k chains
     (``decompose``) has 2**k, one per set of chains, listed by size and
-    then by their sorted elements.  A block product with more than
-    ``_ALL_IDEALS_CAP`` ideals, prod(2**r + 1) over its blocks, is a
-    ValueError raised before any is built."""
+    then by their sorted elements.  Any other algebra lists the markers on
+    its chain view; more than ``_ALL_IDEALS_CAP`` ideals, prod(2**r + 1)
+    over the blocks of the view, is a ValueError raised before any is
+    built."""
     if isinstance(algebra, FiniteAlgebra):
         dec = decompose(algebra)
         found = [_vanishing(dec, reach) for reach in range(1 << len(dec.heights))]
         return [FiniteIdeal(frozenset(s)) for s in sorted(found, key=lambda s: (len(s), s))]
+    blocks = _view(algebra).blocks
     total = 1
-    for b in algebra.blocks:
+    for b in blocks:
         # 2**bit_length exceeds the cap, so no larger power is formed
         total *= 2 ** min(b.r, _ALL_IDEALS_CAP.bit_length()) + 1
         if total > _ALL_IDEALS_CAP:
             raise ValueError(f"more than {_ALL_IDEALS_CAP} ideals to list")
     per_block = [[sub_marker(b.r, s) for k in range(b.r + 1)
                   for s in itertools.combinations(range(b.r), k)] + ["full"]
-                 for b in algebra.blocks]
+                 for b in blocks]
     return [MarkerIdeal(m) for m in itertools.product(*per_block)]
 
 
@@ -313,7 +318,7 @@ def _ideal_meet(algebra: Algebra, i: Ideal, j: Ideal) -> Ideal:
     return MarkerIdeal(tuple(
         c if a == "full" else a if c == "full"
         else sub_marker(b.r, marker_coords(a) & marker_coords(c))
-        for b, a, c in zip(algebra.blocks, i.markers, j.markers)))
+        for b, a, c in zip(_view(algebra).blocks, i.markers, j.markers)))
 
 
 def ideal_join(algebra: Algebra, i: Ideal, j: Ideal) -> Ideal:
@@ -345,13 +350,13 @@ def _radical(algebra: Algebra) -> Ideal:
     """The radical, read off the structure.  A table is a product of
     chains (``decompose``, which refuses one that is not an MV-algebra),
     a product's infinitesimals are those of its factors, and Chain(m) has
-    none but 0: for x > 0, m.x = 1 is not below neg x.  So a table's
-    radical is zero and its semisimple reflection the identity.  A block
-    product keeps the height-zero part of its Komori blocks."""
+    none but 0: for x > 0, m.x = 1 is not below neg x.  So the radical
+    is the height-zero part of the Komori blocks of the chain view, and a
+    table's radical is zero: its semisimple reflection is the identity."""
     if isinstance(algebra, FiniteAlgebra):
         decompose(algebra)
         return zero_ideal(algebra)
-    return MarkerIdeal(tuple(sub_marker(b.r, range(b.r)) for b in algebra.blocks))
+    return MarkerIdeal(tuple(sub_marker(b.r, range(b.r)) for b in _view(algebra).blocks))
 
 
 def radical(algebra: Algebra, method: str = "inf") -> Ideal:
@@ -457,43 +462,3 @@ def radical_conegation_disjoint(algebra: Algebra, ideal: Ideal) -> bool:
     """
     return validate_ideal(algebra, ideal) != full_ideal(algebra)
 
-
-# ---------------------------------------------------------------------------
-# quotient data
-
-
-def _quotient_blocks(algebra: SymbolicAlgebra, markers) -> SymbolicAlgebra:
-    """Block structure of A/I for the canonical markers of I: a full marker
-    kills its block, and any other keeps the block's height and its
-    unmarked coordinates (a chain when none is left)."""
-    return SymbolicAlgebra._of_blocks(block(b.m, b.r - len(marker_coords(m)))
-                                      for b, m in zip(algebra.blocks, markers)
-                                      if m != "full")
-
-
-def _finite_quotient(algebra: FiniteAlgebra, ideal: FiniteIdeal):
-    """(quotient table algebra, class index per element, the chains of
-    the algebra it keeps, in its own order).  Two elements are in one
-    class when their levels agree on every chain the ideal does not reach
-    (``decompose``); classes are numbered by their first element, and the
-    quotient keeps those chains as its decomposition.  The zero ideal
-    reaches no chain, and A/0 is A itself, so a table's semisimple
-    reflection (its radical is zero) is its identity map."""
-    dec = decompose(algebra)
-    reach = _reach(dec, ideal)
-    if not reach:
-        return algebra, tuple(range(algebra.size)), tuple(range(len(dec.heights)))
-    kept = [i for i in range(len(dec.heights)) if not reach >> i & 1]
-    keys = [tuple(c[i] for i in kept) for c in dec.coords]
-    classes: dict = {}
-    reps: list[int] = []
-    for x, key in enumerate(keys):
-        if key not in classes:
-            classes[key] = len(reps)
-            reps.append(x)
-    class_of = tuple(map(classes.__getitem__, keys))
-    neg_row = [class_of[algebra.neg(r)] for r in reps]
-    plus_rows = [[class_of[algebra.plus(r, s)] for s in reps] for r in reps]
-    q = FiniteAlgebra._of_rows(neg_row, plus_rows, class_of[algebra.zero])
-    order = _adopt(q, _decomposition(tuple(dec.heights[i] for i in kept), list(classes)))
-    return q, class_of, tuple(kept[p] for p in order)

@@ -4,12 +4,12 @@ A morphism pairs a domain, a codomain and a body, and every body
 operation runs one formula, on a :class:`CoordMap`.  A CoordMap runs
 between block products: it stores, per codomain block, the domain block
 it reads, the integer height scale, and where each infinitesimal
-coordinate comes from.  A table algebra is read through its chain view,
-the block product of the chains Chain(m_i) that ``decompose`` certifies,
-whose element x is the level tuple ``coords[x]``.  So a map with a table
-side is a CoordMap between chain views as well; its body is a
-:class:`FiniteMapBody`, which keeps the value table for evaluation beside
-that CoordMap.
+coordinate comes from.  Rows index chain views (``core._view``): a block
+product is its own, and a ``_tabled`` algebra (a table, or a block
+product that overrides its operations) is the product of the chains
+Chain(m_i) that ``decompose`` certifies, whose element x has the levels
+``coords[x]``.  A map with a ``_tabled`` side has a :class:`FiniteMapBody`,
+which keeps the value table for evaluation beside that CoordMap.
 
 Why every homomorphism h: A_1 x ... x A_n -> B_1 x ... x B_k of block
 products is a CoordMap.  A map into a product is a tuple of maps into its
@@ -44,12 +44,14 @@ homomorphism; it stays a rowless FiniteMapBody, which evaluates, and which
 ``is_morphism`` and ``same_morphism`` read, while every other operation
 refuses it with a ValueError.  A result with a table side reads its value
 table off its rows, and table ideals cross to the chain view as the set
-of chains they reach.
+of chains they reach.  Quotients and ideal subalgebras are built here, on
+the chain view; a table reads their tables off its own rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass, field
@@ -81,9 +83,7 @@ from .core import (
 from .ideals import (
     Ideal,
     MarkerIdeal,
-    _finite_quotient,
     _from_view,
-    _quotient_blocks,
     _view_markers,
     marker_coords,
     sub_marker,
@@ -286,7 +286,8 @@ def _check_coords(dom: SymbolicAlgebra, cod: SymbolicAlgebra, body: CoordMap) ->
 
 
 def _has_table(dom: Algebra, cod: Algebra) -> bool:
-    return isinstance(dom, FiniteAlgebra) or isinstance(cod, FiniteAlgebra)
+    """Whether a map between these algebras carries a value table."""
+    return dom._tabled or cod._tabled
 
 
 def _coord_map(body, refusal: str = "the value table is not a homomorphism") -> CoordMap:
@@ -354,11 +355,13 @@ def _renumbered(coords: CoordMap, order) -> CoordMap:
 
 def _table_of(dom: Algebra, cod: Algebra, coords: CoordMap) -> tuple:
     """The value table of the map with this CoordMap out of a finite
-    domain."""
+    domain; into a ``_tabled`` codomain, read off its ``_values``."""
     da = decompose(dom)
-    if isinstance(cod, FiniteAlgebra):
-        return _values(da, decompose(cod), coords.rows)
-    return tuple(map(coords, da.coords))
+    if not cod._tabled:
+        return tuple(map(coords, da.coords))
+    values = _values(da, decompose(cod), coords.rows)
+    return values if isinstance(cod, FiniteAlgebra) else tuple(
+        map(elements(cod).__getitem__, values))
 
 
 def _body(dom: Algebra, cod: Algebra, coords: CoordMap):
@@ -461,13 +464,13 @@ def identity(algebra: Algebra) -> Morphism:
 
 
 def to_terminal(algebra: Algebra) -> Morphism:
-    cod = _TERMINAL if isinstance(algebra, SymbolicAlgebra) else _TERMINAL_TABLE
+    cod = _TERMINAL_TABLE if algebra._tabled else _TERMINAL
     return Morphism._of_coords(algebra, cod, _body(algebra, cod, CoordMap(())),
                                "to_terminal")
 
 
 def from_initial(algebra: Algebra) -> Morphism:
-    dom = _INITIAL if isinstance(algebra, SymbolicAlgebra) else _INITIAL_TABLE
+    dom = _INITIAL_TABLE if algebra._tabled else _INITIAL
     coords = CoordMap._normal(tuple((0, b.m, (None,) * b.r)
                                     for b in _view(algebra).blocks))
     return Morphism._of_coords(dom, algebra, _body(dom, algebra, coords),
@@ -543,23 +546,50 @@ def quotient(algebra: Algebra, ideal: Ideal, label: str = "quotient") -> Quotien
 
 
 def _quotient(algebra: Algebra, ideal: Ideal, label: str) -> QuotientResult:
-    if isinstance(algebra, FiniteAlgebra):
-        q, class_of, kept = _finite_quotient(algebra, ideal)
-        body = FiniteMapBody(class_of, CoordMap._normal(tuple((i, 1, ()) for i in kept)))
+    """A/I and its projection, by :func:`_quotient_parts` on the chain view.
+    On a table, a class is the elements with equal levels on the chains the
+    rows keep, numbered by first element, and A/I reads its table off the
+    table rows and keeps those chains; A/0 is A itself."""
+    if not isinstance(algebra, FiniteAlgebra):
+        q, coords = _quotient_parts(_view(algebra), ideal.markers)
+        body = _body(algebra, q, coords)
+    elif len(ideal.elements) == 1:
+        q, body = algebra, FiniteMapBody(tuple(range(algebra.size)), CoordMap._normal(
+            tuple([(i, 1, ()) for i in range(len(decompose(algebra).heights))])))
     else:
-        q, body = _quotient_parts(algebra, ideal.markers)
+        dec = decompose(algebra)
+        chains, coords = _quotient_parts(_view(algebra), _view_markers(algebra, ideal))
+        kept = {src for src, _, _ in coords.rows}
+        keys = list(map(tuple, map(itertools.compress, dec.coords, itertools.repeat(
+            [i in kept for i in range(len(dec.heights))]))))
+        classes, reps = {}, []
+        for x, key in enumerate(keys):
+            if key not in classes:
+                classes[key] = len(reps)
+                reps.append(x)
+        class_of = tuple(map(classes.__getitem__, keys))
+        neg, plus = algebra.neg_row, algebra.plus_rows
+        q = FiniteAlgebra._of_rows([class_of[neg[r]] for r in reps],
+                                   [[class_of[plus[r][s]] for s in reps] for r in reps],
+                                   class_of[algebra.zero])
+        order = _adopt(q, _decomposition(tuple([b.m for b in chains.blocks]), list(classes)))
+        rows = tuple(map(coords.rows.__getitem__, order))
+        body = FiniteMapBody(class_of, CoordMap._normal(rows))
     return QuotientResult(q, Morphism._of_coords(algebra, q, body, label), ideal)
 
 
 def _quotient_parts(algebra: SymbolicAlgebra, markers):
     """A/I and its projection's rows, for the canonical markers of I: a
-    full marker drops its block, any other keeps its unmarked coordinates."""
-    rows = []
+    full marker drops its block, and any other keeps the block's height
+    and its unmarked coordinates (a chain when none is left)."""
+    blocks, rows = [], []
     for i, (b, mk) in enumerate(zip(algebra.blocks, markers)):
         if mk != "full":
             killed = marker_coords(mk)
-            rows.append((i, 1, tuple((c, 1) for c in range(b.r) if c not in killed)))
-    return _quotient_blocks(algebra, markers), CoordMap._normal(tuple(rows))
+            kept = tuple([(c, 1) for c in range(b.r) if c not in killed])
+            blocks.append(block(b.m, len(kept)) if killed else b)
+            rows.append((i, 1, kept))
+    return SymbolicAlgebra._of_blocks(blocks), CoordMap._normal(tuple(rows))
 
 
 def factor_through_quotient(q: Morphism, f: Morphism, label: str = "") -> Morphism:
@@ -651,39 +681,37 @@ def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
 
 
 def _ideal_subalgebra(algebra: Algebra, ideal: Ideal, label: str) -> SubalgebraResult:
-    """On a table, the subalgebra's table lists the members in order, and
-    their levels and the inclusion come from the block-product formula on
-    the chain view."""
-    if isinstance(algebra, FiniteAlgebra):
+    """The block formula on the chain view.  On a table, the subalgebra's
+    table lists the members in order, read off the table rows, and their
+    levels and the inclusion come from that formula."""
+    view, incl = _subalgebra_parts(_view(algebra), _view_markers(algebra, ideal))
+    if not isinstance(algebra, FiniteAlgebra):
+        sub, body = view, _body(view, algebra, incl)
+    else:
         members = tuple(sorted(ideal.elements | {algebra.neg(x) for x in ideal.elements}))
-        view, incl = _subalgebra_parts(_view(algebra), _view_markers(algebra, ideal))
         sub = table_on(members, algebra.plus, algebra.neg, algebra.zero)
         order = _adopt(sub, _decomposition(tuple(b.m for b in view.blocks), [
             incl.solve(view, levels) for levels in map(_levels(algebra), members)]))
         body = FiniteMapBody(members, _renumbered(incl, order))
-    else:
-        sub, body = _subalgebra_parts(algebra, ideal.markers)
     return SubalgebraResult(sub, Morphism._of_coords(sub, algebra, body, label), ideal)
 
 
 def _subalgebra_parts(algebra: SymbolicAlgebra, markers):
     """The subalgebra on I u neg(I) and the rows of its inclusion, for the
-    canonical markers of I."""
-    pairs = list(zip(algebra.blocks, markers))
-    full = [i for i, (_, mk) in enumerate(pairs) if mk == "full"]
-    joint = [(i, c) for i, (_, mk) in enumerate(pairs)
-             if mk != "full" for c in sorted(marker_coords(mk))]
-    blocks = [algebra.blocks[i] for i in full]
-    if len(full) < len(pairs):
-        blocks.append(block(1, len(joint)))
-    rows = []
-    for i, (b, mk) in enumerate(pairs):
+    canonical markers of I: the full blocks, then the joint block."""
+    full = markers.count("full")
+    blocks, rows, joint = [], [], 0
+    for b, mk in zip(algebra.blocks, markers):
         if mk == "full":
-            rows.append((full.index(i), 1, _plain(b)))
+            rows.append((len(blocks), 1, _plain(b)))
+            blocks.append(b)
         else:
-            rows.append((len(full), b.m, tuple(
-                (joint.index((i, c)), 1) if (i, c) in joint else None
-                for c in range(b.r))))
+            place = {c: joint + k for k, c in enumerate(sorted(marker_coords(mk)))}
+            rows.append((full, b.m, tuple((place[c], 1) if c in place else None
+                                          for c in range(b.r))))
+            joint += len(place)
+    if full < len(markers):
+        blocks.append(block(1, joint))
     return SymbolicAlgebra._of_blocks(blocks), CoordMap._normal(tuple(rows))
 
 
@@ -693,10 +721,11 @@ def subalgebra_decode(incl: Morphism, a):
     if not incl.cod.contains(a):
         return None
     x = _coord_map(incl.body).solve(_view(incl.dom), _levels(incl.cod)(a))
-    if x is None or not isinstance(incl.dom, FiniteAlgebra):
+    if x is None or not incl.dom._tabled:
         return x
     dec = decompose(incl.dom)
-    return dec.at[sum(map(operator.mul, x, dec.weights))]
+    x = dec.at[sum(map(operator.mul, x, dec.weights))]
+    return x if isinstance(incl.dom, FiniteAlgebra) else elements(incl.dom)[x]
 
 
 def corestrict(e: Morphism, through: Morphism, label: str = "") -> Morphism:
@@ -752,10 +781,15 @@ def _corestrict_coords(e: CoordMap, through: CoordMap, E: SymbolicAlgebra,
 # ---------------------------------------------------------------------------
 # hom enumeration
 
+# the tests list at most 256 homs; Chain(1)^9 on both sides would list 9**9
+_HOMS_CAP = 2 ** 16
+
 
 def enumerate_homs(dom: Algebra, cod: Algebra) -> list[Morphism]:
     """All morphisms between finite-carrier algebras, in lexicographic
-    order of their value tables.
+    order of their value tables.  More than ``_HOMS_CAP`` of them, the
+    product of the choices per codomain chain, is a ValueError raised
+    before any is built.
 
     Both sides are read as products of chains (``decompose``, which
     refuses a table that is not an MV-algebra).  A map into Chain(n) reads
@@ -766,6 +800,8 @@ def enumerate_homs(dom: Algebra, cod: Algebra) -> list[Morphism]:
     da, db = decompose(dom), decompose(cod)
     per_block = [[(i, n // m, ()) for i, m in enumerate(da.heights) if n % m == 0]
                  for n in db.heights]
+    if math.prod(map(len, per_block)) > _HOMS_CAP:
+        raise ValueError(f"more than {_HOMS_CAP} homs to list")
     found = sorted((_values(da, db, rows), rows) for rows in itertools.product(*per_block))
     if not _has_table(dom, cod):
         return [Morphism._of_coords(dom, cod, CoordMap._normal(rows)) for _, rows in found]
@@ -992,7 +1028,7 @@ def kernel_pair(e: Morphism):
 def product_with_projections(algebras):
     """Product of block products together with its projections."""
     algebras = list(algebras)
-    if not all(isinstance(a, SymbolicAlgebra) for a in algebras):
+    if any(a._tabled for a in algebras):
         raise ValueError("product_with_projections needs block products")
     prod = SymbolicAlgebra([b for a in algebras for b in a.blocks])
     ends = itertools.accumulate(len(a.blocks) for a in algebras)

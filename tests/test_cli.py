@@ -460,6 +460,22 @@ class TestIdealCountCap:
         assert elapsed < 1.0
 
 
+class TestHomCountCap:
+    def test_too_many_homs_exit_2_with_one_line_quickly(self, tmp_path, capsys):
+        # Chain(1)^9 on both sides has 9**9 homs
+        path = tmp_path / "boolean512.json"
+        blocks = {"blocks": [{"chain": 1}] * 9}
+        path.write_text(json.dumps({"dom": blocks, "cod": blocks}))
+        start = time.perf_counter()
+        code = main(["homs", str(path)])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.err == "error: more than 65536 homs to list\n"
+        assert not out.out
+        assert elapsed < 1.0
+
+
 class TestExhaustiveBudget:
     """An exhaustive check of a carrier above the grid budget exits 2 with
     one line before any table is built.  The child runs under a 2 GiB

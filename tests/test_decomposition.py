@@ -31,6 +31,7 @@ from mvtk import (
     find_isomorphism,
     generated_ideal,
     ideal_join,
+    ideal_subalgebra,
     ideal_leq,
     image_set,
     is_ideal,
@@ -369,12 +370,19 @@ class TestIdealsAndQuotients:
                 assert certified(q)
 
     def test_a_quotient_keeps_the_surviving_chains(self):
-        table = shuffled(to_finite(product([make_chain(2), make_chain(3)])), "q")
-        for ideal in all_ideals(table):
-            q = quotient(table, ideal).algebra
-            kept = decompose(q)
-            fresh = decompose(make_finite(q.neg_row, q.plus_rows, q.zero))
-            assert (kept.heights, kept.coords) == (fresh.heights, fresh.coords)
+        # the decompositions that quotients and ideal subalgebras adopt are
+        # the ones a fresh copy of their tables certifies
+        tables = SMALL_TABLES + [
+            shuffled(to_finite(product([make_chain(2), make_chain(3)])), "q")]
+        for table in tables:
+            for ideal in all_ideals(table):
+                for built in (quotient(table, ideal).algebra,
+                              ideal_subalgebra(table, ideal).algebra):
+                    kept = decompose(built)
+                    fresh = decompose(make_finite(built.neg_row, built.plus_rows,
+                                                  built.zero))
+                    assert (kept.heights, kept.coords) \
+                        == (fresh.heights, fresh.coords)
 
     def test_generated_ideal_is_the_closure(self):
         for table in SMALL_TABLES:

@@ -21,6 +21,7 @@ from mvtk import (
     Chain,
     Komori,
     SymbolicAlgebra,
+    all_ideals,
     are_isomorphic,
     chain_product_catalog,
     check_axioms,
@@ -29,9 +30,23 @@ from mvtk import (
     decompose,
     describe,
     elements,
+    enumerate_homs,
+    ideal_contains,
+    ideal_elements,
+    ideal_subalgebra,
+    identity,
+    image_set,
+    is_morphism,
+    is_precokernel,
+    is_prekernel,
     make_chain,
     make_finite,
+    make_komori,
+    maximal_ideals,
+    pre_exact,
     product,
+    quotient,
+    radical,
     random_block_algebra,
     sample_tuples,
     to_finite,
@@ -173,6 +188,76 @@ def test_an_override_is_decomposed_through_its_own_operations():
         == list(dec.coords)
     assert are_isomorphic(boolean, product([make_chain(1), make_chain(1)]))
     assert not are_isomorphic(boolean, make_chain(3))
+
+
+OVERRIDES = [OrSum(make_chain(3).blocks), PassedSum(BLOCKS_2_1.blocks)]
+
+
+@pytest.mark.parametrize("override", OVERRIDES, ids=lambda a: type(a).__name__)
+def test_an_override_answers_like_its_table(override):
+    """Ideals, radicals, quotients, subalgebras, homs and the pre-exact
+    sequence of a block product that overrides its operations are those
+    of its own table, matched through ``elements``: they are read on its
+    certified chains, not on its blocks."""
+    table, elems = to_finite(override), elements(override)
+    at = {x: i for i, x in enumerate(elems)}
+
+    def members(algebra, ideal):
+        found = ideal_elements(algebra, ideal)
+        return frozenset(map(at.__getitem__, found) if algebra is override
+                         else found)
+
+    def paired(listed):
+        # each ideal of the override with the table ideal of its members
+        by_members = {members(table, i): i for i in listed(table)}
+        return [(i, by_members[members(override, i)]) for i in listed(override)]
+
+    ideals = paired(all_ideals)
+    assert len(ideals) == len(all_ideals(table)) == 4 == len(set(
+        members(override, i) for i, _ in ideals))
+    assert len(paired(maximal_ideals)) == len(maximal_ideals(table))
+    for method in ("inf", "maximal", "nilpotent"):
+        assert members(override, radical(override, method)) \
+            == members(table, radical(table, method))
+    assert [identity(override)(x) for x in elems] == elems
+
+    boolean = product([make_chain(1), make_chain(1)])
+    assert sorted(tuple(map(h, elems)) for h in enumerate_homs(override, boolean)) \
+        == sorted(tuple(map(h, range(len(elems))))
+                  for h in enumerate_homs(table, boolean))
+    assert sorted(tuple(at[h(y)] for y in elements(boolean))
+                  for h in enumerate_homs(boolean, override)) \
+        == sorted(tuple(map(h, elements(boolean)))
+                  for h in enumerate_homs(boolean, table))
+
+    for mine, its in ideals:
+        assert [ideal_contains(override, mine, x) for x in elems] \
+            == [ideal_contains(table, its, at[x]) for x in elems]
+        q, tq = quotient(override, mine), quotient(table, its)
+        assert are_isomorphic(q.algebra, tq.algebra)
+        assert is_morphism(q.projection).ok
+        assert [[q.projection(x) == q.projection(y) for y in elems] for x in elems] \
+            == [[tq.projection(at[x]) == tq.projection(at[y]) for y in elems]
+                for x in elems]
+        s, ts = ideal_subalgebra(override, mine), ideal_subalgebra(table, its)
+        assert are_isomorphic(s.algebra, ts.algebra)
+        assert is_morphism(s.inclusion).ok
+        assert {at[v] for v in image_set(s.inclusion)} == image_set(ts.inclusion)
+
+    seq, tseq = pre_exact(override), pre_exact(table)
+    prekernel = is_prekernel(seq.inclusion, seq.projection)
+    precokernel = is_precokernel(seq.projection, seq.inclusion)
+    assert prekernel.ok and precokernel.ok
+    assert prekernel == is_prekernel(tseq.inclusion, tseq.projection)
+    assert precokernel == is_precokernel(tseq.projection, tseq.inclusion)
+
+
+def test_an_overriding_komori_product_is_refused():
+    komori = PassedSum(make_komori(1, 1).blocks)
+    for call in (all_ideals, radical, identity, maximal_ideals):
+        with pytest.raises(ValueError, match=r"^cannot enumerate infinite "
+                                             r"carrier of Komori\(1,1\)$"):
+            call(komori)
 
 
 def test_pixley_fails_at_a_pair_and_counts_triples():

@@ -173,6 +173,18 @@ class TestSubalgebras:
 
 
 class TestHoms:
+    def test_hom_count_is_capped_before_any_is_built(self):
+        # each codomain chain reads one of 9 domain chains: 9**9 homs
+        nine = product([make_chain(1)] * 9)
+        with pytest.raises(ValueError, match=r"^more than 65536 homs to list$"):
+            enumerate_homs(nine, nine)
+        # a table side too: 2**17 homs out of Chain(1) x Chain(1)
+        with pytest.raises(ValueError, match=r"^more than 65536 homs to list$"):
+            enumerate_homs(to_finite(product([make_chain(1)] * 2)),
+                           product([make_chain(1)] * 17))
+        four = product([make_chain(1)] * 4)
+        assert len(enumerate_homs(four, four)) == 256
+
     def test_chain_hom_counts_follow_divisibility(self):
         for n, m in itertools.product(range(1, 6), repeat=2):
             homs = enumerate_homs(to_finite(make_chain(n)),
