@@ -184,8 +184,8 @@ class SymbolicAlgebra:
     """Product of chain and Komori blocks, kept in construction order.
 
     ``Chain(0)`` factors are dropped on construction, so the terminal
-    algebra (empty block tuple) has exactly one representation.  ``zero``
-    and ``one`` are built on first use and kept.
+    algebra (empty block tuple) has exactly one representation.  ``zero``,
+    ``one`` and the chain decomposition are built on first use and kept.
 
     Tables, samples and chain decompositions are read off the blocks by
     formula.  A subclass that overrides ``plus`` or ``neg`` is ``_tabled``
@@ -195,7 +195,7 @@ class SymbolicAlgebra:
     and its ideals and maps read its certified chains (:func:`_view`).
     """
 
-    __slots__ = ("blocks", "_zero", "_one")
+    __slots__ = ("blocks", "_zero", "_one", "_dec")
     # whether the algebra is read through a table and its certified chains
     _tabled = False
 
@@ -221,7 +221,7 @@ class SymbolicAlgebra:
         raise AttributeError("SymbolicAlgebra is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymbolicAlgebra) and self.blocks == other.blocks
+        return type(other) is type(self) and self.blocks == other.blocks
 
     def __hash__(self) -> int:
         return hash(("sym", self.blocks))
@@ -1185,23 +1185,23 @@ def _certify(table: FiniteAlgebra) -> Decomposition:
 
 
 def decompose(algebra: Algebra) -> Decomposition:
-    """The chain decomposition of a finite-carrier algebra.
+    """The chain decomposition of a finite-carrier algebra, made on first
+    use and kept by the algebra; an infinite carrier is refused first.
 
-    A table is decomposed and certified once, on first use, and keeps the
-    result; one that is not an MV-algebra is a ValueError naming a
-    witness.  A block product of chains is its own decomposition, read off
-    its blocks: element x of ``elements`` has code x, so nothing is
-    enumerated or checked.  A block product that overrides ``plus`` or
-    ``neg`` is certified as its pointwise table, afresh on each call."""
-    if isinstance(algebra, FiniteAlgebra):
-        if algebra._dec is None:
-            object.__setattr__(algebra, "_dec", _certify(algebra))
-        return algebra._dec
-    if algebra._tabled:
-        return decompose(to_finite(algebra))
-    heights = _chain_heights(algebra)
-    codes = range(math.prod(m + 1 for m in heights))
-    return Decomposition(heights, _weights(heights), codes, codes)
+    A ``_tabled`` algebra, a table or a block product that overrides
+    ``plus`` or ``neg``, is certified as its table; one that is not an
+    MV-algebra is a ValueError naming a witness.  A block product of
+    chains is its own decomposition, read off its blocks: element x of
+    ``elements`` has code x, so nothing is enumerated or checked."""
+    if getattr(algebra, "_dec", None) is None:
+        if algebra._tabled:
+            dec = _certify(to_finite(algebra))
+        else:
+            heights = _chain_heights(algebra)
+            codes = range(math.prod(m + 1 for m in heights))
+            dec = Decomposition(heights, _weights(heights), codes, codes)
+        object.__setattr__(algebra, "_dec", dec)
+    return algebra._dec
 
 
 def _view(algebra: Algebra) -> SymbolicAlgebra:

@@ -213,6 +213,8 @@ def is_proper_ideal(algebra: Algebra, ideal: Ideal) -> bool:
 
 
 def ideal_contains(algebra: Algebra, ideal: Ideal, x) -> bool:
+    if not algebra.contains(x):
+        raise ValueError(f"not an element: {x!r}")
     ideal = validate_ideal(algebra, ideal)
     if isinstance(ideal, FiniteIdeal):
         return x in ideal.elements

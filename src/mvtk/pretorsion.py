@@ -4,8 +4,8 @@ Semisimple algebras have zero radical; perfect algebras are covered by
 the radical and its negations.  Only the one- and two-element algebras
 are both, so a map is trivial iff its image lies in {0, 1}.  This module
 builds the semisimple reflection and the perfect coreflection, checks
-prekernels (exactly) and precokernels by probes, each decided on map
-bodies by the body operations of ``morphisms``, and checks
+prekernels (exactly) and precokernels by probes, each probe decided once
+on map bodies by the body operations of ``morphisms``, and checks
 protoadditivity.
 """
 
@@ -23,7 +23,6 @@ from .core import (
     elements,
 )
 from .ideals import (
-    _ideal_leq,
     _radical,
     all_ideals,
     zero_ideal,
@@ -38,7 +37,6 @@ from .morphisms import (
     _corestrict_body,
     _factor_body,
     _ideal_subalgebra,
-    _kernel,
     _quotient,
     _quotient_parts,
     _subalgebra_parts,
@@ -285,9 +283,10 @@ def _points(algebra: Algebra) -> list:
                 (0, tuple(int(t == c) for t in range(b.r))) for c in range(b.r)]]
 
 
-def _prekernel_outcomes(k: Morphism, g: Morphism, injective: bool) -> list:
+def _prekernel_outcomes(k: Morphism, g: Morphism) -> list:
     """Each probe e: D -> A decided on bodies: e then g trivial, then e
-    corestricted through k (as ``corestrict`` does), then uniqueness."""
+    corestricted through k (as ``corestrict`` does).  Uniqueness is the
+    injectivity of k, which ``_prekernel_gap`` decides once."""
     def outcome(dom, e):
         if not _is_trivial(dom, g.cod, _compose_body(dom, g.cod, e, g.body)):
             return _SKIPPED
@@ -295,20 +294,14 @@ def _prekernel_outcomes(k: Morphism, g: Morphism, injective: bool) -> list:
             _corestrict_body(dom, k.dom, e, k.body)
         except (ValueError, TypeError) as exc:
             return f"no factorization: {exc}"
-        if injective:
-            return None
-        if carrier_size(dom) is None or carrier_size(k.dom) is None:
-            return "uniqueness undecidable: k not injective"
-        n = sum(_compose_body(dom, k.cod, h.body, k.body) == e
-                for h in enumerate_homs(dom, k.dom))
-        return None if n == 1 else f"{n} factorizations"
+        return None
     return [outcome(dom, e) for dom, e in _probes_into(g.dom)]
 
 
-def _prekernel_gap(k: Morphism, g: Morphism, injective: bool):
+def _prekernel_gap(k: Morphism, g: Morphism):
     """None when k is injective with image ker g u neg(ker g); otherwise
     the failure text, with a witness."""
-    if not injective:
+    if not k.is_injective():
         y = next(y for y in _points(k.dom)
                  if y != k.dom.zero and k(y) == k.cod.zero)
         return f"{y} is sent to 0: k is not injective"
@@ -334,32 +327,30 @@ def is_prekernel(k: Morphism, g: Morphism) -> ProbeReport:
     trivial composite factors once.  Conversely im k lies in g^-1{0, 1};
     that subalgebra's inclusion must factor through k; and a != b with
     k(a) = k(b) give two factorizations of the map sending the generator
-    of the free one-generated algebra to k(a).  When no probe fails, the
-    inclusion is corestricted through k, and an element outside im k, or
-    one a non-injective k sends to 0, is the failure (None, text)."""
+    of the free one-generated algebra to k(a).  So a non-injective k is
+    never a prekernel, and no probe counts its factorizations: when no
+    probe fails, the exact decision names a nonzero y with k(y) = 0, or
+    an element outside im k, as the one failure (None, text)."""
     if k.cod != g.dom:
         raise ValueError("prekernel check needs k.cod == g.dom")
     c = compose(k, g)
     if not _is_trivial(c.dom, c.cod, c.body):
         return ProbeReport(False, 0, 0, (), "composite g o k is not trivial")
-    injective = k.is_injective()
-    report = _report(_prekernel_outcomes(k, g, injective))
-    if report.ok and (gap := _prekernel_gap(k, g, injective)):
+    report = _report(_prekernel_outcomes(k, g))
+    if report.ok and (gap := _prekernel_gap(k, g)):
         return ProbeReport(False, report.checked, report.skipped, ((None, gap),))
     return report
 
 
 def _precokernel_outcomes(g: Morphism, k: Morphism) -> list:
-    """Each probe t: A -> C decided on bodies: k then t trivial, then ker g
-    within ker t, then the mediator g.cod -> C (as
-    ``factor_through_quotient`` builds it; g then it is t)."""
-    A, kernel, surjective = g.dom, g.kernel(), g.is_surjective()
+    """Each probe t: A -> C decided on bodies: k then t trivial, then the
+    mediator g.cod -> C (as ``factor_through_quotient`` builds it; g then
+    it is t), then uniqueness, which holds when g is onto."""
+    A, surjective = g.dom, g.is_surjective()
 
     def outcome(cod, t):
         if not _is_trivial(k.dom, cod, _compose_body(k.dom, cod, k.body, t)):
             return _SKIPPED
-        if not _ideal_leq(A, kernel, _kernel(A, cod, t)):
-            return "probe does not kill ker g: no mediator"
         try:
             _factor_body(A, g.cod, cod, g.body, t)
         except (ValueError, TypeError) as exc:
@@ -371,7 +362,9 @@ def _precokernel_outcomes(g: Morphism, k: Morphism) -> list:
 def is_precokernel(g: Morphism, k: Morphism) -> ProbeReport:
     """Probe the universal property of g as the precokernel of k: the
     composite is trivial, and every probe t with k then t trivial factors
-    through g exactly once."""
+    through g exactly once.  No kernels are compared: a t = g then h has
+    ker g within ker t, and the mediator is refused unless g then it is
+    t, so a probe that does not kill ker g fails with no mediator."""
     if k.cod != g.dom:
         raise ValueError("precokernel check needs k.cod == g.dom")
     c = compose(k, g)

@@ -13,6 +13,7 @@ block operations.
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from mvtk import (
     check_axioms,
     check_derived_identities,
     check_lattice_identities,
+    compose,
     decompose,
     describe,
     elements,
@@ -190,6 +192,42 @@ def test_an_override_is_decomposed_through_its_own_operations():
     assert not are_isomorphic(boolean, make_chain(3))
 
 
+def test_an_override_is_another_algebra_than_its_blocks():
+    boolean, chain = OrSum(make_chain(3).blocks), make_chain(3)
+    assert boolean != chain and chain != boolean
+    with pytest.raises(ValueError, match=r"^composite needs f.cod == g.dom$"):
+        compose(identity(boolean), identity(chain))
+
+
+def test_an_override_is_certified_once(monkeypatch):
+    """It keeps its decomposition as a table does: its ideals, radicals,
+    memberships, quotients and ideal subalgebras certify one table."""
+    boolean = OrSum(make_chain(3).blocks)
+    certified = []
+    certify = core._certify
+    monkeypatch.setattr(core, "_certify",
+                        lambda table: certified.append(table) or certify(table))
+    ideals = all_ideals(boolean)
+    for method in ("inf", "maximal", "nilpotent"):
+        radical(boolean, method)
+    for ideal in ideals:
+        for x in elements(boolean):
+            ideal_contains(boolean, ideal, x)
+        quotient(boolean, ideal)
+        ideal_subalgebra(boolean, ideal)
+    assert len(certified) == 1
+
+
+@pytest.mark.parametrize("algebra, x", [
+    (make_chain(2), (5,)), (make_chain(2), "x"),
+    (to_finite(make_chain(3)), 9), (OrSum(make_chain(3).blocks), (4,))],
+    ids=["chain-level", "chain-string", "table", "override"])
+def test_ideal_contains_refuses_a_non_element(algebra, x):
+    for ideal in all_ideals(algebra):
+        with pytest.raises(ValueError, match=rf"^not an element: {re.escape(repr(x))}$"):
+            ideal_contains(algebra, ideal, x)
+
+
 OVERRIDES = [OrSum(make_chain(3).blocks), PassedSum(BLOCKS_2_1.blocks)]
 
 
@@ -254,10 +292,11 @@ def test_an_override_answers_like_its_table(override):
 
 def test_an_overriding_komori_product_is_refused():
     komori = PassedSum(make_komori(1, 1).blocks)
-    for call in (all_ideals, radical, identity, maximal_ideals):
+    for call in (all_ideals, radical, identity, maximal_ideals, decompose):
         with pytest.raises(ValueError, match=r"^cannot enumerate infinite "
                                              r"carrier of Komori\(1,1\)$"):
             call(komori)
+    assert getattr(komori, "_dec", None) is None
 
 
 def test_pixley_fails_at_a_pair_and_counts_triples():

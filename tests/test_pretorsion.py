@@ -28,7 +28,6 @@ from mvtk import (
     enumerate_homs,
     factor_through_quotient,
     from_initial,
-    ideal_leq,
     ideal_subalgebra,
     identity,
     initial_algebra,
@@ -392,7 +391,6 @@ def _oracle_prekernel(k, g):
         return _NOT_TRIVIAL
     failures = []
     checked = skipped = 0
-    injective = k.is_injective()
     for idx, e in enumerate(_oracle_probes_into(g.dom)):
         if not _oracle_trivial(compose(e, g)):
             skipped += 1
@@ -402,15 +400,6 @@ def _oracle_prekernel(k, g):
             corestrict(e, k)
         except (ValueError, TypeError) as exc:
             failures.append((idx, f"no factorization: {exc}"))
-            continue
-        if not injective:
-            if carrier_size(e.dom) is None or carrier_size(k.dom) is None:
-                failures.append((idx, "uniqueness undecidable: k not injective"))
-                continue
-            cands = [h for h in enumerate_homs(e.dom, k.dom)
-                     if same_morphism(compose(h, k), e)]
-            if len(cands) != 1:
-                failures.append((idx, f"{len(cands)} factorizations"))
     return (not failures, checked, skipped, tuple(failures), "")
 
 
@@ -425,9 +414,6 @@ def _oracle_precokernel(g, k):
             skipped += 1
             continue
         checked += 1
-        if not ideal_leq(g.dom, g.kernel(), t.kernel()):
-            failures.append((idx, "probe does not kill ker g: no mediator"))
-            continue
         try:
             psi = factor_through_quotient(g, t)
         except (ValueError, TypeError) as exc:
@@ -487,19 +473,21 @@ class TestProbesAgreeWithTheMorphismOracle:
 
     def test_non_injective_k_and_non_surjective_g(self):
         chang, k12 = make_komori(1, 1), make_komori(1, 2)
-        # k drops a coordinate: every checked probe is undecidable
-        k = Morphism(k12, chang, CoordMap(((0, 1, ((0, 1),)),)))
-        _agrees_with_oracle(k, radical_projection(chang))
-        # k forgets a block: every checked probe factors, and its
-        # uniqueness is undecidable because k is not injective
-        pair = product([chang, chang])
-        k = Morphism(pair, chang, CoordMap(((0, 1, ((0, 1),)),)))
-        _agrees_with_oracle(k, radical_projection(chang))
-        # a projection of tables: probes factor twice
-        c1 = to_finite(make_chain(1))
-        k = enumerate_homs(to_finite(product([make_chain(1)] * 2)), c1)[0]
-        prekernel, _ = _agrees_with_oracle(k, identity(c1))
-        assert "2 factorizations" in dict(prekernel.failures).values()
+        pair, c1 = product([chang, chang]), to_finite(make_chain(1))
+        # k drops a coordinate, forgets a block, or projects a table:
+        # every checked probe factors through k, and the exact decision
+        # fails it once, at a nonzero point y that k sends to 0
+        for k, g, y in [
+                (Morphism(k12, chang, CoordMap(((0, 1, ((0, 1),)),))),
+                 radical_projection(chang), ((0, (0, 1)),)),
+                (Morphism(pair, chang, CoordMap(((0, 1, ((0, 1),)),))),
+                 radical_projection(chang), ((0, (0,)), (1, (0,)))),
+                (enumerate_homs(to_finite(product([make_chain(1)] * 2)), c1)[0],
+                 identity(c1), 1)]:
+            prekernel, _ = _agrees_with_oracle(k, g)
+            assert prekernel.failures == (
+                (None, f"{y} is sent to 0: k is not injective"),)
+            assert k.dom.contains(y) and y != k.dom.zero and k(y) == k.cod.zero
         # g doubles the infinitesimal: one probe has no mediator, the
         # others cannot be shown unique
         g = Morphism(chang, chang, CoordMap(((0, 1, ((0, 2),)),)))
