@@ -1213,14 +1213,14 @@ def _view(algebra: Algebra) -> SymbolicAlgebra:
 
 
 def _levels(algebra: Algebra):
-    """x -> x as an element of the chain view."""
+    """x -> x as an element of the chain view (an override's by its code)."""
     if not algebra._tabled:
         return lambda x: x
     coords = decompose(algebra).coords
     if isinstance(algebra, FiniteAlgebra):
         return coords.__getitem__
-    index = {e: i for i, e in enumerate(elements(algebra))}
-    return lambda x: coords[index[x]]
+    weights = _weights(_chain_heights(algebra))
+    return lambda x: coords[sum(map(operator.mul, x, weights))]
 
 
 def _adopt(table: FiniteAlgebra, dec: Decomposition) -> list:

@@ -483,13 +483,8 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     no value table (ValueError)."""
     if f.cod != g.dom:
         raise ValueError("composite needs f.cod == g.dom")
-    return Morphism._of_coords(f.dom, g.cod,
-                               _compose_body(f.dom, g.cod, f.body, g.body))
-
-
-def _compose_body(A: Algebra, C: Algebra, f, g):
-    """Body of f: A -> B then g: B -> C."""
-    return _body(A, C, _coord_map(f).then(_coord_map(g)))
+    return Morphism._of_coords(f.dom, g.cod, _body(
+        f.dom, g.cod, _coord_map(f.body).then(_coord_map(g.body))))
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,22 @@
 Semisimple algebras have zero radical; perfect algebras are covered by
 the radical and its negations.  Only the one- and two-element algebras
 are both, so a map is trivial iff its image lies in {0, 1}.  This module
-builds the semisimple reflection and the perfect coreflection, checks
-prekernels (exactly) and precokernels by probes, each probe decided once
-on map bodies by the body operations of ``morphisms``, and checks
-protoadditivity.
+builds the semisimple reflection and the perfect coreflection, decides
+prekernels and precokernels, and checks protoadditivity.
+
+Pre-exactness is decided by one family of probes on every carrier, read
+off the ideals: into A, the identity, the map from Chain(1) and the
+inclusion of I u neg(I) for each ideal I; out of A, the projection onto
+A/I for each ideal I.  Each probe is decided once, on the chain views, by
+the body operations of ``morphisms``, so no probe builds a value table.
+The prekernel decision is exact, and so is the precokernel decision for
+an onto g (see ``is_prekernel`` and ``is_precokernel``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import chain_product_catalog
 from .core import (
     Algebra,
     SymbolicAlgebra,
@@ -24,6 +29,7 @@ from .core import (
 )
 from .ideals import (
     _radical,
+    _view_markers,
     all_ideals,
     zero_ideal,
 )
@@ -32,7 +38,6 @@ from .morphisms import (
     Morphism,
     QuotientResult,
     SubalgebraResult,
-    _compose_body,
     _coord_map,
     _corestrict_body,
     _factor_body,
@@ -42,14 +47,12 @@ from .morphisms import (
     _subalgebra_parts,
     compose,
     corestrict,
-    enumerate_homs,
     factor_through_quotient,
     from_initial,
     identity,
     mediator_to_pullback,
     pullback,
     same_morphism,
-    subalgebra_decode,
     to_terminal,
 )
 
@@ -223,31 +226,19 @@ def pre_exact(algebra: Algebra) -> PreExactSequence:
     return PreExactSequence(perfect_part(algebra), semisimple_quotient(algebra))
 
 
-def _catalog_homs(algebra: Algebra, into: bool) -> list[Morphism]:
-    """The identity and every hom from (``into``) or to the catalog chain
-    products of size at most 4.  The catalog stays symbolic on a table
-    too: ``enumerate_homs`` pairs a block product with a table."""
-    ends = [(e, algebra) if into else (algebra, e) for e in chain_product_catalog(4)]
-    return [identity(algebra)] + [h for end in ends for h in enumerate_homs(*end)]
-
-
 def _probes_into(algebra: Algebra) -> list:
-    """(domain, body) of the identity and every hom out of the small
-    catalog algebras on a finite carrier; otherwise of the identity, the
-    map from Chain(1) and the inclusion of I u neg(I) for each ideal I."""
-    if carrier_size(algebra) is not None:
-        return [(h.dom, h.body) for h in _catalog_homs(algebra, True)]
-    return [(m.dom, m.body) for m in (identity(algebra), from_initial(algebra))] \
-        + [_subalgebra_parts(algebra, i.markers) for i in all_ideals(algebra)]
+    """(domain, CoordMap) into the chain view of the identity, the map
+    from Chain(1) and the inclusion of I u neg(I) for each ideal I."""
+    view = _view(algebra)
+    return [(m.dom, m.body) for m in (identity(view), from_initial(view))] + [
+        _subalgebra_parts(view, _view_markers(algebra, i)) for i in all_ideals(algebra)]
 
 
 def _probes_out_of(algebra: Algebra) -> list:
-    """(codomain, body) of the identity and every hom into the small
-    catalog algebras on a finite carrier; otherwise of the projection
-    onto A/I for each ideal I."""
-    if carrier_size(algebra) is not None:
-        return [(h.cod, h.body) for h in _catalog_homs(algebra, False)]
-    return [_quotient_parts(algebra, i.markers) for i in all_ideals(algebra)]
+    """(codomain, CoordMap) out of the chain view of the projection onto
+    A/I for each ideal I."""
+    view = _view(algebra)
+    return [_quotient_parts(view, _view_markers(algebra, i)) for i in all_ideals(algebra)]
 
 
 @dataclass(frozen=True)
@@ -284,91 +275,89 @@ def _points(algebra: Algebra) -> list:
 
 
 def _prekernel_outcomes(k: Morphism, g: Morphism) -> list:
-    """Each probe e: D -> A decided on bodies: e then g trivial, then e
-    corestricted through k (as ``corestrict`` does).  Uniqueness is the
-    injectivity of k, which ``_prekernel_gap`` decides once."""
+    """Each probe e: D -> A decided on the chain views: e then g trivial,
+    then e corestricted through k (as ``corestrict`` does)."""
+    K, C, kc, gc = _view(k.dom), _view(g.cod), _coord_map(k.body), _coord_map(g.body)
+
     def outcome(dom, e):
-        if not _is_trivial(dom, g.cod, _compose_body(dom, g.cod, e, g.body)):
+        if not _is_trivial(dom, C, e.then(gc)):
             return _SKIPPED
         try:
-            _corestrict_body(dom, k.dom, e, k.body)
+            _corestrict_body(dom, K, e, kc)
         except (ValueError, TypeError) as exc:
             return f"no factorization: {exc}"
         return None
     return [outcome(dom, e) for dom, e in _probes_into(g.dom)]
 
 
-def _prekernel_gap(k: Morphism, g: Morphism):
-    """None when k is injective with image ker g u neg(ker g); otherwise
-    the failure text, with a witness."""
-    if not k.is_injective():
-        y = next(y for y in _points(k.dom)
-                 if y != k.dom.zero and k(y) == k.cod.zero)
-        return f"{y} is sent to 0: k is not injective"
-    sub = _ideal_subalgebra(g.dom, g.kernel(), "subalgebra_inclusion")
-    try:
-        corestrict(sub.inclusion, k)
-        return None
-    except (ValueError, TypeError):
-        x = next(x for x in map(sub.inclusion, _points(sub.algebra))
-                 if subalgebra_decode(k, x) is None)
-        return f"{x} in ker g u neg(ker g) is outside im k"
-
-
 def is_prekernel(k: Morphism, g: Morphism) -> ProbeReport:
-    """Probe the universal property of k as the prekernel of g: the
-    composite is trivial, and every probe with trivial composite factors
-    through k exactly once.  Then decide it exactly.
+    """Decide whether k is a prekernel of g: the composite is trivial, and
+    every e with e then g trivial factors through k exactly once.  The
+    probes are the identity, the map from Chain(1) and the inclusion of
+    I u neg(I) for each ideal I; then the injectivity of k.
 
     A map is trivial iff its image lies in {0, 1}, and g(x) = 1 iff neg x
     is in ker g, so g^-1{0, 1} = ker g u neg(ker g), the carrier of
     ``ideal_subalgebra(A, ker g)``.  So k is a prekernel of g iff k is
     injective with im k = ker g u neg(ker g): then every probe with
-    trivial composite factors once.  Conversely im k lies in g^-1{0, 1};
-    that subalgebra's inclusion must factor through k; and a != b with
-    k(a) = k(b) give two factorizations of the map sending the generator
-    of the free one-generated algebra to k(a).  So a non-injective k is
-    never a prekernel, and no probe counts its factorizations: when no
-    probe fails, the exact decision names a nonzero y with k(y) = 0, or
-    an element outside im k, as the one failure (None, text)."""
+    trivial composite factors once.  Conversely im k lies in g^-1{0, 1},
+    and the probe on ker g's own subalgebra has a trivial composite, so it
+    fails exactly when that subalgebra is not within im k.  And a != b
+    with k(a) = k(b) give two factorizations of the map sending the
+    generator of the free one-generated algebra to k(a), so a
+    non-injective k is never a prekernel.  No probe counts its
+    factorizations: when no probe fails, a nonzero y with k(y) = 0 is the
+    one failure (None, text)."""
     if k.cod != g.dom:
         raise ValueError("prekernel check needs k.cod == g.dom")
-    c = compose(k, g)
-    if not _is_trivial(c.dom, c.cod, c.body):
+    if not _is_trivial(k.dom, g.cod, _coord_map(k.body).then(_coord_map(g.body))):
         return ProbeReport(False, 0, 0, (), "composite g o k is not trivial")
     report = _report(_prekernel_outcomes(k, g))
-    if report.ok and (gap := _prekernel_gap(k, g)):
-        return ProbeReport(False, report.checked, report.skipped, ((None, gap),))
+    if report.ok and not k.is_injective():
+        y = next(y for y in _points(k.dom) if y != k.dom.zero and k(y) == k.cod.zero)
+        return ProbeReport(False, report.checked, report.skipped,
+                           ((None, f"{y} is sent to 0: k is not injective"),))
     return report
 
 
 def _precokernel_outcomes(g: Morphism, k: Morphism) -> list:
-    """Each probe t: A -> C decided on bodies: k then t trivial, then the
-    mediator g.cod -> C (as ``factor_through_quotient`` builds it; g then
-    it is t), then uniqueness, which holds when g is onto."""
-    A, surjective = g.dom, g.is_surjective()
+    """Each probe t: A -> C decided on the chain views: k then t trivial,
+    then the mediator g.cod -> C (as ``factor_through_quotient`` builds
+    it; g then it is t), then uniqueness, which holds when g is onto."""
+    K, A, B = _view(k.dom), _view(g.dom), _view(g.cod)
+    kc, gc = _coord_map(k.body), _coord_map(g.body)
+    surjective = gc.is_onto()
 
     def outcome(cod, t):
-        if not _is_trivial(k.dom, cod, _compose_body(k.dom, cod, k.body, t)):
+        if not _is_trivial(K, cod, kc.then(t)):
             return _SKIPPED
         try:
-            _factor_body(A, g.cod, cod, g.body, t)
+            _factor_body(A, B, cod, gc, t)
         except (ValueError, TypeError) as exc:
             return f"no mediator: {exc}"
         return None if surjective else "uniqueness undecidable: g not surjective"
-    return [outcome(cod, t) for cod, t in _probes_out_of(A)]
+    return [outcome(cod, t) for cod, t in _probes_out_of(g.dom)]
 
 
 def is_precokernel(g: Morphism, k: Morphism) -> ProbeReport:
     """Probe the universal property of g as the precokernel of k: the
-    composite is trivial, and every probe t with k then t trivial factors
-    through g exactly once.  No kernels are compared: a t = g then h has
-    ker g within ker t, and the mediator is refused unless g then it is
-    t, so a probe that does not kill ker g fails with no mediator."""
+    composite is trivial, and every t with k then t trivial factors
+    through g exactly once.  The probes are the projections onto A/I, one
+    for each ideal I.
+
+    They decide an onto g exactly.  Every t: A -> C factors as the
+    projection A -> A/ker t followed by an embedding, and an embedding
+    meets {0, 1} only in {0, 1}; so k then t is trivial exactly when k
+    then that projection is.  For an onto g, t factors through g iff
+    ker g lies within ker t, that is iff that projection factors through
+    g, and then once.  No kernels are compared: a t = g then h has ker g
+    within ker t, and the mediator is refused unless g then it is t, so a
+    probe that does not kill ker g fails with no mediator.  For a g that
+    is not onto, each probe that factors reports its uniqueness
+    undecidable."""
     if k.cod != g.dom:
         raise ValueError("precokernel check needs k.cod == g.dom")
-    c = compose(k, g)
-    if not _is_trivial(c.dom, c.cod, c.body):
+    if not _is_trivial(k.dom, g.cod, _coord_map(k.body).then(_coord_map(g.body))):
         return ProbeReport(False, 0, 0, (), "composite g o k is not trivial")
     return _report(_precokernel_outcomes(g, k))
 

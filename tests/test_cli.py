@@ -476,6 +476,18 @@ class TestHomCountCap:
         assert elapsed < 1.0
 
 
+class TestPretorsionIdealBudget:
+    def test_fifteen_chains_exit_2_with_one_line(self, tmp_path, capsys):
+        # Chain(1)^15 has 2**15 ideals, so it has 2**15 probes each way
+        path = tmp_path / "boolean32768.json"
+        path.write_text(json.dumps({"blocks": [{"chain": 1}] * 15}))
+        code = main(["pretorsion", str(path)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.err == "error: more than 16385 ideals to list\n"
+        assert not out.out
+
+
 class TestExhaustiveBudget:
     """An exhaustive check of a carrier above the grid budget exits 2 with
     one line before any table is built.  The child runs under a 2 GiB

@@ -218,6 +218,19 @@ def test_an_override_is_certified_once(monkeypatch):
     assert len(certified) == 1
 
 
+def test_an_override_is_not_enumerated_per_membership(monkeypatch):
+    """An element of an override is read at its mixed-radix code, so a
+    membership does not list the carrier."""
+    boolean = OrSum(make_chain(3).blocks)
+    ideals, elems = all_ideals(boolean), elements(boolean)
+    listed = []
+    enumerate_all = core.elements
+    monkeypatch.setattr(core, "elements",
+                        lambda algebra: listed.append(algebra) or enumerate_all(algebra))
+    members = [ideal_contains(boolean, ideal, x) for ideal in ideals for x in elems]
+    assert len(members) == 16 and listed == []
+
+
 @pytest.mark.parametrize("algebra, x", [
     (make_chain(2), (5,)), (make_chain(2), "x"),
     (to_finite(make_chain(3)), 9), (OrSum(make_chain(3).blocks), (4,))],
