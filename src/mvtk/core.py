@@ -429,29 +429,19 @@ def to_finite(algebra: Algebra) -> FiniteAlgebra:
     """Table form of a finite-carrier algebra.  Element i of the result is
     ``elements(algebra)[i]``.
 
-    A block product of chains [0, m_1] x ... x [0, m_k] is tabled by the
-    chain formula: element x has the mixed-radix code x = sum c_i(x) w_i
-    of its levels, last block fastest (the order of ``elements``), so
-    plus[x][y] = sum w_i min(c_i(x) + c_i(y), m_i) and neg[x] = n - 1 - x,
-    built block by block from the last, with zero 0.  The table adopts the
-    block product's own decomposition, so :func:`decompose` certifies
-    nothing.  A block product that overrides ``plus`` or ``neg`` is
-    tabled pointwise through its own operations, as :func:`table_on`."""
+    A block product of chains is tabled by :func:`_chain_table`: element
+    x has the mixed-radix code x of its levels, last block fastest (the
+    order of ``elements``), and the table keeps the block product's own
+    decomposition, so :func:`decompose` certifies nothing.  A block
+    product that overrides ``plus`` or ``neg`` is tabled pointwise through
+    its own operations, as :func:`table_on`."""
     if isinstance(algebra, FiniteAlgebra):
         return algebra
     if algebra._tabled:
         return table_on(elements(algebra), algebra.plus, algebra.neg,
                         algebra.zero)
     heights = _chain_heights(algebra)
-    rows, size = [[0]], 1
-    for m in reversed(heights):
-        chain = [[*range(a, m), *[m] * (a + 1)] for a in range(m + 1)]
-        rows = [[u * size + v for u in crow for v in row]
-                for crow in chain for row in rows]
-        size *= m + 1
-    table = FiniteAlgebra._of_rows(range(size - 1, -1, -1), rows, 0)
-    object.__setattr__(table, "_dec", _coded(heights, range(size)))
-    return table
+    return _chain_table(heights, range(math.prod(m + 1 for m in heights)))[0]
 
 
 def table_on(elems, plus, neg, zero) -> FiniteAlgebra:
@@ -1098,15 +1088,6 @@ def _not_mv(what: str) -> ValueError:
     return ValueError(f"not an MV-algebra: {what}")
 
 
-def _decomposition(heights: tuple, coords) -> Decomposition:
-    """The decomposition in which element x has the levels ``coords[x]``,
-    a bijection onto the level tuples: unchecked."""
-    weights = _weights(heights)
-    dec = _coded(heights, [sum(map(operator.mul, c, weights)) for c in coords])
-    dec.__dict__["coords"] = tuple(coords)
-    return dec
-
-
 def _weights(heights: tuple) -> tuple:
     weights = [1] * len(heights)
     for i in range(len(heights) - 1, 0, -1):
@@ -1120,6 +1101,41 @@ def _coded(heights: tuple, codes) -> Decomposition:
     codes = tuple(codes)
     return Decomposition(heights, _weights(heights), codes,
                          sorted(range(len(codes)), key=codes.__getitem__))
+
+
+def _chain_table(heights: tuple, codes) -> tuple:
+    """The table of the product of the chains Chain(m_i), m_i in
+    ``heights``, whose element x has the mixed-radix code ``codes[x]`` of
+    its levels (a bijection onto the codes, unchecked), and the order of
+    its chains.  Every table the library derives is laid out here.
+
+    In code order it is the chain formula: with c_i(x) the level i of code
+    x and w_i its weight, plus[x][y] = sum w_i min(c_i(x) + c_i(y), m_i)
+    and neg[x] = n - 1 - x, built block by block from the last, with zero
+    0; the rows are then renumbered through the codes, unless these are
+    the code order.  The table keeps its decomposition with the chains in
+    the order ``_certify`` finds them, by decreasing atom, so equal tables
+    have one decomposition however they were built: chain t of the table
+    is chain ``order[t]`` of ``heights``."""
+    dec = _coded(heights, codes)
+    codes, at = dec.codes, dec.at
+    rows, size = [[0]], 1
+    for m in reversed(heights):
+        chain = [[*range(a, m), *[m] * (a + 1)] for a in range(m + 1)]
+        rows = [[u * size + v for u in crow for v in row]
+                for crow in chain for row in rows]
+        size *= m + 1
+    if codes != tuple(range(size)):
+        rows = [list(map(at.__getitem__, map(rows[c].__getitem__, codes))) for c in codes]
+    table = FiniteAlgebra._of_rows([at[size - 1 - c] for c in codes], rows, at[0])
+    order = sorted(range(len(heights)), key=lambda i: -at[heights[i] * dec.weights[i]])
+    if order != list(range(len(order))):
+        heights = tuple(heights[i] for i in order)
+        weights = _weights(heights)
+        dec = _coded(heights, [sum(c[i] * w for i, w in zip(order, weights))
+                               for c in dec.coords])
+    object.__setattr__(table, "_dec", dec)
+    return table, order
 
 
 def _certify(table: FiniteAlgebra) -> Decomposition:
@@ -1181,7 +1197,11 @@ def _certify(table: FiniteAlgebra) -> Decomposition:
                 min(u + v, m) for u, v, m in zip(coords[x], coords[y], heights)))
             raise _not_mv(f"plus({x}, {y}) = {row[y]} is not the levelwise "
                           f"truncated sum")
-    return _decomposition(tuple(heights), coords)
+    heights = tuple(heights)
+    weights = _weights(heights)
+    dec = _coded(heights, [sum(map(operator.mul, c, weights)) for c in coords])
+    dec.__dict__["coords"] = tuple(coords)
+    return dec
 
 
 def decompose(algebra: Algebra) -> Decomposition:
@@ -1221,21 +1241,6 @@ def _levels(algebra: Algebra):
         return coords.__getitem__
     weights = _weights(_chain_heights(algebra))
     return lambda x: coords[sum(map(operator.mul, x, weights))]
-
-
-def _adopt(table: FiniteAlgebra, dec: Decomposition) -> list:
-    """Give ``table`` this decomposition, unchecked: for tables built from
-    decomposed ones, such as quotients.  Its chains are put in the order
-    ``_certify`` finds them, by decreasing atom (the top of the chain), so
-    equal tables have one decomposition however they were built.  Returns
-    that order: chain t of the table is chain ``order[t]`` of ``dec``."""
-    order = sorted(range(len(dec.heights)),
-                   key=lambda i: -dec.at[dec.heights[i] * dec.weights[i]])
-    if order != list(range(len(order))):
-        dec = _decomposition(tuple(dec.heights[i] for i in order),
-                             [tuple(c[i] for i in order) for c in dec.coords])
-    object.__setattr__(table, "_dec", dec)
-    return order
 
 
 # ---------------------------------------------------------------------------

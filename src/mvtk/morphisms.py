@@ -44,8 +44,9 @@ homomorphism; it stays a rowless FiniteMapBody, which evaluates, and which
 ``is_morphism`` and ``same_morphism`` read, while every other operation
 refuses it with a ValueError.  A result with a table side reads its value
 table off its rows, and table ideals cross to the chain view as the set
-of chains they reach.  Quotients and ideal subalgebras are built here, on
-the chain view; a table reads their tables off its own rows.
+of chains they reach.  Quotients, ideal subalgebras and pullbacks are
+built here, on the chain view; when they are tables, ``core._chain_table``
+lays each out from the codes of its elements on its chains.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ from .core import (
     Algebra,
     FiniteAlgebra,
     SymbolicAlgebra,
-    _adopt,
-    _coded,
-    _decomposition,
+    _chain_table,
     _levels,
     _view,
     _weights,
@@ -76,7 +75,6 @@ from .core import (
     resolve_mode,
     run_checks,
     sample_tuples,
-    table_on,
     terminal_algebra,
     to_finite,
 )
@@ -345,8 +343,8 @@ def _decode(dom: Algebra, cod: Algebra, values) -> CoordMap | None:
 
 
 def _renumbered(coords: CoordMap, order) -> CoordMap:
-    """``coords`` out of a table whose chains ``_adopt`` put in this
-    order."""
+    """``coords`` out of a table whose chains ``core._chain_table`` put
+    in this order."""
     if order == list(range(len(order))):
         return coords
     new = {p: t for t, p in enumerate(order)}
@@ -543,8 +541,8 @@ def quotient(algebra: Algebra, ideal: Ideal, label: str = "quotient") -> Quotien
 def _quotient(algebra: Algebra, ideal: Ideal, label: str) -> QuotientResult:
     """A/I and its projection, by :func:`_quotient_parts` on the chain view.
     On a table, a class is the elements with equal levels on the chains the
-    rows keep, numbered by first element, and A/I reads its table off the
-    table rows and keeps those chains; A/0 is A itself."""
+    rows keep, numbered by first element and coded by those levels, and
+    ``core._chain_table`` lays out A/I on those chains; A/0 is A itself."""
     if not isinstance(algebra, FiniteAlgebra):
         q, coords = _quotient_parts(_view(algebra), ideal.markers)
         body = _body(algebra, q, coords)
@@ -552,24 +550,13 @@ def _quotient(algebra: Algebra, ideal: Ideal, label: str) -> QuotientResult:
         q, body = algebra, FiniteMapBody(tuple(range(algebra.size)), CoordMap._normal(
             tuple([(i, 1, ()) for i in range(len(decompose(algebra).heights))])))
     else:
-        dec = decompose(algebra)
         chains, coords = _quotient_parts(_view(algebra), _view_markers(algebra, ideal))
-        kept = {src for src, _, _ in coords.rows}
-        keys = list(map(tuple, map(itertools.compress, dec.coords, itertools.repeat(
-            [i in kept for i in range(len(dec.heights))]))))
-        classes, reps = {}, []
-        for x, key in enumerate(keys):
-            if key not in classes:
-                classes[key] = len(reps)
-                reps.append(x)
-        class_of = tuple(map(classes.__getitem__, keys))
-        neg, plus = algebra.neg_row, algebra.plus_rows
-        q = FiniteAlgebra._of_rows([class_of[neg[r]] for r in reps],
-                                   [[class_of[plus[r][s]] for s in reps] for r in reps],
-                                   class_of[algebra.zero])
-        order = _adopt(q, _decomposition(tuple([b.m for b in chains.blocks]), list(classes)))
-        rows = tuple(map(coords.rows.__getitem__, order))
-        body = FiniteMapBody(class_of, CoordMap._normal(rows))
+        heights = tuple([b.m for b in chains.blocks])
+        keys = list(_codes(decompose(algebra), _weights(heights), coords.rows))
+        classes = {key: c for c, key in enumerate(dict.fromkeys(keys))}
+        q, order = _chain_table(heights, list(classes))
+        body = FiniteMapBody(tuple(map(classes.__getitem__, keys)),
+                             CoordMap._normal(tuple(map(coords.rows.__getitem__, order))))
     return QuotientResult(q, Morphism._of_coords(algebra, q, body, label), ideal)
 
 
@@ -591,8 +578,9 @@ def factor_through_quotient(q: Morphism, f: Morphism, label: str = "") -> Morphi
     """The unique g with g o q = f; needs ker q within ker f and q onto.
 
     No kernel is compared: the body operation decides.  The CoordMap of
-    g is read off those of q and f, composed back and refused unless q
-    then g is f."""
+    g is read off those of q and f, row by row, and refused where f reads
+    what q kills or a height or multiplier that q's does not divide;
+    otherwise q then g is f."""
     if q.dom != f.dom:
         raise ValueError("factorization needs a shared domain")
     return Morphism._of_coords(q.cod, f.cod,
@@ -610,8 +598,11 @@ def _factor_body(A: Algebra, Q: Algebra, C: Algebra, q, f):
 
 
 def _factor_coords(q: CoordMap, f: CoordMap) -> CoordMap:
-    """g with q.then(g) == f: each row of f is re-read from the row of q
-    that carries the same source block."""
+    """g with q.then(g) == f: each row of f is re-read from the first row
+    of q that carries the same source block.  Nothing is composed back:
+    each placement divides f's multiplier by q's and the scale divides
+    f's scale by q's, each raising unless it divides exactly, so q.then(g)
+    rebuilds f term by term."""
     first = {}
     for j, (src, _, _) in enumerate(q.rows):
         first.setdefault(src, j)
@@ -637,10 +628,7 @@ def _factor_coords(q: CoordMap, f: CoordMap) -> CoordMap:
         if scale % qscale:
             raise ValueError("f does not factor through the quotient")
         rows.append((j, scale // qscale, tuple(placed)))
-    g = CoordMap._normal(tuple(rows))
-    if q.then(g) != f:
-        raise ValueError("f does not factor through the quotient")
-    return g
+    return CoordMap._normal(tuple(rows))
 
 
 def image_ideal(q: Morphism, ideal: Ideal) -> Ideal:
@@ -676,17 +664,20 @@ def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
 
 
 def _ideal_subalgebra(algebra: Algebra, ideal: Ideal, label: str) -> SubalgebraResult:
-    """The block formula on the chain view.  On a table, the subalgebra's
-    table lists the members in order, read off the table rows, and their
-    levels and the inclusion come from that formula."""
+    """The block formula on the chain view.  On a table, the subalgebra
+    lists the members in order, each coded by the levels that the
+    inclusion's ``solve`` gives it, and ``core._chain_table`` lays out
+    its table."""
     view, incl = _subalgebra_parts(_view(algebra), _view_markers(algebra, ideal))
     if not isinstance(algebra, FiniteAlgebra):
         sub, body = view, _body(view, algebra, incl)
     else:
         members = tuple(sorted(ideal.elements | {algebra.neg(x) for x in ideal.elements}))
-        sub = table_on(members, algebra.plus, algebra.neg, algebra.zero)
-        order = _adopt(sub, _decomposition(tuple(b.m for b in view.blocks), [
-            incl.solve(view, levels) for levels in map(_levels(algebra), members)]))
+        heights = tuple([b.m for b in view.blocks])
+        weights = _weights(heights)
+        sub, order = _chain_table(heights, [
+            sum(map(operator.mul, incl.solve(view, levels), weights))
+            for levels in map(_levels(algebra), members)])
         body = FiniteMapBody(members, _renumbered(incl, order))
     return SubalgebraResult(sub, Morphism._of_coords(sub, algebra, body, label), ideal)
 
@@ -808,17 +799,23 @@ def enumerate_homs(dom: Algebra, cod: Algebra) -> list[Morphism]:
 
 def _values(da, db, rows) -> tuple:
     """The value table, as codomain positions, of the chain-product map
-    with these CoordMap rows.  The codomain code of a value is linear in
-    the domain levels, level i weighing the codomain weights of the
-    blocks that read chain i, so the codes are listed in domain-code
-    order, one chain at a time, and read back through ``codes``."""
+    with these CoordMap rows: its codes read back through ``at``."""
+    return tuple(map(db.at.__getitem__, _codes(da, db.weights, rows)))
+
+
+def _codes(da, weights, rows):
+    """The codes over ``weights`` of the values of the chain-product map
+    with these CoordMap rows, in domain order.  A value's code is linear
+    in the domain levels, level i weighing the weights of the blocks that
+    read chain i, so the codes are listed one chain at a time in
+    domain-code order and read through ``codes``."""
     weight = [0] * len(da.heights)
-    for (src, scale, _), w in zip(rows, db.weights):
+    for (src, scale, _), w in zip(rows, weights):
         weight[src] += scale * w
     out = [0]
     for m, k in zip(da.heights, weight):
         out = [v + level * k for v in out for level in range(m + 1)]
-    return tuple(map(db.at.__getitem__, map(out.__getitem__, da.codes)))
+    return map(out.__getitem__, da.codes)
 
 
 def find_isomorphism(dom: Algebra, cod: Algebra) -> Morphism | None:
@@ -898,16 +895,15 @@ def pullback(f: Morphism, g: Morphism) -> PullbackResult:
     One of f and g must be onto (NotImplementedError otherwise), and the
     pullback of their CoordMaps is then a block product, on any carrier.
     When a side of f or g is a table algebra, the pullback is the literal
-    set of pairs instead, which needs finite carriers (NotImplementedError):
-    the pairs (a, c) with f(a) = g(c), a-major, whose table is read off the
-    rows of the two domains' tables.  Its chains are those of the block
-    product: A's chains and the chains of C that an onto g drops, or C's
-    chains and the chains of A that an onto f drops."""
+    set of pairs instead: the pairs (a, c) with f(a) = g(c), a-major,
+    which ``elements`` lists, so an infinite domain is refused there with
+    a ValueError.  Its chains are those of the block product: A's chains
+    and the chains of C that an onto g drops, or C's chains and the chains
+    of A that an onto f drops, and ``core._chain_table`` lays out its
+    table."""
     if f.cod != g.cod:
         raise ValueError("pullback needs a shared codomain")
     literal = _has_table(f.dom, f.cod) or _has_table(g.dom, g.cod)
-    if literal and (carrier_size(f.dom) is None or carrier_size(g.dom) is None):
-        raise NotImplementedError("a pullback along a table map needs finite carriers")
     fc, gc = _coord_map(f.body), _coord_map(g.body)
     if gc.is_onto():
         P, left, right = _block_pullback(_view(f.dom), _view(g.dom), fc, gc)
@@ -926,9 +922,8 @@ def _literal_pullback(f: Morphism, g: Morphism, P: SymbolicAlgebra,
     """The table of the pairs, decomposed as their block-product pullback
     P with projections ``left`` and ``right``.  Each chain of P takes its
     level from the first projection row that reads it, so the code of a
-    pair (a, c) is a part read off a plus a part read off c, and the
-    tables are read through those codes."""
-    A, C = to_finite(f.dom), to_finite(g.dom)
+    pair (a, c) is a part read off a plus a part read off c, and
+    ``core._chain_table`` lays out the table of P through those codes."""
     ea, ec = elements(f.dom), elements(g.dom)
     over = {}
     for j, v in enumerate(map(g._eval, ec)):
@@ -944,16 +939,7 @@ def _literal_pullback(f: Morphism, g: Morphism, P: SymbolicAlgebra,
         parts[side] = [p + levels[k] // scale * w for p, levels in
                        zip(parts[side], decompose((f.dom, g.dom)[side]).coords)]
     part_a, part_c = parts
-    dec = _coded(heights, [part_a[i] + part_c[j] for i, j in pos])
-    at = dec.at
-
-    def row(ra, rc):
-        ca, cc = [part_a[v] for v in ra], [part_c[v] for v in rc]
-        return [at[ca[i] + cc[j]] for i, j in pos]
-    pb = FiniteAlgebra._of_rows(row(A.neg_row, C.neg_row),
-                                [row(A.plus_rows[i], C.plus_rows[j]) for i, j in pos],
-                                at[part_a[A.zero] + part_c[C.zero]])
-    order = _adopt(pb, dec)
+    pb, order = _chain_table(heights, [part_a[i] + part_c[j] for i, j in pos])
     values = (tuple([ea[i] for i, _ in pos]), tuple([ec[j] for _, j in pos]))
     return PullbackResult(pb, tuple(zip(*values)), *(
         Morphism._of_coords(pb, end, FiniteMapBody(v, _renumbered(coords, order)))

@@ -351,10 +351,10 @@ def is_precokernel(g: Morphism, k: Morphism) -> ProbeReport:
     then that projection is.  For an onto g, t factors through g iff
     ker g lies within ker t, that is iff that projection factors through
     g, and then once.  No kernels are compared: a t = g then h has ker g
-    within ker t, and the mediator is refused unless g then it is t, so a
-    probe that does not kill ker g fails with no mediator.  For a g that
-    is not onto, each probe that factors reports its uniqueness
-    undecidable."""
+    within ker t, and a mediator read off g and t row by row always has g
+    then it equal to t, so a probe that does not kill ker g fails with no
+    mediator.  For a g that is not onto, each probe that factors reports
+    its uniqueness undecidable."""
     if k.cod != g.dom:
         raise ValueError("precokernel check needs k.cod == g.dom")
     if not _is_trivial(k.dom, g.cod, _coord_map(k.body).then(_coord_map(g.body))):

@@ -26,6 +26,7 @@ from mvtk import (
     all_ideals,
     chain_product_catalog,
     compose,
+    corestrict,
     elements,
     em_factorize,
     enumerate_homs,
@@ -43,8 +44,10 @@ from mvtk import (
     kernel_pair,
     make_chain,
     make_komori,
+    mediator_to_pullback,
     perfect_map,
     product,
+    pullback,
     quotient,
     radical,
     radical_projection,
@@ -254,3 +257,57 @@ class TestUnsupportedShapes:
         h = enumerate_homs(eta.cod, to_finite(eta.cod))[0]
         with pytest.raises(ValueError, match="infinite block product"):
             compose(eta, h)
+
+
+C2, C3, CHANG = make_chain(2), make_chain(3), make_komori(1, 1)
+T3 = to_finite(C3)
+
+
+@pytest.mark.parametrize("build, error, text", [
+    (lambda: Morphism(C2, C2, CoordMap(())),
+     ValueError, "a coordinate map needs one row per codomain block"),
+    (lambda: Morphism(C2, C2, CoordMap(((3, 1, ()),))),
+     ValueError, "source block 3 out of range"),
+    (lambda: Morphism(C2, C3, CoordMap(((0, 1, ()),))),
+     ValueError, "scale 1 does not carry Chain(2) onto Chain(3)"),
+    (lambda: Morphism(CHANG, CHANG, CoordMap(((0, 1, ()),))),
+     ValueError, "Komori(1,1) needs one placement per coordinate"),
+    (lambda: Morphism(CHANG, CHANG, CoordMap(((0, 1, ((5, 1),)),))),
+     ValueError, "bad coordinate placement (5, 1) from Komori(1,1)"),
+    (lambda: Morphism(C3, T3, CoordMap(((0, 1, ()),))),
+     TypeError, "coordinate maps run between block products"),
+    (lambda: Morphism(C2, C2, "x"), TypeError, "unknown body 'x'"),
+    (lambda: Morphism(T3, T3, FiniteMapBody((0, 1))),
+     ValueError, "value table does not cover the domain"),
+], ids=["rows", "source", "scale", "placements", "placement", "table-side",
+        "body", "cover"])
+def test_a_body_is_refused_where_it_enters(build, error, text):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: factor_through_quotient(
+        Morphism(make_chain(1), C2, CoordMap(((0, 2, ()),))), identity(make_chain(1))),
+     "f does not factor through the quotient"),
+    (lambda: corestrict(identity(CHANG),
+                        Morphism(CHANG, CHANG, CoordMap(((0, 1, ((0, 2),)),)))),
+     "image of e escapes the subobject"),
+    (lambda: corestrict(identity(C2), Morphism(product([C2, C3]), C2,
+                                               CoordMap(((0, 1, ()),)))),
+     "no map into Chain(3), which the corestriction does not see"),
+    (lambda: factor_through_quotient(identity(C2), identity(C3)),
+     "factorization needs a shared domain"),
+    (lambda: corestrict(identity(C2), identity(C3)),
+     "corestriction needs matching codomains"),
+    (lambda: pullback(identity(C2), identity(C3)), "pullback needs a shared codomain"),
+    (lambda: mediator_to_pullback(pullback(identity(C2), identity(C2)),
+                                  identity(C2), identity(C3)),
+     "mediator needs a shared domain"),
+], ids=["scale", "multiplier", "unseen-block", "factor-domains",
+        "corestrict-codomains", "pullback-codomains", "mediator-domains"])
+def test_a_body_operation_refuses_what_has_no_answer(build, text):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == text

@@ -47,6 +47,7 @@ from mvtk import (
     maximal_ideals,
     pre_exact,
     product,
+    pullback,
     quotient,
     radical,
     random_block_algebra,
@@ -229,6 +230,19 @@ def test_an_override_is_not_enumerated_per_membership(monkeypatch):
                         lambda algebra: listed.append(algebra) or enumerate_all(algebra))
     members = [ideal_contains(boolean, ideal, x) for ideal in ideals for x in elems]
     assert len(members) == 16 and listed == []
+
+
+def test_an_override_is_not_tabled_per_pullback(monkeypatch):
+    """A literal pullback lays out its table from the pair codes, so after
+    the one certification it does not table the override again."""
+    boolean = OrSum(make_chain(3).blocks)
+    f = identity(boolean)
+    tabled = []
+    table_on = core.table_on
+    monkeypatch.setattr(core, "table_on",
+                        lambda *args: tabled.append(args) or table_on(*args))
+    pbs = [pullback(f, f) for _ in range(5)]
+    assert [pb.algebra.size for pb in pbs] == [4] * 5 and tabled == []
 
 
 @pytest.mark.parametrize("algebra, x", [

@@ -299,8 +299,9 @@ class TestProtoadditivity:
         assert report.ok, report
         assert report.compared == 2
 
-    def test_pullbacks_along_table_maps_are_not_implemented(self):
-        # p or g is a table map, so the pullback has no symbolic presentation
+    def test_pullbacks_along_table_maps_need_finite_carriers(self):
+        # p or g is a table map, so the pullback is the literal set of
+        # pairs, which the finite-carrier gate refuses to list
         prod, c1 = product([CHANG, make_chain(2)]), make_chain(1)
         cases = [
             (Morphism(prod, CHANG, CoordMap(((0, 1, ((0, 1),)),)), "first"),
@@ -312,7 +313,8 @@ class TestProtoadditivity:
              radical_projection(CHANG)),
         ]
         for p, s, g in cases:
-            with pytest.raises(NotImplementedError):
+            with pytest.raises(ValueError,
+                               match=r"^cannot enumerate infinite carrier of Komori\(1,1\)$"):
                 protoadditivity_check(p, s, g)
 
     def test_finite_diagonal_section(self):

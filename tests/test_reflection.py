@@ -4,11 +4,11 @@ A finite MV-algebra is a product of chains, and a chain has no nonzero
 infinitesimal, so the radical of a table is zero and A/Rad A is A.  The
 library reads this off the chain decomposition: ``_radical`` returns the
 zero ideal after certifying the table, a quotient by the zero ideal is
-the table itself, and the literal pullback of two table maps is built
-from the rows of the two tables.  These tests hold ``_radical`` to the
-three literal radical methods, the reflection to the table itself, and
-the pullback to ``table_on`` over the list of pairs, inlined here as an
-oracle.
+the table itself, and the literal pullback of two table maps is laid
+out by the chain formula from the codes of its pairs.  These tests hold
+``_radical`` to the three literal radical methods, the reflection to the
+table itself, and the pullback to ``table_on`` over the list of pairs,
+inlined here as an oracle.
 """
 
 import itertools
