@@ -130,7 +130,7 @@ def cmd_homs(args):
     cod = parse_algebra(spec["cod"])
     homs = enumerate_homs(dom, cod)
     cod_index = {x: i for i, x in enumerate(elements(cod))}
-    tables = [[cod_index[h(x)] for x in elements(dom)] for h in homs]
+    tables = [[cod_index[h._eval(x)] for x in elements(dom)] for h in homs]
     payload = {
         "dom": describe(dom),
         "cod": describe(cod),

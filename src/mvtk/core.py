@@ -429,19 +429,19 @@ def to_finite(algebra: Algebra) -> FiniteAlgebra:
     """Table form of a finite-carrier algebra.  Element i of the result is
     ``elements(algebra)[i]``.
 
-    A block product of chains is tabled by :func:`_chain_table`: element
-    x has the mixed-radix code x of its levels, last block fastest (the
-    order of ``elements``), and the table keeps the block product's own
-    decomposition, so :func:`decompose` certifies nothing.  A block
-    product that overrides ``plus`` or ``neg`` is tabled pointwise through
-    its own operations, as :func:`table_on`."""
+    A block product is tabled by :func:`_chain_table` through its
+    decomposition: for a block product of chains its own, element x with
+    the mixed-radix code x of its levels (the order of ``elements``), so
+    :func:`decompose` certifies nothing.  A block product that overrides
+    ``plus`` or ``neg`` is tabled pointwise through its own operations, as
+    :func:`table_on`, until :func:`decompose` has certified it."""
     if isinstance(algebra, FiniteAlgebra):
         return algebra
-    if algebra._tabled:
+    if algebra._tabled and getattr(algebra, "_dec", None) is None:
         return table_on(elements(algebra), algebra.plus, algebra.neg,
                         algebra.zero)
-    heights = _chain_heights(algebra)
-    return _chain_table(heights, range(math.prod(m + 1 for m in heights)))[0]
+    dec = decompose(algebra)
+    return _chain_table(dec.heights, dec.codes)[0]
 
 
 def table_on(elems, plus, neg, zero) -> FiniteAlgebra:
@@ -1126,7 +1126,7 @@ def _chain_table(heights: tuple, codes) -> tuple:
                 for crow in chain for row in rows]
         size *= m + 1
     if codes != tuple(range(size)):
-        rows = [list(map(at.__getitem__, map(rows[c].__getitem__, codes))) for c in codes]
+        rows = [[at[row[c]] for c in codes] for row in map(rows.__getitem__, codes)]
     table = FiniteAlgebra._of_rows([at[size - 1 - c] for c in codes], rows, at[0])
     order = sorted(range(len(heights)), key=lambda i: -at[heights[i] * dec.weights[i]])
     if order != list(range(len(order))):
@@ -1143,12 +1143,13 @@ def _certify(table: FiniteAlgebra) -> Decomposition:
 
     The Boolean elements are the x with x (+) x = x.  Their atoms e_i
     bound the chains [0, e_i], and level i of x is the position of
-    x /\\ e_i in its chain.  The levels are then checked to be a bijection
-    onto the product of the chains that preserves 0, neg and (+), in
-    O(n**2 k) lookups.  A table that passes is isomorphic to a product of
-    chains, hence an MV-algebra; an MV-algebra passes, by the structure
-    theorem.  A failure is a ValueError naming its witness: a pair (x, y),
-    an element, or a level tuple that no element has."""
+    x /\\ e_i in its chain.  The levels are checked to be a bijection onto
+    the product of the chains, and the table to equal the one
+    :func:`_chain_table` lays out through them, in O(n**2) comparisons.  A
+    table that passes is a product of chains, hence an MV-algebra; an
+    MV-algebra passes, by the structure theorem.  A failure is a ValueError
+    naming its first witness: an element or level tuple, then zero, neg(x)
+    and plus(x, y) in row-major order."""
     n, neg, plus, zero = table.size, table.neg_row, table.plus_rows, table.zero
     one = neg[zero]
     # atoms in decreasing element order keep the blocks of a to_finite table
@@ -1181,25 +1182,18 @@ def _certify(table: FiniteAlgebra) -> Decomposition:
         missing = next(c for c in itertools.product(*(range(m + 1) for m in heights))
                        if c not in first)
         raise _not_mv(f"no element has levels {list(missing)}")
-    if any(coords[zero]):
-        raise _not_mv(f"zero {zero} has levels {list(coords[zero])}")
-    for x in range(n):
-        if coords[neg[x]] != tuple(m - v for m, v in zip(heights, coords[x])):
-            raise _not_mv(f"neg({x}) = {neg[x]} is not the levelwise negation")
-    # sums[i][a]: the levels in chain i of a (+) y for each element y
-    sums = [[[min(a + b, m) for b in column] for a in range(m + 1)]
-            for m, column in zip(heights, columns)]
-    for x in range(n):
-        row = plus[x]
-        if any(list(map(column.__getitem__, row)) != s[column[x]]
-               for column, s in zip(columns, sums)):
-            y = next(y for y in range(n) if coords[row[y]] != tuple(
-                min(u + v, m) for u, v, m in zip(coords[x], coords[y], heights)))
-            raise _not_mv(f"plus({x}, {y}) = {row[y]} is not the levelwise "
-                          f"truncated sum")
-    heights = tuple(heights)
     weights = _weights(heights)
-    dec = _coded(heights, [sum(map(operator.mul, c, weights)) for c in coords])
+    ref, _ = _chain_table(tuple(heights), [sum(map(operator.mul, c, weights)) for c in coords])
+    if zero != ref.zero:
+        raise _not_mv(f"zero {zero} has levels {list(coords[zero])}")
+    if neg != ref.neg_row:
+        x = next(x for x in range(n) if neg[x] != ref.neg_row[x])
+        raise _not_mv(f"neg({x}) = {neg[x]} is not the levelwise negation")
+    if plus != ref.plus_rows:
+        x, y = next((x, y) for x in range(n) for y in range(n)
+                    if plus[x][y] != ref.plus_rows[x][y])
+        raise _not_mv(f"plus({x}, {y}) = {plus[x][y]} is not the levelwise truncated sum")
+    dec = ref._dec
     dec.__dict__["coords"] = tuple(coords)
     return dec
 

@@ -45,8 +45,9 @@ homomorphism; it stays a rowless FiniteMapBody, which evaluates, and which
 refuses it with a ValueError.  A result with a table side reads its value
 table off its rows, and table ideals cross to the chain view as the set
 of chains they reach.  Quotients, ideal subalgebras and pullbacks are
-built here, on the chain view; when they are tables, ``core._chain_table``
-lays each out from the codes of its elements on its chains.
+built here, on the chain view.  As tables, ``core._chain_table`` lays out
+a quotient from the codes of its classes, and an ideal subalgebra or a
+literal pullback from its block construction, ordered by its images.
 """
 
 from __future__ import annotations
@@ -414,6 +415,8 @@ class Morphism:
         return f"Morphism({type(self.body).__name__}{tag})"
 
     def __call__(self, x):
+        if not self.dom.contains(x):
+            raise ValueError(f"not an element: {x!r}")
         return self._eval(x)
 
     def kernel(self) -> Ideal:
@@ -493,14 +496,14 @@ def is_morphism(m: Morphism, mode: str = "auto", count: int = 400,
                 seed: int = 0):
     """Verify preservation of zero, addition and negation pointwise, and
     that values land in the codomain.  Returns a CheckReport."""
-    A, B = m.dom, m.cod
+    A, B, h = m.dom, m.cod, m._eval
     mode = resolve_mode(A, mode)
     checks = [
-        ("preserves_zero", 0, lambda: m(A.zero) == B.zero),
-        ("lands_in_codomain", 1, lambda x: B.contains(m(x))),
+        ("preserves_zero", 0, lambda: h(A.zero) == B.zero),
+        ("lands_in_codomain", 1, lambda x: B.contains(h(x))),
         ("preserves_plus", 2,
-         lambda x, y: m(A.plus(x, y)) == B.plus(m(x), m(y))),
-        ("preserves_neg", 1, lambda x: m(A.neg(x)) == B.neg(m(x))),
+         lambda x, y: h(A.plus(x, y)) == B.plus(h(x), h(y))),
+        ("preserves_neg", 1, lambda x: h(A.neg(x)) == B.neg(h(x))),
     ]
     if mode == "exhaustive":
         def tuples(name, arity):
@@ -664,21 +667,13 @@ def ideal_subalgebra(algebra: Algebra, ideal: Ideal,
 
 
 def _ideal_subalgebra(algebra: Algebra, ideal: Ideal, label: str) -> SubalgebraResult:
-    """The block formula on the chain view.  On a table, the subalgebra
-    lists the members in order, each coded by the levels that the
-    inclusion's ``solve`` gives it, and ``core._chain_table`` lays out
-    its table."""
+    """The block formula on the chain view, tabled on a table by the
+    images of its elements (:func:`_image_table`): the members in order."""
     view, incl = _subalgebra_parts(_view(algebra), _view_markers(algebra, ideal))
     if not isinstance(algebra, FiniteAlgebra):
         sub, body = view, _body(view, algebra, incl)
     else:
-        members = tuple(sorted(ideal.elements | {algebra.neg(x) for x in ideal.elements}))
-        heights = tuple([b.m for b in view.blocks])
-        weights = _weights(heights)
-        sub, order = _chain_table(heights, [
-            sum(map(operator.mul, incl.solve(view, levels), weights))
-            for levels in map(_levels(algebra), members)])
-        body = FiniteMapBody(members, _renumbered(incl, order))
+        sub, (body,) = _image_table(view, (algebra,), (incl,))
     return SubalgebraResult(sub, Morphism._of_coords(sub, algebra, body, label), ideal)
 
 
@@ -807,14 +802,14 @@ def _codes(da, weights, rows):
     """The codes over ``weights`` of the values of the chain-product map
     with these CoordMap rows, in domain order.  A value's code is linear
     in the domain levels, level i weighing the weights of the blocks that
-    read chain i, so the codes are listed one chain at a time in
-    domain-code order and read through ``codes``."""
+    read chain i, so the codes are listed one chain at a time from the
+    last, in domain-code order, and read through ``codes``."""
     weight = [0] * len(da.heights)
     for (src, scale, _), w in zip(rows, weights):
         weight[src] += scale * w
     out = [0]
-    for m, k in zip(da.heights, weight):
-        out = [v + level * k for v in out for level in range(m + 1)]
+    for m, k in zip(reversed(da.heights), reversed(weight)):
+        out = [v + s for s in range(0, (m + 1) * k, k) for v in out] if k else out * (m + 1)
     return map(out.__getitem__, da.codes)
 
 
@@ -912,38 +907,38 @@ def pullback(f: Morphism, g: Morphism) -> PullbackResult:
     else:
         raise NotImplementedError("a pullback needs two maps, one of them onto")
     if literal:
-        return _literal_pullback(f, g, P, left, right)
+        return _literal_pullback(f.dom, g.dom, P, left, right)
     return PullbackResult(P, None, Morphism._of_coords(P, f.dom, left),
                           Morphism._of_coords(P, g.dom, right))
 
 
-def _literal_pullback(f: Morphism, g: Morphism, P: SymbolicAlgebra,
+def _literal_pullback(A: Algebra, C: Algebra, P: SymbolicAlgebra,
                       left: CoordMap, right: CoordMap) -> PullbackResult:
-    """The table of the pairs, decomposed as their block-product pullback
-    P with projections ``left`` and ``right``.  Each chain of P takes its
-    level from the first projection row that reads it, so the code of a
-    pair (a, c) is a part read off a plus a part read off c, and
-    ``core._chain_table`` lays out the table of P through those codes."""
-    ea, ec = elements(f.dom), elements(g.dom)
-    over = {}
-    for j, v in enumerate(map(g._eval, ec)):
-        over.setdefault(v, []).append(j)
-    pos = [(i, j) for i, v in enumerate(map(f._eval, ea)) for j in over.get(v, ())]
-    first = {}
-    for side, coords in enumerate((left, right)):
-        for k, (src, scale, _) in enumerate(coords.rows):
-            first.setdefault(src, (side, k, scale))
-    heights = tuple(b.m for b in P.blocks)
-    parts = [[0] * len(ea), [0] * len(ec)]
-    for (_, (side, k, scale)), w in zip(sorted(first.items()), _weights(heights)):
-        parts[side] = [p + levels[k] // scale * w for p, levels in
-                       zip(parts[side], decompose((f.dom, g.dom)[side]).coords)]
-    part_a, part_c = parts
-    pb, order = _chain_table(heights, [part_a[i] + part_c[j] for i, j in pos])
-    values = (tuple([ea[i] for i, _ in pos]), tuple([ec[j] for _, j in pos]))
-    return PullbackResult(pb, tuple(zip(*values)), *(
-        Morphism._of_coords(pb, end, FiniteMapBody(v, _renumbered(coords, order)))
-        for end, v, coords in zip((f.dom, g.dom), values, (left, right))))
+    """The table of the pairs: the block pullback P with projections
+    ``left`` and ``right``, tabled by its images (:func:`_image_table`)."""
+    pb, bodies = _image_table(P, (A, C), (left, right))
+    return PullbackResult(pb, tuple(zip(*(body.table for body in bodies))), *(
+        Morphism._of_coords(pb, end, body) for end, body in zip((A, C), bodies)))
+
+
+def _image_table(P: SymbolicAlgebra, ends, legs) -> tuple:
+    """The table of the block product of chains P that the CoordMaps
+    ``legs`` into the chain views of ``ends`` embed jointly, and the legs'
+    bodies: P's elements in the order of their images' positions
+    (:func:`_values`, first leg major), laid out by ``core._chain_table``.
+    The ends are decomposed first, so an infinite one is refused by name."""
+    dbs = [decompose(end) for end in ends]
+    dp = decompose(P)
+    images = [_values(dp, db, leg.rows) for db, leg in zip(dbs, legs)]
+    keys = images[0]
+    for db, image in zip(dbs[1:], images[1:]):
+        n = len(db.codes)
+        keys = [k * n + v for k, v in zip(keys, image)]
+    codes = sorted(range(len(keys)), key=keys.__getitem__)
+    table, order = _chain_table(dp.heights, codes)
+    return table, [FiniteMapBody(tuple(map(elements(end).__getitem__, map(
+        image.__getitem__, codes))), _renumbered(leg, order))
+        for end, image, leg in zip(ends, images, legs)]
 
 
 def _block_pullback(A: SymbolicAlgebra, B: SymbolicAlgebra, f: CoordMap, e: CoordMap):

@@ -187,7 +187,7 @@ def is_trivial_morphism(f: Morphism) -> TrivialWitness:
     through it, whatever its body."""
     if not _is_trivial(f.dom, f.cod, f.body):
         zero_one = (f.cod.zero, f.cod.one)
-        witness = next(x for x in _points(f.dom) if f(x) not in zero_one)
+        witness = next(x for x in _points(f.dom) if f._eval(x) not in zero_one)
         return TrivialWitness(False, None, None, None, witness,
                               "image contains a value other than 0 and 1")
     if carrier_size(f.cod) == 1:
@@ -314,7 +314,7 @@ def is_prekernel(k: Morphism, g: Morphism) -> ProbeReport:
         return ProbeReport(False, 0, 0, (), "composite g o k is not trivial")
     report = _report(_prekernel_outcomes(k, g))
     if report.ok and not k.is_injective():
-        y = next(y for y in _points(k.dom) if y != k.dom.zero and k(y) == k.cod.zero)
+        y = next(y for y in _points(k.dom) if y != k.dom.zero and k._eval(y) == k.cod.zero)
         return ProbeReport(False, report.checked, report.skipped,
                            ((None, f"{y} is sent to 0: k is not injective"),))
     return report

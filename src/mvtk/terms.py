@@ -142,7 +142,7 @@ def kernel_restriction_harness(max_size: int = 6) -> HarnessReport:
                             continue
                         k = factor_through_quotient(f, compose(h, g))
                         squares += 1
-                        image = [h(x) for x in kerf]
+                        image = list(map(h._eval, kerf))
                         r_inj = len(set(image)) == len(kerf)
                         r_sur = kerg <= set(image)
                         pb = pullback(g, k)

@@ -108,6 +108,16 @@ def corruptions(table, seed):
     return out
 
 
+def corrupted_plus(heights, cells):
+    """neg and plus of the table of the product of the chains Chain(m),
+    m in ``heights``, with the plus cells (x, y) set to ``cells[x, y]``."""
+    table = to_finite(product([make_chain(m) for m in heights]))
+    plus = [list(r) for r in table.plus_rows]
+    for (x, y), v in cells.items():
+        plus[x][y] = v
+    return list(table.neg_row), plus
+
+
 def certified(table) -> bool:
     try:
         decompose(table)
@@ -159,6 +169,13 @@ class TestCertificate:
          "plus(1, 1) = 0 is not the levelwise truncated sum"),
         ([3, 2, 1, 0], [[3, 1, 2, 3], [1, 1, 3, 3], [2, 3, 0, 0], [3, 3, 0, 3]],
          "no element has levels [0, 1]"),
+        # two bad plus cells: the row-major first is named
+        (*corrupted_plus((2, 1), {(0, 0): 1, (1, 2): 4}),
+         "plus(0, 0) = 1 is not the levelwise truncated sum"),
+        (*corrupted_plus((2, 1), {(2, 3): 0, (4, 5): 0}),
+         "plus(2, 3) = 0 is not the levelwise truncated sum"),
+        (*corrupted_plus((1, 1, 1), {(3, 5): 6, (5, 3): 0}),
+         "plus(3, 5) = 6 is not the levelwise truncated sum"),
     ])
     def test_each_refusal_names_its_witness(self, neg, plus, witness):
         table = make_finite(neg, plus)

@@ -245,6 +245,21 @@ def test_an_override_is_not_tabled_per_pullback(monkeypatch):
     assert [pb.algebra.size for pb in pbs] == [4] * 5 and tabled == []
 
 
+def test_a_certified_override_is_tabled_by_the_chain_formula(monkeypatch):
+    """Once certified, an override is tabled from its decomposition, so
+    exhaustive checks table it no more; that table is its pointwise one."""
+    boolean = OrSum(make_chain(3).blocks)
+    decompose(boolean)
+    tabled = []
+    table_on = core.table_on
+    monkeypatch.setattr(core, "table_on",
+                        lambda *args: tabled.append(args) or table_on(*args))
+    assert all(check_axioms(boolean, mode="exhaustive").ok for _ in range(5))
+    assert tabled == []
+    pointwise = table_on(elements(boolean), boolean.plus, boolean.neg, boolean.zero)
+    assert to_finite(boolean) == pointwise
+
+
 @pytest.mark.parametrize("algebra, x", [
     (make_chain(2), (5,)), (make_chain(2), "x"),
     (to_finite(make_chain(3)), 9), (OrSum(make_chain(3).blocks), (4,))],

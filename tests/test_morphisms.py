@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -37,6 +38,7 @@ from mvtk import (
     pullback,
     quotient,
     radical,
+    radical_projection,
     random_block_algebra,
     same_morphism,
     subalgebra_decode,
@@ -367,3 +369,19 @@ class TestProducts:
         prod = to_finite(product([make_chain(1), make_chain(1)]))
         q = quotient(prod, FiniteIdeal(frozenset({0, 1})))
         assert image_set(q.projection) == set(range(2))
+
+
+MIXED = product([CHANG, make_chain(2)])
+
+
+@pytest.mark.parametrize("m, x", [
+    (identity(make_chain(2)), (7,)),
+    (radical_projection(MIXED), (5, 9)),
+    (identity(to_finite(make_chain(2))), 99),
+    (radical_projection(MIXED), "x"),
+], ids=["chain-level", "mixed-levels", "table-index", "mixed-string"])
+def test_a_morphism_refuses_a_non_element(m, x):
+    """Evaluation checks its argument against the domain, as
+    ``ideal_contains`` does, instead of running the body on it."""
+    with pytest.raises(ValueError, match=rf"^not an element: {re.escape(repr(x))}$"):
+        m(x)
