@@ -9,10 +9,12 @@ and A/0 is A itself, so the semisimple reflection is the identity.  The
 pair (radical-kernel surjections, radical-disjoint kernels) forms the
 factorization system built by ``em_factorize``.
 
-The pullback criterion for trivial coverings and the stability of the
-left class are checked with ``morphisms.pullback``: between block
-products the pullback along a surjection is presented as a block
-product, on any carrier; table maps get the literal set of pairs.
+The pullback criterion for trivial coverings is decided on the chain
+views: the comparison into the pullback is read off the block pullback
+(``morphisms._comparison``), on any carrier, and no literal pullback is
+built.  The stability of the left class returns the projection of
+``morphisms.pullback``, which is a block product between block products
+and still lists the pairs for table maps.
 """
 
 from __future__ import annotations
@@ -30,16 +32,16 @@ from .ideals import (
 from .morphisms import (
     Morphism,
     SubalgebraResult,
+    _comparison,
     _coord_map,
     _ideal_subalgebra,
     _quotient,
     compose,
     factor_through_quotient,
-    mediator_to_pullback,
     pullback,
     same_morphism,
 )
-from .pretorsion import radical_projection, semisimple_map
+from .pretorsion import _reflected, _reflection, radical_projection
 
 __all__ = [
     "ExtensionClassification",
@@ -114,19 +116,27 @@ def trivial_via_pullback(f: Morphism,
                          eta_a: Morphism | None = None) -> PullbackSquareReport:
     """The pullback criterion: f is a trivial covering exactly when the
     naturality square over the semisimple quotients is a pullback.  The
-    pullback is a block product for maps between block products and
-    literal for table maps, whose units are identities (A/0 is A).  The
-    domain's unit ``eta_a`` can be overridden to exercise corrupted
-    squares."""
-    if eta_a is None:
-        eta_a = radical_projection(f.dom)
-    pb = pullback(semisimple_map(f), radical_projection(f.cod))
+    square is read on the chain views: the semisimple map's CoordMap is
+    factored through the reflections there, and the comparison from the
+    domain into the pullback (``morphisms._comparison``) is decided on the
+    block pullback, so no literal pullback and no value table is built,
+    for table maps too.  The domain's unit ``eta_a`` can be overridden to
+    exercise corrupted squares; one that does not run from f.dom to
+    ``radical_projection(f.dom).cod`` is refused with a ValueError."""
+    if eta_a is not None and (eta_a.dom != f.dom
+                              or eta_a.cod != radical_projection(f.dom).cod):
+        raise ValueError("eta_a must run from f.dom to its semisimple quotient")
+    a, b = _reflection(f.dom), _reflection(f.cod)
+    view, reflection, projection = a
+    fc = _coord_map(f.body)
+    sf = _reflected(fc, a, b)
     try:
-        psi = mediator_to_pullback(pb, eta_a, f)
+        unit = projection if eta_a is None else _coord_map(eta_a.body)
+        psi = _comparison(view, reflection, b[0], unit, fc, sf, b[2])
     except ValueError:
         return PullbackSquareReport(False, False, False, False)
-    inj = psi.is_injective()
-    sur = psi.is_surjective()
+    inj = psi.is_injective(view)
+    sur = psi.is_onto()
     return PullbackSquareReport(inj and sur, True, inj, sur)
 
 

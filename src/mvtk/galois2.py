@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .core import Algebra, carrier_size
+from .core import Algebra, _view, carrier_size
 from .galois import em_factorize
 from .ideals import (
     Ideal,
@@ -28,6 +28,8 @@ from .ideals import (
 from .morphisms import (
     Morphism,
     SubalgebraResult,
+    _comparison,
+    _coord_map,
     _ideal_subalgebra,
     _image_ideal,
     _preimage,
@@ -35,8 +37,6 @@ from .morphisms import (
     compose,
     factor_through_quotient,
     identity,
-    mediator_to_pullback,
-    pullback,
     same_morphism,
 )
 
@@ -88,18 +88,21 @@ class RegularPushoutReport:
 
 def is_regular_pushout(sq: ExtensionSquare) -> RegularPushoutReport:
     """Kernel criterion: left(ker top) = ker bottom.  On finite carriers
-    the comparison into the pullback is also checked.  Only the top
-    domain is tested: ``validate_square`` makes every leg onto, and an
-    onto image of a finite carrier is finite, so every corner is."""
+    the comparison into the pullback is also checked: it is decided on the
+    chain views (``morphisms._comparison``), so no literal pullback is
+    built for a square of table maps.  Only the top domain is tested:
+    ``validate_square`` makes every leg onto, and an onto image of a
+    finite carrier is finite, so every corner is."""
     validate_square(sq)
     img = _image_ideal(sq.left, sq.top.kernel())
     ker = sq.bottom.kernel()
     ok = img == ker
     comparison = None
     if carrier_size(sq.top.dom) is not None:
-        pb = pullback(sq.bottom, sq.right)
-        psi = mediator_to_pullback(pb, sq.left, sq.top)
-        comparison = psi.is_surjective()
+        psi = _comparison(
+            _view(sq.top.dom), _view(sq.left.cod), _view(sq.top.cod),
+            *(_coord_map(m.body) for m in (sq.left, sq.top, sq.bottom, sq.right)))
+        comparison = psi.is_onto()
     return RegularPushoutReport(ok, img, ker, comparison)
 
 

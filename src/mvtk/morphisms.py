@@ -47,7 +47,10 @@ table off its rows, and table ideals cross to the chain view as the set
 of chains they reach.  Quotients, ideal subalgebras and pullbacks are
 built here, on the chain view.  As tables, ``core._chain_table`` lays out
 a quotient from the codes of its classes, and an ideal subalgebra or a
-literal pullback from its block construction, ordered by its images.
+literal pullback from its block construction, ordered by its images.  A
+check that asks only whether the comparison into a pullback is injective
+or onto reads it off the block pullback (:func:`_comparison`) and builds
+no table.
 """
 
 from __future__ import annotations
@@ -218,6 +221,11 @@ class CoordMap:
         srcs = [src for src, _, _ in self.rows]
         return len(set(srcs)) == len(srcs) and all(
             scale == 1 and _is_plain(coords) for _, scale, coords in self.rows)
+
+    def is_injective(self, dom: SymbolicAlgebra) -> bool:
+        """Whether the preimage of the codomain's zero ideal is zero."""
+        return self.preimage(dom, [sub_marker(len(coords)) for _, _, coords in self.rows]) \
+            == zero_ideal(dom)
 
     def covers_radical(self) -> bool:
         """Whether the radical of the domain maps onto the radical of the
@@ -429,7 +437,7 @@ class Morphism:
         return _coord_map(self.body).is_onto()
 
     def is_injective(self) -> bool:
-        return self.kernel() == zero_ideal(self.dom)
+        return _coord_map(self.body).is_injective(_view(self.dom))
 
 
 def _evaluator(dom: Algebra, body):
@@ -898,18 +906,24 @@ def pullback(f: Morphism, g: Morphism) -> PullbackResult:
     table."""
     if f.cod != g.cod:
         raise ValueError("pullback needs a shared codomain")
-    literal = _has_table(f.dom, f.cod) or _has_table(g.dom, g.cod)
-    fc, gc = _coord_map(f.body), _coord_map(g.body)
-    if gc.is_onto():
-        P, left, right = _block_pullback(_view(f.dom), _view(g.dom), fc, gc)
-    elif fc.is_onto():
-        P, right, left = _block_pullback(_view(g.dom), _view(f.dom), gc, fc)
-    else:
-        raise NotImplementedError("a pullback needs two maps, one of them onto")
-    if literal:
+    P, left, right = _pullback_parts(_view(f.dom), _view(g.dom),
+                                     _coord_map(f.body), _coord_map(g.body))
+    if _has_table(f.dom, f.cod) or _has_table(g.dom, g.cod):
         return _literal_pullback(f.dom, g.dom, P, left, right)
     return PullbackResult(P, None, Morphism._of_coords(P, f.dom, left),
                           Morphism._of_coords(P, g.dom, right))
+
+
+def _pullback_parts(A: SymbolicAlgebra, C: SymbolicAlgebra, f: CoordMap, g: CoordMap):
+    """The block pullback of f out of A against g out of C, with the
+    CoordMaps of its projections onto A and C; one of f and g must be
+    onto (NotImplementedError otherwise)."""
+    if g.is_onto():
+        return _block_pullback(A, C, f, g)
+    if f.is_onto():
+        P, right, left = _block_pullback(C, A, g, f)
+        return P, left, right
+    raise NotImplementedError("a pullback needs two maps, one of them onto")
 
 
 def _literal_pullback(A: Algebra, C: Algebra, P: SymbolicAlgebra,
@@ -980,13 +994,34 @@ def mediator_to_pullback(pb: PullbackResult, u: Morphism, v: Morphism) -> Morphi
     pullback too.  A rowless u or v is refused."""
     if u.dom != v.dom:
         raise ValueError("mediator needs a shared domain")
-    legs = CoordMap._normal(_coord_map(pb.left.body).rows + _coord_map(pb.right.body).rows)
-    pair = CoordMap._normal(_coord_map(u.body).rows + _coord_map(v.body).rows)
+    coords = _mediator(_view(u.dom), _view(pb.algebra), _coord_map(pb.left.body),
+                       _coord_map(pb.right.body), _coord_map(u.body), _coord_map(v.body))
+    return Morphism._of_coords(u.dom, pb.algebra, _body(u.dom, pb.algebra, coords))
+
+
+def _mediator(X: SymbolicAlgebra, P: SymbolicAlgebra, left: CoordMap, right: CoordMap,
+              u: CoordMap, v: CoordMap) -> CoordMap:
+    """x -> (u(x), v(x)) out of X into P, whose projections are ``left``
+    and ``right``: the pair corestricted through the legs."""
+    legs = CoordMap._normal(left.rows + right.rows)
+    pair = CoordMap._normal(u.rows + v.rows)
     try:
-        coords = _corestrict_coords(pair, legs, _view(u.dom), _view(pb.algebra))
+        return _corestrict_coords(pair, legs, X, P)
     except ValueError:
         raise ValueError("square does not commute into the pullback") from None
-    return Morphism._of_coords(u.dom, pb.algebra, _body(u.dom, pb.algebra, coords))
+
+
+def _comparison(X: SymbolicAlgebra, A: SymbolicAlgebra, C: SymbolicAlgebra,
+                u: CoordMap, v: CoordMap, f: CoordMap, g: CoordMap) -> CoordMap:
+    """The CoordMap of the comparison x -> (u(x), v(x)) from X into the
+    block pullback of f out of A against g out of C, all chain views;
+    ValueError when f after u is not g after v.  No literal pullback and
+    no value table is built, so a check that reports only whether the
+    comparison is injective (``CoordMap.is_injective``) or onto
+    (``CoordMap.is_onto``) reads it here; ``pullback`` still lists the
+    pairs of a table pullback."""
+    P, left, right = _pullback_parts(A, C, f, g)
+    return _mediator(X, P, left, right, u, v)
 
 
 def kernel_pair(e: Morphism):

@@ -24,6 +24,7 @@ from .core import (
     SymbolicAlgebra,
     _view,
     carrier_size,
+    decompose,
     element,
     elements,
 )
@@ -38,10 +39,13 @@ from .morphisms import (
     Morphism,
     QuotientResult,
     SubalgebraResult,
+    _comparison,
     _coord_map,
     _corestrict_body,
     _factor_body,
+    _has_table,
     _ideal_subalgebra,
+    _pullback_parts,
     _quotient,
     _quotient_parts,
     _subalgebra_parts,
@@ -50,8 +54,6 @@ from .morphisms import (
     factor_through_quotient,
     from_initial,
     identity,
-    mediator_to_pullback,
-    pullback,
     same_morphism,
     to_terminal,
 )
@@ -103,6 +105,21 @@ def semisimple_quotient(algebra: Algebra) -> QuotientResult:
 
 def radical_projection(algebra: Algebra) -> Morphism:
     return semisimple_quotient(algebra).projection
+
+
+def _reflection(algebra: Algebra):
+    """The chain view X of an algebra, its semisimple reflection S(X) and
+    the CoordMap of the projection X -> S(X), on the chain view alone."""
+    view = _view(algebra)
+    return (view, *_quotient_parts(view, _radical(view).markers))
+
+
+def _reflected(h, source, target):
+    """The CoordMap of S(h): S(X) -> S(Y) for a CoordMap h: X -> Y, given
+    the :func:`_reflection` of X and of Y: h then Y's projection, factored
+    through X's, as ``semisimple_map`` does on the algebras."""
+    view, reflection, projection = source
+    return _factor_body(view, reflection, target[1], projection, h.then(target[2]))
 
 
 def perfect_part(algebra: Algebra) -> SubalgebraResult:
@@ -413,17 +430,28 @@ def protoadditivity_check(p: Morphism, s: Morphism,
                           g: Morphism) -> ProtoadditivityReport:
     """Check that the semisimple reflection preserves the pullback of the
     split surjection p along g: the comparison from S(pullback) to the
-    pullback of the reflected maps must be an isomorphism."""
+    pullback of the reflected maps must be an isomorphism.  The pullbacks,
+    the reflections and the comparison are read on the chain views
+    (``morphisms._comparison``), so no literal pullback is built.  With a
+    table map the pullback of p and g is the set of pairs (``pullback``),
+    so an infinite end is still refused by name."""
     if p.cod != g.cod or s.dom != p.cod or s.cod != p.dom:
         raise ValueError("need a split surjection p with section s and a "
                          "map g into its codomain")
     section_valid = same_morphism(compose(s, p), identity(p.cod))
-    pb = pullback(p, g)
-    reflected = pullback(semisimple_map(p), semisimple_map(g))
-    psi = mediator_to_pullback(reflected, semisimple_map(pb.left),
-                               semisimple_map(pb.right))
-    inj = psi.is_injective()
-    sur = psi.is_surjective()
+    if _has_table(p.dom, p.cod) or _has_table(g.dom, g.cod):
+        for end in (p.dom, g.dom):
+            decompose(end)
+    a, c, d = map(_reflection, (p.dom, g.dom, p.cod))
+    pc, gc = _coord_map(p.body), _coord_map(g.body)
+    P, left, right = _pullback_parts(a[0], c[0], pc, gc)
+    pb = _reflection(P)
+    reflection = pb[1]
+    psi = _comparison(reflection, a[1], c[1], _reflected(left, pb, a),
+                      _reflected(right, pb, c), _reflected(pc, a, d),
+                      _reflected(gc, c, d))
+    inj = psi.is_injective(reflection)
+    sur = psi.is_onto()
     return ProtoadditivityReport(section_valid and inj and sur,
                                  section_valid, inj, sur,
-                                 carrier_size(psi.dom) or 0)
+                                 carrier_size(reflection) or 0)

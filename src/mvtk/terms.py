@@ -20,6 +20,7 @@ from .core import (
     Algebra,
     CheckReport,
     _grid_table,
+    _view,
     arrow,
     describe,
     grid_checks,
@@ -35,11 +36,11 @@ from .core import (
 )
 from .ideals import all_ideals, ideal_elements, ideal_leq
 from .morphisms import (
+    _comparison,
+    _coord_map,
     compose,
     enumerate_homs,
     factor_through_quotient,
-    mediator_to_pullback,
-    pullback,
     quotient,
 )
 
@@ -115,16 +116,17 @@ class HarnessReport:
 
 def kernel_restriction_harness(max_size: int = 6) -> HarnessReport:
     """For every square of finite quotients with a compatible horizontal
-    map, compare the comparison morphism into the pullback against the
-    restriction between the vertical kernels: injectivity, surjectivity
-    and bijectivity must transfer both ways.  Squares where the
-    restriction fails a property are counted as negatives and must still
-    satisfy the equivalence."""
+    map, compare the comparison into the pullback, decided on the chain
+    views (``morphisms._comparison``), against the restriction between
+    the vertical kernels: injectivity, surjectivity and bijectivity must
+    transfer both ways.  Squares where the restriction fails a property
+    are counted as negatives and must still satisfy the equivalence."""
     algebras = [to_finite(a) for a in chain_product_catalog(max_size)]
     squares = negatives = 0
     inj_bad = sur_bad = 0
     violations = []
     for A in algebras:
+        view = _view(A)
         ideals_a = all_ideals(A)
         for B in algebras:
             homs = enumerate_homs(A, B)
@@ -145,10 +147,10 @@ def kernel_restriction_harness(max_size: int = 6) -> HarnessReport:
                         image = list(map(h._eval, kerf))
                         r_inj = len(set(image)) == len(kerf)
                         r_sur = kerg <= set(image)
-                        pb = pullback(g, k)
-                        psi = mediator_to_pullback(pb, h, f)
-                        c_inj = psi.is_injective()
-                        c_sur = psi.is_surjective()
+                        psi = _comparison(view, _view(B), _view(f.cod), *(
+                            _coord_map(m.body) for m in (h, f, g, k)))
+                        c_inj = psi.is_injective(view)
+                        c_sur = psi.is_onto()
                         if not (r_inj and r_sur):
                             negatives += 1
                         if c_inj != r_inj:

@@ -15,6 +15,15 @@ must report the same witnesses and ``checked`` counts.
 ideal test of a table from its operations alone, element by element.
 ``ideals`` answers each on the chain view and must give the same ideals
 and verdicts.
+
+``literal_comparison`` decides whether the mediator into a pullback is
+injective and onto the literal way: ``pullback`` (the table of pairs for
+table maps), ``mediator_to_pullback``, then the mediator's kernel and
+``is_surjective``.  ``trivial_via_literal_pullback`` and
+``literal_protoadditivity`` run ``trivial_via_pullback`` and
+``protoadditivity_check`` on that route.  The library decides the same
+comparisons on the chain views (``morphisms._comparison``) and must give
+the same reports.
 """
 
 from __future__ import annotations
@@ -25,12 +34,23 @@ from mvtk import (
     CheckResult,
     FiniteAlgebra,
     FiniteIdeal,
+    Morphism,
+    ProtoadditivityReport,
+    PullbackSquareReport,
     all_ideals,
+    carrier_size,
+    compose,
     ideal_join,
+    identity,
     leq,
+    mediator_to_pullback,
     meet,
     oplus,
     otimes,
+    pullback,
+    radical_projection,
+    same_morphism,
+    semisimple_map,
     zero_ideal,
 )
 from mvtk.core import _grid_table, elements, table_view
@@ -181,3 +201,47 @@ def is_ideal(algebra: FiniteAlgebra, subset) -> bool:
             if leq(algebra, z, x) and z not in subset:
                 return False
     return True
+
+
+def _literal_mediator(f: Morphism, g: Morphism, u: Morphism, v: Morphism) -> Morphism:
+    """x -> (u(x), v(x)) into the literal pullback of f against g;
+    ValueError when the square does not commute."""
+    return mediator_to_pullback(pullback(f, g), u, v)
+
+
+def _verdicts(psi: Morphism) -> tuple[bool, bool]:
+    return psi.kernel() == zero_ideal(psi.dom), psi.is_surjective()
+
+
+def literal_comparison(f: Morphism, g: Morphism, u: Morphism,
+                       v: Morphism) -> tuple[bool, bool]:
+    """Whether the mediator x -> (u(x), v(x)) into the pullback of f
+    against g is injective and whether it is onto."""
+    return _verdicts(_literal_mediator(f, g, u, v))
+
+
+def trivial_via_literal_pullback(f: Morphism,
+                                 eta_a: Morphism | None = None) -> PullbackSquareReport:
+    """The pullback criterion of ``trivial_via_pullback`` on the literal
+    pullback of ``semisimple_map(f)`` against the codomain's unit."""
+    if eta_a is None:
+        eta_a = radical_projection(f.dom)
+    pb = pullback(semisimple_map(f), radical_projection(f.cod))
+    try:
+        psi = mediator_to_pullback(pb, eta_a, f)
+    except ValueError:
+        return PullbackSquareReport(False, False, False, False)
+    inj, sur = _verdicts(psi)
+    return PullbackSquareReport(inj and sur, True, inj, sur)
+
+
+def literal_protoadditivity(p: Morphism, s: Morphism, g: Morphism) -> ProtoadditivityReport:
+    """``protoadditivity_check`` on literal pullbacks: the comparison from
+    S(pullback of p and g) into the pullback of the reflected maps."""
+    section_valid = same_morphism(compose(s, p), identity(p.cod))
+    pb = pullback(p, g)
+    psi = _literal_mediator(semisimple_map(p), semisimple_map(g),
+                            semisimple_map(pb.left), semisimple_map(pb.right))
+    inj, sur = _verdicts(psi)
+    return ProtoadditivityReport(section_valid and inj and sur, section_valid,
+                                 inj, sur, carrier_size(psi.dom) or 0)

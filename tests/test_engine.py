@@ -11,6 +11,7 @@ broken.  Batched block addition and negation are held to the scalar
 block operations.
 """
 
+import collections
 import itertools
 import random
 import re
@@ -41,22 +42,26 @@ from mvtk import (
     is_morphism,
     is_precokernel,
     is_prekernel,
+    is_regular_pushout,
     make_chain,
     make_finite,
     make_komori,
     maximal_ideals,
     pre_exact,
     product,
+    protoadditivity_check,
     pullback,
     quotient,
     radical,
     random_block_algebra,
     sample_tuples,
+    square_from_ideals,
     to_finite,
+    trivial_via_pullback,
     verify_pixley,
     verify_protomodularity,
 )
-from mvtk import core
+from mvtk import core, morphisms
 from mvtk.core import (
     _axiom_checks,
     _BlockColumns,
@@ -243,6 +248,30 @@ def test_an_override_is_not_tabled_per_pullback(monkeypatch):
                         lambda *args: tabled.append(args) or table_on(*args))
     pbs = [pullback(f, f) for _ in range(5)]
     assert [pb.algebra.size for pb in pbs] == [4] * 5 and tabled == []
+
+
+def test_pullback_comparisons_build_no_table(monkeypatch):
+    """The pullback criterion, the regular-pushout comparison and the
+    protoadditivity comparison are decided on the chain views, so over
+    table maps they build no literal pullback and no table."""
+    tables = [to_finite(a) for a in chain_product_catalog(8)]
+    homs = [h for dom in tables for cod in tables for h in enumerate_homs(dom, cod)]
+    squares = [square_from_ideals(fin, i, j) for fin in tables
+               for i, j in itertools.product(all_ideals(fin), repeat=2)]
+    splits = [(p, s, identity(p.cod)) for p in homs if p.is_surjective()
+              for s in enumerate_homs(p.cod, p.dom)[:1]]
+    built = collections.Counter()
+    literal = morphisms._literal_pullback
+    of_rows = core.FiniteAlgebra._of_rows
+    monkeypatch.setattr(morphisms, "_literal_pullback",
+                        lambda *args: built.update(["pullbacks"]) or literal(*args))
+    monkeypatch.setattr(core.FiniteAlgebra, "_of_rows", staticmethod(
+        lambda *args: built.update(["tables"]) or of_rows(*args)))
+    assert all(trivial_via_pullback(h).commutes for h in homs)
+    assert all(is_regular_pushout(sq).comparison_surjective for sq in squares)
+    assert all(protoadditivity_check(*split).compared for split in splits)
+    assert (len(homs), len(squares), len(splits)) == (170, 141, 31)
+    assert built == {}
 
 
 def test_a_certified_override_is_tabled_by_the_chain_formula(monkeypatch):

@@ -18,6 +18,7 @@ from mvtk import (
     Morphism,
     all_ideals,
     carrier_size,
+    chain_product_catalog,
     classify_extension,
     compose,
     describe,
@@ -50,6 +51,7 @@ from mvtk import (
     trivial_via_pullback,
     zero_ideal,
 )
+from oracles import trivial_via_literal_pullback
 
 CHANG = make_komori(1, 1)
 A = product([make_komori(1, 1), make_chain(2)])
@@ -163,6 +165,56 @@ class TestPullbackCharacterization:
                            "corrupted")
         assert trivial_via_pullback(identity(a)).is_pullback
         assert not trivial_via_pullback(identity(a), eta_a=swapped).commutes
+
+    @pytest.mark.parametrize("f, eta_a", [
+        (identity(to_finite(make_chain(2))), identity(to_finite(make_chain(4)))),
+        (identity(to_finite(make_chain(2))), to_terminal(to_finite(make_chain(2)))),
+        (identity(CHANG), identity(make_chain(1))),
+    ], ids=["other-domain", "other-codomain", "symbolic-other-domain"])
+    def test_a_mis_shaped_unit_is_refused(self, f, eta_a):
+        with pytest.raises(ValueError, match=r"^eta_a must run from f\.dom to "
+                                             r"its semisimple quotient$"):
+            trivial_via_pullback(f, eta_a=eta_a)
+
+
+class TestLiteralRoute:
+    """The criterion is decided on the chain views and must give the
+    report of the literal pullback, with the default unit and with other
+    units of the right shape (which break the square)."""
+
+    def test_every_hom_between_small_tables(self):
+        tables = [to_finite(a) for a in chain_product_catalog(12)]
+        reports = negatives = 0
+        for dom in tables:
+            units = [None] + enumerate_homs(dom, dom)[:4]
+            for cod in tables:
+                for f in enumerate_homs(dom, cod):
+                    for unit in units:
+                        report = trivial_via_pullback(f, eta_a=unit)
+                        assert report == trivial_via_literal_pullback(f, eta_a=unit), \
+                            (describe(dom), describe(cod), f.body, unit)
+                        reports += 1
+                        negatives += not report.is_pullback
+        assert (reports, negatives) == (2045, 1216)
+
+    def test_seeded_symbolic_maps(self):
+        reports = negatives = 0
+        for seed in range(130):
+            rng = random.Random(f"pb:{seed}")
+            alg = random_block_algebra(rng)
+            ideals = all_ideals(alg)
+            eta = radical_projection(alg)
+            units = [None] + [compose(eta, e) for e in enumerate_homs(eta.cod, eta.cod)[:4]]
+            for f in (quotient(alg, ideals[rng.randrange(len(ideals))]).projection,
+                      identity(alg)):
+                for unit in units:
+                    report = trivial_via_pullback(f, eta_a=unit)
+                    assert report == trivial_via_literal_pullback(f, eta_a=unit), \
+                        (describe(alg), f.body, unit)
+                    reports += 1
+                    negatives += not report.is_pullback
+        assert (reports, negatives) == (934, 651)
+
 
 class TestRadicalRestriction:
     def test_quotient_bodies_restrict_onto(self):

@@ -13,6 +13,7 @@ from mvtk import (
     all_ideals,
     carrier_size,
     central_reflection,
+    chain_product_catalog,
     classify_double,
     classify_extension,
     commutator_pair,
@@ -20,6 +21,7 @@ from mvtk import (
     describe,
     elements,
     em_factorize,
+    factor_through_quotient,
     fill_diagonal,
     full_ideal,
     ideal_contains,
@@ -52,6 +54,7 @@ from mvtk import (
     zero_ideal,
 )
 from mvtk.core import Chain, Komori, SymbolicAlgebra
+from oracles import literal_comparison
 
 CHANG = make_komori(1, 1)
 A = product([make_komori(1, 1), make_chain(2)])
@@ -92,6 +95,31 @@ class TestRegularPushouts:
             rep = is_regular_pushout(sq)
             assert rep.ok
             assert rep.comparison_surjective is True
+
+    def test_comparison_agrees_with_the_literal_pullback(self):
+        """The finite squares of the double-extension gate, and the
+        degenerate square: the comparison decided on the chain views is
+        onto exactly when the mediator into the literal pullback is."""
+        c1 = to_finite(make_chain(1))
+        g = to_terminal(c1)
+        squares = [ExtensionSquare(identity(c1), identity(c1), g, g)]
+        for fin in (to_finite(a) for a in chain_product_catalog(6)):
+            ideals = all_ideals(fin)
+            for i, j, k in itertools.product(ideals, repeat=3):
+                if not ideal_leq(fin, ideal_join(fin, i, j), k):
+                    continue
+                top = quotient(fin, i).projection
+                left = quotient(fin, j).projection
+                qk = quotient(fin, k).projection
+                squares.append(ExtensionSquare(top, left,
+                                               factor_through_quotient(top, qk),
+                                               factor_through_quotient(left, qk)))
+        onto = 0
+        for sq in squares:
+            literal = literal_comparison(sq.bottom, sq.right, sq.left, sq.top)[1]
+            assert is_regular_pushout(sq).comparison_surjective is literal
+            onto += literal
+        assert (len(squares), onto) == (77, 53)
 
     def test_double_classification_requires_regular_pushout(self):
         c1 = to_finite(make_chain(1))

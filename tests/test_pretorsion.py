@@ -58,6 +58,7 @@ from mvtk import (
     unit_factorization,
     zero_ideal,
 )
+from oracles import literal_protoadditivity
 
 CHANG = make_komori(1, 1)
 MIXED = product([make_komori(2, 1), make_chain(2)])
@@ -275,16 +276,30 @@ class TestFactorizations:
             counit_factorization(identity(make_chain(2)))
 
 
+def _split_first():
+    """The projection of Chang x Chain(2) onto Chang, with a section."""
+    prod = product([CHANG, make_chain(2)])
+    p = Morphism(prod, CHANG, CoordMap(((0, 1, ((0, 1),)),)), "first")
+    eta = radical_projection(CHANG)
+    double = Morphism(eta.cod, make_chain(2),
+                      FiniteMapBody(((0,), (2,))), "double")
+    s = Morphism(CHANG, prod,
+                 CoordMap(identity(CHANG).body.rows
+                          + compose(eta, double).body.rows), "section")
+    return p, s
+
+
+def _split_drop():
+    """Komori(1,2) onto Komori(1,1), dropping a coordinate, with a section."""
+    k12, k11 = make_komori(1, 2), make_komori(1, 1)
+    p = Morphism(k12, k11, CoordMap(((0, 1, ((0, 1),)),)), "drop")
+    s = Morphism(k11, k12, CoordMap(((0, 1, ((0, 1), None)),)), "section")
+    return p, s
+
+
 class TestProtoadditivity:
     def test_symbolic_split_projection(self):
-        prod = product([CHANG, make_chain(2)])
-        p = Morphism(prod, CHANG, CoordMap(((0, 1, ((0, 1),)),)), "first")
-        eta = radical_projection(CHANG)
-        double = Morphism(eta.cod, make_chain(2),
-                          FiniteMapBody(((0,), (2,))), "double")
-        s = Morphism(CHANG, prod,
-                     CoordMap(identity(CHANG).body.rows
-                              + compose(eta, double).body.rows), "section")
+        p, s = _split_first()
         assert same_morphism(compose(s, p), identity(CHANG))
         for g in [from_initial(CHANG), identity(CHANG)]:
             report = protoadditivity_check(p, s, g)
@@ -292,12 +307,32 @@ class TestProtoadditivity:
             assert report.compared >= 6
 
     def test_split_projection_that_drops_a_coordinate(self):
-        k12, k11 = make_komori(1, 2), make_komori(1, 1)
-        p = Morphism(k12, k11, CoordMap(((0, 1, ((0, 1),)),)), "drop")
-        s = Morphism(k11, k12, CoordMap(((0, 1, ((0, 1), None)),)), "section")
-        report = protoadditivity_check(p, s, from_initial(k11))
+        p, s = _split_drop()
+        report = protoadditivity_check(p, s, from_initial(p.cod))
         assert report.ok, report
         assert report.compared == 2
+
+    def test_reports_agree_with_the_literal_pullbacks(self):
+        """Each onto p between chain_product_catalog(8) tables, with its
+        first two candidate sections (split or not) and the first two maps
+        into p.cod from each table, and the symbolic split projections
+        above: the comparison decided on the chain views gives the report
+        of the literal route."""
+        tables = [to_finite(a) for a in chain_product_catalog(8)]
+        cases = [(p, s, g)
+                 for dom in tables for cod in tables
+                 for p in enumerate_homs(dom, cod) if p.is_surjective()
+                 for s in enumerate_homs(cod, dom)[:2]
+                 for other in tables for g in enumerate_homs(other, cod)[:2]]
+        (p, s), (q, t) = _split_first(), _split_drop()
+        cases += [(p, s, from_initial(CHANG)), (p, s, identity(CHANG)),
+                  (q, t, from_initial(q.cod)), (q, t, identity(q.cod))]
+        ok = 0
+        for p, s, g in cases:
+            report = protoadditivity_check(p, s, g)
+            assert report == literal_protoadditivity(p, s, g), (p.body, s.body, g.body)
+            ok += report.ok
+        assert (len(cases), ok) == (356, 165)
 
     def test_pullbacks_along_table_maps_need_finite_carriers(self):
         # p or g is a table map, so the pullback is the literal set of

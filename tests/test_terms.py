@@ -11,9 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvtk import (
+    all_ideals,
     arrow,
     chain_product_catalog,
+    compose,
     describe,
+    enumerate_homs,
+    factor_through_quotient,
+    ideal_elements,
+    ideal_leq,
     join,
     kernel_restriction_harness,
     make_chain,
@@ -25,11 +31,13 @@ from mvtk import (
     oplus,
     otimes,
     product,
+    quotient,
     random_block_algebra,
     to_finite,
     verify_pixley,
     verify_protomodularity,
 )
+from oracles import literal_comparison
 
 CHANG = make_komori(1, 1)
 
@@ -129,6 +137,34 @@ class TestKernelRestrictionHarness:
         assert report.violations == ()
         assert report.injective_mismatches == 0
         assert report.surjective_mismatches == 0
+
+    def test_squares_agree_with_the_literal_pullbacks(self):
+        """Each square of the default sweep through the literal pullback:
+        its mediator is injective (onto) exactly when the restriction
+        between the kernels is.  The harness finds the same of its
+        comparison on the chain views, square by square, so the two
+        routes give every square the same verdicts."""
+        algebras = [to_finite(a) for a in chain_product_catalog(6)]
+        squares = 0
+        for A in algebras:
+            for B in algebras:
+                homs = enumerate_homs(A, B)
+                for I in all_ideals(A) if homs else ():
+                    f = quotient(A, I).projection
+                    kerf = ideal_elements(A, I)
+                    for J in all_ideals(B):
+                        g = quotient(B, J).projection
+                        kerg = set(ideal_elements(B, J))
+                        for h in homs:
+                            if not ideal_leq(A, I, compose(h, g).kernel()):
+                                continue
+                            k = factor_through_quotient(f, compose(h, g))
+                            image = set(map(h, kerf))
+                            assert literal_comparison(g, k, h, f) == (
+                                len(image) == len(kerf), kerg <= image)
+                            squares += 1
+        report = kernel_restriction_harness(max_size=6)
+        assert (report.squares, report.violations) == (squares, ())
 
     def test_smaller_sweep_agrees(self):
         report = kernel_restriction_harness(max_size=5)
