@@ -212,9 +212,15 @@ def is_proper_ideal(algebra: Algebra, ideal: Ideal) -> bool:
     return not is_full_ideal(algebra, ideal)
 
 
+def _require_element(algebra: Algebra, *xs) -> None:
+    """Refuse the first of xs that is not an element of the algebra."""
+    for x in xs:
+        if not algebra.contains(x):
+            raise ValueError(f"not an element: {x!r}")
+
+
 def ideal_contains(algebra: Algebra, ideal: Ideal, x) -> bool:
-    if not algebra.contains(x):
-        raise ValueError(f"not an element: {x!r}")
+    _require_element(algebra, x)
     ideal = validate_ideal(algebra, ideal)
     if isinstance(ideal, FiniteIdeal):
         return x in ideal.elements
@@ -267,9 +273,7 @@ def generated_ideal(algebra: Algebra, generators) -> Ideal:
     full where some generator has a nonzero height, otherwise the
     infinitesimal coordinates they use."""
     generators = list(generators)
-    for g in generators:
-        if not algebra.contains(g):
-            raise ValueError(f"not an element: {g!r}")
+    _require_element(algebra, *generators)
     levels = list(map(_levels(algebra), generators))
     markers = []
     for i, b in enumerate(_view(algebra).blocks):
@@ -446,6 +450,7 @@ def _polar(algebra: Algebra, ideal: Ideal) -> Ideal:
 
 def riesz_split(algebra: Algebra, x, y, z) -> tuple:
     """Split x <= y (+) z as x = y1 (+) z1 with y1 <= y, z1 <= z."""
+    _require_element(algebra, x, y, z)
     if not leq(algebra, x, algebra.plus(y, z)):
         raise ValueError("riesz_split needs x <= y (+) z")
     y1 = meet(algebra, x, y)

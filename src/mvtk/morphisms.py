@@ -1,7 +1,7 @@
 """Morphisms with computable kernels, preimages and surjectivity.
 
-A morphism pairs a domain, a codomain and a body, and every body
-operation runs one formula, on a :class:`CoordMap`.  A CoordMap runs
+A morphism pairs a domain, a codomain and a body, and every operation on
+it runs one formula, a method of its :class:`CoordMap`.  A CoordMap runs
 between block products: it stores, per codomain block, the domain block
 it reads, the integer height scale, and where each infinitesimal
 coordinate comes from.  Rows index chain views (``core._view``): a block
@@ -86,6 +86,7 @@ from .ideals import (
     Ideal,
     MarkerIdeal,
     _from_view,
+    _require_element,
     _view_markers,
     marker_coords,
     sub_marker,
@@ -182,6 +183,73 @@ class CoordMap:
                 None if c is None or c0[c[0]] is None
                 else (c0[c[0]][0], c0[c[0]][1] * c[1]) for c in coords) if coords else ()))
         return CoordMap._normal(tuple(rows))
+
+    def factor(self, f: "CoordMap") -> "CoordMap":
+        """g with self.then(g) == f: each row of f is re-read from the
+        first row of self that carries the same source block.  Nothing is
+        composed back: each placement divides f's multiplier by self's and
+        the scale divides f's scale by self's, each raising unless it
+        divides exactly, so self.then(g) rebuilds f term by term."""
+        first = {}
+        for j, (src, _, _) in enumerate(self.rows):
+            first.setdefault(src, j)
+        rows = []
+        for src, scale, coords in f.rows:
+            if src not in first:
+                raise ValueError("f reads a block the quotient kills")
+            j = first[src]
+            _, qscale, qcoords = self.rows[j]
+            where = {}
+            for p, c in enumerate(qcoords):
+                if c is not None:
+                    where.setdefault(c[0], (p, c[1]))
+            placed = []
+            for c in coords:
+                if c is None:
+                    placed.append(None)
+                    continue
+                if c[0] not in where or c[1] % where[c[0]][1]:
+                    raise ValueError("f reads a coordinate the quotient kills")
+                p, k = where[c[0]]
+                placed.append((p, c[1] // k))
+            if scale % qscale:
+                raise ValueError("f does not factor through the quotient")
+            rows.append((j, scale // qscale, tuple(placed)))
+        return CoordMap._normal(tuple(rows))
+
+    def corestrict(self, through: "CoordMap", E: SymbolicAlgebra,
+                   sub: SymbolicAlgebra) -> "CoordMap":
+        """phi: E -> sub with phi.then(through) == self: each block and
+        coordinate of the subobject is read off the first row of
+        ``through`` that sees it.  What ``through`` does not see is free:
+        an unseen coordinate is 0, and an unseen block reads the first
+        block of E whose height divides its own, for every map into it
+        reads such a block."""
+        heads = {}
+        placed = {}
+        for (s, k, tcoords), (src, scale, ecoords) in zip(through.rows, self.rows):
+            if s not in heads:
+                if scale % k:
+                    raise ValueError("image of e escapes the subobject")
+                heads[s] = (src, scale // k)
+            for tc, ec in zip(tcoords, ecoords):
+                if tc is None or (s, tc[0]) in placed:
+                    continue
+                if ec is not None and ec[1] % tc[1]:
+                    raise ValueError("image of e escapes the subobject")
+                placed[(s, tc[0])] = None if ec is None else (ec[0], ec[1] // tc[1])
+        for s, b in enumerate(sub.blocks):
+            if s not in heads:
+                src = next((i for i, a in enumerate(E.blocks) if b.m % a.m == 0), None)
+                if src is None:
+                    raise ValueError(f"no map into {b!r}, which the corestriction does not see")
+                heads[s] = (src, b.m // E.blocks[src].m)
+        phi = CoordMap._normal(tuple(
+            heads[s] + (tuple(placed.get((s, c)) for c in range(b.r)),)
+            for s, b in enumerate(sub.blocks)))
+        if phi.then(through) != self:
+            raise ValueError("image of e escapes the subobject")
+        return phi
 
     def preimage(self, dom: SymbolicAlgebra, markers) -> MarkerIdeal:
         """Markers of the preimage of a (validated) codomain ideal."""
@@ -298,7 +366,7 @@ def _has_table(dom: Algebra, cod: Algebra) -> bool:
 
 
 def _coord_map(body, refusal: str = "the value table is not a homomorphism") -> CoordMap:
-    """The CoordMap every body operation runs on: the body itself, or a
+    """The CoordMap a body's operations run on: the body itself, or a
     value table's decoded rows.  A rowless table is refused."""
     if isinstance(body, CoordMap):
         return body
@@ -404,8 +472,8 @@ class Morphism:
 
     @classmethod
     def _of_coords(cls, dom, cod, body, label: str = "") -> "Morphism":
-        """A morphism on a body valid by construction, such as the body
-        operations below return: no checks."""
+        """A morphism on a body valid by construction, such as ``_body``
+        builds from a CoordMap method's result: no checks."""
         m = object.__new__(cls)
         m._fill(dom, cod, body, label)
         return m
@@ -423,12 +491,13 @@ class Morphism:
         return f"Morphism({type(self.body).__name__}{tag})"
 
     def __call__(self, x):
-        if not self.dom.contains(x):
-            raise ValueError(f"not an element: {x!r}")
+        _require_element(self.dom, x)
         return self._eval(x)
 
     def kernel(self) -> Ideal:
-        return _kernel(self.dom, self.cod, self.body)
+        """Preimage of the zero ideal of the codomain's chain view."""
+        return _from_view(self.dom, _coord_map(self.body).preimage(
+            _view(self.dom), zero_ideal(_view(self.cod)).markers))
 
     def preimage_ideal(self, ideal: Ideal) -> Ideal:
         return _preimage(self.dom, self.cod, self.body, validate_ideal(self.cod, ideal))
@@ -449,21 +518,10 @@ def _evaluator(dom: Algebra, body):
     return dict(zip(elements(dom), body.table)).__getitem__
 
 
-# Body operations: _preimage and the _*_body functions take algebras and
-# bodies, run the CoordMap formula on the chain views and return checked
-# results, which the pretorsion probes use without a Morphism.
-
-
 def _preimage(dom: Algebra, cod: Algebra, body, ideal: Ideal) -> Ideal:
     """Preimage of a validated codomain ideal."""
     return _from_view(dom, _coord_map(body).preimage(
         _view(dom), _view_markers(cod, ideal)))
-
-
-def _kernel(dom: Algebra, cod: Algebra, body) -> Ideal:
-    """Preimage of the zero ideal of the codomain's chain view."""
-    return _from_view(dom, _coord_map(body).preimage(
-        _view(dom), zero_ideal(_view(cod)).markers))
 
 
 def identity(algebra: Algebra) -> Morphism:
@@ -588,58 +646,16 @@ def _quotient_parts(algebra: SymbolicAlgebra, markers):
 def factor_through_quotient(q: Morphism, f: Morphism, label: str = "") -> Morphism:
     """The unique g with g o q = f; needs ker q within ker f and q onto.
 
-    No kernel is compared: the body operation decides.  The CoordMap of
+    No kernel is compared: ``CoordMap.factor`` decides.  The CoordMap of
     g is read off those of q and f, row by row, and refused where f reads
     what q kills or a height or multiplier that q's does not divide;
-    otherwise q then g is f."""
+    otherwise q then g is f.  A rowless table is not constant on the
+    classes of q, as a homomorphism with ker q within ker f would be."""
     if q.dom != f.dom:
         raise ValueError("factorization needs a shared domain")
-    return Morphism._of_coords(q.cod, f.cod,
-                               _factor_body(q.dom, q.cod, f.cod, q.body, f.body),
-                               label)
-
-
-def _factor_body(A: Algebra, Q: Algebra, C: Algebra, q, f):
-    """Body of g: Q -> C with q then g equal to f, for q: A -> Q onto and
-    f: A -> C; ValueError when there is none.  A rowless table is not
-    constant on the classes of q, as a homomorphism with ker q within
-    ker f would be."""
     refusal = "kernel of the quotient must sit inside ker f"
-    return _body(Q, C, _factor_coords(_coord_map(q, refusal), _coord_map(f, refusal)))
-
-
-def _factor_coords(q: CoordMap, f: CoordMap) -> CoordMap:
-    """g with q.then(g) == f: each row of f is re-read from the first row
-    of q that carries the same source block.  Nothing is composed back:
-    each placement divides f's multiplier by q's and the scale divides
-    f's scale by q's, each raising unless it divides exactly, so q.then(g)
-    rebuilds f term by term."""
-    first = {}
-    for j, (src, _, _) in enumerate(q.rows):
-        first.setdefault(src, j)
-    rows = []
-    for src, scale, coords in f.rows:
-        if src not in first:
-            raise ValueError("f reads a block the quotient kills")
-        j = first[src]
-        _, qscale, qcoords = q.rows[j]
-        where = {}
-        for p, c in enumerate(qcoords):
-            if c is not None:
-                where.setdefault(c[0], (p, c[1]))
-        placed = []
-        for c in coords:
-            if c is None:
-                placed.append(None)
-                continue
-            if c[0] not in where or c[1] % where[c[0]][1]:
-                raise ValueError("f reads a coordinate the quotient kills")
-            p, k = where[c[0]]
-            placed.append((p, c[1] // k))
-        if scale % qscale:
-            raise ValueError("f does not factor through the quotient")
-        rows.append((j, scale // qscale, tuple(placed)))
-    return CoordMap._normal(tuple(rows))
+    g = _coord_map(q.body, refusal).factor(_coord_map(f.body, refusal))
+    return Morphism._of_coords(q.cod, f.cod, _body(q.cod, f.cod, g), label)
 
 
 def image_ideal(q: Morphism, ideal: Ideal) -> Ideal:
@@ -722,49 +738,9 @@ def corestrict(e: Morphism, through: Morphism, label: str = "") -> Morphism:
     contains im(e)."""
     if e.cod != through.cod:
         raise ValueError("corestriction needs matching codomains")
-    return Morphism._of_coords(
-        e.dom, through.dom,
-        _corestrict_body(e.dom, through.dom, e.body, through.body), label)
-
-
-def _corestrict_body(E: Algebra, S: Algebra, e, through):
-    """Body of phi: E -> S with phi then ``through``: S -> B equal to
-    e: E -> B."""
-    return _body(E, S, _corestrict_coords(_coord_map(e), _coord_map(through), _view(E), _view(S)))
-
-
-def _corestrict_coords(e: CoordMap, through: CoordMap, E: SymbolicAlgebra,
-                       sub: SymbolicAlgebra) -> CoordMap:
-    """phi: E -> sub with phi.then(through) == e: each block and
-    coordinate of the subobject is read off the first row of ``through``
-    that sees it.  What ``through`` does not see is free: an unseen
-    coordinate is 0, and an unseen block reads the first block of E whose
-    height divides its own, for every map into it reads such a block."""
-    heads = {}
-    placed = {}
-    for (s, k, tcoords), (src, scale, ecoords) in zip(through.rows, e.rows):
-        if s not in heads:
-            if scale % k:
-                raise ValueError("image of e escapes the subobject")
-            heads[s] = (src, scale // k)
-        for tc, ec in zip(tcoords, ecoords):
-            if tc is None or (s, tc[0]) in placed:
-                continue
-            if ec is not None and ec[1] % tc[1]:
-                raise ValueError("image of e escapes the subobject")
-            placed[(s, tc[0])] = None if ec is None else (ec[0], ec[1] // tc[1])
-    for s, b in enumerate(sub.blocks):
-        if s not in heads:
-            src = next((i for i, a in enumerate(E.blocks) if b.m % a.m == 0), None)
-            if src is None:
-                raise ValueError(f"no map into {b!r}, which the corestriction does not see")
-            heads[s] = (src, b.m // E.blocks[src].m)
-    phi = CoordMap._normal(tuple(
-        heads[s] + (tuple(placed.get((s, c)) for c in range(b.r)),)
-        for s, b in enumerate(sub.blocks)))
-    if phi.then(through) != e:
-        raise ValueError("image of e escapes the subobject")
-    return phi
+    phi = _coord_map(e.body).corestrict(_coord_map(through.body), _view(e.dom),
+                                        _view(through.dom))
+    return Morphism._of_coords(e.dom, through.dom, _body(e.dom, through.dom, phi), label)
 
 
 # ---------------------------------------------------------------------------
@@ -991,9 +967,12 @@ def _block_pullback(A: SymbolicAlgebra, B: SymbolicAlgebra, f: CoordMap, e: Coor
 def mediator_to_pullback(pb: PullbackResult, u: Morphism, v: Morphism) -> Morphism:
     """x -> (u(x), v(x)) as a map into the pullback: the CoordMap of the
     pair corestricted through the projections' CoordMaps, on a literal
-    pullback too.  A rowless u or v is refused."""
+    pullback too.  A rowless u or v is refused, and so are legs that do
+    not end where the projections do."""
     if u.dom != v.dom:
         raise ValueError("mediator needs a shared domain")
+    if u.cod != pb.left.cod or v.cod != pb.right.cod:
+        raise ValueError("mediator needs u.cod == pb.left.cod and v.cod == pb.right.cod")
     coords = _mediator(_view(u.dom), _view(pb.algebra), _coord_map(pb.left.body),
                        _coord_map(pb.right.body), _coord_map(u.body), _coord_map(v.body))
     return Morphism._of_coords(u.dom, pb.algebra, _body(u.dom, pb.algebra, coords))
@@ -1006,7 +985,7 @@ def _mediator(X: SymbolicAlgebra, P: SymbolicAlgebra, left: CoordMap, right: Coo
     legs = CoordMap._normal(left.rows + right.rows)
     pair = CoordMap._normal(u.rows + v.rows)
     try:
-        return _corestrict_coords(pair, legs, X, P)
+        return pair.corestrict(legs, X, P)
     except ValueError:
         raise ValueError("square does not commute into the pullback") from None
 

@@ -10,7 +10,8 @@ Pre-exactness is decided by one family of probes on every carrier, read
 off the ideals: into A, the identity, the map from Chain(1) and the
 inclusion of I u neg(I) for each ideal I; out of A, the projection onto
 A/I for each ideal I.  Each probe is decided once, on the chain views, by
-the body operations of ``morphisms``, so no probe builds a value table.
+``CoordMap.corestrict`` or ``CoordMap.factor``, so no probe builds a value
+table.
 The prekernel decision is exact, and so is the precokernel decision for
 an onto g (see ``is_prekernel`` and ``is_precokernel``).
 """
@@ -24,7 +25,6 @@ from .core import (
     SymbolicAlgebra,
     _view,
     carrier_size,
-    decompose,
     element,
     elements,
 )
@@ -41,9 +41,6 @@ from .morphisms import (
     SubalgebraResult,
     _comparison,
     _coord_map,
-    _corestrict_body,
-    _factor_body,
-    _has_table,
     _ideal_subalgebra,
     _pullback_parts,
     _quotient,
@@ -118,8 +115,7 @@ def _reflected(h, source, target):
     """The CoordMap of S(h): S(X) -> S(Y) for a CoordMap h: X -> Y, given
     the :func:`_reflection` of X and of Y: h then Y's projection, factored
     through X's, as ``semisimple_map`` does on the algebras."""
-    view, reflection, projection = source
-    return _factor_body(view, reflection, target[1], projection, h.then(target[2]))
+    return source[2].factor(h.then(target[2]))
 
 
 def perfect_part(algebra: Algebra) -> SubalgebraResult:
@@ -300,8 +296,8 @@ def _prekernel_outcomes(k: Morphism, g: Morphism) -> list:
         if not _is_trivial(dom, C, e.then(gc)):
             return _SKIPPED
         try:
-            _corestrict_body(dom, K, e, kc)
-        except (ValueError, TypeError) as exc:
+            e.corestrict(kc, dom, K)
+        except ValueError as exc:
             return f"no factorization: {exc}"
         return None
     return [outcome(dom, e) for dom, e in _probes_into(g.dom)]
@@ -341,16 +337,15 @@ def _precokernel_outcomes(g: Morphism, k: Morphism) -> list:
     """Each probe t: A -> C decided on the chain views: k then t trivial,
     then the mediator g.cod -> C (as ``factor_through_quotient`` builds
     it; g then it is t), then uniqueness, which holds when g is onto."""
-    K, A, B = _view(k.dom), _view(g.dom), _view(g.cod)
-    kc, gc = _coord_map(k.body), _coord_map(g.body)
+    K, kc, gc = _view(k.dom), _coord_map(k.body), _coord_map(g.body)
     surjective = gc.is_onto()
 
     def outcome(cod, t):
         if not _is_trivial(K, cod, kc.then(t)):
             return _SKIPPED
         try:
-            _factor_body(A, B, cod, gc, t)
-        except (ValueError, TypeError) as exc:
+            gc.factor(t)
+        except ValueError as exc:
             return f"no mediator: {exc}"
         return None if surjective else "uniqueness undecidable: g not surjective"
     return [outcome(cod, t) for cod, t in _probes_out_of(g.dom)]
@@ -432,16 +427,12 @@ def protoadditivity_check(p: Morphism, s: Morphism,
     split surjection p along g: the comparison from S(pullback) to the
     pullback of the reflected maps must be an isomorphism.  The pullbacks,
     the reflections and the comparison are read on the chain views
-    (``morphisms._comparison``), so no literal pullback is built.  With a
-    table map the pullback of p and g is the set of pairs (``pullback``),
-    so an infinite end is still refused by name."""
+    (``morphisms._comparison``), so no literal pullback is built, and a
+    table map with an infinite end answers like its block map."""
     if p.cod != g.cod or s.dom != p.cod or s.cod != p.dom:
         raise ValueError("need a split surjection p with section s and a "
                          "map g into its codomain")
     section_valid = same_morphism(compose(s, p), identity(p.cod))
-    if _has_table(p.dom, p.cod) or _has_table(g.dom, g.cod):
-        for end in (p.dom, g.dom):
-            decompose(end)
     a, c, d = map(_reflection, (p.dom, g.dom, p.cod))
     pc, gc = _coord_map(p.body), _coord_map(g.body)
     P, left, right = _pullback_parts(a[0], c[0], pc, gc)

@@ -260,7 +260,7 @@ class TestUnsupportedShapes:
 
 
 C2, C3, CHANG = make_chain(2), make_chain(3), make_komori(1, 1)
-T3 = to_finite(C3)
+T1, T2, T3, T4 = (to_finite(make_chain(n)) for n in (1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("build, error, text", [
@@ -305,8 +305,19 @@ def test_a_body_is_refused_where_it_enters(build, error, text):
     (lambda: mediator_to_pullback(pullback(identity(C2), identity(C2)),
                                   identity(C2), identity(C3)),
      "mediator needs a shared domain"),
+    # legs that do not end where the projections do
+    (lambda: mediator_to_pullback(pullback(identity(T2), identity(T2)),
+                                  identity(T4), identity(T4)),
+     "mediator needs u.cod == pb.left.cod and v.cod == pb.right.cod"),
+    (lambda: mediator_to_pullback(pullback(identity(C2), identity(C2)),
+                                  identity(make_chain(4)), identity(make_chain(4))),
+     "mediator needs u.cod == pb.left.cod and v.cod == pb.right.cod"),
+    (lambda: mediator_to_pullback(pullback(identity(T2), identity(T2)),
+                                  Morphism(T1, T2, FiniteMapBody((0, 2))), identity(T1)),
+     "mediator needs u.cod == pb.left.cod and v.cod == pb.right.cod"),
 ], ids=["scale", "multiplier", "unseen-block", "factor-domains",
-        "corestrict-codomains", "pullback-codomains", "mediator-domains"])
+        "corestrict-codomains", "pullback-codomains", "mediator-domains",
+        "mediator-table-legs", "mediator-block-legs", "mediator-right-leg"])
 def test_a_body_operation_refuses_what_has_no_answer(build, text):
     with pytest.raises(ValueError) as err:
         build()

@@ -54,9 +54,10 @@ from mvtk import (
     square_from_ideals,
     stability_check,
     to_finite,
+    trivial_via_pullback,
     validate_ideal,
 )
-from mvtk import core, morphisms, pretorsion
+from mvtk import core, galois, galois2, morphisms, pretorsion, terms
 from mvtk.core import decompose, dist
 import oracles
 from oracles import hom_tables
@@ -520,27 +521,73 @@ def symbolic_pool(tag, count):
 
 
 class TestBodyOperationsNeedNoRecheck:
-    """``_factor_body`` and ``_corestrict_body`` return the CoordMap their
-    formulas build without running ``_check_coords`` on it again; on the
-    gates' symbolic pools that check accepts every one of them."""
+    """``CoordMap.factor`` and ``CoordMap.corestrict`` return the CoordMap
+    their formulas build without running ``_check_coords`` on it again; on
+    the gates' symbolic pools that check accepts every result, read at
+    each call site's ends: ``factor_through_quotient``, the reflections
+    ``_reflected`` and the precokernel probes for ``factor``."""
 
     def test_every_coordinate_result_passes_the_check(self, monkeypatch):
         checked = []
+        factor, corestrict = CoordMap.factor, CoordMap.corestrict
+        through_quotient = morphisms.factor_through_quotient
+        reflected = pretorsion._reflected
+        precokernel_outcomes = pretorsion._precokernel_outcomes
+        probes_out_of = pretorsion._probes_out_of
+        # id of a precokernel probe t -> (g.cod's view, t's codomain, t);
+        # holding t keeps its id from being reused while it is looked up
+        probe_ends = {}
 
-        def watch(body_op, ends):
-            def run(*args):
-                body = body_op(*args)
-                if isinstance(body, CoordMap):
-                    _check_coords(*ends(args), body)
-                    checked.append(body_op.__name__)
-                return body
-            return run
+        def checked_factor(q, f):
+            g = factor(q, f)
+            assert q.then(g) == f
+            if id(f) in probe_ends:
+                B, C, _ = probe_ends[id(f)]
+                _check_coords(B, C, g)
+                checked.append("probe")
+            checked.append("factor")
+            return g
 
-        factor = watch(morphisms._factor_body, lambda a: (a[1], a[2]))
-        corestrict = watch(morphisms._corestrict_body, lambda a: (a[0], a[1]))
-        for module in (morphisms, pretorsion):
-            monkeypatch.setattr(module, "_factor_body", factor)
-            monkeypatch.setattr(module, "_corestrict_body", corestrict)
+        def checked_reflected(h, source, target):
+            r = reflected(h, source, target)
+            _check_coords(source[1], target[1], r)
+            checked.append("reflected")
+            return r
+
+        def checked_precokernel_outcomes(g, k):
+            B = core._view(g.cod)
+
+            def probes(algebra):
+                out = probes_out_of(algebra)
+                probe_ends.update((id(t), (B, C, t)) for C, t in out)
+                return out
+            monkeypatch.setattr(pretorsion, "_probes_out_of", probes)
+            try:
+                return precokernel_outcomes(g, k)
+            finally:
+                monkeypatch.setattr(pretorsion, "_probes_out_of", probes_out_of)
+                probe_ends.clear()
+
+        def checked_corestrict(e, through, E, sub):
+            phi = corestrict(e, through, E, sub)
+            _check_coords(E, sub, phi)
+            checked.append("corestrict")
+            return phi
+
+        def checked_through_quotient(*args):
+            g = through_quotient(*args)
+            if isinstance(g.body, CoordMap):
+                _check_coords(g.dom, g.cod, g.body)
+                checked.append("factor_through_quotient")
+            return g
+
+        monkeypatch.setattr(CoordMap, "factor", checked_factor)
+        monkeypatch.setattr(CoordMap, "corestrict", checked_corestrict)
+        for module in (morphisms, pretorsion, galois, galois2, terms):
+            monkeypatch.setattr(module, "factor_through_quotient", checked_through_quotient)
+        for module in (pretorsion, galois):
+            monkeypatch.setattr(module, "_reflected", checked_reflected)
+        monkeypatch.setattr(pretorsion, "_precokernel_outcomes", checked_precokernel_outcomes)
 
         for algebra, i, _ in symbolic_pool("em", 100):
             f = quotient(algebra, i).projection
@@ -550,7 +597,9 @@ class TestBodyOperationsNeedNoRecheck:
             square_from_ideals(algebra, i, j)
             commutator_pair(algebra, i, j)
         for algebra, i, _ in symbolic_pool("refl", 30):
-            central_reflection(quotient(algebra, i).projection)
+            f = quotient(algebra, i).projection
+            central_reflection(f)
+            trivial_via_pullback(f)
         for algebra, _, _ in symbolic_pool("seq", 20):
             seq = pre_exact(algebra)
             is_prekernel(seq.inclusion, seq.projection)
@@ -558,8 +607,14 @@ class TestBodyOperationsNeedNoRecheck:
         for algebra, _, _ in symbolic_pool("stab", 20):
             eta = radical_projection(algebra)
             stability_check(eta, eta)
-        assert checked.count("_factor_body") > 300
-        assert checked.count("_corestrict_body") > 300
+        assert checked.count("factor") == (checked.count("factor_through_quotient")
+                                           + checked.count("reflected")
+                                           + checked.count("probe"))
+        assert checked.count("factor") > 300
+        assert checked.count("corestrict") > 300
+        assert checked.count("factor_through_quotient") > 300
+        assert checked.count("reflected") >= 30
+        assert checked.count("probe") > 50
 
 
 class TestKernelInRadicalPolar:

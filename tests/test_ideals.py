@@ -211,6 +211,16 @@ class TestRieszSplit:
         c3 = to_finite(make_chain(3))
         assert riesz_split(c3, 2, 1, 2) == (1, 1)
 
+    @pytest.mark.parametrize("algebra, x, y, z, bad", [
+        (make_chain(2), (1,), (9,), (0,), (9,)),
+        (to_finite(make_chain(2)), 1, 2, 7, 7),
+        (make_chain(2), "x", (2,), (0,), "x"),
+    ], ids=["height-out-of-range", "table-index", "not-a-tuple"])
+    def test_a_non_element_is_refused(self, algebra, x, y, z, bad):
+        with pytest.raises(ValueError) as err:
+            riesz_split(algebra, x, y, z)
+        assert str(err.value) == f"not an element: {bad!r}"
+
     def test_chang_split(self):
         b, c = riesz_split(CHANG, ((0, (3,)),), ((0, (2,)),), ((0, (2,)),))
         assert (b, c) == (((0, (2,)),), ((0, (1,)),))

@@ -334,23 +334,26 @@ class TestProtoadditivity:
             ok += report.ok
         assert (len(cases), ok) == (356, 165)
 
-    def test_pullbacks_along_table_maps_need_finite_carriers(self):
-        # p or g is a table map, so the pullback is the literal set of
-        # pairs, which the finite-carrier gate refuses to list
+    def test_table_maps_with_an_infinite_end_answer_like_their_block_maps(self):
+        # p or g is a table map and the other end is infinite: the check
+        # reads the comparison on the chain views, lists no pairs, and
+        # answers as the same maps between block products do
         prod, c1 = product([CHANG, make_chain(2)]), make_chain(1)
+        first = Morphism(prod, CHANG, CoordMap(((0, 1, ((0, 1),)),)), "first")
+        section = Morphism(CHANG, prod, CoordMap(((0, 1, ((0, 1),)), (0, 2, ()))))
         cases = [
-            (Morphism(prod, CHANG, CoordMap(((0, 1, ((0, 1),)),)), "first"),
-             Morphism(CHANG, prod, CoordMap(((0, 1, ((0, 1),)), (0, 2, ())))),
-             Morphism(to_finite(c1), CHANG,
-                      FiniteMapBody((CHANG.zero, CHANG.one)))),
-            (Morphism(to_finite(c1), c1, FiniteMapBody(tuple(elements(c1)))),
-             Morphism(c1, to_finite(c1), FiniteMapBody((0, 1))),
-             radical_projection(CHANG)),
+            ((first, section,
+              Morphism(to_finite(c1), CHANG, FiniteMapBody((CHANG.zero, CHANG.one)))),
+             (first, section, from_initial(CHANG)), 6),
+            ((Morphism(to_finite(c1), c1, FiniteMapBody(tuple(elements(c1)))),
+              Morphism(c1, to_finite(c1), FiniteMapBody((0, 1))),
+              radical_projection(CHANG)),
+             (identity(c1), identity(c1), radical_projection(CHANG)), 2),
         ]
-        for p, s, g in cases:
-            with pytest.raises(ValueError,
-                               match=r"^cannot enumerate infinite carrier of Komori\(1,1\)$"):
-                protoadditivity_check(p, s, g)
+        for tabled, blocks, compared in cases:
+            report = protoadditivity_check(*tabled)
+            assert report == protoadditivity_check(*blocks) == literal_protoadditivity(*blocks)
+            assert report.ok and report.compared == compared, report
 
     def test_finite_diagonal_section(self):
         c2 = to_finite(make_chain(2))
