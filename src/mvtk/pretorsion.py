@@ -9,11 +9,18 @@ prekernels and precokernels, and checks protoadditivity.
 Pre-exactness is decided by one family of probes on every carrier, read
 off the ideals: into A, the identity, the map from Chain(1) and the
 inclusion of I u neg(I) for each ideal I; out of A, the projection onto
-A/I for each ideal I.  Each probe is decided once, on the chain views, by
-``CoordMap.corestrict`` or ``CoordMap.factor``, so no probe builds a value
-table.
-The prekernel decision is exact, and so is the precokernel decision for
-an onto g (see ``is_prekernel`` and ``is_precokernel``).
+A/I for each ideal I.  Each outcome is read off the ideal markers of the
+chain views (``ideals._markers_leq``), and one reference probe is built
+per call.  An inclusion probe is checked iff its ideal lies within ker g
+(within A when g is trivial); a projection probe iff its ideal contains
+the ideal generated by k(M), for M = K or a maximal ideal of K with
+quotient Chain(1).  The reference probe, on ker g, is built and decided by
+``CoordMap.corestrict`` or ``CoordMap.factor``; when it passes, so does
+every checked inclusion probe, and every projection probe whose ideal
+contains ker g.  Any other checked probe is built and decided, which
+words its failure.  No probe builds a value table.  The prekernel
+decision is exact, and so is the precokernel decision for an onto g (see
+``is_prekernel`` and ``is_precokernel``).
 """
 
 from __future__ import annotations
@@ -29,9 +36,11 @@ from .core import (
     elements,
 )
 from .ideals import (
+    _markers_leq,
     _radical,
     _view_markers,
     all_ideals,
+    maximal_ideals,
     zero_ideal,
 )
 from .morphisms import (
@@ -239,21 +248,6 @@ def pre_exact(algebra: Algebra) -> PreExactSequence:
     return PreExactSequence(perfect_part(algebra), semisimple_quotient(algebra))
 
 
-def _probes_into(algebra: Algebra) -> list:
-    """(domain, CoordMap) into the chain view of the identity, the map
-    from Chain(1) and the inclusion of I u neg(I) for each ideal I."""
-    view = _view(algebra)
-    return [(m.dom, m.body) for m in (identity(view), from_initial(view))] + [
-        _subalgebra_parts(view, _view_markers(algebra, i)) for i in all_ideals(algebra)]
-
-
-def _probes_out_of(algebra: Algebra) -> list:
-    """(codomain, CoordMap) out of the chain view of the projection onto
-    A/I for each ideal I."""
-    view = _view(algebra)
-    return [_quotient_parts(view, _view_markers(algebra, i)) for i in all_ideals(algebra)]
-
-
 @dataclass(frozen=True)
 class ProbeReport:
     ok: bool
@@ -288,26 +282,63 @@ def _points(algebra: Algebra) -> list:
 
 
 def _prekernel_outcomes(k: Morphism, g: Morphism) -> list:
-    """Each probe e: D -> A decided on the chain views: e then g trivial,
-    then e corestricted through k (as ``corestrict`` does)."""
-    K, C, kc, gc = _view(k.dom), _view(g.cod), _coord_map(k.body), _coord_map(g.body)
+    """Each probe e into A decided on the chain views, in order: the
+    identity, the map from Chain(1), then the inclusion e_I of I u neg(I)
+    for each ideal I.  A probe is checked when e then g is trivial, and
+    passes when e corestricts through k (as ``corestrict`` does).
+
+    Which probes are checked is read off the markers.  Let T be ker g, or
+    all of A when g is trivial.  Then e_I then g is trivial iff I lies
+    within T: g sends an I within ker g to 0 and neg(I) to 1, and an x in
+    I with g(x) = 1 makes g trivial, for every y is
+    (y (*) neg x) (+) (x meet y), where g(y (*) neg x) = 0, so g(y) =
+    g(x meet y), which lies in g(I) within {0, 1}.  The identity is the
+    probe on the full ideal, checked iff g is trivial, and the map from
+    Chain(1) has the image {0, 1} of the zero ideal's, always checked.
+
+    Which pass is read off one reference probe, e_T, built and
+    corestricted through k.  Every checked e factors through e_T, since
+    its image lies within T u neg(T): e = e' then e_T.  So when
+    e_T = phi then k, e = (e' then phi) then k has a corestriction, and
+    ``CoordMap.corestrict`` finds one whenever one exists: it reads each
+    entry off the first row of k that sees it, which every corestriction
+    matches, and what k does not see does not change phi then k.  So
+    every checked probe passes when e_T does.  Otherwise each checked
+    probe is built and corestricted, which words each failure."""
+    A, K = _view(g.dom), _view(k.dom)
+    kc, gc = _coord_map(k.body), _coord_map(g.body)
+    full = ("full",) * len(A.blocks)
+    top = full if _is_trivial(g.dom, g.cod, gc) else \
+        gc.preimage(A, zero_ideal(_view(g.cod)).markers).markers
+    ideals = [_view_markers(g.dom, i) for i in all_ideals(g.dom)]
+    checked = [top == full, True] + [_markers_leq(i, top) for i in ideals]
 
     def outcome(dom, e):
-        if not _is_trivial(dom, C, e.then(gc)):
-            return _SKIPPED
         try:
             e.corestrict(kc, dom, K)
         except ValueError as exc:
             return f"no factorization: {exc}"
         return None
-    return [outcome(dom, e) for dom, e in _probes_into(g.dom)]
+    if outcome(*_subalgebra_parts(A, top)) is None:
+        return [None if c else _SKIPPED for c in checked]
+
+    def probe(n):
+        if n > 1:
+            return _subalgebra_parts(A, ideals[n - 2])
+        e = (identity, from_initial)[n](A)
+        return e.dom, e.body
+    return [outcome(*probe(n)) if c else _SKIPPED for n, c in enumerate(checked)]
 
 
 def is_prekernel(k: Morphism, g: Morphism) -> ProbeReport:
     """Decide whether k is a prekernel of g: the composite is trivial, and
     every e with e then g trivial factors through k exactly once.  The
     probes are the identity, the map from Chain(1) and the inclusion of
-    I u neg(I) for each ideal I; then the injectivity of k.
+    I u neg(I) for each ideal I; then the injectivity of k.  Each probe's
+    outcome is read off the ideal markers and one reference probe: e_I is
+    checked iff I lies within ker g (within A when g is trivial), and
+    every checked probe passes when the one on ker g does (the arguments
+    are in ``_prekernel_outcomes``).
 
     A map is trivial iff its image lies in {0, 1}, and g(x) = 1 iff neg x
     is in ker g, so g^-1{0, 1} = ker g u neg(ker g), the carrier of
@@ -334,28 +365,57 @@ def is_prekernel(k: Morphism, g: Morphism) -> ProbeReport:
 
 
 def _precokernel_outcomes(g: Morphism, k: Morphism) -> list:
-    """Each probe t: A -> C decided on the chain views: k then t trivial,
-    then the mediator g.cod -> C (as ``factor_through_quotient`` builds
-    it; g then it is t), then uniqueness, which holds when g is onto."""
-    K, kc, gc = _view(k.dom), _coord_map(k.body), _coord_map(g.body)
-    surjective = gc.is_onto()
+    """Each probe t_J: A -> A/J, one per ideal J in order, decided on the
+    chain views.  It is checked when k then t_J is trivial, and passes
+    when g factors it (as ``factor_through_quotient`` builds the
+    mediator; g then it is t_J) and g is onto, which makes the mediator
+    unique.
+
+    Which probes are checked is read off the markers.  The image of
+    k then t_J is K / k^-1(J), and a map is trivial iff its image has at
+    most two elements, so iff k^-1(J) contains K or a maximal ideal M of
+    K with K / M = Chain(1), that is iff J contains the ideal that k(M)
+    generates (``CoordMap.image``).  Those M are full on every block of
+    K's chain view but at most one block of height 1, which carries its
+    infinitesimals.
+
+    Which pass is read off one reference probe: t_Q, for Q = ker g, built
+    and factored through g; it passes only when g is onto.  Every J
+    containing Q has t_J = t_Q then the projection p: A/Q -> A/J, so
+    when t_Q = g then h, t_J = g then (h then p) has a mediator.  For an
+    onto g ``CoordMap.factor`` finds it: g's rows read distinct blocks
+    and each coordinate plainly, so each row of the mediator is forced.
+    Any other checked probe, and every checked probe of a g that is not
+    onto, is built and factored, which words each failure."""
+    A, K = _view(g.dom), _view(k.dom)
+    kc, gc = _coord_map(k.body), _coord_map(g.body)
+    lows = [kc.image(m).markers for m in [("full",) * len(K.blocks)] + [
+        m.markers for m, b in zip(maximal_ideals(K), K.blocks) if b.m == 1]]
+    onto = gc.is_onto()
 
     def outcome(cod, t):
-        if not _is_trivial(K, cod, kc.then(t)):
-            return _SKIPPED
         try:
             gc.factor(t)
         except ValueError as exc:
             return f"no mediator: {exc}"
-        return None if surjective else "uniqueness undecidable: g not surjective"
-    return [outcome(cod, t) for cod, t in _probes_out_of(g.dom)]
+        return None if onto else "uniqueness undecidable: g not surjective"
+    kernel = gc.preimage(A, zero_ideal(_view(g.cod)).markers).markers
+    passed = outcome(*_quotient_parts(A, kernel)) is None
+    return [_SKIPPED if not any(_markers_leq(low, j) for low in lows)
+            else None if passed and _markers_leq(kernel, j)
+            else outcome(*_quotient_parts(A, j))
+            for j in (_view_markers(g.dom, i) for i in all_ideals(g.dom))]
 
 
 def is_precokernel(g: Morphism, k: Morphism) -> ProbeReport:
     """Probe the universal property of g as the precokernel of k: the
     composite is trivial, and every t with k then t trivial factors
     through g exactly once.  The probes are the projections onto A/I, one
-    for each ideal I.
+    for each ideal I.  Each probe's outcome is read off the ideal markers
+    and one reference probe: t_J is checked iff J contains the ideal k(M)
+    generates, for M = K or a maximal ideal of K with quotient Chain(1),
+    and for an onto g every J containing ker g passes when the probe on
+    ker g does (the arguments are in ``_precokernel_outcomes``).
 
     They decide an onto g exactly.  Every t: A -> C factors as the
     projection A -> A/ker t followed by an embedding, and an embedding

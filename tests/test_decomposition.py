@@ -533,8 +533,9 @@ class TestBodyOperationsNeedNoRecheck:
         through_quotient = morphisms.factor_through_quotient
         reflected = pretorsion._reflected
         precokernel_outcomes = pretorsion._precokernel_outcomes
-        probes_out_of = pretorsion._probes_out_of
-        # id of a precokernel probe t -> (g.cod's view, t's codomain, t);
+        quotient_parts = pretorsion._quotient_parts
+        # id of a precokernel probe t, as _precokernel_outcomes builds it
+        # with _quotient_parts -> (g.cod's view, t's codomain, t);
         # holding t keeps its id from being reused while it is looked up
         probe_ends = {}
 
@@ -557,15 +558,15 @@ class TestBodyOperationsNeedNoRecheck:
         def checked_precokernel_outcomes(g, k):
             B = core._view(g.cod)
 
-            def probes(algebra):
-                out = probes_out_of(algebra)
-                probe_ends.update((id(t), (B, C, t)) for C, t in out)
-                return out
-            monkeypatch.setattr(pretorsion, "_probes_out_of", probes)
+            def probe(algebra, markers):
+                C, t = quotient_parts(algebra, markers)
+                probe_ends[id(t)] = (B, C, t)
+                return C, t
+            monkeypatch.setattr(pretorsion, "_quotient_parts", probe)
             try:
                 return precokernel_outcomes(g, k)
             finally:
-                monkeypatch.setattr(pretorsion, "_probes_out_of", probes_out_of)
+                monkeypatch.setattr(pretorsion, "_quotient_parts", quotient_parts)
                 probe_ends.clear()
 
         def checked_corestrict(e, through, E, sub):
@@ -600,10 +601,17 @@ class TestBodyOperationsNeedNoRecheck:
             f = quotient(algebra, i).projection
             central_reflection(f)
             trivial_via_pullback(f)
-        for algebra, _, _ in symbolic_pool("seq", 20):
+        for algebra, _, j in symbolic_pool("seq", 20):
             seq = pre_exact(algebra)
             is_prekernel(seq.inclusion, seq.projection)
             is_precokernel(seq.projection, seq.inclusion)
+            # a pre-exact pair builds one probe of each kind; ideal pairs
+            # that are not pre-exact build a probe to word each failure
+            g = quotient(algebra, j).projection
+            for ideal in all_ideals(algebra):
+                k = ideal_subalgebra(algebra, ideal).inclusion
+                is_prekernel(k, g)
+                is_precokernel(g, k)
         for algebra, _, _ in symbolic_pool("stab", 20):
             eta = radical_projection(algebra)
             stability_check(eta, eta)

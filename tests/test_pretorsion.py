@@ -12,6 +12,7 @@ import pytest
 
 import mvtk.core as core_module
 import mvtk.morphisms as morphisms_module
+import mvtk.pretorsion as pretorsion_module
 from mvtk import (
     CoordMap,
     FiniteMapBody,
@@ -44,6 +45,7 @@ from mvtk import (
     perfect_part,
     pre_exact,
     product,
+    product_with_projections,
     protoadditivity_check,
     quotient,
     radical,
@@ -55,6 +57,7 @@ from mvtk import (
     semisimple_quotient,
     terminal_algebra,
     to_finite,
+    to_terminal,
     unit_factorization,
     zero_ideal,
 )
@@ -520,6 +523,76 @@ class TestProbesAgreeWithTheMorphismOracle:
         assert precokernel.failures[1][1] == \
             "uniqueness undecidable: g not surjective"
 
+    def test_a_trivial_g_checks_every_probe(self):
+        # g trivial: T = A, so the identity and every ideal probe are checked
+        for algebra in [make_komori(1, r) for r in (1, 2, 3)] + _random_algebras(15, 10):
+            seq = pre_exact(algebra)
+            pairs = [(k, to_terminal(algebra))
+                     for k in (seq.inclusion, from_initial(algebra), identity(algebra))]
+            if is_perfect(algebra):
+                pairs.append((seq.inclusion, seq.projection))
+            for k, g in pairs:
+                assert is_trivial_morphism(g).trivial
+                prekernel, _ = _agrees_with_oracle(k, g)
+                assert (prekernel.checked, prekernel.skipped) == (2 + len(all_ideals(algebra)), 0)
+
+    def test_a_non_injective_k_into_an_infinite_block_product(self):
+        # k projects P(A) x P(A) onto its first factor, then includes P(A)
+        for algebra in [CHANG, MIXED] + _random_algebras(16, 10):
+            seq = pre_exact(algebra)
+            _, (first, _) = product_with_projections([seq.perfect.algebra] * 2)
+            k = compose(first, seq.inclusion)
+            assert carrier_size(k.cod) is None and not k.is_injective()
+            for g in (seq.projection, radical_projection(algebra), to_terminal(algebra)):
+                prekernel, _ = _agrees_with_oracle(k, g)
+                assert not prekernel.ok
+
+    def test_the_non_onto_doubling_of_chang(self):
+        # g doubles the infinitesimal of Chang's block, alone or beside a chain
+        mixed = product([CHANG, make_chain(2)])
+        for g in [Morphism(CHANG, CHANG, CoordMap(((0, 1, ((0, 2),)),))),
+                  Morphism(mixed, mixed, CoordMap(((0, 1, ((0, 2),)), (1, 1, ()))))]:
+            assert not g.is_surjective()
+            A = g.dom
+            for k in [from_initial(A), identity(A), pre_exact(A).inclusion] + [
+                    ideal_subalgebra(A, i).inclusion for i in all_ideals(A)]:
+                _agrees_with_oracle(k, g)
+
+    def test_a_non_onto_g_whose_kernel_probe_factors(self):
+        # the diagonal of Chang has kernel 0, and the probe onto A/0 = A
+        # factors through it, yet no probe can be shown unique
+        g = Morphism(CHANG, product([CHANG, CHANG]),
+                     CoordMap(((0, 1, ((0, 1),)), (0, 1, ((0, 1),)))))
+        assert not g.is_surjective()
+        for k in [from_initial(CHANG)] + [
+                ideal_subalgebra(CHANG, i).inclusion for i in all_ideals(CHANG)]:
+            _, precokernel = _agrees_with_oracle(k, g)
+            assert precokernel.reason or precokernel.failures[0] == (
+                0, "uniqueness undecidable: g not surjective")
+
+    def test_the_terminal_algebra(self):
+        terminal = product([])
+        seq = pre_exact(terminal)
+        for k, g in [(seq.inclusion, seq.projection), (identity(terminal), identity(terminal))]:
+            prekernel, precokernel = _agrees_with_oracle(k, g)
+            assert prekernel.ok and precokernel.ok
+        # Chain(1) has no map back from the terminal algebra
+        prekernel, _ = _agrees_with_oracle(from_initial(terminal), to_terminal(terminal))
+        assert prekernel.failures[0] == (
+            0, "no factorization: no map into Chain(1), which the corestriction does not see")
+
+    @pytest.mark.parametrize("finite", [False, True], ids=["blocks", "tables"])
+    def test_every_algebra_of_the_catalog_to_24(self, finite):
+        for algebra in chain_product_catalog(24):
+            A = to_finite(algebra) if finite else algebra
+            seq = pre_exact(A)
+            _agrees_with_oracle(seq.inclusion, seq.projection)
+            _agrees_with_oracle(identity(A), identity(A))
+            for i in all_ideals(A):
+                g = quotient(A, i).projection
+                _agrees_with_oracle(ideal_subalgebra(A, i).inclusion, g)
+                _agrees_with_oracle(from_initial(A), g)
+
     def test_from_initial_is_the_decoded_table(self):
         for algebra in _random_algebras(14, 20) + chain_product_catalog(8):
             decoded = Morphism(initial_algebra(), algebra,
@@ -631,6 +704,25 @@ def test_probe_cost_does_not_grow_with_the_ideal_count(monkeypatch):
         counts[len(all_ideals(algebra))] = _morphisms_built(monkeypatch, run)
     assert set(counts) == {5, 50, 75}
     assert len(set(counts.values())) == 1, counts
+
+
+def test_a_pre_exact_sequence_builds_one_probe_of_each_kind(monkeypatch):
+    """The ideal markers decide which probes are checked, and one
+    reference probe decides which pass: on 75 ideals is_prekernel builds
+    one subalgebra map and is_precokernel one quotient map."""
+    algebra = product([make_komori(2, 2), make_komori(1, 2), make_komori(1, 1)])
+    assert len(all_ideals(algebra)) == 75
+    seq = pre_exact(algebra)
+    built = []
+    for name in ("_subalgebra_parts", "_quotient_parts"):
+        original = getattr(pretorsion_module, name)
+        monkeypatch.setattr(pretorsion_module, name, lambda *args, name=name, original=original:
+                            built.append(name) or original(*args))
+    assert is_prekernel(seq.inclusion, seq.projection).ok
+    assert built in ([], ["_subalgebra_parts"])
+    built.clear()
+    assert is_precokernel(seq.projection, seq.inclusion).ok
+    assert built in ([], ["_quotient_parts"])
 
 
 class TestTrivialWitnessRule:
