@@ -761,13 +761,14 @@ def sample_tuples(algebra: Algebra, arity: int, count: int, rng: random.Random,
 class CheckResult:
     """Outcome of one identity.
 
-    ``checked`` counts the tuples decided: every tuple when the identity
-    holds, otherwise the tuples up to and including ``witness``, in
-    lexicographic order when exhaustive and in the order of the
-    :func:`sample_columns` stream when sampled, where the witness is the
-    first failing row, decoded to elements.  A sampled identity that
-    reads no variable (arity 0) holds on all ``count`` rows or fails at
-    the first, with witness ``()``.  An exhaustive identity that does not read one of its variables is
+    ``checked`` counts the tuples the verdict covers: every tuple when the
+    identity holds (an exhaustive pass on a certified table may be decided
+    on its chain factors, see :func:`_bank_grid`), otherwise the tuples up
+    to and including ``witness``, in lexicographic order when exhaustive
+    and in the order of the :func:`sample_columns` stream when sampled,
+    where the witness is the first failing row, decoded to elements.  A
+    sampled identity that reads no variable (arity 0) holds on all
+    ``count`` rows or fails at the first, with witness ``()``.  An exhaustive identity that does not read one of its variables is
     decided once per tuple of the variables it reads, and that tuple is
     its witness and counts for every value of the others.  So the Pixley
     identities r(x, x, z) = z, r(x, y, y) = x and r(x, y, x) = x, stated
@@ -881,12 +882,18 @@ def grid_checks(algebra: Algebra, checks, subject: str) -> CheckReport:
     first failing tuple; witnesses are elements of ``algebra``.
     """
     table = _grid_table(algebra)
+    return _grid(table, elements(algebra), checks(table_view(table)), subject)
+
+
+def _grid(table: FiniteAlgebra, elems, bank, subject: str) -> CheckReport:
+    """:func:`grid_checks` of the identities ``bank``, read over
+    ``table_view(table)``, with ``elems[i]`` the element that index i
+    names in a witness."""
     import numpy as np
 
     n = table.size
-    elems = elements(algebra)
     results = []
-    for name, arity, pred in checks(table_view(table)):
+    for name, arity, pred in bank:
         witness, checked = None, n ** arity
         for lo, grids in _slabs(n, arity):
             held = np.asarray(pred(*grids))
@@ -1004,9 +1011,49 @@ def _lattice_checks(A: Algebra):
     ]
 
 
+def _bank_grid(algebra: Algebra, checks, subject: str) -> CheckReport:
+    """:func:`grid_checks` of one of the five identity banks (axioms,
+    derived, lattice, recovery and Pixley), decided on the chain factors
+    of a table that :func:`decompose` certifies.
+
+    Every identity of these banks is a universal Horn sentence: an
+    equation, or a quasi-identity such as ``dist_separates``.  A Horn
+    sentence that holds in every factor holds in their product, and in
+    anything isomorphic to it (Birkhoff; Burris and Sankappanavar, *A
+    Course in Universal Algebra*, section II.11).  A certified table is a
+    product of the chains Chain(m) for its heights, so when the bank holds
+    on the table of each distinct Chain(m), the report is the one the
+    whole grid gives on a pass: no witness and ``n**arity`` tuples
+    covered per identity.  A table that does not certify (nothing is
+    stored on that path), a single chain, the terminal table and a failing
+    factor run the whole grid, so every failing report is the whole
+    grid's, witnesses and counts included.
+
+    :func:`grid_checks` itself stays pointwise: it is also handed
+    predicates that are not Horn sentences, such as order comparisons or
+    disjunctions of equations, which can hold in every factor and fail in
+    the product."""
+    table = _grid_table(algebra)
+    try:
+        heights = decompose(table).heights
+    except ValueError:
+        heights = ()
+    if len(heights) > 1:
+        for m in sorted(set(heights)):
+            chain = to_finite(make_chain(m))
+            bank = checks(table_view(chain))
+            if not _grid(chain, range(m + 1), bank, subject).ok:
+                break
+        else:
+            return CheckReport(subject, "exhaustive", tuple(
+                CheckResult(name, True, None, table.size ** arity)
+                for name, arity, _ in bank))
+    return _grid(table, elements(algebra), checks(table_view(table)), subject)
+
+
 def _check_identities(algebra, checks, subject, mode, count, bound, seed):
     if resolve_mode(algebra, mode) == "exhaustive":
-        return grid_checks(algebra, checks, subject)
+        return _bank_grid(algebra, checks, subject)
     return sample_checks(algebra, checks, subject, count, bound,
                          lambda name: f"{seed}:{name}")
 

@@ -186,36 +186,50 @@ class CoordMap:
 
     def factor(self, f: "CoordMap") -> "CoordMap":
         """g with self.then(g) == f: each row of f is re-read from the
-        first row of self that carries the same source block.  Nothing is
-        composed back: each placement divides f's multiplier by self's and
-        the scale divides f's scale by self's, each raising unless it
-        divides exactly, so self.then(g) rebuilds f term by term."""
-        first = {}
+        first row of self that carries the same source block and from
+        which it can be read, each coordinate from the first coordinate of
+        that row that reads the same source coordinate with a multiplier
+        dividing f's.  The rows of f are independent, and an onto self
+        carries each block once.  Nothing is composed back: each
+        placement divides f's multiplier by self's and the scale divides
+        f's scale by self's, exactly, so self.then(g) rebuilds f term by
+        term.  A row of f that no row of self can carry raises the
+        failure of the first row that carries its block."""
+        carriers = {}
         for j, (src, _, _) in enumerate(self.rows):
-            first.setdefault(src, j)
+            carriers.setdefault(src, []).append(j)
         rows = []
         for src, scale, coords in f.rows:
-            if src not in first:
+            if src not in carriers:
                 raise ValueError("f reads a block the quotient kills")
-            j = first[src]
-            _, qscale, qcoords = self.rows[j]
-            where = {}
-            for p, c in enumerate(qcoords):
-                if c is not None:
-                    where.setdefault(c[0], (p, c[1]))
-            placed = []
-            for c in coords:
-                if c is None:
-                    placed.append(None)
-                    continue
-                if c[0] not in where or c[1] % where[c[0]][1]:
-                    raise ValueError("f reads a coordinate the quotient kills")
-                p, k = where[c[0]]
-                placed.append((p, c[1] // k))
-            if scale % qscale:
-                raise ValueError("f does not factor through the quotient")
-            rows.append((j, scale // qscale, tuple(placed)))
+            failures = []
+            for j in carriers[src]:
+                try:
+                    rows.append((j, *self._reread(j, scale, coords)))
+                    break
+                except ValueError as exc:
+                    failures.append(exc)
+            else:
+                raise failures[0]
         return CoordMap._normal(tuple(rows))
+
+    def _reread(self, j: int, scale: int, coords: tuple) -> tuple:
+        """(scale, placed): a row of f with ``scale`` and ``coords`` read
+        off row j of self, or a ValueError."""
+        _, qscale, qcoords = self.rows[j]
+        placed = []
+        for c in coords:
+            if c is None:
+                placed.append(None)
+                continue
+            p = next((p for p, q in enumerate(qcoords)
+                      if q is not None and q[0] == c[0] and c[1] % q[1] == 0), None)
+            if p is None:
+                raise ValueError("f reads a coordinate the quotient kills")
+            placed.append((p, c[1] // qcoords[p][1]))
+        if scale % qscale:
+            raise ValueError("f does not factor through the quotient")
+        return scale // qscale, tuple(placed)
 
     def corestrict(self, through: "CoordMap", E: SymbolicAlgebra,
                    sub: SymbolicAlgebra) -> "CoordMap":

@@ -5,10 +5,11 @@ exhibits protomodularity, and a Pixley-style ternary term giving the
 arithmetical (Mal'tsev plus distributive) behaviour.  Each identity is
 written once over the algebra operations and runs on the core check
 engine: exhaustively on the table form of a finite carrier by the grid
-evaluator (its reports name the table), and by sampling on block
-algebras.  The kernel-restriction harness then checks, square by square,
-that comparison maps into pullbacks are injective, surjective or
-bijective exactly when the induced restriction between kernels is.
+evaluator, on its chain factors when it certifies (its reports name the
+table), and by sampling on block algebras.  The kernel-restriction
+harness then checks, square by square, that comparison maps into
+pullbacks are injective, surjective or bijective exactly when the
+induced restriction between kernels is.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from .catalog import chain_product_catalog
 from .core import (
     Algebra,
     CheckReport,
+    _bank_grid,
     _grid_table,
     _view,
     arrow,
     describe,
-    grid_checks,
     join,
     meet,
     neg,
@@ -69,7 +70,7 @@ def verify_protomodularity(algebra: Algebra, mode: str = "auto",
     first argument from two binary terms and the second argument."""
     if resolve_mode(algebra, mode) == "exhaustive":
         table = _grid_table(algebra)
-        return grid_checks(table, _recovery_checks, describe(table))
+        return _bank_grid(table, _recovery_checks, describe(table))
     return sample_checks(algebra, _recovery_checks, describe(algebra), count,
                          bound, lambda name: f"{seed}:protomodularity")
 
@@ -100,7 +101,7 @@ def verify_pixley(algebra: Algebra, mode: str = "auto", count: int = 2000,
     triples shared by the three identities."""
     if resolve_mode(algebra, mode) == "exhaustive":
         table = _grid_table(algebra)
-        return grid_checks(table, _pixley_checks, describe(table))
+        return _bank_grid(table, _pixley_checks, describe(table))
     return sample_checks(algebra, _pixley_checks, describe(algebra), count,
                          bound, lambda name: f"{seed}:pixley")
 

@@ -1,7 +1,8 @@
 """The exhaustive grid streams slabs of the first variable: it reports the
 same witnesses and ``checked`` counts as the one-shot grid of
 ``oracles.grid_checks``, holds small temporaries, and refuses an
-infinite carrier before numpy loads."""
+infinite carrier before numpy loads.  The five identity banks, decided on
+the chain factors of a certified table, report as the whole grid."""
 
 import subprocess
 import sys
@@ -10,21 +11,25 @@ import tracemalloc
 import pytest
 
 from mvtk import (
+    chain_product_catalog,
     check_axioms,
     make_chain,
     make_finite,
+    otimes,
     product,
     to_finite,
     verify_pixley,
 )
 from mvtk.core import (
     _axiom_checks,
+    _bank_grid,
     _derived_checks,
     _lattice_checks,
     grid_checks,
 )
 from mvtk.terms import _pixley_checks, _recovery_checks
 from oracles import grid_checks as one_shot_grid_checks
+from test_decomposition import shuffled
 
 BANKS = (_axiom_checks, _derived_checks, _lattice_checks, _pixley_checks,
          _recovery_checks)
@@ -158,3 +163,68 @@ def test_an_infinite_carrier_is_refused_before_numpy_loads():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("cannot enumerate infinite carrier of Komori(1,1)\n"
                            "False\n")
+
+
+def _factor_pool():
+    """Every catalog table of at most 32 elements and the fifteen of 128,
+    each with a relabelled copy whose element order is not the formula's."""
+    tables = [t for t in map(to_finite, chain_product_catalog(128))
+              if t.size <= 32 or t.size == 128]
+    assert len(tables) == 93 and sum(t.size == 128 for t in tables) == 15
+    return [t for k, table in enumerate(tables)
+            for t in (table, shuffled(table, f"bank:{k}"))]
+
+
+def test_the_banks_on_chain_factors_report_as_the_whole_grid():
+    for table in _factor_pool():
+        for bank in BANKS:
+            if bank is _lattice_checks and table.size > 32:
+                continue
+            got = _bank_grid(table, bank, "subject")
+            assert got == grid_checks(table, bank, "subject"), (table, bank)
+
+
+def _idempotence(A):
+    return [("plus_idempotent", 1, lambda x: A.plus(x, x) == x)]
+
+
+def _triple_is_double(A):
+    # holds in Chain(2), fails at level 1 of Chain(3)
+    return [("triple_is_double", 1,
+             lambda x: A.plus(x, A.plus(x, x)) == A.plus(x, x))]
+
+
+def _no_half(A):
+    # u = 2x times 2(not x) is at most 2/3 on Chain(3), so u cubed is 0;
+    # on Chain(2) it is 1 at 1/2
+    def u(x):
+        return otimes(A, A.plus(x, x), A.plus(A.neg(x), A.neg(x)))
+    return [("no_half", 1,
+             lambda x: otimes(A, u(x), otimes(A, u(x), u(x))) == A.zero)]
+
+
+@pytest.mark.parametrize("heights, bank", [
+    ((1, 2), _idempotence),
+    ((2, 3), _triple_is_double),
+    ((2, 3), _no_half),
+], ids=["idempotence", "fails_on_the_larger", "fails_on_the_smaller"])
+def test_a_bank_that_fails_in_one_factor_fails_with_the_whole_grids_witness(
+        heights, bank):
+    """Each bank holds in one factor and fails in the other: the whole
+    grid runs and names the witness."""
+    table = to_finite(product([make_chain(m) for m in heights]))
+    got = _bank_grid(table, bank, "subject")
+    assert not got.ok
+    assert got == grid_checks(table, bank, "subject")
+
+
+def test_the_generic_grid_does_not_read_the_factors():
+    """A disjunction of equations is not a Horn sentence: every element of
+    Chain(1) is 0 or 1, but (0, 1) of Chain(1)**2 is neither."""
+    table = to_finite(product([make_chain(1)] * 2))
+
+    def zero_or_one(A):
+        return [("zero_or_one", 1, lambda x: (x == A.zero) | (x == A.one))]
+
+    result, = grid_checks(table, zero_or_one, "subject").results
+    assert (result.ok, result.witness, result.checked) == (False, (1,), 2)

@@ -669,6 +669,20 @@ class TestExactPrecokernel:
         assert report.failures == (
             (1, "no mediator: f reads a block the quotient kills"),)
 
+    def test_a_mediator_read_off_a_later_row_of_g(self):
+        # g: Chang -> Chang x Chang kills the coefficient in its first row
+        # and keeps it in its second, so the projection onto the second
+        # factor mediates the identity probe; g is not onto, so each probe
+        # that factors leaves its uniqueness undecided
+        g = Morphism(CHANG, product([CHANG, CHANG]),
+                     CoordMap(((0, 1, (None,)), (0, 1, ((0, 1),)))))
+        second = CoordMap(((1, 1, ((0, 1),)),))
+        assert g.body.factor(identity(CHANG).body) == second
+        report = is_precokernel(g, from_initial(CHANG))
+        assert (report.ok, report.checked, report.skipped) == (False, 3, 0)
+        assert report.failures == tuple(
+            (i, "uniqueness undecidable: g not surjective") for i in range(3))
+
 
 def _morphisms_built(monkeypatch, run):
     """Morphisms constructed while ``run`` runs, through __init__ and the
