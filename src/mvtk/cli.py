@@ -5,7 +5,14 @@ keys, so byte-identical under a fixed seed), and exits 0 on success, 1
 when a check or an ``--expect`` assertion fails, 2 on malformed input.
 A reader that closes stdout before the report is written, such as
 ``mvtk gamma group.json | head -1``, ends the command with exit 1 and no
-traceback.
+traceback.  A JSON object without a field the command reads is malformed
+input, reported as ``error: missing field 'dom'``.
+
+Every command reads ``core`` and ``jsonio``; each handler imports the
+other modules it runs, so a fresh interpreter compiles only those:
+``gamma`` adds ``mundici``, ``catalog`` adds ``catalog``, ``ideals`` adds
+``ideals``, ``homs`` adds ``ideals`` and ``morphisms``, and
+``check-axioms`` adds nothing but numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .catalog import chain_product_catalog
+# every command reads these; a handler imports the other modules it runs
 from .core import (
     carrier_size,
     check_axioms,
@@ -25,9 +32,6 @@ from .core import (
     describe,
     elements,
 )
-from .galois import classify_extension, em_factorize
-from .galois2 import classify_double, commutator_pair, is_regular_pushout
-from .ideals import all_ideals, radical
 from .jsonio import (
     algebra_to_json,
     ideal_to_json,
@@ -39,21 +43,6 @@ from .jsonio import (
     parse_square,
     report_to_json,
 )
-from .morphisms import enumerate_homs
-from .mundici import (
-    gamma_ops_agree,
-    group_laws_check,
-    interval_algebra,
-    order_unit_check,
-)
-from .pretorsion import (
-    is_perfect,
-    is_precokernel,
-    is_prekernel,
-    is_semisimple,
-    pre_exact,
-)
-from .terms import verify_pixley, verify_protomodularity
 
 __all__ = ["main"]
 
@@ -99,6 +88,9 @@ def cmd_check_axioms(args):
 
 
 def cmd_radical(args):
+    from .ideals import radical
+    from .pretorsion import is_perfect, is_semisimple
+
     algebra = parse_algebra(_load(args.file))
     by_method = {m: radical(algebra, method=m)
                  for m in ("inf", "maximal", "nilpotent")}
@@ -114,6 +106,8 @@ def cmd_radical(args):
 
 
 def cmd_ideals(args):
+    from .ideals import all_ideals
+
     algebra = parse_algebra(_load(args.file))
     ideals = all_ideals(algebra)
     payload = {
@@ -125,6 +119,8 @@ def cmd_ideals(args):
 
 
 def cmd_homs(args):
+    from .morphisms import enumerate_homs
+
     spec = _load(args.file)
     dom = parse_algebra(spec["dom"])
     cod = parse_algebra(spec["cod"])
@@ -141,6 +137,8 @@ def cmd_homs(args):
 
 
 def cmd_classify(args):
+    from .galois import classify_extension
+
     f = parse_morphism(_load(args.file))
     cl = classify_extension(f)
     payload = {
@@ -158,6 +156,8 @@ def cmd_classify(args):
 
 
 def cmd_factorize(args):
+    from .galois import em_factorize
+
     f = parse_morphism(_load(args.file))
     em = em_factorize(f)
     payload = {
@@ -170,6 +170,8 @@ def cmd_factorize(args):
 
 
 def cmd_pretorsion(args):
+    from .pretorsion import is_precokernel, is_prekernel, pre_exact
+
     algebra = parse_algebra(_load(args.file))
     seq = pre_exact(algebra)
     pk = is_prekernel(seq.inclusion, seq.projection)
@@ -185,6 +187,8 @@ def cmd_pretorsion(args):
 
 
 def cmd_square_classify(args):
+    from .galois2 import classify_double, is_regular_pushout
+
     sq = parse_square(_load(args.file))
     rp = is_regular_pushout(sq)
     payload = {"regular_pushout": rp.ok,
@@ -199,6 +203,8 @@ def cmd_square_classify(args):
 
 
 def cmd_commutator(args):
+    from .galois2 import commutator_pair
+
     spec = _load(args.file)
     algebra = parse_algebra(spec["algebra"])
     i = parse_ideal(algebra, spec["ideal_i"])
@@ -218,6 +224,8 @@ def cmd_commutator(args):
 
 
 def cmd_terms(args):
+    from .terms import verify_pixley, verify_protomodularity
+
     algebra = parse_algebra(_load(args.file))
     proto = verify_protomodularity(algebra, mode=args.mode, count=args.count,
                                    bound=args.bound, seed=args.seed)
@@ -232,6 +240,13 @@ def cmd_terms(args):
 
 
 def cmd_gamma(args):
+    from .mundici import (
+        gamma_ops_agree,
+        group_laws_check,
+        interval_algebra,
+        order_unit_check,
+    )
+
     group = parse_group(_load(args.file))
     unit = order_unit_check(group)
     laws = group_laws_check(group, count=args.count, bound=args.bound,
@@ -258,6 +273,8 @@ def cmd_gamma(args):
 
 
 def cmd_catalog(args):
+    from .catalog import chain_product_catalog
+
     algebras = chain_product_catalog(args.max_size)
     payload = {
         "max_size": args.max_size,
@@ -329,8 +346,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, ok = args.func(args)
-    except (ValueError, KeyError, TypeError, NotImplementedError,
-            OSError) as exc:
+    except KeyError as exc:
+        # a JSON object without a field the command reads
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, TypeError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(payload, sort_keys=True, indent=2)

@@ -195,7 +195,7 @@ class SymbolicAlgebra:
     and its ideals and maps read its certified chains (:func:`_view`).
     """
 
-    __slots__ = ("blocks", "_zero", "_one", "_dec")
+    __slots__ = ("blocks", "_zero", "_one", "_dec", "_refusal")
     # whether the algebra is read through a table and its certified chains
     _tabled = False
 
@@ -271,7 +271,7 @@ class FiniteAlgebra:
     witness.
     """
 
-    __slots__ = ("size", "zero", "neg_row", "plus_rows", "_np", "_dec")
+    __slots__ = ("size", "zero", "neg_row", "plus_rows", "_np", "_dec", "_refusal")
     _tabled = True
 
     def __init__(self, neg_row, plus_rows, zero: int = 0):
@@ -299,7 +299,7 @@ class FiniteAlgebra:
 
     def _fill(self, neg_row: tuple, plus_rows: tuple, zero: int) -> None:
         for name, value in zip(self.__slots__, (len(neg_row), zero, neg_row,
-                                                plus_rows, None, None)):
+                                                plus_rows, None, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -1251,12 +1251,22 @@ def decompose(algebra: Algebra) -> Decomposition:
 
     A ``_tabled`` algebra, a table or a block product that overrides
     ``plus`` or ``neg``, is certified as its table; one that is not an
-    MV-algebra is a ValueError naming a witness.  A block product of
-    chains is its own decomposition, read off its blocks: element x of
-    ``elements`` has code x, so nothing is enumerated or checked."""
+    MV-algebra is a ValueError naming a witness, whose text the algebra
+    keeps, so a later call raises it again without certifying again.  A
+    block product of chains is its own decomposition, read off its
+    blocks: element x of ``elements`` has code x, so nothing is
+    enumerated or checked."""
     if getattr(algebra, "_dec", None) is None:
         if algebra._tabled:
-            dec = _certify(to_finite(algebra))
+            refusal = getattr(algebra, "_refusal", None)
+            if refusal is not None:
+                raise ValueError(refusal)
+            table = to_finite(algebra)
+            try:
+                dec = _certify(table)
+            except ValueError as exc:
+                object.__setattr__(algebra, "_refusal", str(exc))
+                raise
         else:
             heights = _chain_heights(algebra)
             codes = range(math.prod(m + 1 for m in heights))

@@ -6,9 +6,15 @@ coordinates and block indices are one-based on the wire and zero-based in
 memory.  Morphisms are kind-tagged objects; the derived kinds (radical
 projection, perfect inclusion, radical indicator) are rebuilt through
 their factories rather than stored pointwise.
+
+Algebras and reports need only ``core``: the readers and writers of
+ideals, morphisms and groups import ``ideals``, ``morphisms``,
+``pretorsion`` or ``mundici`` when they are called.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from .core import (
     Algebra,
@@ -18,24 +24,11 @@ from .core import (
     SymbolicAlgebra,
     make_finite,
 )
-from .ideals import FiniteIdeal, Ideal, MarkerIdeal, validate_ideal
-from .morphisms import (
-    FiniteMapBody,
-    Morphism,
-    _copies,
-    _quotient,
-    compose,
-    from_initial,
-    identity,
-    is_morphism,
-    to_terminal,
-)
-from .mundici import LexGroup, make_group
-from .pretorsion import (
-    perfect_inclusion,
-    radical_indicator,
-    radical_projection,
-)
+
+if TYPE_CHECKING:
+    from .ideals import Ideal
+    from .morphisms import Morphism
+    from .mundici import LexGroup
 
 __all__ = [
     "jsonable",
@@ -61,6 +54,8 @@ def jsonable(x):
         return sorted(jsonable(v) for v in x)
     if isinstance(x, (bool, int, str)) or x is None:
         return x
+    from .ideals import FiniteIdeal, MarkerIdeal
+
     if isinstance(x, (FiniteIdeal, MarkerIdeal)):
         return jsonable(x.elements if isinstance(x, FiniteIdeal) else x.markers)
     return repr(x)
@@ -115,6 +110,8 @@ def algebra_to_json(algebra: Algebra):
 
 
 def parse_ideal(algebra: Algebra, obj) -> Ideal:
+    from .ideals import FiniteIdeal, MarkerIdeal, validate_ideal
+
     if "elements" in obj:
         if isinstance(algebra, FiniteAlgebra):
             return validate_ideal(algebra, FiniteIdeal(frozenset(
@@ -135,6 +132,8 @@ def parse_ideal(algebra: Algebra, obj) -> Ideal:
 
 
 def ideal_to_json(algebra: Algebra, ideal: Ideal):
+    from .ideals import FiniteIdeal, validate_ideal
+
     ideal = validate_ideal(algebra, ideal)
     if isinstance(ideal, FiniteIdeal):
         return {"elements": sorted(ideal.elements)}
@@ -147,23 +146,38 @@ def ideal_to_json(algebra: Algebra, ideal: Ideal):
     return {"markers": out}
 
 
-# the morphism kinds built from their algebra alone
-_FACTORIES = {
-    "radical_projection": radical_projection,
-    "perfect_inclusion": perfect_inclusion,
-    "radical_indicator": radical_indicator,
-    "identity": identity,
-    "to_terminal": to_terminal,
-    "from_initial": from_initial,
-}
-
-
 def parse_morphism(obj) -> Morphism:
+    from .morphisms import (
+        FiniteMapBody,
+        Morphism,
+        _copies,
+        _quotient,
+        compose,
+        from_initial,
+        identity,
+        is_morphism,
+        to_terminal,
+    )
+    from .pretorsion import (
+        perfect_inclusion,
+        radical_indicator,
+        radical_projection,
+    )
+
     if not isinstance(obj, dict):
         raise ValueError(f"morphism must be an object, got {type(obj).__name__}")
+    # the morphism kinds built from their algebra alone
+    factories = {
+        "radical_projection": radical_projection,
+        "perfect_inclusion": perfect_inclusion,
+        "radical_indicator": radical_indicator,
+        "identity": identity,
+        "to_terminal": to_terminal,
+        "from_initial": from_initial,
+    }
     kind = obj.get("kind")
-    if isinstance(kind, str) and kind in _FACTORIES:
-        return _FACTORIES[kind](parse_algebra(obj["algebra"]))
+    if isinstance(kind, str) and kind in factories:
+        return factories[kind](parse_algebra(obj["algebra"]))
     if kind in ("quotient", "block_projection"):
         algebra = parse_algebra(obj["algebra"])
         if kind == "quotient":
@@ -230,6 +244,8 @@ def parse_square(obj):
 
 
 def parse_group(obj) -> LexGroup:
+    from .mundici import make_group
+
     return make_group((_int(b["rank"], "group rank"),
                        tuple(_int(u, "unit entry") for u in b["unit"]))
                       for b in obj["blocks"])

@@ -182,6 +182,17 @@ class TestCatalogAndPlumbing:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("args, field", [
+        (("homs", "chang.json"), "dom"),
+        (("gamma", "chain4.json"), "rank"),
+        (("commutator", "chang.json"), "algebra"),
+    ])
+    def test_a_missing_field_is_named(self, args, field, capsys):
+        code = main([args[0], fx(args[1])])
+        out = capsys.readouterr()
+        assert code == 2 and not out.out
+        assert out.err == f"error: missing field '{field}'\n"
+
     def test_malformed_json_is_a_usage_error(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

@@ -1,5 +1,6 @@
-"""Every fixture command prints its frozen output, byte for byte, and
-only the commands that evaluate a table's arrays load numpy.
+"""Every fixture command prints its frozen output, byte for byte, only
+the commands that evaluate a table's arrays load numpy, and each command
+loads only the mvtk modules it runs.
 
 The frozen outputs live in ``perfbench/expected`` and are only read here.
 """
@@ -38,6 +39,26 @@ COMMANDS = (
 
 # the fixture commands that evaluate a table's arrays, and so load numpy
 NUMPY_COMMANDS = ("check-axioms_chain4", "terms_chain4")
+
+# the mvtk modules each fixture command loads, besides mvtk, mvtk.cli,
+# mvtk.jsonio and mvtk.core
+_HOMS = ("ideals", "morphisms")
+_EXTENSIONS = (*_HOMS, "pretorsion", "galois")
+LOADED = {
+    "check-axioms_chain4": (),
+    "radical_chang": (*_HOMS, "pretorsion"),
+    "ideals_product": ("ideals",),
+    "homs_pair": _HOMS,
+    "classify_eta_chang": _EXTENSIONS,
+    "factorize_quotient_map": _EXTENSIONS,
+    "pretorsion_product": (*_HOMS, "pretorsion"),
+    "square-classify_square": (*_EXTENSIONS, "galois2"),
+    "commutator_commutator": (*_EXTENSIONS, "galois2"),
+    "terms_chain4": (*_HOMS, "catalog", "terms"),
+    "gamma_group": ("mundici",),
+    "catalog_8": ("catalog",),
+    "gamma_bad_unit_group": ("mundici",),
+}
 
 
 def test_every_expected_output_has_a_command():
@@ -79,3 +100,33 @@ def test_only_table_commands_load_numpy():
     expected = {"import": False, **{name: False for name, _ in runs[:-1]},
                 "check-axioms_chain4": True}
     assert json.loads(proc.stdout) == expected
+
+
+def _loaded_modules(code):
+    proc = subprocess.run([sys.executable, "-c", code + "\n"
+                           "print(json.dumps(sorted(m for m in sys.modules\n"
+                           "                        if m.split('.')[0] == 'mvtk')))\n"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_module():
+    assert _loaded_modules("import json, sys\nimport mvtk") == ["mvtk"]
+    assert _loaded_modules("import json, sys\nfrom mvtk import cli") \
+        == ["mvtk", "mvtk.cli", "mvtk.core", "mvtk.jsonio"]
+
+
+@pytest.mark.parametrize("name,args,code", COMMANDS,
+                         ids=[name for name, _, _ in COMMANDS])
+def test_each_command_loads_only_the_modules_it_runs(name, args, code):
+    """In a fresh interpreter a command imports the modules of its own
+    handler, so it compiles no other module of the package."""
+    argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in args]
+    run = ("import contextlib, io, json, sys\n"
+           "from mvtk.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           f"    assert main({argv!r}) == {code}\n")
+    expected = ["mvtk", *(f"mvtk.{m}" for m in ("cli", "core", "jsonio",
+                                                 *LOADED[name]))]
+    assert _loaded_modules(run) == sorted(expected)

@@ -2,7 +2,8 @@
 same witnesses and ``checked`` counts as the one-shot grid of
 ``oracles.grid_checks``, holds small temporaries, and refuses an
 infinite carrier before numpy loads.  The five identity banks, decided on
-the chain factors of a certified table, report as the whole grid."""
+the chain factors of a certified table, report as the whole grid, and a
+table that does not certify is certified once."""
 
 import subprocess
 import sys
@@ -13,13 +14,17 @@ import pytest
 from mvtk import (
     chain_product_catalog,
     check_axioms,
+    check_derived_identities,
+    decompose,
     make_chain,
     make_finite,
     otimes,
     product,
     to_finite,
     verify_pixley,
+    verify_protomodularity,
 )
+from mvtk import core
 from mvtk.core import (
     _axiom_checks,
     _bank_grid,
@@ -228,3 +233,28 @@ def test_the_generic_grid_does_not_read_the_factors():
 
     result, = grid_checks(table, zero_or_one, "subject").results
     assert (result.ok, result.witness, result.checked) == (False, (1,), 2)
+
+
+def test_a_corrupted_table_is_certified_once(monkeypatch):
+    """The four exhaustive banks of a table that is not an MV-algebra try
+    its decomposition once: the table keeps the refusal, and a later
+    ``decompose`` raises the same text without certifying again."""
+    certify = core._certify
+    certified = []
+    monkeypatch.setattr(core, "_certify",
+                        lambda table: certified.append(table) or certify(table))
+    base = to_finite(product([make_chain(2), make_chain(3), make_chain(4)]))
+    table = _changed(base, 1, 2, 0)
+    assert table.size == 60
+    for check in (check_axioms, check_derived_identities,
+                  verify_protomodularity, verify_pixley):
+        assert not check(table, mode="exhaustive").ok, check
+    assert certified == [table]
+    with pytest.raises(ValueError) as refused:
+        decompose(table)
+    assert certified == [table]
+    with pytest.raises(ValueError) as fresh:
+        certify(_changed(base, 1, 2, 0))
+    assert str(refused.value) == str(fresh.value)
+    assert str(fresh.value).startswith("not an MV-algebra: ")
+    assert to_finite(table) is table and table._dec is None

@@ -1,9 +1,15 @@
 """The public API is declared once, in each module's ``__all__``, and the
-package republishes the union."""
+package republishes the union, resolving each name on first use."""
 
 import importlib
+import json
+import subprocess
+import sys
 
 import mvtk
+
+MODULES = ["core", "ideals", "morphisms", "catalog", "pretorsion",
+           "galois", "galois2", "terms", "mundici"]
 
 # every public name the package exported before it republished __all__
 EXPORTED = """
@@ -58,9 +64,7 @@ def test_every_declared_name_resolves():
 
 
 def test_package_exports_the_union_of_its_modules():
-    modules = ["core", "ideals", "morphisms", "catalog", "pretorsion",
-               "galois", "galois2", "terms", "mundici"]
-    union = [name for m in modules
+    union = [name for m in MODULES
              for name in importlib.import_module(f"mvtk.{m}").__all__]
     assert mvtk.__all__ == union
 
@@ -68,3 +72,55 @@ def test_package_exports_the_union_of_its_modules():
 def test_earlier_exports_are_kept():
     assert len(EXPORTED) == 164
     assert set(EXPORTED) <= set(mvtk.__all__)
+
+
+def _fresh(code):
+    """The JSON a fresh interpreter prints after ``import json, mvtk`` and
+    ``code``, so the names resolve from an unloaded package."""
+    proc = subprocess.run([sys.executable, "-c", "import json, mvtk\n" + code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_star_import_binds_every_name():
+    names = _fresh("space = {}\n"
+                   "exec('from mvtk import *', space)\n"
+                   "print(json.dumps(sorted(set(space) - {'__builtins__'})))")
+    assert len(names) == 171
+    assert names == sorted(mvtk.__all__)
+
+
+def test_dir_lists_every_name():
+    listed = _fresh("print(json.dumps(dir(mvtk)))")
+    assert set(mvtk.__all__) <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_each_name_is_its_modules_object():
+    """Resolved from the last module to the first, each name is the object
+    its module declares."""
+    assert _fresh(
+        "import importlib\n"
+        f"modules = {MODULES!r}\n"
+        "print(json.dumps([name for m in reversed(modules)\n"
+        "                  for name in importlib.import_module('mvtk.' + m).__all__\n"
+        "                  if getattr(mvtk, name)\n"
+        "                  is not getattr(importlib.import_module('mvtk.' + m), name)]))"
+    ) == []
+    for m in MODULES:
+        module = importlib.import_module(f"mvtk.{m}")
+        for name in module.__all__:
+            assert getattr(mvtk, name) is getattr(module, name), name
+
+
+def test_a_module_binds_all_its_names_at_once():
+    """The first name read from a module binds its whole ``__all__`` in the
+    package, so later reads are plain lookups and a later patch of the
+    module does not reach the package."""
+    assert _fresh("import mvtk.core as core\n"
+                  "elements = core.elements\n"
+                  "mvtk.to_finite\n"
+                  "core.elements = None\n"
+                  "print(json.dumps(['elements' in vars(mvtk),\n"
+                  "                  mvtk.elements is elements]))") == [True, True]
