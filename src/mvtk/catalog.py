@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .core import Chain, Komori, SymbolicAlgebra, terminal_algebra
+from .core import Algebra, Chain, Komori, SymbolicAlgebra, _view, terminal_algebra
 
 __all__ = [
     "chain_product_catalog",
@@ -52,9 +52,10 @@ def chain_product_catalog(max_size: int) -> list[SymbolicAlgebra]:
     return out
 
 
-def catalog_signature(algebra: SymbolicAlgebra) -> tuple[int, ...]:
-    """Chain bounds in the catalog's canonical (non-increasing) order."""
-    return tuple(sorted((b.m for b in algebra.blocks), reverse=True))
+def catalog_signature(algebra: Algebra) -> tuple[int, ...]:
+    """Chain bounds of the chain view (``core._view``) in the catalog's
+    canonical (non-increasing) order."""
+    return tuple(sorted((b.m for b in _view(algebra).blocks), reverse=True))
 
 
 def random_block_algebra(rng: random.Random, max_r: int = 3,

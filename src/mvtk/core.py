@@ -869,26 +869,18 @@ def _slabs(n: int, arity: int):
         yield lo, np.ix_(axis[lo:lo + rows], *[axis] * (arity - 1))
 
 
-def grid_checks(algebra: Algebra, checks, subject: str) -> CheckReport:
-    """Decide each identity of ``checks(view)`` on every tuple.
+def _grid(table: FiniteAlgebra, elems, bank, subject: str) -> CheckReport:
+    """Decide each identity of ``bank`` on every tuple of ``table``.
 
-    ``view`` is :func:`table_view` of ``to_finite(algebra)``, and each
+    ``bank`` is read over :func:`table_view` of the table, and each
     predicate is called with one broadcast index grid per variable on the
     :func:`_slabs` of the first variable in order, until a slab holds a
     False; a temporary holds at most ``_GRID_CELLS`` cells, or two rows of
     the first variable when one row is larger.  A first variable that the
     identity does not read leaves extent 1, so the first slab decides
     every tuple.  The first False in C order is the lexicographically
-    first failing tuple; witnesses are elements of ``algebra``.
+    first failing tuple; its witness names ``elems[i]`` for index i.
     """
-    table = _grid_table(algebra)
-    return _grid(table, elements(algebra), checks(table_view(table)), subject)
-
-
-def _grid(table: FiniteAlgebra, elems, bank, subject: str) -> CheckReport:
-    """:func:`grid_checks` of the identities ``bank``, read over
-    ``table_view(table)``, with ``elems[i]`` the element that index i
-    names in a witness."""
     import numpy as np
 
     n = table.size
@@ -1012,9 +1004,10 @@ def _lattice_checks(A: Algebra):
 
 
 def _bank_grid(algebra: Algebra, checks, subject: str) -> CheckReport:
-    """:func:`grid_checks` of one of the five identity banks (axioms,
-    derived, lattice, recovery and Pixley), decided on the chain factors
-    of a table that :func:`decompose` certifies.
+    """The whole grid (:func:`_grid`) of one of the five identity banks
+    (axioms, derived, lattice, recovery and Pixley) on ``to_finite`` of
+    the algebra, decided on the chain factors of a table that
+    :func:`decompose` certifies.
 
     Every identity of these banks is a universal Horn sentence: an
     equation, or a quasi-identity such as ``dist_separates``.  A Horn
@@ -1029,10 +1022,9 @@ def _bank_grid(algebra: Algebra, checks, subject: str) -> CheckReport:
     factor run the whole grid, so every failing report is the whole
     grid's, witnesses and counts included.
 
-    :func:`grid_checks` itself stays pointwise: it is also handed
-    predicates that are not Horn sentences, such as order comparisons or
-    disjunctions of equations, which can hold in every factor and fail in
-    the product."""
+    Only these banks are read on the factors: a predicate that is not a
+    Horn sentence, such as an order comparison or a disjunction of
+    equations, can hold in every factor and fail in the product."""
     table = _grid_table(algebra)
     try:
         heights = decompose(table).heights
@@ -1302,9 +1294,10 @@ def is_terminal_object(algebra: Algebra) -> bool:
     return carrier_size(algebra) == 1
 
 
-def canonical_blocks(algebra: SymbolicAlgebra) -> tuple:
-    """Block multiset in a normal form independent of construction order."""
-    return tuple(sorted(algebra.blocks, key=lambda b: (b.r > 0, b.m, b.r)))
+def canonical_blocks(algebra: Algebra) -> tuple:
+    """Block multiset of the chain view (:func:`_view`) in a normal form
+    independent of construction order."""
+    return tuple(sorted(_view(algebra).blocks, key=lambda b: (b.r > 0, b.m, b.r)))
 
 
 def are_isomorphic(a: Algebra, b: Algebra) -> bool:
@@ -1314,4 +1307,4 @@ def are_isomorphic(a: Algebra, b: Algebra) -> bool:
     finite MV-algebras are isomorphic exactly when their chain heights
     agree, a table is not isomorphic to an infinite carrier, and a table
     that is not an MV-algebra is refused whatever the other side."""
-    return canonical_blocks(_view(a)) == canonical_blocks(_view(b))
+    return canonical_blocks(a) == canonical_blocks(b)

@@ -189,15 +189,17 @@ def _from_view(algebra: Algebra, ideal: MarkerIdeal) -> Ideal:
 
 
 def zero_ideal(algebra: Algebra) -> Ideal:
+    """The zero ideal.  A table that is not an MV-algebra is refused by
+    ``decompose`` (cached), as by the other ideals; a table's zero ideal
+    is then read off its zero, not its chain view."""
     if isinstance(algebra, FiniteAlgebra):
+        decompose(algebra)
         return FiniteIdeal(frozenset({algebra.zero}))
     return MarkerIdeal(tuple(sub_marker(b.r) for b in _view(algebra).blocks))
 
 
 def full_ideal(algebra: Algebra) -> Ideal:
-    if isinstance(algebra, FiniteAlgebra):
-        return FiniteIdeal(frozenset(range(algebra.size)))
-    return MarkerIdeal(("full",) * len(_view(algebra).blocks))
+    return _from_view(algebra, MarkerIdeal(("full",) * len(_view(algebra).blocks)))
 
 
 def is_zero_ideal(algebra: Algebra, ideal: Ideal) -> bool:
@@ -221,10 +223,8 @@ def _require_element(algebra: Algebra, *xs) -> None:
 
 def ideal_contains(algebra: Algebra, ideal: Ideal, x) -> bool:
     _require_element(algebra, x)
-    ideal = validate_ideal(algebra, ideal)
-    if isinstance(ideal, FiniteIdeal):
-        return x in ideal.elements
-    return _ideal_contains(ideal, _levels(algebra)(x))
+    return _ideal_contains(MarkerIdeal(_view_markers(algebra, validate_ideal(algebra, ideal))),
+                           _levels(algebra)(x))
 
 
 def _ideal_contains(ideal: MarkerIdeal, x) -> bool:
@@ -370,7 +370,6 @@ def _radical(algebra: Algebra) -> Ideal:
     is the height-zero part of the Komori blocks of the chain view, and a
     table's radical is zero: its semisimple reflection is the identity."""
     if isinstance(algebra, FiniteAlgebra):
-        decompose(algebra)
         return zero_ideal(algebra)
     return MarkerIdeal(tuple(sub_marker(b.r, range(b.r)) for b in _view(algebra).blocks))
 

@@ -304,10 +304,14 @@ class CoordMap:
         return len(set(srcs)) == len(srcs) and all(
             scale == 1 and _is_plain(coords) for _, scale, coords in self.rows)
 
+    def kernel(self, dom: SymbolicAlgebra) -> MarkerIdeal:
+        """Markers of the preimage of the codomain's zero ideal, read off
+        the rows: a codomain block with r coordinates has r of them."""
+        return self.preimage(dom, [sub_marker(len(coords)) for _, _, coords in self.rows])
+
     def is_injective(self, dom: SymbolicAlgebra) -> bool:
-        """Whether the preimage of the codomain's zero ideal is zero."""
-        return self.preimage(dom, [sub_marker(len(coords)) for _, _, coords in self.rows]) \
-            == zero_ideal(dom)
+        """Whether the kernel is zero."""
+        return self.kernel(dom) == zero_ideal(dom)
 
     def covers_radical(self) -> bool:
         """Whether the radical of the domain maps onto the radical of the
@@ -510,8 +514,7 @@ class Morphism:
 
     def kernel(self) -> Ideal:
         """Preimage of the zero ideal of the codomain's chain view."""
-        return _from_view(self.dom, _coord_map(self.body).preimage(
-            _view(self.dom), zero_ideal(_view(self.cod)).markers))
+        return _from_view(self.dom, _coord_map(self.body).kernel(_view(self.dom)))
 
     def preimage_ideal(self, ideal: Ideal) -> Ideal:
         return _preimage(self.dom, self.cod, self.body, validate_ideal(self.cod, ideal))
@@ -743,8 +746,7 @@ def subalgebra_decode(incl: Morphism, a):
     if x is None or not incl.dom._tabled:
         return x
     dec = decompose(incl.dom)
-    x = dec.at[sum(map(operator.mul, x, dec.weights))]
-    return x if isinstance(incl.dom, FiniteAlgebra) else elements(incl.dom)[x]
+    return elements(incl.dom)[dec.at[sum(map(operator.mul, x, dec.weights))]]
 
 
 def corestrict(e: Morphism, through: Morphism, label: str = "") -> Morphism:

@@ -308,8 +308,7 @@ def _prekernel_outcomes(k: Morphism, g: Morphism) -> list:
     A, K = _view(g.dom), _view(k.dom)
     kc, gc = _coord_map(k.body), _coord_map(g.body)
     full = ("full",) * len(A.blocks)
-    top = full if _is_trivial(g.dom, g.cod, gc) else \
-        gc.preimage(A, zero_ideal(_view(g.cod)).markers).markers
+    top = full if _is_trivial(g.dom, g.cod, gc) else gc.kernel(A).markers
     ideals = [_view_markers(g.dom, i) for i in all_ideals(g.dom)]
     checked = [top == full, True] + [_markers_leq(i, top) for i in ideals]
 
@@ -399,7 +398,7 @@ def _precokernel_outcomes(g: Morphism, k: Morphism) -> list:
         except ValueError as exc:
             return f"no mediator: {exc}"
         return None if onto else "uniqueness undecidable: g not surjective"
-    kernel = gc.preimage(A, zero_ideal(_view(g.cod)).markers).markers
+    kernel = gc.kernel(A).markers
     passed = outcome(*_quotient_parts(A, kernel)) is None
     return [_SKIPPED if not any(_markers_leq(low, j) for low in lows)
             else None if passed and _markers_leq(kernel, j)

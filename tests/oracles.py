@@ -7,8 +7,8 @@ reads the same maps off the chain decompositions and must list them in
 this order.
 
 ``grid_checks`` evaluates each identity on the whole index grid at once.
-``core.grid_checks`` streams the grid in slabs of the first variable and
-must report the same witnesses and ``checked`` counts.
+``core._grid`` streams the grid in slabs of the first variable and must
+report the same witnesses and ``checked`` counts.
 
 ``infinitesimals``, ``nilpotent_radical``, ``is_nilpotent``, ``polar`` and
 ``is_ideal`` compute the radical, the nilpotence test, the polar and the

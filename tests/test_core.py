@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from mvtk import (
     AXIOM_NAMES,
+    Chain,
     are_isomorphic,
+    canonical_blocks,
     carrier_size,
     catalog_signature,
     chain_product_catalog,
@@ -186,6 +188,16 @@ class TestCatalog:
     def test_signature_identifies(self):
         assert catalog_signature(product([make_chain(1), make_chain(3)])) \
             == (3, 1)
+
+    def test_a_table_has_the_signature_and_blocks_of_its_chains(self):
+        """Found by the regime contract: both read the blocks of a block
+        product and raised AttributeError on a table."""
+        algebra = product([make_chain(3), make_chain(1), make_komori(2, 1)])
+        chains = product([make_chain(1), make_chain(3)])
+        assert catalog_signature(algebra) == (3, 2, 1)
+        assert catalog_signature(to_finite(chains)) == (3, 1)
+        assert canonical_blocks(to_finite(chains)) == canonical_blocks(chains) \
+            == (Chain(1), Chain(3))
 
     def test_deterministic(self):
         first = [describe(a) for a in chain_product_catalog(9)]

@@ -63,19 +63,7 @@ import oracles
 from oracles import hom_tables
 from mvtk.galois2 import central_reflection, commutator_pair
 from mvtk.morphisms import CoordMap, _check_coords
-
-
-def relabel(table, perm):
-    """The table with element x renamed perm[x]: an isomorphic copy whose
-    element order is no longer that of ``to_finite``."""
-    n = table.size
-    neg = [0] * n
-    plus = [[0] * n for _ in range(n)]
-    for x in range(n):
-        neg[perm[x]] = perm[table.neg(x)]
-        for y in range(n):
-            plus[perm[x]][perm[y]] = perm[table.plus(x, y)]
-    return make_finite(neg, plus, perm[table.zero])
+from contract import shuffled
 
 
 def batched_table(algebra, elems):
@@ -102,12 +90,6 @@ def batched_table(algebra, elems):
     assert (neg_row >= 0).all() and (plus_rows >= 0).all(), describe(algebra)
     return core.FiniteAlgebra._of_rows(neg_row.tolist(), plus_rows.tolist(),
                                        elems.index(algebra.zero))
-
-
-def shuffled(table, seed):
-    perm = list(range(table.size))
-    random.Random(seed).shuffle(perm)
-    return relabel(table, perm)
 
 
 def corruptions(table, seed):

@@ -26,6 +26,7 @@ from mvtk import (
     is_proper_ideal,
     is_zero_ideal,
     make_chain,
+    make_finite,
     make_komori,
     markers_from_elements,
     maximal_ideals,
@@ -134,6 +135,17 @@ class TestMembershipAndLattice:
         for ideal in all_ideals(PROD):
             members = ideal_elements(PROD, ideal)
             assert markers_from_elements(PROD, members) == ideal
+
+
+def test_zero_and_full_ideals_refuse_a_table_that_is_not_an_mv_algebra():
+    chain = to_finite(make_chain(2))
+    rows = [list(r) for r in chain.plus_rows]
+    rows[0][1] = 0
+    table = make_finite(chain.neg_row, rows, chain.zero)
+    for ideal in (zero_ideal, full_ideal):
+        with pytest.raises(ValueError, match=r"^not an MV-algebra: plus\(0, 1\) = 0 is not "
+                                             r"the levelwise truncated sum$"):
+            ideal(table)
 
 
 class TestRadical:

@@ -11,7 +11,6 @@ by element.
 """
 
 import itertools
-import random
 
 import pytest
 
@@ -38,20 +37,10 @@ from mvtk import (
     subalgebra_decode,
     to_finite,
 )
-
-
-def relabelled(table, seed):
-    perm = list(range(table.size))
-    random.Random(seed).shuffle(perm)
-    back = {p: i for i, p in enumerate(perm)}
-    n = range(table.size)
-    return make_finite([perm[table.neg_row[back[x]]] for x in n],
-                       [[perm[table.plus_rows[back[x]][back[y]]] for y in n]
-                        for x in n], perm[table.zero])
-
+from contract import shuffled
 
 CATALOG = [to_finite(a) for a in chain_product_catalog(12)]
-TABLES = CATALOG + [relabelled(t, f"one-body:{k}")
+TABLES = CATALOG + [shuffled(t, f"one-body:{k}")
                     for k, t in enumerate(CATALOG) if t.size > 2]
 HOMS = {(a, b): enumerate_homs(TABLES[a], TABLES[b])
         for a, b in itertools.product(range(len(TABLES)), repeat=2)}
